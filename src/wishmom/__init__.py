@@ -33,7 +33,6 @@ from .errors import (
     DegenerateSampleSizeError,
     DimensionMismatchError,
     InsufficientOrdersError,
-    NoConvergenceError,
     NonIntegerNError,
     NotHermitianError,
     NotPSDError,

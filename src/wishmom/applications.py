@@ -10,24 +10,10 @@ import numpy as np
 
 from . import matrix_core
 from .budgets import MAX_JOINT_WEIGHT, MAX_PERMANENT_DIM, check_budget
+from .combinatorics import cycles_of_images
 from .errors import DegenerateSampleSizeError, InsufficientOrdersError, ValidationError
 from .multivariate import _Kahan, _partition_sum, _rho_of_kind, _sub_indices
 from .univariate import MOMENTS, MomentSequence
-
-
-def _cycle_count_of(perm) -> int:
-    n = len(perm)
-    seen = [False] * n
-    count = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        count += 1
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return count
 
 
 def permanent_d(y, d) -> complex:
@@ -42,7 +28,7 @@ def permanent_d(y, d) -> complex:
     rows = y.tolist()
     total = _Kahan()
     for perm in itertools.permutations(range(p)):
-        prod = complex(d) ** _cycle_count_of(perm)
+        prod = complex(d) ** len(cycles_of_images(perm))
         for j in range(p):
             prod *= rows[j][perm[j]]
         total.add(prod)
@@ -64,7 +50,7 @@ def permanent_alpha(y, a: MomentSequence) -> complex:
     rows = y.tolist()
     total = _Kahan()
     for perm in itertools.permutations(range(p)):
-        prod = a.order(_cycle_count_of(perm))
+        prod = a.order(len(cycles_of_images(perm)))
         for j in range(p):
             prod *= rows[j][perm[j]]
         total.add(prod)

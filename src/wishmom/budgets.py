@@ -8,7 +8,7 @@ to an integer replaces *all* defaults at once.
 
 import os
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ValidationError
 
 MAX_UNIVARIATE_ORDER = 20   # trace moment/cumulant order i
 MAX_JOINT_WEIGHT = 10       # |i| for joint moments/cumulants and permanent_master
@@ -26,7 +26,10 @@ def budget(default: int) -> int:
     for var in _ENV_VARS:
         raw = os.environ.get(var)
         if raw is not None:
-            return int(raw)
+            try:
+                return int(raw)
+            except ValueError as exc:
+                raise ValidationError(f"{var} must be an integer: {raw!r}") from exc
     return default
 
 

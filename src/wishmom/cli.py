@@ -144,8 +144,11 @@ def _read_input(path: str) -> tuple[dict, str]:
 def _matrix_from(obj, name: str) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValidationError(f"{name} must be an object with a 're' matrix")
-    re = np.array(obj["re"], dtype=float)
-    im = np.array(obj.get("im", np.zeros_like(re)), dtype=float)
+    try:
+        re = np.array(obj["re"], dtype=float)
+        im = np.array(obj.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a rectangular array of numbers: {exc}") from exc
     if re.shape != im.shape:
         raise ValidationError(f"{name}: re/im shapes differ")
     return re + 1j * im
@@ -154,26 +157,43 @@ def _matrix_from(obj, name: str) -> np.ndarray:
 def _params_from(doc: dict, convention: str | None) -> model.WishartParams:
     if "n" not in doc or "sigma" not in doc:
         raise ValidationError("input needs 'n' and 'sigma'")
+    try:
+        n = float(doc["n"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"'n' must be a number: {doc['n']!r}") from exc
     conv = convention or doc.get("convention", "paper")
     sigma = _matrix_from(doc["sigma"], "sigma")
     m_matrix = _matrix_from(doc["m_matrix"], "m_matrix") if "m_matrix" in doc else None
-    params, _ = model.build(doc["n"], sigma, m_matrix, conv)
+    params, _ = model.build(n, sigma, m_matrix, conv)
     return params
 
 
 def _h_list(doc: dict, params) -> list[np.ndarray]:
     hs = doc.get("h")
-    if not hs:
+    if not hs or not isinstance(hs, list):
         raise ValidationError("this command needs an 'h' list of direction matrices")
     return [_matrix_from(hk, f"h[{k}]") for k, hk in enumerate(hs)]
 
 
+def _int_list(values, name: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a list of integers: {values!r}") from exc
+
+
 def _index_from(doc: dict, args) -> tuple[int, ...]:
     if args.index is not None:
-        return tuple(int(v) for v in args.index.split(","))
+        return _int_list(args.index.split(","), "--index")
     if "index" in doc:
-        return tuple(int(v) for v in doc["index"])
+        return _int_list(doc["index"], "index")
     raise ValidationError("this command needs --index or an 'index' entry")
+
+
+def _orders(args) -> range:
+    if args.order < 1:
+        raise ValidationError(f"--order must be >= 1: {args.order}")
+    return range(1, args.order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +203,14 @@ def _index_from(doc: dict, args) -> tuple[int, ...]:
 def _cmd_moments(doc, args):
     params = _params_from(doc, args.convention)
     rows = [{"order": k, "value": _cnum(univariate.noncentral_moment(params, k))}
-            for k in range(1, args.order + 1)]
+            for k in _orders(args)]
     return params.convention, {"orders": rows}
 
 
 def _cmd_cumulants(doc, args):
     params = _params_from(doc, args.convention)
     rows = [{"order": k, "value": _cnum(univariate.noncentral_cumulant(params, k))}
-            for k in range(1, args.order + 1)]
+            for k in _orders(args)]
     return params.convention, {"orders": rows}
 
 
@@ -239,7 +259,10 @@ def _cmd_permanent(doc, args):
     if "sigma" not in doc:
         raise ValidationError("permanent needs the matrix in 'sigma'")
     y = _matrix_from(doc["sigma"], "sigma")
-    d = complex(args.d) if args.d is not None else 1 + 0j
+    try:
+        d = complex(args.d) if args.d is not None else 1 + 0j
+    except ValueError as exc:
+        raise ValidationError(f"--d must be a complex number: {args.d!r}") from exc
     if args.index is not None or "index" in doc:
         index = _index_from(doc, args)
         value = applications.permanent_master(y, index, d)
@@ -260,7 +283,7 @@ def _cmd_polykay(doc, args):
     vals, _ = matrix_core.hermitian_eigen(x)
     sample = applications.PolykaySample.from_eigenvalues(vals)
     rows = [{"order": k, "value": applications.polykay(sample, k)}
-            for k in range(1, args.order + 1)]
+            for k in _orders(args)]
     return doc.get("convention", "paper"), {
         "eigenvalues": [float(v) for v in vals],
         "orders": rows,
@@ -270,7 +293,7 @@ def _cmd_polykay(doc, args):
 def _cmd_necklaces(doc, args):
     if args.kind is None:
         raise ValidationError("necklaces needs --kind i1,i2,...")
-    kind = tuple(int(v) for v in args.kind.split(","))
+    kind = _int_list(args.kind.split(","), "--kind")
     rows = []
     for neck in necklaces_of_kind(kind):
         rows.append({
@@ -286,6 +309,8 @@ def _cmd_necklaces(doc, args):
 
 def _cmd_mc_verify(doc, args):
     params = _params_from(doc, "standard")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0: {args.seed}")
     stream = mc.RngStream(args.seed, 0)
     n2 = args.n2 if args.n2 is not None else int(params.n)
     if args.identity == "df-additivity":

@@ -322,6 +322,25 @@ def strings_of_kind(kind):
 # permutations with explicit cycle structure
 # ---------------------------------------------------------------------------
 
+def cycles_of_images(images) -> list[tuple[int, ...]]:
+    """Cycle decomposition of a permutation of {0..k-1} in one-line notation
+    (images[j] is the image of j).  Each cycle starts at its smallest
+    element; cycles are ordered by their smallest elements."""
+    seen = [False] * len(images)
+    cycles = []
+    for s in range(len(images)):
+        if seen[s]:
+            continue
+        c = []
+        j = s
+        while not seen[j]:
+            seen[j] = True
+            c.append(j)
+            j = images[j]
+        cycles.append(tuple(c))
+    return cycles
+
+
 @dataclass(frozen=True)
 class CyclePermutation:
     """A permutation of {1..k} as canonically ordered disjoint cycles.
@@ -365,20 +384,8 @@ class CyclePermutation:
         k = len(images)
         if sorted(images) != list(range(1, k + 1)):
             raise ValidationError(f"not a permutation of 1..{k}: {images}")
-        seen = [False] * k
-        cycles = []
-        for s in range(1, k + 1):
-            if seen[s - 1]:
-                continue
-            c = [s]
-            seen[s - 1] = True
-            j = images[s - 1]
-            while j != s:
-                c.append(j)
-                seen[j - 1] = True
-                j = images[j - 1]
-            cycles.append(tuple(c))
-        return cls(tuple(cycles))
+        cycles = cycles_of_images([v - 1 for v in images])
+        return cls(tuple(tuple(j + 1 for j in c) for c in cycles))
 
 
 def permutations_by_cycles(k: int):

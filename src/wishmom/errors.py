@@ -40,15 +40,12 @@ class NumericalError(WishmomError):
 
 
 class SingularMatrixError(NumericalError):
-    """A pivot underflowed tolerance; the matrix is numerically singular."""
+    """The smallest singular value is below tolerance; the matrix is
+    numerically singular."""
 
 
 class NotPSDError(NumericalError):
     """Matrix required to be positive semidefinite is not."""
-
-
-class NoConvergenceError(NumericalError):
-    """Iteration exhausted its sweep budget without converging."""
 
 
 class BudgetExceededError(WishmomError):

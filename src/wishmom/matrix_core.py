@@ -1,10 +1,10 @@
-"""Dense complex matrix kernels, sized for desk-scale dimensions (p <= ~64).
+"""Dense complex matrix kernels.
 
-Self-contained factorizations: linear solves go through a hand-rolled
-partial-pivot LU so singularity is detected at pivot level, and the
-Hermitian eigendecomposition is a cyclic Jacobi iteration with an explicit
-sweep budget.  Tolerances are stated relative to mat_norm (max absolute
-entry times dimension) and can be overridden per call.
+Traces are computed here; the solve and the Hermitian eigendecomposition
+are numpy.linalg (LAPACK) calls behind explicit checks, so that a singular
+or non-Hermitian input raises this package's errors instead of returning
+garbage.  Tolerances are module constants stated relative to mat_norm (max
+absolute entry times dimension).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NoConvergenceError,
     NotHermitianError,
     SingularMatrixError,
     ValidationError,
@@ -21,7 +20,6 @@ from .errors import (
 
 PIVOT_RTOL = 1e-12
 HERMITIAN_RTOL = 1e-10
-JACOBI_SWEEPS = 50
 
 
 def as_matrix(a) -> np.ndarray:
@@ -77,100 +75,40 @@ def power_traces(a, k_max: int) -> list[complex]:
     return out
 
 
-def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
+def is_hermitian(a) -> bool:
     a = as_matrix(a)
     scale = mat_norm(a)
-    return float(np.abs(a - a.conj().T).max()) <= rtol * max(scale, 1e-300)
+    return float(np.abs(a - a.conj().T).max()) <= HERMITIAN_RTOL * max(scale, 1e-300)
 
 
-def solve(a, b, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
-    """Solve A X = B by partial-pivot LU.
+def solve(a, b) -> np.ndarray:
+    """Solve A X = B.
 
-    Raises SingularMatrixError when a pivot falls below
-    pivot_rtol * mat_norm(A).
+    Raises SingularMatrixError when the smallest singular value of A is at
+    most PIVOT_RTOL * mat_norm(A).
     """
     a = as_matrix(a)
     b = np.array(b, dtype=complex)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
     n = a.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatchError(f"rhs rows {b.shape[0]} != matrix dim {n}")
-
-    lu = a.copy()
-    rhs = b.copy()
-    tol = pivot_rtol * mat_norm(a)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) <= tol:
-            raise SingularMatrixError(f"pivot {abs(lu[piv, k]):.3e} below tolerance {tol:.3e}")
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            rhs[[k, piv]] = rhs[[piv, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-
-    # forward then back substitution on the packed factors
-    for k in range(n):
-        rhs[k + 1:] -= np.outer(lu[k + 1:, k], rhs[k])
-    for k in range(n - 1, -1, -1):
-        rhs[k] /= lu[k, k]
-        rhs[:k] -= np.outer(lu[:k, k], rhs[k])
-    return rhs[:, 0] if squeeze else rhs
+    tol = PIVOT_RTOL * mat_norm(a)
+    smallest = np.linalg.svd(a, compute_uv=False)[-1]
+    if smallest <= tol:
+        raise SingularMatrixError(
+            f"smallest singular value {smallest:.3e} below tolerance {tol:.3e}")
+    return np.linalg.solve(a, b)
 
 
-def hermitian_eigen(a, rtol: float = HERMITIAN_RTOL, max_sweeps: int = JACOBI_SWEEPS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigen(a):
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, Q) with real eigenvalues in descending order and
     Q unitary, A Q = Q diag(eigenvalues).  Raises NotHermitianError when the
-    input fails the Hermitian check and NoConvergenceError when the sweep
-    budget is exhausted.
+    input fails the Hermitian check.
     """
     a = as_matrix(a)
-    if not is_hermitian(a, rtol):
+    if not is_hermitian(a):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    n = a.shape[0]
-    w = (a + a.conj().T) / 2
-    q = np.eye(n, dtype=complex)
-    scale = float(np.abs(w).max())
-    if n == 1 or scale == 0.0:
-        vals = np.real(np.diag(w)).copy()
-        order = np.argsort(vals)[::-1]
-        return vals[order], q[:, order]
-
-    thresh = 1e-14 * scale
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.abs(w - np.diag(np.diag(w))).max()
-        if off <= thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                z = w[p, r]
-                if abs(z) <= thresh * 1e-2:
-                    continue
-                tau = (w[r, r].real - w[p, p].real) / (2 * abs(z))
-                t = 1.0 if tau == 0 else np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary g = diag(1, conj(phase)) . [[c, s], [-s, c]] on (p, r)
-                ph = np.conj(z / abs(z))
-                g00, g01, g10, g11 = c, s, -s * ph, c * ph
-                col_p, col_r = w[:, p].copy(), w[:, r].copy()
-                w[:, p] = col_p * g00 + col_r * g10
-                w[:, r] = col_p * g01 + col_r * g11
-                row_p, row_r = w[p, :].copy(), w[r, :].copy()
-                w[p, :] = np.conj(g00) * row_p + np.conj(g10) * row_r
-                w[r, :] = np.conj(g01) * row_p + np.conj(g11) * row_r
-                col_p, col_r = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = col_p * g00 + col_r * g10
-                q[:, r] = col_p * g01 + col_r * g11
-    if not converged and np.abs(w - np.diag(np.diag(w))).max() > thresh:
-        raise NoConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-    vals = np.real(np.diag(w)).copy()
-    order = np.argsort(vals)[::-1]
-    return vals[order], q[:, order]
+    vals, q = np.linalg.eigh((a + a.conj().T) / 2)
+    return vals[::-1], q[:, ::-1]

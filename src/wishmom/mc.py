@@ -135,52 +135,38 @@ def _integer_n(params: WishartParams) -> int:
     return int(round(n))
 
 
-def _psd_cholesky(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Lower Cholesky factor with a pivot tolerance; accepts semidefinite
-    input and raises NotPSDError on a negative pivot."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    scale = max(matrix_core.mat_norm(a), 1e-300)
-    tol = rtol * scale
-    zero_piv = math.sqrt(tol * scale)  # pivots below this are a zero direction
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = float((a[j, j] - np.sum(np.abs(low[j, :j]) ** 2)).real)
-        if d < -tol:
-            raise NotPSDError(f"negative pivot {d:.3e} at column {j}")
-        piv = math.sqrt(max(d, 0.0))
-        low[j, j] = piv
-        if j + 1 < n:
-            col = a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conj()
-            if piv > zero_piv:
-                low[j + 1:, j] = col / piv
-            elif np.abs(col).max(initial=0.0) > zero_piv:
-                raise NotPSDError(f"rank deficiency inconsistent at column {j}")
-    return low
+def _psd_factor(a: np.ndarray, name: str) -> tuple[np.ndarray, int]:
+    """(F, rank): F = diag(sqrt(theta)) Q^H from a = Q diag(theta) Q^H, so
+    F^H F = a, with rows in descending eigenvalue order and the rank nonzero
+    rows first.  Eigenvalues within tol = 1e-12 mat_norm(a) of zero give
+    zero rows, so F annihilates a's null space (the root of a rounding-level
+    eigenvalue would leak ~1e-8 into it); one below -tol raises NotPSDError.
+    """
+    vals, vecs = matrix_core.hermitian_eigen(a)
+    tol = 1e-12 * matrix_core.mat_norm(a)
+    if vals[-1] < -tol:
+        raise NotPSDError(f"{name} has negative eigenvalue {vals[-1]:.3e}")
+    positive = vals > tol
+    root = np.sqrt(np.where(positive, vals, 0.0))
+    return root[:, None] * vecs.conj().T, int(np.count_nonzero(positive))
 
 
 def _mean_rows(params: WishartParams, n: int) -> np.ndarray | None:
     """Rows m_1..m_n with sum of outer products equal to M (None when M=0).
 
-    Requires M Hermitian PSD with rank at most n; built from the
-    eigendecomposition, one row per positive eigenvalue.
+    Requires M Hermitian PSD with rank at most n; the rows are those of
+    M's eigen factor with positive eigenvalues, padded with zero rows.
     """
     if params.is_central:
         return None
-    m_mat = params.m_matrix
     if not params.m_is_hermitian:
         raise NotPSDError("sampling needs a Hermitian PSD non-centrality contribution")
-    vals, vecs = matrix_core.hermitian_eigen(m_mat)
-    tol = 1e-12 * max(matrix_core.mat_norm(m_mat), 1e-300)
-    if vals[-1] < -tol:
-        raise NotPSDError(f"m_matrix has negative eigenvalue {vals[-1]:.3e}")
-    positive = [k for k in range(params.p) if vals[k] > tol]
-    if len(positive) > n:
+    factor, rank = _psd_factor(params.m_matrix, "m_matrix")
+    if rank > n:
         raise ValidationError(
-            f"m_matrix has rank {len(positive)} > n = {n}; cannot split into n rows")
+            f"m_matrix has rank {rank} > n = {n}; cannot split into n rows")
     rows = np.zeros((n, params.p), dtype=complex)
-    for slot, k in enumerate(positive):
-        rows[slot] = math.sqrt(vals[k]) * vecs[:, k].conj()
+    rows[:rank] = factor[:rank]
     return rows
 
 
@@ -188,7 +174,7 @@ def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH)
     """Yield stacked draws W of shape (b, p, p)."""
     n = _integer_n(params)
     p = params.p
-    lh = _psd_cholesky(params.sigma).conj().T
+    factor, _ = _psd_factor(params.sigma, "sigma")
     if means is None:
         means = _mean_rows(params, n)
     else:
@@ -201,7 +187,7 @@ def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH)
     while remaining > 0:
         b = min(batch, remaining)
         g = (gen.standard_normal((b, n, p)) + 1j * gen.standard_normal((b, n, p))) * scale
-        x = g @ lh
+        x = g @ factor
         if means is not None:
             x -= means
         yield np.einsum("sij,sik->sjk", x.conj(), x)
@@ -211,10 +197,11 @@ def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH)
 def sample_wishart(params: WishartParams, means=None, rng=None) -> np.ndarray:
     """One draw of the p x p Wishart matrix.
 
-    Each of the n rows is a standard complex Gaussian row times the Cholesky
-    factor of Sigma, shifted by its mean row.  When `means` is given (an
-    (n, p) array) it overrides params.m_matrix for this draw; otherwise mean
-    rows are derived from M, which must then be Hermitian PSD of rank <= n.
+    Each of the n rows is a standard complex Gaussian row times the eigen
+    factor F of Sigma (F^H F = Sigma), shifted by its mean row.  When
+    `means` is given (an (n, p) array) it overrides params.m_matrix for this
+    draw; otherwise mean rows are derived from M, which must then be
+    Hermitian PSD of rank <= n.
     """
     gen = _as_generator(rng)
     for w in _wishart_batches(params, means, gen, 1, batch=1):
@@ -359,7 +346,9 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
 
     identity selects the claimed decomposition: "df-additivity" requires
     both sides central, "sheffer" a central second block, "m-split" allows
-    any split of M.  Returns a JSON-ready report with per-order z-scores.
+    any split of M.  Returns a JSON-ready report with per-order z-scores
+    of lhs - rhs, and each side's standard error so that either side can
+    also be tested against the exact moments of Tr W(n1+n2, Sigma, M1+M2).
     """
     if identity not in IDENTITIES:
         raise ValidationError(f"identity must be one of {IDENTITIES}: {identity!r}")
@@ -373,6 +362,8 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
     if not isinstance(rng, RngStream):
         raise ValidationError("identity checks need an RngStream for substreams")
     n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValidationError("n_samples must be >= 1")
 
     n1, n2 = _integer_n(params1), _integer_n(params2)
     whole, _ = build(n1 + n2, params1.sigma,
@@ -409,6 +400,8 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
             "order": k,
             "lhs_mean": ml,
             "rhs_mean": mr,
+            "lhs_std_error": math.sqrt(vl),
+            "rhs_std_error": math.sqrt(vr),
             "std_error": se,
             "z": (ml - mr) / se if se > 0 else 0.0,
         })

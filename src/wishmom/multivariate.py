@@ -46,6 +46,7 @@ from .budgets import (
 )
 from .combinatorics import (
     CyclePermutation,
+    cycles_of_images,
     multiindex_partitions,
     necklace_rotations,
     necklaces_of_kind,
@@ -326,28 +327,6 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
 # generalized (multi-factor trace) moments
 # ---------------------------------------------------------------------------
 
-def _cycles_of_images(images):
-    m = len(images)
-    seen = [False] * m
-    out = []
-    for s in range(m):
-        if seen[s]:
-            continue
-        c = [s]
-        seen[s] = True
-        j = images[s]
-        while j != s:
-            c.append(j)
-            seen[j] = True
-            j = images[j]
-        out.append(tuple(c))
-    return out
-
-
-def _cycle_count(images) -> int:
-    return len(_cycles_of_images(images))
-
-
 def _perm_to_images0(sigma_perm: CyclePermutation) -> tuple[int, ...]:
     return tuple(v - 1 for v in sigma_perm.images())
 
@@ -365,8 +344,8 @@ def _genmom_cycles(n, sh, sigma_images) -> complex:
         for a, b in enumerate(tau):
             inv[b] = a
         comp = tuple(sigma_images[inv[j]] for j in range(m))
-        term = n ** _cycle_count(comp)
-        for c in _cycles_of_images(tau):
+        term = n ** len(cycles_of_images(comp))
+        for c in cycles_of_images(tau):
             term = term * np.trace(_word_product(sh, [j + 1 for j in c]))
         acc.add(term)
     return acc.value
@@ -388,8 +367,8 @@ def _genmom1_cycles(sign, eta_factors, omega, sigma_images) -> complex:
         for a, b in enumerate(tau):
             inv[b] = a
         comp = tuple(sigma_images[inv[j]] for j in range(m))
-        term = sign ** _cycle_count(comp)
-        for c in _cycles_of_images(tau):
+        term = sign ** len(cycles_of_images(comp))
+        for c in cycles_of_images(tau):
             rot_sum = _Kahan()
             for r in range(len(c)):
                 word = [j + 1 for j in c[r:] + c[:r]]

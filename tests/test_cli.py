@@ -213,3 +213,28 @@ def test_mc_verify_command(tmp_path):
     assert report["convention"] == "standard"
     assert report["seed"] == 5
     assert report["results"]["max_abs_z"] <= 5.0
+
+
+@pytest.mark.parametrize("args, patch, env", [
+    (["joint-moments", "--index", "a"], {}, None),
+    (["joint-moments", "--index", "1"], {"h": 5}, None),
+    (["permanent", "--d", "zz"], {}, None),
+    (["moments"], {"sigma": {"re": [["x", 0], [0, 1]]}}, None),
+    (["moments"], {"sigma": {"re": [[1, 0], [0]]}}, None),
+    (["moments"], {"n": "three"}, None),
+    (["moments"], {}, {"WISHMOM_MAX_BUDGET": "1.5"}),
+    (["moments", "--order", "0"], {}, None),
+    (["moments", "--order", "-1"], {}, None),
+    (["mc-verify", "--samples", "0"], {}, None),
+    (["mc-verify", "--seed", "-1"], {}, None),
+])
+def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
+    doc = {"n": 3, "sigma": matrix_doc(np.eye(2)), "h": [matrix_doc(np.eye(2))],
+           **patch}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    for var, value in (env or {}).items():
+        monkeypatch.setenv(var, value)
+    code, out = run([args[0], str(path), *args[1:]])
+    assert code == 2
+    assert out.startswith("validation error")

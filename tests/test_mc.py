@@ -143,6 +143,31 @@ def test_sampler_validation():
         sample_wishart(big, rng=RngStream(0))
 
 
+def test_sampler_semidefinite_sigma():
+    # rank-2 Sigma at p = 3; M lies in Sigma's range, so every draw W must
+    # annihilate the null vector u of Sigma
+    v = np.array([1.0, 1j, 0.5])
+    sigma = np.outer(v, v.conj()) + np.diag([0.0, 0.0, 1.0])
+    u = np.array([1j, 1.0, 0.0])
+    assert np.abs(sigma @ u).max() < 1e-15
+    w = v + np.array([0.0, 0.0, 1.0])
+    m = 0.3 * np.outer(w, w.conj())
+    params, _ = build(3, sigma, m, "standard")
+    gen = RngStream(9).generator()
+    total = np.zeros((3, 3), dtype=complex)
+    total_sq = np.zeros((3, 3))
+    n_draws = 20_000
+    for draws in _batches(params, gen, n_draws):
+        assert np.abs(draws @ u).max() <= 1e-12 * np.abs(draws).max()
+        total += draws.sum(axis=0)
+        total_sq += (np.abs(draws) ** 2).sum(axis=0)
+    mean = total / n_draws
+    se = np.sqrt(np.maximum(total_sq / n_draws - np.abs(mean) ** 2, 0.0) / n_draws)
+    want = params.n * sigma + m
+    off = np.abs(mean - want)
+    assert np.all(off <= 4 * se + 1e-12)
+
+
 def test_sampler_explicit_means_override():
     params, _ = build(2, np.eye(2), None, "standard")
     means = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
