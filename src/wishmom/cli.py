@@ -176,7 +176,14 @@ def _h_list(doc: dict, params) -> list[np.ndarray]:
 
 
 def _int_list(values, name: str) -> tuple[int, ...]:
+    """Integers from a list of strings or JSON numbers; a bare string,
+    booleans and non-integral numbers are rejected rather than read digit
+    by digit or truncated."""
     try:
+        if isinstance(values, str) or any(
+                isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())
+                for v in values):
+            raise ValueError("not a list of integers")
         return tuple(int(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a list of integers: {values!r}") from exc

@@ -23,10 +23,10 @@ HERMITIAN_RTOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and convert to a square complex128 array (copy)."""
+    """Validate and convert to a non-empty square complex128 array (copy)."""
     m = np.array(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValidationError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValidationError("matrix has non-finite entries")
     return m

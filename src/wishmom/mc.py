@@ -11,6 +11,13 @@ comparable to samples.
 Randomness is counter-based (Philox) keyed by (seed, stream_id): identical
 keys reproduce identical draws bit-exactly, and disjoint stream_ids give
 independent streams.
+
+One row sampler, `_row_batches`, yields the n rows X of each draw in
+batches, so W = X^H X.  Estimators that need only Tr W = sum |x|^2 or
+Tr(W H) = sum conj(X) * (X H) read them from the rows and never form W;
+only the generalized (cycle-product) moments form W.  Haar compressions
+are Hermitian by construction and take their eigenvalues from
+`numpy.linalg.eigvalsh`, with no check and no eigenvectors.
 """
 
 from __future__ import annotations
@@ -170,8 +177,13 @@ def _mean_rows(params: WishartParams, n: int) -> np.ndarray | None:
     return rows
 
 
-def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
-    """Yield stacked draws W of shape (b, p, p)."""
+def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
+    """Yield stacked rows X of shape (b, n, p); each draw is W = X^H X.
+
+    Each row is a standard complex Gaussian row times the eigen factor F of
+    Sigma, minus its mean row.  The factor multiply runs as one 2-D GEMM
+    over all b * n rows of a batch.
+    """
     n = _integer_n(params)
     p = params.p
     factor, _ = _psd_factor(params.sigma, "sigma")
@@ -187,11 +199,30 @@ def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH)
     while remaining > 0:
         b = min(batch, remaining)
         g = (gen.standard_normal((b, n, p)) + 1j * gen.standard_normal((b, n, p))) * scale
-        x = g @ factor
+        x = (g.reshape(b * n, p) @ factor).reshape(b, n, p)
         if means is not None:
             x -= means
-        yield np.einsum("sij,sik->sjk", x.conj(), x)
+        yield x
         remaining -= b
+
+
+def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
+    """Yield stacked draws W = X^H X of shape (b, p, p)."""
+    for x in _row_batches(params, means, gen, n_samples, batch):
+        yield x.conj().transpose(0, 2, 1) @ x
+
+
+def _row_traces(x: np.ndarray) -> np.ndarray:
+    """Tr W = sum |x|^2 per draw, from stacked rows (b, n, p)."""
+    flat = x.reshape(x.shape[0], -1)
+    return np.vecdot(flat, flat).real
+
+
+def _row_direction_traces(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Tr(W H) = sum conj(X) * (X H) per draw, from stacked rows (b, n, p)."""
+    b, n, p = x.shape
+    xh = x.reshape(b * n, p) @ h
+    return np.vecdot(x.reshape(b, -1), xh.reshape(b, -1))
 
 
 def sample_wishart(params: WishartParams, means=None, rng=None) -> np.ndarray:
@@ -213,10 +244,6 @@ def sample_wishart(params: WishartParams, means=None, rng=None) -> np.ndarray:
 # estimators
 # ---------------------------------------------------------------------------
 
-def _batch_traces(w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return np.einsum("sab,ba->s", w, h)
-
-
 def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estimate:
     """Sample mean and standard error of prod_j Tr(W H_j)^{i_j}.
 
@@ -231,11 +258,11 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
         raise DimensionMismatchError("index length must match len(h)")
     gen = _as_generator(rng)
     acc = _Accumulator()
-    for w in _wishart_batches(params, None, gen, n_samples):
-        vals = np.ones(w.shape[0], dtype=complex)
+    for x in _row_batches(params, None, gen, n_samples):
+        vals = np.ones(x.shape[0], dtype=complex)
         for hk, ik in zip(hs, kind):
             if ik:
-                vals *= _batch_traces(w, hk) ** ik
+                vals *= _row_direction_traces(x, hk) ** ik
         acc.add_batch(vals)
     return acc.estimate()
 
@@ -257,13 +284,15 @@ def estimate_generalized_moment(params: WishartParams, h,
     gen = _as_generator(rng)
     acc = _Accumulator()
     for w in _wishart_batches(params, None, gen, n_samples):
-        vals = np.ones(w.shape[0], dtype=complex)
+        b, p, _ = w.shape
+        flat = w.reshape(b * p, p)
+        vals = np.ones(b, dtype=complex)
         for cyc in sigma_perm.cycles:
             prod = None
             for j in cyc:
-                step = w @ hs[j - 1]
+                step = (flat @ hs[j - 1]).reshape(b, p, p)
                 prod = step if prod is None else prod @ step
-            vals *= np.einsum("saa->s", prod)
+            vals *= np.trace(prod, axis1=1, axis2=2)
         acc.add_batch(vals)
     return acc.estimate()
 
@@ -281,8 +310,8 @@ def estimate_trace_cumulants(params: WishartParams, i_max: int,
         raise ValidationError("n_samples too small for cumulant estimation")
     gen = _as_generator(rng)
     raw = np.zeros(7)  # raw power sums of orders 0..6
-    for w in _wishart_batches(params, None, gen, n_samples):
-        tr = np.einsum("saa->s", w).real
+    for x in _row_batches(params, None, gen, n_samples):
+        tr = _row_traces(x)
         for k in range(7):
             raw[k] += float(np.sum(tr ** k))
     n = raw[0]
@@ -328,8 +357,8 @@ def haar_compression(x, m: int, rng) -> PolykaySample:
         raise ValidationError(f"compressed size must satisfy 1 <= m <= p: {m}")
     frame = haar_unitary(p, rng)[:m, :]
     y = frame @ x @ frame.conj().T
-    vals, _ = matrix_core.hermitian_eigen(y)
-    return PolykaySample.from_eigenvalues(vals)
+    # Hermitian by construction, so no check and no eigenvectors
+    return PolykaySample.from_eigenvalues(np.linalg.eigvalsh(y)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +407,14 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
         return raw
 
     def lhs_batches():
-        for w in _wishart_batches(whole, None, gen_l, n_samples):
-            yield np.einsum("saa->s", w).real
+        for x in _row_batches(whole, None, gen_l, n_samples):
+            yield _row_traces(x)
 
     def rhs_batches():
-        it_a = _wishart_batches(params1, None, gen_a, n_samples)
-        it_b = _wishart_batches(params2, None, gen_b, n_samples)
-        for wa, wb in zip(it_a, it_b):
-            yield np.einsum("saa->s", wa).real + np.einsum("saa->s", wb).real
+        it_a = _row_batches(params1, None, gen_a, n_samples)
+        it_b = _row_batches(params2, None, gen_b, n_samples)
+        for xa, xb in zip(it_a, it_b):
+            yield _row_traces(xa) + _row_traces(xb)
 
     raw_l = moment_sums(lhs_batches())
     raw_r = moment_sums(rhs_batches())

@@ -227,6 +227,9 @@ def test_mc_verify_command(tmp_path):
     (["moments", "--order", "-1"], {}, None),
     (["mc-verify", "--samples", "0"], {}, None),
     (["mc-verify", "--seed", "-1"], {}, None),
+    (["joint-moments"], {"index": [1.9]}, None),
+    (["joint-moments"], {"index": [True]}, None),
+    (["joint-moments"], {"index": "1"}, None),
 ])
 def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     doc = {"n": 3, "sigma": matrix_doc(np.eye(2)), "h": [matrix_doc(np.eye(2))],

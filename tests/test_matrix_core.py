@@ -6,8 +6,10 @@ from wishmom import (
     NotHermitianError,
     SingularMatrixError,
     ValidationError,
+    build,
 )
 from wishmom.matrix_core import (
+    as_matrix,
     hermitian_eigen,
     is_hermitian,
     mat_norm,
@@ -45,6 +47,14 @@ def test_product_trace_validation():
         product_trace([])
     with pytest.raises(DimensionMismatchError):
         product_trace([np.eye(2), np.eye(3)])
+
+
+def test_as_matrix_rejects_empty_and_non_square():
+    for bad in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(ValidationError):
+            as_matrix(bad)
+    with pytest.raises(ValidationError):
+        build(2, np.zeros((0, 0)))
 
 
 def test_product_trace_paper_sigma_squared():

@@ -22,9 +22,15 @@ from wishmom import (
     polykay,
     sample_wishart,
 )
-from wishmom.mc import _Accumulator
+from wishmom.mc import (
+    _Accumulator,
+    _row_batches,
+    _row_direction_traces,
+    _row_traces,
+    _wishart_batches,
+)
 
-from conftest import random_hermitian, random_psd
+from conftest import random_complex, random_hermitian, random_psd
 
 
 def standard_params(seed, p=2, n=4, central=False, scale=1.0):
@@ -65,7 +71,6 @@ def test_stream_independence_cross_correlation():
 
 
 def _batches(params, gen, n):
-    from wishmom.mc import _wishart_batches
     return _wishart_batches(params, None, gen, n)
 
 
@@ -174,7 +179,6 @@ def test_sampler_explicit_means_override():
     gen = RngStream(8).generator()
     total = np.zeros((2, 2), dtype=complex)
     n_draws = 20_000
-    from wishmom.mc import _wishart_batches
     count = 0
     for w in _wishart_batches(params, means, gen, n_draws):
         total += w.sum(axis=0)
@@ -190,6 +194,52 @@ def test_single_draw_shape_and_hermiticity():
     assert w.shape == (3, 3)
     assert np.abs(w - w.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(w).min() > -1e-12
+
+
+def _formed_traces(params, stream, n_draws, h):
+    """Tr W and Tr(W H_k) per draw, from the W that _wishart_batches forms."""
+    ws = np.concatenate(list(_wishart_batches(params, None, stream.generator(), n_draws)))
+    return (np.trace(ws, axis1=1, axis2=2).real,
+            [np.trace(ws @ hk, axis1=1, axis2=2) for hk in h])
+
+
+@pytest.mark.parametrize("central", [True, False])
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_row_traces_match_formed_w(p, central):
+    # the estimators read Tr W and Tr(W H) from the rows X, never forming
+    # W = X^H X; a complex H also catches a conjugate on the wrong factor
+    params = standard_params(30 + p, p=p, n=p + 1, central=central)
+    h = random_complex(np.random.default_rng(p), p)
+    stream = RngStream(31, p)
+    x = next(_row_batches(params, None, stream.generator(), 500))
+    tr, (tr_h,) = _formed_traces(params, stream, 500, [h])
+    assert np.abs(_row_traces(x) - tr).max() <= 1e-12 * tr.max()
+    assert np.abs(_row_direction_traces(x, h) - tr_h).max() <= 1e-12 * np.abs(tr_h).max()
+
+
+@pytest.mark.parametrize("central", [True, False])
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_row_estimators_match_formed_w(p, central):
+    params = standard_params(40 + p, p=p, n=p + 1, central=central)
+    rng = np.random.default_rng(p)
+    h = [random_complex(rng, p), random_hermitian(rng, p)]
+    n_draws = 3000
+    stream = RngStream(41, p)
+    tr, (tr_a, tr_b) = _formed_traces(params, stream, n_draws, h)
+
+    vals = tr_a ** 2 * tr_b
+    est = estimate_joint_moment(params, h, (2, 1), n_draws, stream)
+    assert abs(est.mean - vals.mean()) <= 1e-12 * np.abs(vals).mean()
+
+    # sample cumulants from central moments of the formed traces; the
+    # estimator goes through raw power sums, so its rounding is relative
+    # to the raw moment of the same order
+    n = tr.size
+    dev = tr - tr.mean()
+    want = [tr.mean(), tr.var(ddof=1), n ** 2 / ((n - 1) * (n - 2)) * np.mean(dev ** 3)]
+    ests = estimate_trace_cumulants(params, 3, n_draws, stream)
+    for order, (e, w) in enumerate(zip(ests, want), start=1):
+        assert abs(e.mean - w) <= 1e-12 * np.mean(tr ** order), order
 
 
 # ---------------------------------------------------------------------------
