@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -10,10 +11,17 @@ import numpy as np
 
 from . import matrix_core
 from .budgets import MAX_JOINT_WEIGHT, MAX_PERMANENT_DIM, check_budget
-from .combinatorics import cycles_of_images
+from .combinatorics import complex_fsum, cycles_of_images, multiindex_partitions, partition_sum
 from .errors import DegenerateSampleSizeError, InsufficientOrdersError, ValidationError
-from .multivariate import _Kahan, _partition_sum, _rho_of_kind, _sub_indices
+from .multivariate import rho_table
 from .univariate import MOMENTS, MomentSequence
+
+
+def _finite_d(d) -> complex:
+    d = complex(d)
+    if not cmath.isfinite(d):
+        raise ValidationError(f"d must be finite: {d}")
+    return d
 
 
 def permanent_d(y, d) -> complex:
@@ -22,17 +30,18 @@ def permanent_d(y, d) -> complex:
     d = 1 is the classical permanent; d = -1 equals (-1)^p det(Y).
     Brute force over all p! permutations.
     """
+    d = _finite_d(d)
     y = matrix_core.as_matrix(y)
     p = y.shape[0]
     check_budget("permanent dimension", p, MAX_PERMANENT_DIM)
     rows = y.tolist()
-    total = _Kahan()
+    terms = []
     for perm in itertools.permutations(range(p)):
-        prod = complex(d) ** len(cycles_of_images(perm))
+        prod = d ** len(cycles_of_images(perm))
         for j in range(p):
             prod *= rows[j][perm[j]]
-        total.add(prod)
-    return total.value
+        terms.append(prod)
+    return complex_fsum(terms)
 
 
 def permanent_alpha(y, a: MomentSequence) -> complex:
@@ -48,13 +57,13 @@ def permanent_alpha(y, a: MomentSequence) -> complex:
     if a.depth < p:
         raise InsufficientOrdersError(f"a carries {a.depth} orders, need {p}")
     rows = y.tolist()
-    total = _Kahan()
+    terms = []
     for perm in itertools.permutations(range(p)):
         prod = a.order(len(cycles_of_images(perm)))
         for j in range(p):
             prod *= rows[j][perm[j]]
-        total.add(prod)
-    return total.value
+        terms.append(prod)
+    return complex_fsum(terms)
 
 
 def repeated_matrix(t, i) -> np.ndarray:
@@ -96,7 +105,7 @@ def permanent_master(t, i, d_or_alpha) -> complex:
                 f"alpha carries {d_or_alpha.depth} orders, need {weight}")
         a_of = d_or_alpha.order
     else:
-        d = complex(d_or_alpha)
+        d = _finite_d(d_or_alpha)
         a_of = lambda k: d ** k
 
     # Sigma H_k with H_k = E_kk keeps only column k of T
@@ -105,12 +114,8 @@ def permanent_master(t, i, d_or_alpha) -> complex:
         e = np.zeros_like(t)
         e[:, k] = t[:, k]
         sh.append(e)
-    rho_tab = {v: _rho_of_kind(sh, v) for v in _sub_indices(kind) if any(v)}
-    total = _partition_sum(kind, rho_tab, a_of)
-    i_fact = 1
-    for v in kind:
-        i_fact *= math.factorial(v)
-    return i_fact * total
+    total = partition_sum(multiindex_partitions(kind), rho_table(sh, kind), a_of)
+    return math.prod(math.factorial(v) for v in kind) * total
 
 
 # ---------------------------------------------------------------------------
@@ -119,29 +124,22 @@ def permanent_master(t, i, d_or_alpha) -> complex:
 
 @dataclass(frozen=True)
 class PolykaySample:
-    """A spectral sample: eigenvalues of a compressed Hermitian matrix,
-    together with its first four power sums."""
+    """A spectral sample of `size` values y_j, held as its first four power
+    sums S_k = sum_j y_j^k, k = 1..4."""
 
-    eigenvalues: tuple[float, ...]
+    size: int
     power_sums: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if not self.eigenvalues:
+        if self.size < 1:
             raise ValidationError("empty spectral sample")
-        scale = max(1.0, max(abs(v) for v in self.eigenvalues) ** 4)
-        for k in range(1, 5):
-            want = sum(v ** k for v in self.eigenvalues)
-            if abs(want - self.power_sums[k - 1]) > 1e-10 * max(scale, abs(want)):
-                raise ValidationError(f"power sum S_{k} inconsistent with eigenvalues")
-
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
+        if len(self.power_sums) != 4 or not all(math.isfinite(s) for s in self.power_sums):
+            raise ValidationError(f"need four finite power sums: {self.power_sums}")
 
     @classmethod
     def from_eigenvalues(cls, values) -> "PolykaySample":
-        vals = tuple(float(v) for v in values)
-        return cls(vals, tuple(sum(v ** k for v in vals) for k in range(1, 5)))
+        vals = [float(v) for v in values]
+        return cls(len(vals), tuple(sum(v ** k for v in vals) for k in range(1, 5)))
 
 
 def polykay(sample: PolykaySample, order: int) -> float:

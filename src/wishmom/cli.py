@@ -158,6 +158,8 @@ def _params_from(doc: dict, convention: str | None) -> model.WishartParams:
     if "n" not in doc or "sigma" not in doc:
         raise ValidationError("input needs 'n' and 'sigma'")
     try:
+        if isinstance(doc["n"], bool):
+            raise ValueError("not a number")
         n = float(doc["n"])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"'n' must be a number: {doc['n']!r}") from exc
@@ -207,33 +209,17 @@ def _orders(args) -> range:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_moments(doc, args):
+def _cmd_sequence(doc, args, of_order):
     params = _params_from(doc, args.convention)
-    rows = [{"order": k, "value": _cnum(univariate.noncentral_moment(params, k))}
-            for k in _orders(args)]
+    rows = [{"order": k, "value": _cnum(of_order(params, k))} for k in _orders(args)]
     return params.convention, {"orders": rows}
 
 
-def _cmd_cumulants(doc, args):
-    params = _params_from(doc, args.convention)
-    rows = [{"order": k, "value": _cnum(univariate.noncentral_cumulant(params, k))}
-            for k in _orders(args)]
-    return params.convention, {"orders": rows}
-
-
-def _cmd_joint_moments(doc, args):
+def _cmd_joint(doc, args, of_index):
     params = _params_from(doc, args.convention)
     h = _h_list(doc, params)
     index = _index_from(doc, args)
-    value = multivariate.joint_moment(params, h, index)
-    return params.convention, {"index": list(index), "value": _cnum(value)}
-
-
-def _cmd_joint_cumulants(doc, args):
-    params = _params_from(doc, args.convention)
-    h = _h_list(doc, params)
-    index = _index_from(doc, args)
-    value = multivariate.joint_cumulant(params, h, index)
+    value = of_index(params, h, index)
     return params.convention, {"index": list(index), "value": _cnum(value)}
 
 
@@ -333,11 +319,17 @@ def _cmd_mc_verify(doc, args):
     return "standard", report
 
 
+# the lambdas look the engine up at call time, so a rebound module
+# attribute (a wrapper or a test double) is honoured
 _COMMANDS = {
-    "moments": (_cmd_moments, True),
-    "cumulants": (_cmd_cumulants, True),
-    "joint-moments": (_cmd_joint_moments, True),
-    "joint-cumulants": (_cmd_joint_cumulants, True),
+    "moments": (lambda doc, args: _cmd_sequence(
+        doc, args, univariate.noncentral_moment), True),
+    "cumulants": (lambda doc, args: _cmd_sequence(
+        doc, args, univariate.noncentral_cumulant), True),
+    "joint-moments": (lambda doc, args: _cmd_joint(
+        doc, args, multivariate.joint_moment), True),
+    "joint-cumulants": (lambda doc, args: _cmd_joint(
+        doc, args, multivariate.joint_cumulant), True),
     "generalized": (_cmd_generalized, True),
     "permanent": (_cmd_permanent, True),
     "polykay": (_cmd_polykay, True),
@@ -411,13 +403,7 @@ def run(argv) -> tuple[int, str]:
 
 def _rows_for_csv(command: str, results: dict) -> list[dict]:
     if "orders" in results:
-        rows = []
-        for row in results["orders"]:
-            flat = {"order": row["order"]}
-            v = row["value"]
-            flat["value"] = v if isinstance(v, float) else v
-            rows.append(flat)
-        return rows
+        return [dict(row) for row in results["orders"]]
     if command == "necklaces":
         return [{k: row[k] for k in ("representative", "block_length", "repetitions")}
                 for row in results["necklaces"]]

@@ -6,8 +6,12 @@ Enumeration orders are fixed and documented so outputs are deterministic:
 integer partitions come in reverse-lexicographic order, multi-index
 partitions in reverse-lexicographic order on their column sequences (larger
 columns consumed first), necklace representatives in lexicographic order.
-All coefficient arithmetic is exact (Python big integers); conversion to
-floating point happens at the final multiply in the callers.
+
+`partition_sum` is the one weighted sum over partitions that every closed
+form reduces to; it adds its terms with `complex_fsum`, a correctly rounded
+complex sum.  The Bell and cyclic polynomials come from the Bell recurrence
+and enumerate nothing, so they stay an independent check on the partition
+sums.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .budgets import MAX_PERMUTATION_SIZE, check_budget
+from .budgets import MAX_JOINT_WEIGHT, MAX_PERMUTATION_SIZE, check_budget
 from .errors import ValidationError
 
 
@@ -155,6 +159,10 @@ class MultiIndexPartition:
         """Total number of columns, counted with multiplicity."""
         return sum(self.multiplicities)
 
+    def part_counts(self) -> list[tuple[tuple[int, ...], int]]:
+        """Distinct columns with multiplicities, in increasing order."""
+        return list(zip(self.columns, self.multiplicities))
+
     def multiplicity_factorial(self) -> int:
         """m(lambda)! = prod_j r_j!"""
         out = 1
@@ -226,6 +234,46 @@ def multiindex_partitions(t) -> list[MultiIndexPartition]:
 
 
 # ---------------------------------------------------------------------------
+# the partition-sum kernel
+# ---------------------------------------------------------------------------
+
+def _fsum(xs) -> float:
+    """math.fsum, or the plain sum (inf or nan) where fsum raises on an
+    overflowing partial sum or on inf - inf."""
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError):
+        return sum(xs)
+
+
+def complex_fsum(values) -> complex:
+    """Correctly rounded sum of complex values: math.fsum on the real and
+    on the imaginary parts."""
+    values = [complex(v) for v in values]
+    return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
+
+
+def partition_sum(partitions, base, weight) -> complex:
+    """sum over lambda of weight(l(lambda)) / prod_j r_j! * prod_j base[part_j]^{r_j},
+    with (part_j, r_j) the distinct parts of lambda and their multiplicities.
+
+    `partitions` is integer_partitions(i), with base indexed by the integer
+    part, or multiindex_partitions(t), with base keyed by the column.  A
+    sum weighted by d_lambda = i! / prod (j!)^{r_j} r_j! is i! times this
+    sum on base[k] = x_k / k!.
+    """
+    terms = []
+    for lam in partitions:
+        term = weight(lam.length)
+        den = 1
+        for part, r in lam.part_counts():
+            term = term * base[part] ** r
+            den *= math.factorial(r)
+        terms.append(term / den)
+    return complex_fsum(terms)
+
+
+# ---------------------------------------------------------------------------
 # necklaces of fixed kind
 # ---------------------------------------------------------------------------
 
@@ -266,6 +314,7 @@ def necklaces_of_kind(kind) -> list[Necklace]:
     n = sum(kind)
     if n < 1:
         raise ValidationError("necklace kind must have weight >= 1")
+    check_budget("necklace weight", n, MAX_JOINT_WEIGHT)
     m = len(kind)
     counts = list(kind)
     a = [0] * (n + 1)  # a[0] is the sentinel smallest symbol
@@ -406,39 +455,29 @@ def complete_bell(c) -> complex:
     """Complete exponential Bell polynomial Y_i(c_1, ..., c_i).
 
     The order i is len(c); an empty input gives Y_0 = 1.  Converts a
-    cumulant sequence into the moment of the same order.
+    cumulant sequence into the moment of the same order.  Evaluated by the
+    recurrence Y_k = sum_{j=1..k} C(k-1, j-1) c_j Y_{k-j}, not by partition
+    enumeration.
     """
     c = list(c)
-    i = len(c)
-    total = 0
-    for lam in integer_partitions(i):
-        d, _, _ = partition_coefficients(lam, i)
-        term = d
-        for part, r in lam.part_counts():
-            term = term * c[part - 1] ** r
-        total += term
-    return total
+    y = [1]
+    for k in range(1, len(c) + 1):
+        y.append(sum(math.comb(k - 1, j - 1) * c[j - 1] * y[k - j]
+                     for j in range(1, k + 1)))
+    return y[-1]
 
 
 def cyclic_polynomial(a) -> complex:
     """Cyclic polynomial C_i(a_1, ..., a_i) = sum over cycle classes of
     c_lambda a_1^{r_1} ... a_i^{r_i}; the order i is len(a).
 
-    Satisfies C_i(a) = Y_i(a_1, 1! a_2, ..., (i-1)! a_i) and, on power sums,
+    Evaluated as C_i(a) = Y_i(a_1, 1! a_2, ..., (i-1)! a_i); on power sums,
     C_i(s_1, ..., s_i) = i! h_i.
     """
     a = list(a)
-    i = len(a)
-    if i < 1:
+    if not a:
         raise ValidationError("cyclic polynomial needs order >= 1")
-    total = 0
-    for lam in integer_partitions(i):
-        _, _, c_lam = partition_coefficients(lam, i)
-        term = c_lam
-        for part, r in lam.part_counts():
-            term = term * a[part - 1] ** r
-        total += term
-    return total
+    return complete_bell([math.factorial(j) * v for j, v in enumerate(a)])
 
 
 def complete_homogeneous(x, i: int) -> complex:

@@ -15,9 +15,9 @@ independent streams.
 One row sampler, `_row_batches`, yields the n rows X of each draw in
 batches, so W = X^H X.  Estimators that need only Tr W = sum |x|^2 or
 Tr(W H) = sum conj(X) * (X H) read them from the rows and never form W;
-only the generalized (cycle-product) moments form W.  Haar compressions
-are Hermitian by construction and take their eigenvalues from
-`numpy.linalg.eigvalsh`, with no check and no eigenvectors.
+only the generalized (cycle-product) moments form W.  A Haar compression
+Y returns its power sums Tr Y^k, k <= 4, read from Y and Y^2 with no
+eigensolve.
 """
 
 from __future__ import annotations
@@ -348,7 +348,8 @@ def haar_unitary(p: int, rng) -> np.ndarray:
 
 
 def haar_compression(x, m: int, rng) -> PolykaySample:
-    """Spectral sample: eigenvalues of H X H^dag for a Haar m x p frame H."""
+    """Spectral sample of Y = H X H^dag for a Haar m x p frame H: the power
+    sums Tr Y^k, k = 1..4."""
     x = matrix_core.as_matrix(x)
     if not matrix_core.is_hermitian(x):
         raise NotHermitianError("haar_compression needs a Hermitian matrix")
@@ -357,8 +358,10 @@ def haar_compression(x, m: int, rng) -> PolykaySample:
         raise ValidationError(f"compressed size must satisfy 1 <= m <= p: {m}")
     frame = haar_unitary(p, rng)[:m, :]
     y = frame @ x @ frame.conj().T
-    # Hermitian by construction, so no check and no eigenvectors
-    return PolykaySample.from_eigenvalues(np.linalg.eigvalsh(y)[::-1])
+    y2 = y @ y
+    # Y and Y^2 are Hermitian, so Tr(A B) = vdot(B, A) for B in {Y, Y^2}
+    return PolykaySample(m, (float(np.trace(y).real), float(np.vdot(y, y).real),
+                             float(np.vdot(y2, y).real), float(np.vdot(y2, y2).real)))
 
 
 # ---------------------------------------------------------------------------

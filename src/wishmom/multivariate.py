@@ -24,8 +24,9 @@ convolution of the central and non-centrality parts; joint cumulants are
 i! (n rho[i] + sign eta[i]).  Brute-force all-strings versions of rho and
 eta are shipped as oracles.
 
-Alternating partition sums are accumulated with compensated (Kahan)
-summation in a fixed enumeration order, so results are reproducible.
+Partition sums go through `combinatorics.partition_sum`, and trace and
+alternating sums are added with `combinatorics.complex_fsum`, a correctly
+rounded sum, so results do not depend on the order of the terms.
 """
 
 from __future__ import annotations
@@ -46,59 +47,30 @@ from .budgets import (
 )
 from .combinatorics import (
     CyclePermutation,
+    complex_fsum,
     cycles_of_images,
     multiindex_partitions,
     necklace_rotations,
     necklaces_of_kind,
+    partition_sum,
 )
 from .errors import DimensionMismatchError, InsufficientOrdersError, ValidationError
 from .model import WishartParams
 from .univariate import CUMULANTS, MomentSequence
 
 
-class _Kahan:
-    """Neumaier-compensated complex accumulator."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0 + 0.0j
-        self.comp = 0.0 + 0.0j
-
-    def add(self, x):
-        x = complex(x)
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
-        else:
-            self.comp += (x - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> complex:
-        return self.total + self.comp
-
-
-def _direction_products(params: WishartParams, h) -> list[np.ndarray]:
-    """[Sigma H_1, ..., Sigma H_m] with dimension validation."""
+def _directions(params: WishartParams, h) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """([Sigma H_1, ..., Sigma H_m], the eta-word factors) from one
+    validation of h; the eta factors are ordered per the sign convention."""
     hs = [matrix_core.as_matrix(hk) for hk in h]
     if not hs:
         raise ValidationError("need at least one direction matrix")
     if any(hk.shape[0] != params.p for hk in hs):
         raise DimensionMismatchError("direction matrices must match params dimension")
-    return [params.sigma @ hk for hk in hs]
-
-
-def _eta_direction_products(params: WishartParams, h) -> list[np.ndarray]:
-    """Factors of the eta trace words, ordered per the sign convention."""
-    hs = [matrix_core.as_matrix(hk) for hk in h]
-    if not hs:
-        raise ValidationError("need at least one direction matrix")
-    if any(hk.shape[0] != params.p for hk in hs):
-        raise DimensionMismatchError("direction matrices must match params dimension")
+    sh = [params.sigma @ hk for hk in hs]
     if params.convention == "paper":
-        return [params.sigma @ hk for hk in hs]
-    return [hk @ params.sigma for hk in hs]
+        return sh, sh
+    return sh, [hk @ params.sigma for hk in hs]
 
 
 def _as_kind(i, m: int) -> tuple[int, ...]:
@@ -123,19 +95,14 @@ def _word_product(sh, word, left=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _rho_of_kind(sh, kind) -> complex:
-    acc = _Kahan()
-    for neck in necklaces_of_kind(kind):
-        tr = np.trace(_word_product(sh, neck.representative))
-        acc.add(tr if neck.repetitions == 1 else tr / neck.repetitions)
-    return acc.value
+    return complex_fsum(np.trace(_word_product(sh, neck.representative)) / neck.repetitions
+                        for neck in necklaces_of_kind(kind))
 
 
 def _eta_of_kind(sh, omega, kind) -> complex:
-    acc = _Kahan()
-    for neck in necklaces_of_kind(kind):
-        for rot in necklace_rotations(neck):
-            acc.add(np.trace(_word_product(sh, rot, left=omega)))
-    return acc.value
+    return complex_fsum(np.trace(_word_product(sh, rot, left=omega))
+                        for neck in necklaces_of_kind(kind)
+                        for rot in necklace_rotations(neck))
 
 
 def _strings_trace_sum(sh, kind, left) -> complex:
@@ -145,11 +112,11 @@ def _strings_trace_sum(sh, kind, left) -> complex:
     multiply.
     """
     counts = list(kind)
-    acc = _Kahan()
+    traces = []
 
     def rec(prefix):
         if not any(counts):
-            acc.add(np.trace(prefix if prefix is not None else left))
+            traces.append(np.trace(prefix if prefix is not None else left))
             return
         for j in range(len(counts)):
             if counts[j]:
@@ -159,7 +126,7 @@ def _strings_trace_sum(sh, kind, left) -> complex:
                 counts[j] += 1
 
     rec(left)
-    return acc.value
+    return complex_fsum(traces)
 
 
 def rho_moment(params: WishartParams, h, i) -> complex:
@@ -167,7 +134,7 @@ def rho_moment(params: WishartParams, h, i) -> complex:
     kind = _as_kind(i, len(h))
     if sum(kind) < 1:
         raise ValidationError("rho_moment needs |i| >= 1")
-    return _rho_of_kind(_direction_products(params, h), kind)
+    return _rho_of_kind(_directions(params, h)[0], kind)
 
 
 def rho_moment_strings(params: WishartParams, h, i) -> complex:
@@ -177,7 +144,7 @@ def rho_moment_strings(params: WishartParams, h, i) -> complex:
     if weight < 1:
         raise ValidationError("rho_moment_strings needs |i| >= 1")
     check_budget("string weight", weight, MAX_STRING_WEIGHT)
-    return _strings_trace_sum(_direction_products(params, h), kind, None) / weight
+    return _strings_trace_sum(_directions(params, h)[0], kind, None) / weight
 
 
 def eta_moment(params: WishartParams, h, i) -> complex:
@@ -190,8 +157,7 @@ def eta_moment(params: WishartParams, h, i) -> complex:
     kind = _as_kind(i, len(h))
     if sum(kind) < 1:
         raise ValidationError("eta_moment needs |i| >= 1")
-    return _eta_of_kind(_eta_direction_products(params, h),
-                        params.noncentrality(), kind)
+    return _eta_of_kind(_directions(params, h)[1], params.noncentrality(), kind)
 
 
 def eta_moment_strings(params: WishartParams, h, i) -> complex:
@@ -201,7 +167,7 @@ def eta_moment_strings(params: WishartParams, h, i) -> complex:
     if weight < 1:
         raise ValidationError("eta_moment_strings needs |i| >= 1")
     check_budget("string weight", weight, MAX_STRING_WEIGHT)
-    return _strings_trace_sum(_eta_direction_products(params, h), kind,
+    return _strings_trace_sum(_directions(params, h)[1], kind,
                               np.asarray(params.noncentrality()))
 
 
@@ -212,40 +178,15 @@ def eta_moment_strings(params: WishartParams, h, i) -> complex:
 def _sub_indices(kind):
     return itertools.product(*(range(c + 1) for c in kind))
 
-def _base_tables(params, h, kind, need_eta):
-    """rho (and eta) values for every nonzero sub-index of `kind`."""
-    sh = _direction_products(params, h)
-    if need_eta:
-        eta_factors = _eta_direction_products(params, h)
-        omega = params.noncentrality()
-    rho_tab, eta_tab = {}, {}
-    for v in _sub_indices(kind):
-        if not any(v):
-            continue
-        rho_tab[v] = _rho_of_kind(sh, v)
-        if need_eta:
-            eta_tab[v] = _eta_of_kind(eta_factors, omega, v)
-    return rho_tab, eta_tab
 
-
-def _partition_sum(kind, table, weight) -> complex:
-    """sum over partitions of `kind` of weight(l) / m! * prod table[col]^r."""
-    if not any(kind):
-        return 1.0 + 0.0j
-    acc = _Kahan()
-    for lam in multiindex_partitions(kind):
-        term = weight(lam.length) / lam.multiplicity_factorial()
-        for col, r in zip(lam.columns, lam.multiplicities):
-            term = term * table[col] ** r
-        acc.add(term)
-    return acc.value
+def rho_table(factors, kind) -> dict[tuple[int, ...], complex]:
+    """rho of every nonzero sub-index of `kind`, built on the trace-word
+    factors (Sigma H_1, ..., Sigma H_m), keyed by the sub-index."""
+    return {v: _rho_of_kind(factors, v) for v in _sub_indices(kind) if any(v)}
 
 
 def _index_factorial(kind) -> int:
-    out = 1
-    for v in kind:
-        out *= math.factorial(v)
-    return out
+    return math.prod(math.factorial(v) for v in kind)
 
 
 def joint_moment(params: WishartParams, h, i) -> complex:
@@ -262,17 +203,21 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     if weight == 0:
         return 1.0 + 0.0j
     central = params.is_central
-    rho_tab, eta_tab = _base_tables(params, h, kind, need_eta=not central)
+    sh, eta_factors = _directions(params, h)
+    rho_tab = rho_table(sh, kind)
+    eta_tab = {}
+    if not central:
+        omega = params.noncentrality()
+        eta_tab = {v: _eta_of_kind(eta_factors, omega, v) for v in rho_tab}
 
-    acc = _Kahan()
-    for t2 in _sub_indices(kind):
+    def split_term(t2):
         t1 = tuple(a - b for a, b in zip(kind, t2))
-        if central and any(t1):
-            continue
-        r_val = _partition_sum(t2, rho_tab, lambda l: params.n ** l)
-        a_val = _partition_sum(t1, eta_tab, lambda l: params.sign ** l)
-        acc.add(a_val * r_val)
-    return _index_factorial(kind) * acc.value
+        r_val = partition_sum(multiindex_partitions(t2), rho_tab, lambda l: params.n ** l)
+        a_val = partition_sum(multiindex_partitions(t1), eta_tab, lambda l: params.sign ** l)
+        return a_val * r_val
+
+    splits = [kind] if central else _sub_indices(kind)
+    return _index_factorial(kind) * complex_fsum(split_term(t2) for t2 in splits)
 
 
 def joint_cumulant(params: WishartParams, h, i) -> complex:
@@ -282,10 +227,10 @@ def joint_cumulant(params: WishartParams, h, i) -> complex:
     if weight < 1:
         raise ValidationError("joint cumulant needs |i| >= 1")
     check_budget("joint weight", weight, MAX_JOINT_WEIGHT)
-    total = params.n * _rho_of_kind(_direction_products(params, h), kind)
+    sh, eta_factors = _directions(params, h)
+    total = params.n * _rho_of_kind(sh, kind)
     if not params.is_central:
-        total += params.sign * _eta_of_kind(_eta_direction_products(params, h),
-                                            params.noncentrality(), kind)
+        total += params.sign * _eta_of_kind(eta_factors, params.noncentrality(), kind)
     return _index_factorial(kind) * total
 
 
@@ -314,12 +259,11 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     if alpha_cumulants.depth < weight:
         raise InsufficientOrdersError(
             f"alpha carries {alpha_cumulants.depth} orders, need {weight}")
-    sh = _direction_products(params, h)
-    rho_tab = {v: _rho_of_kind(sh, v) for v in _sub_indices(kind) if any(v)}
-    total = _partition_sum(kind, rho_tab, alpha_cumulants.order)
+    sh, eta_factors = _directions(params, h)
+    total = partition_sum(multiindex_partitions(kind), rho_table(sh, kind),
+                          alpha_cumulants.order)
     if not params.is_central:
-        total += params.sign * _eta_of_kind(_eta_direction_products(params, h),
-                                            params.noncentrality(), kind)
+        total += params.sign * _eta_of_kind(eta_factors, params.noncentrality(), kind)
     return _index_factorial(kind) * total
 
 
@@ -338,7 +282,7 @@ def _genmom_cycles(n, sh, sigma_images) -> complex:
     m = len(sigma_images)
     if m == 0:
         return 1.0 + 0.0j
-    acc = _Kahan()
+    terms = []
     for tau in itertools.permutations(range(m)):
         inv = [0] * m
         for a, b in enumerate(tau):
@@ -347,8 +291,8 @@ def _genmom_cycles(n, sh, sigma_images) -> complex:
         term = n ** len(cycles_of_images(comp))
         for c in cycles_of_images(tau):
             term = term * np.trace(_word_product(sh, [j + 1 for j in c]))
-        acc.add(term)
-    return acc.value
+        terms.append(term)
+    return complex_fsum(terms)
 
 
 def _genmom1_cycles(sign, eta_factors, omega, sigma_images) -> complex:
@@ -361,7 +305,7 @@ def _genmom1_cycles(sign, eta_factors, omega, sigma_images) -> complex:
     m = len(sigma_images)
     if m == 0:
         return 1.0 + 0.0j
-    acc = _Kahan()
+    terms = []
     for tau in itertools.permutations(range(m)):
         inv = [0] * m
         for a, b in enumerate(tau):
@@ -369,13 +313,11 @@ def _genmom1_cycles(sign, eta_factors, omega, sigma_images) -> complex:
         comp = tuple(sigma_images[inv[j]] for j in range(m))
         term = sign ** len(cycles_of_images(comp))
         for c in cycles_of_images(tau):
-            rot_sum = _Kahan()
-            for r in range(len(c)):
-                word = [j + 1 for j in c[r:] + c[:r]]
-                rot_sum.add(np.trace(_word_product(eta_factors, word, left=omega)))
-            term = term * rot_sum.value
-        acc.add(term)
-    return acc.value
+            words = ([j + 1 for j in c[r:] + c[:r]] for r in range(len(c)))
+            term = term * complex_fsum(
+                np.trace(_word_product(eta_factors, w, left=omega)) for w in words)
+        terms.append(term)
+    return complex_fsum(terms)
 
 
 def _restrict(sigma_cycles, sh):
@@ -396,7 +338,7 @@ def central_product_moment(params: WishartParams, h, sigma_perm: CyclePermutatio
     if sigma_perm.size != m:
         raise DimensionMismatchError("permutation size must match len(h)")
     check_budget("product factors", m, MAX_PRODUCT_FACTORS)
-    sh = _direction_products(params, h)
+    sh, _ = _directions(params, h)
     return _genmom_cycles(params.n, sh, _perm_to_images0(sigma_perm))
 
 
@@ -410,7 +352,7 @@ def a_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> 
     if sigma_perm.size != m:
         raise DimensionMismatchError("permutation size must match len(h)")
     check_budget("product factors", m, MAX_PRODUCT_FACTORS)
-    return _genmom1_cycles(params.sign, _eta_direction_products(params, h),
+    return _genmom1_cycles(params.sign, _directions(params, h)[1],
                            params.noncentrality(), _perm_to_images0(sigma_perm))
 
 
@@ -499,9 +441,8 @@ def generalized_moment_expansion(params: WishartParams, h,
     if sigma_perm.size != m:
         raise DimensionMismatchError("permutation size must match len(h)")
     check_budget("expansion positions", m, MAX_EXPANSION_CYCLES)
-    sh = _direction_products(params, h)
+    sh, eta_factors = _directions(params, h)
     central = params.is_central
-    eta_factors = None if central else _eta_direction_products(params, h)
     omega = None if central else params.noncentrality()
     sign = params.sign
     cycles0 = [tuple(v - 1 for v in c) for c in sigma_perm.cycles]
@@ -516,7 +457,7 @@ def generalized_moment_expansion(params: WishartParams, h,
         return _genmom1_cycles(sign, sub, omega, images)
 
     terms = []
-    sum_acc = _Kahan()
+    evaluated = []
     symbolic: dict[tuple, TraceFactor] = {}
     for bits in itertools.product((CENTRAL_LETTER, FORMAL_LETTER), repeat=m):
         factors = []
@@ -553,8 +494,8 @@ def generalized_moment_expansion(params: WishartParams, h,
                             if formal_cycles else ((), []))
             value = (_genmom_cycles(params.n, w_sh, w_img)
                      * _genmom1_cycles(sign, a_sub, omega, a_img))
-            sum_acc.add(value)
+            evaluated.append(value)
         terms.append(ExpansionTerm(1.0 + 0.0j, tuple(factors), value))
 
-    return GeneralizedMomentExpansion(tuple(terms), sum_acc.value,
+    return GeneralizedMomentExpansion(tuple(terms), complex_fsum(evaluated),
                                       tuple(symbolic.values()))

@@ -4,8 +4,9 @@ Wishart matrix.
 Two independent routes are shipped for each quantity and pinned together by
 the test suite: partition sums over the trace caches versus complete Bell
 polynomials of the cumulant sequence, and the trace-cache cumulant formula
-versus its eigenvalue form.  All partition coefficients are exact integers;
-floating arithmetic enters at the final multiply.
+versus its eigenvalue form.  Every partition sum goes through
+`combinatorics.partition_sum`, which adds its terms with a correctly
+rounded sum; the Bell route is a recurrence that enumerates no partitions.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from . import matrix_core
 from .budgets import MAX_UNIVARIATE_ORDER, check_budget
 from .combinatorics import (
     complete_bell,
+    complex_fsum,
     cyclic_polynomial,
     falling_factorial,
     integer_partitions,
-    partition_coefficients,
+    partition_sum,
 )
 from .errors import InsufficientOrdersError, ValidationError
 from .model import WishartParams, build
@@ -78,6 +80,15 @@ def _check_order(i: int) -> None:
     check_budget("moment order", i, MAX_UNIVARIATE_ORDER)
 
 
+def _d_weighted_sum(x, weight) -> complex:
+    """sum over partitions lambda of i = len(x) of
+    d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j}, with x[k-1] the
+    order-k entry: i! times the partition sum on x_k / k!."""
+    i = len(x)
+    base = [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
+    return math.factorial(i) * partition_sum(integer_partitions(i), base, weight)
+
+
 # ---------------------------------------------------------------------------
 # central distribution
 # ---------------------------------------------------------------------------
@@ -94,14 +105,7 @@ def central_moment(params: WishartParams, i: int) -> complex:
     cache = params.trace_cache(i)
     cyc = [cyclic_polynomial([cache.t_power(k) for k in range(1, j + 1)])
            for j in range(1, i + 1)]
-    total = 0.0 + 0.0j
-    for lam in integer_partitions(i):
-        d, _, _ = partition_coefficients(lam, i)
-        term = d * falling_factorial(params.n, lam.length)
-        for part, r in lam.part_counts():
-            term = term * cyc[part - 1] ** r
-        total += term
-    return complex(total)
+    return complex(_d_weighted_sum(cyc, lambda l: falling_factorial(params.n, l)))
 
 
 def central_cumulant(params: WishartParams, i: int) -> complex:
@@ -157,26 +161,13 @@ def noncentral_moment(params: WishartParams, i: int) -> complex:
     if i == 0:
         return 1.0 + 0.0j
     cache = params.trace_cache(i)
-
-    def partition_sum(order, base_powers, weight):
-        total = 0.0 + 0.0j
-        for lam in integer_partitions(order):
-            term = weight(lam.length)
-            den = 1
-            for part, r in lam.part_counts():
-                term = term * base_powers[part - 1] ** r
-                den *= math.factorial(r)
-            total += term / den
-        return total
-
-    s_base = [cache.s_power(k) for k in range(1, i + 1)]
-    t_base = [cache.t_power(k) / k for k in range(1, i + 1)]
-    a_part = [partition_sum(j, s_base, lambda l: params.sign ** l)
+    s_base = [0.0] + [cache.s_power(k) for k in range(1, i + 1)]
+    t_base = [0.0] + [cache.t_power(k) / k for k in range(1, i + 1)]
+    a_part = [partition_sum(integer_partitions(j), s_base, lambda l: params.sign ** l)
               for j in range(i + 1)]
-    r_part = [partition_sum(k, t_base, lambda l: params.n ** l)
+    r_part = [partition_sum(integer_partitions(k), t_base, lambda l: params.n ** l)
               for k in range(i + 1)]
-    total = sum(a_part[j] * r_part[i - j] for j in range(i + 1))
-    return math.factorial(i) * complex(total)
+    return math.factorial(i) * complex_fsum(a_part[j] * r_part[i - j] for j in range(i + 1))
 
 
 def noncentral_moment_bell(params: WishartParams, i: int) -> complex:
@@ -227,14 +218,7 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
     draw_cums = [math.factorial(k - 1) * cache.t_power(k)
                  + params.sign * math.factorial(k) * cache.s_power(k)
                  for k in range(1, i + 1)]
-    total = 0.0 + 0.0j
-    for lam in integer_partitions(i):
-        d, _, _ = partition_coefficients(lam, i)
-        term = d * alpha.order(lam.length)
-        for part, r in lam.part_counts():
-            term = term * draw_cums[part - 1] ** r
-        total += term
-    return complex(total)
+    return complex(_d_weighted_sum(draw_cums, alpha.order))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +240,8 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     e = [1.0 + 0.0j]
     for i in range(1, i_max + 1):
         mom = noncentral_moment(params, i)
-        rest = 0.0 + 0.0j
-        for lam in integer_partitions(i):
-            if lam.length == 1:
-                continue  # the p * e_i head term
-            d, _, _ = partition_coefficients(lam, i)
-            term = d * p ** lam.length
-            for part, r in lam.part_counts():
-                term = term * e[part] ** r
-            rest += term
+        # every term but the head p * e_i, which vanishes at e_i = 0
+        rest = _d_weighted_sum(e[1:] + [0.0], lambda l: p ** l)
         e.append((mom - rest) / p)
     return MomentSequence(tuple(e), MOMENTS)
 
@@ -274,14 +251,10 @@ def compose_normalized_moments(e: MomentSequence, p: int, i: int) -> complex:
     sequence e (round-trip companion of `normalized_cumulant_moments`)."""
     if e.kind != MOMENTS:
         raise ValidationError("e must be a moment sequence")
-    total = 0.0 + 0.0j
-    for lam in integer_partitions(i):
-        d, _, _ = partition_coefficients(lam, i)
-        term = d * p ** lam.length
-        for part, r in lam.part_counts():
-            term = term * e.order(part) ** r
-        total += term
-    return complex(total)
+    if i < 0:
+        raise ValidationError(f"order must be >= 0: {i}")
+    return complex(_d_weighted_sum([e.order(k) for k in range(1, i + 1)],
+                                      lambda l: p ** l))
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,11 @@ def test_polykay_homogeneity():
 
 
 def test_polykay_sample_consistency_check():
-    with pytest.raises(ValidationError):
-        PolykaySample((1.0, 2.0), (3.0, 5.0, 9.0, 17.1))
-    ok = PolykaySample((1.0, 2.0), (3.0, 5.0, 9.0, 17.0))
+    for size, sums in ((0, (0.0, 0.0, 0.0, 0.0)),
+                       (2, (3.0, 5.0, 9.0, float("nan"))),
+                       (2, (3.0, 5.0, 9.0))):
+        with pytest.raises(ValidationError):
+            PolykaySample(size, sums)
+    ok = PolykaySample(2, (3.0, 5.0, 9.0, 17.0))
     assert ok.size == 2
+    assert PolykaySample.from_eigenvalues([1.0, 2.0]) == ok

@@ -172,6 +172,9 @@ def test_exit_code_budget(paper_file):
     code, out = run(["moments", paper_file, "--order", "25"])
     assert code == 4
     assert "budget" in out
+    code, out = run(["necklaces", "--kind", "6,6"])
+    assert code == 4
+    assert "necklace weight" in out
 
 
 def test_csv_format(paper_file):
@@ -213,6 +216,12 @@ def test_mc_verify_command(tmp_path):
     assert report["convention"] == "standard"
     assert report["seed"] == 5
     assert report["results"]["max_abs_z"] <= 5.0
+    code, out = run(["mc-verify", str(path), "--samples", "200", "--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("order,lhs_mean,rhs_mean,")
+    assert lines[0].endswith(",convention")
+    assert len(lines) == 5
 
 
 @pytest.mark.parametrize("args, patch, env", [
@@ -230,6 +239,8 @@ def test_mc_verify_command(tmp_path):
     (["joint-moments"], {"index": [1.9]}, None),
     (["joint-moments"], {"index": [True]}, None),
     (["joint-moments"], {"index": "1"}, None),
+    (["permanent", "--d", "inf", "--index", "1,1"], {}, None),
+    (["moments"], {"n": True}, None),
 ])
 def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     doc = {"n": 3, "sigma": matrix_doc(np.eye(2)), "h": [matrix_doc(np.eye(2))],

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wishmom import (
     BudgetExceededError,
@@ -19,7 +20,7 @@ from wishmom import (
     partition_coefficients,
     permutations_by_cycles,
 )
-from wishmom.combinatorics import strings_of_kind
+from wishmom.combinatorics import complex_fsum, partition_sum, strings_of_kind
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +343,83 @@ def test_falling_factorial():
     assert falling_factorial(2, 3) == 0
     assert falling_factorial(2.5, 0) == 1.0
     assert falling_factorial(1 + 1j, 2) == (1 + 1j) * (1j)
+
+
+def test_bell_recurrences_match_partition_enumeration():
+    # the definitions: d_lambda and c_lambda weighted sums over partitions
+    rng = np.random.default_rng(3)
+    for i in range(1, 9):
+        c = list(rng.normal(size=i) + 1j * rng.normal(size=i))
+        want_bell = want_cyc = 0
+        for lam in integer_partitions(i):
+            d, _, c_lam = partition_coefficients(lam, i)
+            prod = np.prod([c[part - 1] for part in lam.parts])
+            want_bell += d * prod
+            want_cyc += c_lam * prod
+        assert abs(complete_bell(c) - want_bell) <= 1e-12 * abs(want_bell)
+        assert abs(cyclic_polynomial(c) - want_cyc) <= 1e-12 * abs(want_cyc)
+
+
+# ---------------------------------------------------------------------------
+# the partition-sum kernel
+# ---------------------------------------------------------------------------
+
+def series_coefficient(target, base, weight):
+    """Coefficient of t^target in sum_l weight(l) (sum_v base[v] t^v)^l / l!,
+    from truncated power-series products, with no partition enumeration."""
+    zero = (0,) * len(target)
+    power = {zero: 1.0}
+    total = weight(0) * (1.0 if target == zero else 0.0)
+    for length in range(1, sum(target) + 1):
+        nxt = {}
+        for u, cu in power.items():
+            for v, xv in base.items():
+                w = tuple(a + b for a, b in zip(u, v))
+                if all(a <= b for a, b in zip(w, target)):
+                    nxt[w] = nxt.get(w, 0) + cu * xv
+        power = nxt
+        total += weight(length) * power.get(target, 0) / math.factorial(length)
+    return total
+
+
+def assert_matches_series(got, target, base, weights):
+    want = series_coefficient(target, base, weights.__getitem__)
+    # relative to the same sum over absolute values, so cancellation in the
+    # alternating sums does not loosen or break the bound
+    scale = series_coefficient(target, {v: abs(x) for v, x in base.items()},
+                               lambda length: abs(weights[length]))
+    assert abs(got - want) <= 1e-12 * scale
+
+
+VALUES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_partition_sum_matches_series_on_integer_partitions(data):
+    i = data.draw(st.integers(0, 12))
+    x = data.draw(st.lists(VALUES, min_size=i, max_size=i))
+    weights = data.draw(st.lists(VALUES, min_size=i + 1, max_size=i + 1))
+    got = partition_sum(integer_partitions(i), [0.0] + x, weights.__getitem__)
+    assert_matches_series(got, (i,), {(k,): v for k, v in enumerate(x, 1)}, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_partition_sum_matches_series_on_multiindex_partitions(data):
+    m = data.draw(st.integers(1, 3))
+    kind = tuple(data.draw(st.integers(0, cap)) for cap in (3, 3, 2)[:m])
+    cols = [v for v in itertools.product(*(range(c + 1) for c in kind)) if any(v)]
+    x = data.draw(st.lists(VALUES, min_size=len(cols), max_size=len(cols)))
+    weights = data.draw(st.lists(VALUES, min_size=sum(kind) + 1, max_size=sum(kind) + 1))
+    base = dict(zip(cols, x))
+    got = partition_sum(multiindex_partitions(kind), base, weights.__getitem__)
+    assert_matches_series(got, kind, base, weights)
+
+
+def test_complex_fsum_is_correctly_rounded():
+    assert complex_fsum([1e16, 1.0, -1e16, 1j, 1e-16j]) == 1 + 1.0000000000000001j
+    assert complex_fsum([]) == 0
+    # where math.fsum raises, the plain IEEE sum is returned
+    assert complex_fsum([1e308, 1e308]) == complex(math.inf, 0)
+    assert math.isnan(complex_fsum([math.inf, -math.inf]).real)

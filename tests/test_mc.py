@@ -337,9 +337,13 @@ def test_full_compression_is_conjugation():
     rng = np.random.default_rng(12)
     x = random_hermitian(rng, 4)
     sample = haar_compression(x, 4, RngStream(13))
-    want = np.sort(np.linalg.eigvalsh(x))
-    assert np.abs(np.sort(sample.eigenvalues) - want).max() < 1e-9
-    assert abs(polykay(sample, 1) - want.mean()) < 1e-9
+    # four power sums fix a spectrum of four values
+    theta = np.linalg.eigvalsh(x)
+    want = [np.sum(theta ** k) for k in range(1, 5)]
+    assert sample.size == 4
+    for got, w in zip(sample.power_sums, want):
+        assert abs(got - w) < 1e-9 * max(abs(w), 1.0)
+    assert abs(polykay(sample, 1) - theta.mean()) < 1e-9
 
 
 def test_haar_compression_validation():
