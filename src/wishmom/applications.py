@@ -24,6 +24,18 @@ def _finite_d(d) -> complex:
     return d
 
 
+def _cycle_weighted_permanent(y: np.ndarray, a_of) -> complex:
+    """sum over permutations s of a_of(#cycles(s)) prod_j y[j, s(j)]."""
+    rows = y.tolist()
+    terms = []
+    for perm in itertools.permutations(range(len(rows))):
+        prod = a_of(len(cycles_of_images(perm)))
+        for j, col in enumerate(perm):
+            prod *= rows[j][col]
+        terms.append(prod)
+    return complex_fsum(terms)
+
+
 def permanent_d(y, d) -> complex:
     """d-permanent: sum over permutations of d^{#cycles} prod_j y[j, s(j)].
 
@@ -32,16 +44,8 @@ def permanent_d(y, d) -> complex:
     """
     d = _finite_d(d)
     y = matrix_core.as_matrix(y)
-    p = y.shape[0]
-    check_budget("permanent dimension", p, MAX_PERMANENT_DIM)
-    rows = y.tolist()
-    terms = []
-    for perm in itertools.permutations(range(p)):
-        prod = d ** len(cycles_of_images(perm))
-        for j in range(p):
-            prod *= rows[j][perm[j]]
-        terms.append(prod)
-    return complex_fsum(terms)
+    check_budget("permanent dimension", y.shape[0], MAX_PERMANENT_DIM)
+    return _cycle_weighted_permanent(y, lambda k: d ** k)
 
 
 def permanent_alpha(y, a: MomentSequence) -> complex:
@@ -56,14 +60,7 @@ def permanent_alpha(y, a: MomentSequence) -> complex:
         raise ValidationError("a must be a moment sequence")
     if a.depth < p:
         raise InsufficientOrdersError(f"a carries {a.depth} orders, need {p}")
-    rows = y.tolist()
-    terms = []
-    for perm in itertools.permutations(range(p)):
-        prod = a.order(len(cycles_of_images(perm)))
-        for j in range(p):
-            prod *= rows[j][perm[j]]
-        terms.append(prod)
-    return complex_fsum(terms)
+    return _cycle_weighted_permanent(y, a.order)
 
 
 def repeated_matrix(t, i) -> np.ndarray:

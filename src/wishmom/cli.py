@@ -7,8 +7,8 @@ significant digits, complex values are {"re": .., "im": ..} objects, and
 every document embeds the convention, the SHA-256 of the input bytes, and
 the library version.
 
-Exit codes: 0 success, 2 validation error, 3 numerical error, 4 budget
-exceeded.
+Exit codes: 0 success, 2 validation error, 3 numerical error (a singular
+matrix, or an overflow to a non-finite value), 4 budget exceeded.
 
 Input schema:
     {"n": number,
@@ -44,7 +44,8 @@ EXIT_BUDGET = 4
 
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValidationError("non-finite value in output")
+        # every input is validated finite, so this is an overflow
+        raise NumericalError("non-finite value in output")
     s = format(float(x), ".17g")
     return s if ("." in s or "e" in s or "E" in s) else s + ".0"
 

@@ -16,12 +16,13 @@ sums.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 from .budgets import MAX_JOINT_WEIGHT, MAX_PERMUTATION_SIZE, check_budget
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +262,24 @@ def partition_sum(partitions, base, weight) -> complex:
     part, or multiindex_partitions(t), with base keyed by the column.  A
     sum weighted by d_lambda = i! / prod (j!)^{r_j} r_j! is i! times this
     sum on base[k] = x_k / k!.
+
+    Raises NumericalError when a term or the sum overflows.
     """
     terms = []
-    for lam in partitions:
-        term = weight(lam.length)
-        den = 1
-        for part, r in lam.part_counts():
-            term = term * base[part] ** r
-            den *= math.factorial(r)
-        terms.append(term / den)
-    return complex_fsum(terms)
+    try:
+        for lam in partitions:
+            term = weight(lam.length)
+            den = 1
+            for part, r in lam.part_counts():
+                term = term * base[part] ** r
+                den *= math.factorial(r)
+            terms.append(term / den)
+    except OverflowError as exc:
+        raise NumericalError(f"partition sum overflows: {exc}") from exc
+    total = complex_fsum(terms)
+    if not cmath.isfinite(total):
+        raise NumericalError(f"partition sum overflows: {total}")
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,8 @@ class WishartParams:
     def __init__(self, n, sigma, m_matrix=None, convention: str = "paper",
                  depth: int = DEFAULT_DEPTH):
         n = float(n)
-        if not n > 0:
-            raise ValidationError(f"degrees of freedom must be > 0: {n}")
+        if not 0 < n < np.inf:
+            raise ValidationError(f"degrees of freedom must be finite and > 0: {n}")
         sigma = matrix_core.as_matrix(sigma)
         if not matrix_core.is_hermitian(sigma):
             raise NotHermitianError("sigma must be Hermitian")

@@ -4,8 +4,8 @@ The central building block is the pair of multivariate base moments
 
     rho[i] = necklace-grouped sum of Tr[prod_{k in word} (Sigma H_k)]
              over rotation classes of kind i (periodic classes weighted by
-             1 / repetitions), equal to the plain average over all strings
-             of kind i divided by |i|;
+             1 / repetitions), equal to the plain sum over all strings of
+             kind i divided by |i|;
     eta[i] = sum over every string of kind i of a trace word carrying the
              non-centrality matrix Omega (no cyclic grouping: the Omega
              factor breaks rotation invariance).
@@ -19,14 +19,20 @@ E[Tr W H] = n Tr(Sigma H) + Tr(M H) forces this order whenever Sigma and M
 do not commute.  The two orderings coincide for H_k = I, so univariate
 results never depend on it.
 
-Joint moments expand these over multi-index partitions with a binomial
-convolution of the central and non-centrality parts; joint cumulants are
-i! (n rho[i] + sign eta[i]).  Brute-force all-strings versions of rho and
-eta are shipped as oracles.
+Production builds both from one recursion over the sub-indices v <= i of
+the all-strings sums S[v] = sum_k S[v - e_k] A_k: rho[v] = Tr S[v] / |v|
+with S[0] = I and A_k = Sigma H_k, eta[v] = Tr S[v] with S[0] = Omega and
+the convention-ordered factors.  `rho_table` and `eta_table` hold every
+sub-index from one pass; the S[v] are plain matrix sums in a fixed order.
+`rho_moment` and `eta_moment` keep the paper's necklace-grouped form and
+are the independent check on the recursion; no other route enumerates
+necklaces or rotations.
 
-Partition sums go through `combinatorics.partition_sum`, and trace and
-alternating sums are added with `combinatorics.complex_fsum`, a correctly
-rounded sum, so results do not depend on the order of the terms.
+Joint moments expand the tables over multi-index partitions with a
+binomial convolution of the central and non-centrality parts; joint
+cumulants are i! (n rho[i] + sign eta[i]).  Partition sums go through
+`combinatorics.partition_sum`, and the necklace and group-action sums are
+added with `combinatorics.complex_fsum`, a correctly rounded sum.
 """
 
 from __future__ import annotations
@@ -82,6 +88,13 @@ def _as_kind(i, m: int) -> tuple[int, ...]:
     return kind
 
 
+def _nonzero_kind(i, h, what: str) -> tuple[int, ...]:
+    kind = _as_kind(i, len(h))
+    if sum(kind) < 1:
+        raise ValidationError(f"{what} needs |i| >= 1")
+    return kind
+
+
 def _word_product(sh, word, left=None) -> np.ndarray:
     acc = left
     for sym in word:
@@ -91,60 +104,74 @@ def _word_product(sh, word, left=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# base moments: necklace route and all-strings oracles
+# base moments: the sub-index recursion and the necklace-grouped check
 # ---------------------------------------------------------------------------
 
-def _rho_of_kind(sh, kind) -> complex:
+def _sub_indices(kind):
+    return itertools.product(*(range(c + 1) for c in kind))
+
+
+def _string_sums(factors, kind, left) -> dict[tuple[int, ...], np.ndarray]:
+    """S[v] = sum over every string of kind v of left @ prod(word), for
+    every sub-index v <= kind.
+
+    The last letter of a string of kind v is some k with v_k > 0, so
+    S[v] = sum_k S[v - e_k] @ factors[k], with S[0] = left.  The sub-indices
+    come in lexicographic order, so every S[v - e_k] exists before S[v].
+    """
+    s = {}
+    for v in _sub_indices(kind):
+        if any(v):
+            s[v] = sum(s[v[:k] + (c - 1,) + v[k + 1:]] @ factors[k]
+                       for k, c in enumerate(v) if c)
+        else:
+            s[v] = left
+    return s
+
+
+def rho_table(factors, kind) -> dict[tuple[int, ...], complex]:
+    """rho of every nonzero sub-index of `kind`, built on the trace-word
+    factors (Sigma H_1, ..., Sigma H_m), keyed by the sub-index:
+    rho[v] = Tr S[v] / |v| with S[0] = I."""
+    s = _string_sums(factors, kind, np.eye(factors[0].shape[0], dtype=complex))
+    return {v: complex(np.trace(sv)) / sum(v) for v, sv in s.items() if any(v)}
+
+
+def eta_table(factors, omega, kind) -> dict[tuple[int, ...], complex]:
+    """eta of every nonzero sub-index of `kind`, built on the
+    convention-ordered eta factors, keyed by the sub-index:
+    eta[v] = Tr S[v] with S[0] = Omega."""
+    s = _string_sums(factors, kind, np.asarray(omega))
+    return {v: complex(np.trace(sv)) for v, sv in s.items() if any(v)}
+
+
+def _base_tables(params: WishartParams, h, kind):
+    """(rho table, eta table) of every nonzero v <= kind.  eta is zero when
+    M = 0, and Omega (which needs a nonsingular Sigma) is then not solved."""
+    sh, eta_factors = _directions(params, h)
+    rho = rho_table(sh, kind)
+    if params.is_central:
+        return rho, dict.fromkeys(rho, 0j)
+    return rho, eta_table(eta_factors, params.noncentrality(), kind)
+
+
+def rho_moment(params: WishartParams, h, i) -> complex:
+    """Central base moment rho[i], grouped over necklaces of kind i.
+
+    The paper's form, and the independent check on `rho_table`.
+    """
+    kind = _nonzero_kind(i, h, "rho_moment")
+    sh = _directions(params, h)[0]
     return complex_fsum(np.trace(_word_product(sh, neck.representative)) / neck.repetitions
                         for neck in necklaces_of_kind(kind))
 
 
-def _eta_of_kind(sh, omega, kind) -> complex:
-    return complex_fsum(np.trace(_word_product(sh, rot, left=omega))
-                        for neck in necklaces_of_kind(kind)
-                        for rot in necklace_rotations(neck))
-
-
-def _strings_trace_sum(sh, kind, left) -> complex:
-    """Sum of Tr[left * prod(word)] over every string of the given kind.
-
-    Depth-first with a running prefix product, so shared prefixes cost one
-    multiply.
-    """
-    counts = list(kind)
-    traces = []
-
-    def rec(prefix):
-        if not any(counts):
-            traces.append(np.trace(prefix if prefix is not None else left))
-            return
-        for j in range(len(counts)):
-            if counts[j]:
-                counts[j] -= 1
-                nxt = sh[j] if prefix is None else prefix @ sh[j]
-                rec(nxt)
-                counts[j] += 1
-
-    rec(left)
-    return complex_fsum(traces)
-
-
-def rho_moment(params: WishartParams, h, i) -> complex:
-    """Central base moment rho[i], grouped over necklaces of kind i."""
-    kind = _as_kind(i, len(h))
-    if sum(kind) < 1:
-        raise ValidationError("rho_moment needs |i| >= 1")
-    return _rho_of_kind(_directions(params, h)[0], kind)
-
-
 def rho_moment_strings(params: WishartParams, h, i) -> complex:
-    """Brute-force oracle for rho: (1/|i|) sum over all strings of kind i."""
-    kind = _as_kind(i, len(h))
-    weight = sum(kind)
-    if weight < 1:
-        raise ValidationError("rho_moment_strings needs |i| >= 1")
-    check_budget("string weight", weight, MAX_STRING_WEIGHT)
-    return _strings_trace_sum(_directions(params, h)[0], kind, None) / weight
+    """rho as (1/|i|) times the sum over all strings of kind i, read from
+    `rho_table` (the sub-index recursion, no string enumeration)."""
+    kind = _nonzero_kind(i, h, "rho_moment_strings")
+    check_budget("string weight", sum(kind), MAX_STRING_WEIGHT)
+    return rho_table(_directions(params, h)[0], kind)[kind]
 
 
 def eta_moment(params: WishartParams, h, i) -> complex:
@@ -152,38 +179,27 @@ def eta_moment(params: WishartParams, h, i) -> complex:
 
     The trace words are Tr[Omega prod(Sigma H_k)] under the paper
     convention and Tr[Omega prod(H_k Sigma)] under the standard one (see
-    the module docstring).
+    the module docstring), summed over every rotation of every necklace of
+    kind i: the independent check on `eta_table`.
     """
-    kind = _as_kind(i, len(h))
-    if sum(kind) < 1:
-        raise ValidationError("eta_moment needs |i| >= 1")
-    return _eta_of_kind(_directions(params, h)[1], params.noncentrality(), kind)
+    kind = _nonzero_kind(i, h, "eta_moment")
+    eta_factors, omega = _directions(params, h)[1], params.noncentrality()
+    return complex_fsum(np.trace(_word_product(eta_factors, rot, left=omega))
+                        for neck in necklaces_of_kind(kind)
+                        for rot in necklace_rotations(neck))
 
 
 def eta_moment_strings(params: WishartParams, h, i) -> complex:
-    """Brute-force oracle for eta: plain sum over all strings of kind i."""
-    kind = _as_kind(i, len(h))
-    weight = sum(kind)
-    if weight < 1:
-        raise ValidationError("eta_moment_strings needs |i| >= 1")
-    check_budget("string weight", weight, MAX_STRING_WEIGHT)
-    return _strings_trace_sum(_directions(params, h)[1], kind,
-                              np.asarray(params.noncentrality()))
+    """eta as the sum over all strings of kind i, read from `eta_table`
+    (the sub-index recursion, no string enumeration)."""
+    kind = _nonzero_kind(i, h, "eta_moment_strings")
+    check_budget("string weight", sum(kind), MAX_STRING_WEIGHT)
+    return eta_table(_directions(params, h)[1], params.noncentrality(), kind)[kind]
 
 
 # ---------------------------------------------------------------------------
 # joint moments and cumulants
 # ---------------------------------------------------------------------------
-
-def _sub_indices(kind):
-    return itertools.product(*(range(c + 1) for c in kind))
-
-
-def rho_table(factors, kind) -> dict[tuple[int, ...], complex]:
-    """rho of every nonzero sub-index of `kind`, built on the trace-word
-    factors (Sigma H_1, ..., Sigma H_m), keyed by the sub-index."""
-    return {v: _rho_of_kind(factors, v) for v in _sub_indices(kind) if any(v)}
-
 
 def _index_factorial(kind) -> int:
     return math.prod(math.factorial(v) for v in kind)
@@ -202,13 +218,7 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     check_budget("joint weight", weight, MAX_JOINT_WEIGHT)
     if weight == 0:
         return 1.0 + 0.0j
-    central = params.is_central
-    sh, eta_factors = _directions(params, h)
-    rho_tab = rho_table(sh, kind)
-    eta_tab = {}
-    if not central:
-        omega = params.noncentrality()
-        eta_tab = {v: _eta_of_kind(eta_factors, omega, v) for v in rho_tab}
+    rho_tab, eta_tab = _base_tables(params, h, kind)
 
     def split_term(t2):
         t1 = tuple(a - b for a, b in zip(kind, t2))
@@ -216,22 +226,16 @@ def joint_moment(params: WishartParams, h, i) -> complex:
         a_val = partition_sum(multiindex_partitions(t1), eta_tab, lambda l: params.sign ** l)
         return a_val * r_val
 
-    splits = [kind] if central else _sub_indices(kind)
+    splits = [kind] if params.is_central else _sub_indices(kind)
     return _index_factorial(kind) * complex_fsum(split_term(t2) for t2 in splits)
 
 
 def joint_cumulant(params: WishartParams, h, i) -> complex:
     """Cum_i(Tr[W H_1], ..., Tr[W H_m]) = i! (n rho[i] + sign eta[i])."""
-    kind = _as_kind(i, len(h))
-    weight = sum(kind)
-    if weight < 1:
-        raise ValidationError("joint cumulant needs |i| >= 1")
-    check_budget("joint weight", weight, MAX_JOINT_WEIGHT)
-    sh, eta_factors = _directions(params, h)
-    total = params.n * _rho_of_kind(sh, kind)
-    if not params.is_central:
-        total += params.sign * _eta_of_kind(eta_factors, params.noncentrality(), kind)
-    return _index_factorial(kind) * total
+    kind = _nonzero_kind(i, h, "joint cumulant")
+    check_budget("joint weight", sum(kind), MAX_JOINT_WEIGHT)
+    rho_tab, eta_tab = _base_tables(params, h, kind)
+    return _index_factorial(kind) * (params.n * rho_tab[kind] + params.sign * eta_tab[kind])
 
 
 def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
@@ -251,73 +255,66 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     """
     if alpha_cumulants.kind != CUMULANTS:
         raise ValidationError("alpha_cumulants must be a cumulant sequence")
-    kind = _as_kind(i, len(h))
+    kind = _nonzero_kind(i, h, "joint cumulant")
     weight = sum(kind)
-    if weight < 1:
-        raise ValidationError("joint cumulant needs |i| >= 1")
     check_budget("joint weight", weight, MAX_JOINT_WEIGHT)
     if alpha_cumulants.depth < weight:
         raise InsufficientOrdersError(
             f"alpha carries {alpha_cumulants.depth} orders, need {weight}")
-    sh, eta_factors = _directions(params, h)
-    total = partition_sum(multiindex_partitions(kind), rho_table(sh, kind),
-                          alpha_cumulants.order)
-    if not params.is_central:
-        total += params.sign * _eta_of_kind(eta_factors, params.noncentrality(), kind)
-    return _index_factorial(kind) * total
+    rho_tab, eta_tab = _base_tables(params, h, kind)
+    total = partition_sum(multiindex_partitions(kind), rho_tab, alpha_cumulants.order)
+    return _index_factorial(kind) * (total + params.sign * eta_tab[kind])
 
 
 # ---------------------------------------------------------------------------
 # generalized (multi-factor trace) moments
 # ---------------------------------------------------------------------------
 
-def _perm_to_images0(sigma_perm: CyclePermutation) -> tuple[int, ...]:
+def _product_images(h, sigma_perm: CyclePermutation) -> tuple[int, ...]:
+    """0-based one-line images of sigma_perm, checked against len(h) and the
+    product-factor budget."""
+    if sigma_perm.size != len(h):
+        raise DimensionMismatchError("permutation size must match len(h)")
+    check_budget("product factors", len(h), MAX_PRODUCT_FACTORS)
     return tuple(v - 1 for v in sigma_perm.images())
 
 
-def _genmom_cycles(n, sh, sigma_images) -> complex:
-    """Group-action sum for the central part:
-    sum_tau n^{#cycles(sigma tau^-1)} prod over cycles of tau of the trace
-    of the Sigma H product along the cycle."""
+def _group_action_sum(base, sigma_images, cycle_value) -> complex:
+    """sum_tau base^{#cycles(sigma tau^-1)} prod over cycles c of tau of
+    cycle_value(c), with the cycles 0-based positions of sigma_images."""
     m = len(sigma_images)
-    if m == 0:
-        return 1.0 + 0.0j
     terms = []
     for tau in itertools.permutations(range(m)):
         inv = [0] * m
         for a, b in enumerate(tau):
             inv[b] = a
         comp = tuple(sigma_images[inv[j]] for j in range(m))
-        term = n ** len(cycles_of_images(comp))
+        term = base ** len(cycles_of_images(comp))
         for c in cycles_of_images(tau):
-            term = term * np.trace(_word_product(sh, [j + 1 for j in c]))
+            term = term * cycle_value(c)
         terms.append(term)
     return complex_fsum(terms)
+
+
+def _genmom_cycles(n, sh, sigma_images) -> complex:
+    """Group-action sum for the central part: base n, and each cycle of tau
+    weighted by the trace of the Sigma H product along the cycle."""
+    return _group_action_sum(
+        n, sigma_images, lambda c: np.trace(_word_product(sh, [j + 1 for j in c])))
 
 
 def _genmom1_cycles(sign, eta_factors, omega, sigma_images) -> complex:
-    """Group-action sum for the formal non-centrality part:
-    sum_tau sign^{#cycles(sigma tau^-1)} prod over cycles of tau of the
-    length-of-cycle weighted Omega trace word, realized as the sum of the
-    word over the cycle's rotations (which is what makes the singleton
-    assignment decomposition exact, the word not being rotation invariant).
+    """Group-action sum for the formal non-centrality part: base sign, and
+    each cycle of tau weighted by the length-of-cycle weighted Omega trace
+    word, realized as the sum of the word over the cycle's rotations (which
+    is what makes the singleton assignment decomposition exact, the word not
+    being rotation invariant).
     """
-    m = len(sigma_images)
-    if m == 0:
-        return 1.0 + 0.0j
-    terms = []
-    for tau in itertools.permutations(range(m)):
-        inv = [0] * m
-        for a, b in enumerate(tau):
-            inv[b] = a
-        comp = tuple(sigma_images[inv[j]] for j in range(m))
-        term = sign ** len(cycles_of_images(comp))
-        for c in cycles_of_images(tau):
-            words = ([j + 1 for j in c[r:] + c[:r]] for r in range(len(c)))
-            term = term * complex_fsum(
-                np.trace(_word_product(eta_factors, w, left=omega)) for w in words)
-        terms.append(term)
-    return complex_fsum(terms)
+    def rotations_value(c):
+        words = ([j + 1 for j in c[r:] + c[:r]] for r in range(len(c)))
+        return complex_fsum(np.trace(_word_product(eta_factors, w, left=omega)) for w in words)
+
+    return _group_action_sum(sign, sigma_images, rotations_value)
 
 
 def _restrict(sigma_cycles, sh):
@@ -334,12 +331,8 @@ def _restrict(sigma_cycles, sh):
 
 def central_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> complex:
     """E[prod over cycles c of sigma of Tr(prod_{j in c} W_central H_j)]."""
-    m = len(h)
-    if sigma_perm.size != m:
-        raise DimensionMismatchError("permutation size must match len(h)")
-    check_budget("product factors", m, MAX_PRODUCT_FACTORS)
-    sh, _ = _directions(params, h)
-    return _genmom_cycles(params.n, sh, _perm_to_images0(sigma_perm))
+    images = _product_images(h, sigma_perm)
+    return _genmom_cycles(params.n, _directions(params, h)[0], images)
 
 
 def a_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> complex:
@@ -348,12 +341,9 @@ def a_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> 
     The base of the alternating weight is the convention sign (-1 under
     "paper", +1 under "standard").  Needs Omega, hence nonsingular Sigma.
     """
-    m = len(h)
-    if sigma_perm.size != m:
-        raise DimensionMismatchError("permutation size must match len(h)")
-    check_budget("product factors", m, MAX_PRODUCT_FACTORS)
+    images = _product_images(h, sigma_perm)
     return _genmom1_cycles(params.sign, _directions(params, h)[1],
-                           params.noncentrality(), _perm_to_images0(sigma_perm))
+                           params.noncentrality(), images)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +437,16 @@ def generalized_moment_expansion(params: WishartParams, h,
     sign = params.sign
     cycles0 = [tuple(v - 1 for v in c) for c in sigma_perm.cycles]
 
-    def single_cycle_value(cycle0, letter):
-        if letter == CENTRAL_LETTER:
-            images, sub = _restrict([cycle0], sh)
-            return _genmom_cycles(params.n, sub, images)
+    def pure_values(cycle0):
+        """The single-cycle expectations of the pure-W and the pure-A factor."""
+        images, sub = _restrict([cycle0], sh)
+        w_value = _genmom_cycles(params.n, sub, images)
         if central:
-            return 0.0 + 0.0j
+            return w_value, 0.0 + 0.0j
         images, sub = _restrict([cycle0], eta_factors)
-        return _genmom1_cycles(sign, sub, omega, images)
+        return w_value, _genmom1_cycles(sign, sub, omega, images)
+
+    pure = {cyc: pure_values(cyc) for cyc in cycles0}
 
     terms = []
     evaluated = []
@@ -468,12 +460,10 @@ def generalized_moment_expansion(params: WishartParams, h,
             cycle1 = tuple(j + 1 for j in cyc)
             if letters.count(CENTRAL_LETTER) == len(cyc):
                 central_cycles.append(cyc)
-                factors.append(TraceFactor(letters, cycle1,
-                                           single_cycle_value(cyc, CENTRAL_LETTER)))
+                factors.append(TraceFactor(letters, cycle1, pure[cyc][0]))
             elif letters.count(FORMAL_LETTER) == len(cyc):
                 formal_cycles.append(cyc)
-                factors.append(TraceFactor(letters, cycle1,
-                                           single_cycle_value(cyc, FORMAL_LETTER)))
+                factors.append(TraceFactor(letters, cycle1, pure[cyc][1]))
             elif central:
                 # mixed word, but the formal component is identically zero
                 factors.append(TraceFactor(letters, cycle1, 0.0 + 0.0j))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wishmom.cli import run
+from wishmom.cli import main, run
 
 from conftest import PAPER_M, PAPER_N, PAPER_SIGMA
 
@@ -168,6 +168,25 @@ def test_exit_code_numerical(tmp_path):
     assert "SingularMatrix" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["moments", "--order", "3"],
+    ["joint-moments"],
+    ["cumulants"],
+    ["joint-cumulants"],
+])
+def test_overflow_exits_3(tmp_path, capsys, args):
+    # finite inputs whose results overflow: a numerical error, not a traceback
+    doc = {"n": 3, "sigma": {"re": [[1e200, 0], [0, 1]]},
+           "h": [matrix_doc(np.eye(2))], "index": [3]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = main([args[0], str(path), *args[1:]])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error")
+
+
 def test_exit_code_budget(paper_file):
     code, out = run(["moments", paper_file, "--order", "25"])
     assert code == 4
@@ -241,6 +260,7 @@ def test_mc_verify_command(tmp_path):
     (["joint-moments"], {"index": "1"}, None),
     (["permanent", "--d", "inf", "--index", "1,1"], {}, None),
     (["moments"], {"n": True}, None),
+    (["cumulants"], {"n": float("inf")}, None),
 ])
 def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     doc = {"n": 3, "sigma": matrix_doc(np.eye(2)), "h": [matrix_doc(np.eye(2))],

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wishmom import (
     BudgetExceededError,
     IntegerPartition,
+    NumericalError,
     ValidationError,
     complete_bell,
     complete_homogeneous,
@@ -423,3 +424,13 @@ def test_complex_fsum_is_correctly_rounded():
     # where math.fsum raises, the plain IEEE sum is returned
     assert complex_fsum([1e308, 1e308]) == complex(math.inf, 0)
     assert math.isnan(complex_fsum([math.inf, -math.inf]).real)
+
+
+def test_partition_sum_overflow_is_a_numerical_error():
+    one = lambda l: 1
+    # a power that overflows
+    with pytest.raises(NumericalError):
+        partition_sum(integer_partitions(3), {1: 1e200 + 0j, 2: 1.0, 3: 1.0}, one)
+    # finite terms whose sum overflows
+    with pytest.raises(NumericalError):
+        partition_sum(integer_partitions(2), {1: 1e154 + 0j, 2: 1.7e308 + 0j}, one)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import wishmom
 from wishmom import (
     BudgetExceededError,
     CyclePermutation,
@@ -21,10 +22,12 @@ from wishmom import (
     joint_moment,
     multiindex_partitions,
     noncentral_moment,
+    permanent_master,
     rho_moment,
     rho_moment_strings,
 )
 from wishmom.matrix_core import product_trace
+from wishmom.multivariate import eta_table, rho_table
 
 from conftest import random_complex, random_psd, rel_err
 
@@ -84,6 +87,46 @@ def test_eta_matches_strings_oracle(m, convention):
         for kind in [(3, 3, 2), (4, 2, 2), (1, 3, 4)]:
             assert rel_err(eta_moment(params, h, kind),
                            eta_moment_strings(params, h, kind)) < 1e-12
+
+
+def _sub_indices(kind):
+    return [v for v in itertools.product(*(range(c + 1) for c in kind)) if any(v)]
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("kind", [(5, 5), (4, 3, 3)])
+def test_base_tables_match_necklace_sums_at_weight_ten(kind, convention):
+    # the recursion's tables against the necklace-grouped sums at every
+    # sub-index, beyond the weight the *_strings budget allows
+    params, h = make_instance(30 + len(kind), m=len(kind), convention=convention)
+    sigma = params.sigma
+    sh = [sigma @ hk for hk in h]
+    eta_factors = sh if convention == "paper" else [hk @ sigma for hk in h]
+    rho = rho_table(sh, kind)
+    eta = eta_table(eta_factors, params.noncentrality(), kind)
+    assert set(rho) == set(eta) == set(_sub_indices(kind))
+    for v in _sub_indices(kind):
+        assert rel_err(rho[v], rho_moment(params, h, v)) < 1e-12
+        assert rel_err(eta[v], eta_moment(params, h, v)) < 1e-12
+
+
+def test_production_routes_enumerate_no_necklaces(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("necklace enumeration on a production route")
+
+    for module in (wishmom.multivariate, wishmom.combinatorics):
+        monkeypatch.setattr(module, "necklaces_of_kind", refuse)
+        monkeypatch.setattr(module, "necklace_rotations", refuse)
+    kind = (2, 1, 1)
+    alpha = MomentSequence.from_cumulants([1.5, 0.5, 0.25, 0.125])
+    for convention in ("paper", "standard"):
+        params, h = make_instance(40, m=3, convention=convention)
+        assert np.isfinite(joint_moment(params, h, kind))
+        assert np.isfinite(joint_cumulant(params, h, kind))
+        assert np.isfinite(joint_cumulant_randomized(alpha, params, h, kind))
+        assert len(rho_table([params.sigma @ hk for hk in h], kind)) == 11
+    t = random_complex(np.random.default_rng(41), 3)
+    assert np.isfinite(permanent_master(t, kind, 0.5))
 
 
 def test_eta_closed_forms_paper_convention():
