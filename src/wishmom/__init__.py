@@ -49,6 +49,7 @@ from .mc import (
     estimate_joint_moment,
     estimate_trace_cumulants,
     haar_compression,
+    haar_power_sums,
     haar_unitary,
     sample_wishart,
 )

@@ -353,29 +353,6 @@ def necklace_rotations(neck: Necklace) -> list[tuple[int, ...]]:
     return [rep[r:] + rep[:r] for r in range(neck.block_length)]
 
 
-def strings_of_kind(kind):
-    """Yield every string over {1..m} of the given kind, in lexicographic
-    order.  Brute-force support for oracles and coverage tests."""
-    kind = tuple(int(v) for v in kind)
-    n = sum(kind)
-    counts = list(kind)
-    prefix: list[int] = []
-
-    def rec():
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for j in range(len(counts)):
-            if counts[j]:
-                counts[j] -= 1
-                prefix.append(j + 1)
-                yield from rec()
-                prefix.pop()
-                counts[j] += 1
-
-    yield from rec()
-
-
 # ---------------------------------------------------------------------------
 # permutations with explicit cycle structure
 # ---------------------------------------------------------------------------

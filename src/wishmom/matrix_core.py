@@ -27,7 +27,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValidationError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
     return m
 
@@ -45,40 +45,21 @@ def trace(a) -> complex:
     return complex(np.trace(as_matrix(a)))
 
 
-def product_trace(factors) -> complex:
-    """Tr(F_1 F_2 ... F_s), multiplied left to right.
-
-    Invariant under cyclic rotation of the factor list.
-    """
-    factors = [as_matrix(f) for f in factors]
-    if not factors:
-        raise ValidationError("product_trace needs at least one factor")
-    p = factors[0].shape[0]
-    if any(f.shape[0] != p for f in factors):
-        raise DimensionMismatchError("product_trace factors differ in dimension")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc @ f
-    return complex(np.trace(acc))
-
-
-def power_traces(a, k_max: int) -> list[complex]:
-    """[Tr(A), Tr(A^2), ..., Tr(A^k_max)] via repeated multiplication."""
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1: {k_max}")
-    a = as_matrix(a)
-    out = []
-    acc = a
-    for _ in range(k_max):
-        out.append(complex(np.trace(acc)))
-        acc = acc @ a
-    return out
-
-
 def is_hermitian(a) -> bool:
-    a = as_matrix(a)
-    scale = mat_norm(a)
-    return float(np.abs(a - a.conj().T).max()) <= HERMITIAN_RTOL * max(scale, 1e-300)
+    return _hermitian_within_tolerance(as_matrix(a))
+
+
+def hermitian_matrix(a, message: str) -> np.ndarray:
+    """`a` validated and converted as by `as_matrix`; raises
+    NotHermitianError(message) unless it is Hermitian within tolerance."""
+    m = as_matrix(a)
+    if not _hermitian_within_tolerance(m):
+        raise NotHermitianError(message)
+    return m
+
+
+def _hermitian_within_tolerance(m: np.ndarray) -> bool:
+    return float(np.abs(m - m.conj().T).max()) <= HERMITIAN_RTOL * max(mat_norm(m), 1e-300)
 
 
 def solve(a, b) -> np.ndarray:
@@ -107,8 +88,6 @@ def hermitian_eigen(a):
     Q unitary, A Q = Q diag(eigenvalues).  Raises NotHermitianError when the
     input fails the Hermitian check.
     """
-    a = as_matrix(a)
-    if not is_hermitian(a):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    a = hermitian_matrix(a, "matrix is not Hermitian within tolerance")
     vals, q = np.linalg.eigh((a + a.conj().T) / 2)
     return vals[::-1], q[:, ::-1]

@@ -12,12 +12,20 @@ Randomness is counter-based (Philox) keyed by (seed, stream_id): identical
 keys reproduce identical draws bit-exactly, and disjoint stream_ids give
 independent streams.
 
-One row sampler, `_row_batches`, yields the n rows X of each draw in
-batches, so W = X^H X.  Estimators that need only Tr W = sum |x|^2 or
-Tr(W H) = sum conj(X) * (X H) read them from the rows and never form W;
-only the generalized (cycle-product) moments form W.  A Haar compression
-Y returns its power sums Tr Y^k, k <= 4, read from Y and Y^2 with no
-eigensolve.
+One row sampler, `_row_batches`, yields the n rows X of each draw, so
+W = X^H X.  It draws the Gaussians 8,192 draws at a time (this fixes the
+stream) and yields the rows in chunks of 65,536 / p^2 draws (1,024 at
+p = 8), built in reused buffers, so every temporary stays cache-sized.
+Estimators that need only Tr W = sum |x|^2 or Tr(W H) = sum conj(X) *
+(X H) read them from the rows and never form W.  The generalized
+(cycle-product) moments read 1-cycles from the rows too, and form W at
+most once per chunk, for the cycles of length 2 or more.
+
+Haar compressions are batched: one stacked QR per chunk of draws, then
+the power sums Tr Y^k, k <= 4, of each Y, read from Y and Y^2 with no
+eigensolve.  `haar_unitary` and `haar_compression` are the one-draw case
+of the same kernel, so a batch reproduces the same number of one-draw
+calls on the same generator bit for bit.
 """
 
 from __future__ import annotations
@@ -33,13 +41,14 @@ from .combinatorics import CyclePermutation
 from .errors import (
     DimensionMismatchError,
     NonIntegerNError,
-    NotHermitianError,
     NotPSDError,
     ValidationError,
 )
 from .model import WishartParams, build
 
-_BATCH = 8192
+_BATCH = 8192  # draws per pair of standard_normal calls: fixes the stream
+_CHUNK_ENTRIES = 65536  # p * p * draws per chunk of rows: a 1 MB stack of W
+_HAAR_CHUNK = 1024  # draws per stacked QR
 
 
 @dataclass(frozen=True)
@@ -178,11 +187,16 @@ def _mean_rows(params: WishartParams, n: int) -> np.ndarray | None:
 
 
 def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
-    """Yield stacked rows X of shape (b, n, p); each draw is W = X^H X.
+    """Yield stacked rows X of shape (c, n, p); each draw is W = X^H X.
 
     Each row is a standard complex Gaussian row times the eigen factor F of
-    Sigma, minus its mean row.  The factor multiply runs as one 2-D GEMM
-    over all b * n rows of a batch.
+    Sigma, minus its mean row.  The Gaussians come `batch` draws at a time,
+    all real parts and then all imaginary parts; that fixes the stream.
+    The complex rows, the factor multiply (one 2-D GEMM over the c * n
+    rows) and the mean shift run in chunks of c = _CHUNK_ENTRIES // p^2
+    draws (1,024 at p = 8), so a stack of c draws of W stays cache-sized.
+    They use two reused buffers: a yielded X is valid until the next one
+    is requested.
     """
     n = _integer_n(params)
     p = params.p
@@ -196,20 +210,35 @@ def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
                 f"means must have shape ({n}, {p}), got {means.shape}")
     remaining = int(n_samples)
     scale = 1.0 / math.sqrt(2.0)
+    size = max(1, min(_CHUNK_ENTRIES // p ** 2, batch, remaining))
+    g = np.empty((size, n, p), dtype=complex)
+    x = np.empty((size, n, p), dtype=complex)
     while remaining > 0:
         b = min(batch, remaining)
-        g = (gen.standard_normal((b, n, p)) + 1j * gen.standard_normal((b, n, p))) * scale
-        x = (g.reshape(b * n, p) @ factor).reshape(b, n, p)
-        if means is not None:
-            x -= means
-        yield x
+        re = gen.standard_normal((b, n, p))
+        im = gen.standard_normal((b, n, p))
+        for lo in range(0, b, size):
+            c = min(size, b - lo)
+            gc, xc = g[:c], x[:c]
+            np.multiply(re[lo:lo + c], scale, out=gc.real)
+            np.multiply(im[lo:lo + c], scale, out=gc.imag)
+            np.matmul(gc.reshape(c * n, p), factor, out=xc.reshape(c * n, p))
+            if means is not None:
+                xc -= means
+            yield xc
         remaining -= b
 
 
 def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
-    """Yield stacked draws W = X^H X of shape (b, p, p)."""
+    """Yield stacked draws W = X^H X of shape (c, p, p), one chunk of rows
+    at a time."""
     for x in _row_batches(params, means, gen, n_samples, batch):
-        yield x.conj().transpose(0, 2, 1) @ x
+        yield _gram(x)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """W = X^H X per draw, from stacked rows (c, n, p)."""
+    return x.conj().transpose(0, 2, 1) @ x
 
 
 def _row_traces(x: np.ndarray) -> np.ndarray:
@@ -281,20 +310,37 @@ def estimate_generalized_moment(params: WishartParams, h,
     hs = [matrix_core.as_matrix(hk) for hk in h]
     if sigma_perm.size != len(hs):
         raise DimensionMismatchError("permutation size must match len(h)")
+    cycles = [[hs[j - 1] for j in cyc] for cyc in sigma_perm.cycles]
     gen = _as_generator(rng)
     acc = _Accumulator()
-    for w in _wishart_batches(params, None, gen, n_samples):
-        b, p, _ = w.shape
-        flat = w.reshape(b * p, p)
-        vals = np.ones(b, dtype=complex)
-        for cyc in sigma_perm.cycles:
-            prod = None
-            for j in cyc:
-                step = (flat @ hs[j - 1]).reshape(b, p, p)
-                prod = step if prod is None else prod @ step
-            vals *= np.trace(prod, axis1=1, axis2=2)
+    for x in _row_batches(params, None, gen, n_samples):
+        vals = np.ones(x.shape[0], dtype=complex)
+        w = None
+        for factors in cycles:
+            if len(factors) == 1:
+                vals *= _row_direction_traces(x, factors[0])
+                continue
+            if w is None:
+                w = _gram(x)
+            vals *= _cycle_trace(w, factors)
         acc.add_batch(vals)
     return acc.estimate()
+
+
+def _cycle_trace(w: np.ndarray, factors) -> np.ndarray:
+    """Tr(W F_1 W F_2 ... W F_k) per draw, k >= 2, from stacked W (b, p, p).
+
+    Each W F_j is one flat GEMM; the first k - 1 are multiplied stacked, and
+    the trace of that product with the last is one contraction,
+    Tr(A B) = sum_ab A[a, b] B[b, a], with no product formed.
+    """
+    b, p, _ = w.shape
+    flat = w.reshape(b * p, p)
+    steps = [(flat @ f).reshape(b, p, p) for f in factors]
+    prod = steps[0]
+    for step in steps[1:-1]:
+        prod = prod @ step
+    return np.einsum("sab,sba->s", prod, steps[-1])
 
 
 def estimate_trace_cumulants(params: WishartParams, i_max: int,
@@ -337,31 +383,70 @@ def estimate_trace_cumulants(params: WishartParams, i_max: int,
 # Haar compressions
 # ---------------------------------------------------------------------------
 
+def _haar_unitaries(p: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """`count` stacked Haar-distributed p x p unitaries: for each draw a
+    Ginibre matrix (its real parts, then its imaginary parts), then one
+    stacked QR with the phase fix that makes each R's diagonal positive
+    real (Mezzadri, Notices AMS 54, 2007)."""
+    g = gen.standard_normal((count, 2, p, p))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2))
+    d = r.diagonal(axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(p: int, rng) -> np.ndarray:
     """Haar-distributed p x p unitary: Ginibre then QR, with the phase fix
     that makes R's diagonal positive real."""
+    return _haar_unitaries(p, 1, _as_generator(rng))[0]
+
+
+def _compression_input(x, m: int) -> np.ndarray:
+    """x as a validated Hermitian matrix, with 1 <= m <= p checked."""
+    x = matrix_core.hermitian_matrix(x, "a Haar compression needs a Hermitian matrix")
+    if not 1 <= m <= x.shape[0]:
+        raise ValidationError(f"compressed size must satisfy 1 <= m <= p: {m}")
+    return x
+
+
+def _compression_sums(x: np.ndarray, m: int, frames: np.ndarray) -> tuple:
+    """(Tr Y, Tr Y^2, Tr Y^3, Tr Y^4), each one value per unitary, for
+    Y = H X H^dag with H the first m rows of each stacked unitary."""
+    h = frames[:, :m]
+    y = h @ x @ h.conj().mT
+    y2 = y @ y
+    flat, flat2 = y.reshape(len(y), -1), y2.reshape(len(y), -1)
+    # Y and Y^2 are Hermitian, so Tr(A B) = vecdot(B, A) for B in {Y, Y^2}
+    return (np.einsum("sii->s", y).real, np.vecdot(flat, flat).real,
+            np.vecdot(flat2, flat).real, np.vecdot(flat2, flat2).real)
+
+
+def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
+    """Power sums Tr Y^k, k = 1..4, of `count` independent compressions
+    Y = H X H^dag by Haar m x p frames H: a (count, 4) array, one row per
+    draw.  The draws run in chunks, one stacked QR each.
+
+    Row s equals the power sums of the s-th of `count` successive
+    `haar_compression(x, m, gen)` calls on the same generator, bit for bit.
+    """
+    x = _compression_input(x, m)
+    if count < 0 or count != int(count):
+        raise ValidationError(f"count must be an integer >= 0: {count}")
+    count = int(count)
     gen = _as_generator(rng)
-    z = (gen.standard_normal((p, p)) + 1j * gen.standard_normal((p, p))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    out = np.empty((count, 4))
+    for lo in range(0, count, _HAAR_CHUNK):
+        c = min(_HAAR_CHUNK, count - lo)
+        sums = _compression_sums(x, m, _haar_unitaries(x.shape[0], c, gen))
+        out[lo:lo + c] = np.column_stack(sums)
+    return out
 
 
 def haar_compression(x, m: int, rng) -> PolykaySample:
     """Spectral sample of Y = H X H^dag for a Haar m x p frame H: the power
-    sums Tr Y^k, k = 1..4."""
-    x = matrix_core.as_matrix(x)
-    if not matrix_core.is_hermitian(x):
-        raise NotHermitianError("haar_compression needs a Hermitian matrix")
-    p = x.shape[0]
-    if not 1 <= m <= p:
-        raise ValidationError(f"compressed size must satisfy 1 <= m <= p: {m}")
-    frame = haar_unitary(p, rng)[:m, :]
-    y = frame @ x @ frame.conj().T
-    y2 = y @ y
-    # Y and Y^2 are Hermitian, so Tr(A B) = vdot(B, A) for B in {Y, Y^2}
-    return PolykaySample(m, (float(np.trace(y).real), float(np.vdot(y, y).real),
-                             float(np.vdot(y2, y).real), float(np.vdot(y2, y2).real)))
+    sums Tr Y^k, k = 1..4 (the one-draw case of `haar_power_sums`)."""
+    x = _compression_input(x, m)
+    sums = _compression_sums(x, m, _haar_unitaries(x.shape[0], 1, _as_generator(rng)))
+    return PolykaySample(m, tuple(float(s[0]) for s in sums))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +499,7 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
             yield _row_traces(x)
 
     def rhs_batches():
+        # one p and one n_samples: both samplers yield chunks of equal size
         it_a = _row_batches(params1, None, gen_a, n_samples)
         it_b = _row_batches(params2, None, gen_b, n_samples)
         for xa, xb in zip(it_a, it_b):

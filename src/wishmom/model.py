@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .errors import DimensionMismatchError, NotHermitianError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 
 CONVENTIONS = ("paper", "standard")
 DEFAULT_DEPTH = 12
@@ -55,11 +55,14 @@ def _compute_cache(sigma: np.ndarray, m_matrix: np.ndarray, depth: int) -> Trace
     t, s = [], []
     pow_sigma = sigma
     m_pow = m_matrix
-    for _ in range(depth):
-        t.append(complex(np.trace(pow_sigma)))
-        s.append(complex(np.trace(m_pow)))
-        pow_sigma = pow_sigma @ sigma
-        m_pow = m_pow @ sigma
+    # an overflow leaves inf/nan in the cache, which the closed forms report
+    # as a NumericalError; numpy's own warning would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(depth):
+            t.append(complex(np.trace(pow_sigma)))
+            s.append(complex(np.trace(m_pow)))
+            pow_sigma = pow_sigma @ sigma
+            m_pow = m_pow @ sigma
     return TraceCache(tuple(t), tuple(s))
 
 
@@ -81,9 +84,7 @@ class WishartParams:
         n = float(n)
         if not 0 < n < np.inf:
             raise ValidationError(f"degrees of freedom must be finite and > 0: {n}")
-        sigma = matrix_core.as_matrix(sigma)
-        if not matrix_core.is_hermitian(sigma):
-            raise NotHermitianError("sigma must be Hermitian")
+        sigma = matrix_core.hermitian_matrix(sigma, "sigma must be Hermitian")
         if m_matrix is None:
             m_matrix = np.zeros_like(sigma)
         else:

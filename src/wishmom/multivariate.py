@@ -120,12 +120,15 @@ def _string_sums(factors, kind, left) -> dict[tuple[int, ...], np.ndarray]:
     come in lexicographic order, so every S[v - e_k] exists before S[v].
     """
     s = {}
-    for v in _sub_indices(kind):
-        if any(v):
-            s[v] = sum(s[v[:k] + (c - 1,) + v[k + 1:]] @ factors[k]
-                       for k, c in enumerate(v) if c)
-        else:
-            s[v] = left
+    # an overflow leaves inf/nan in the table, which the closed forms report
+    # as a NumericalError; numpy's own warning would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in _sub_indices(kind):
+            if any(v):
+                s[v] = sum(s[v[:k] + (c - 1,) + v[k + 1:]] @ factors[k]
+                           for k, c in enumerate(v) if c)
+            else:
+                s[v] = left
     return s
 
 

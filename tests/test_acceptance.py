@@ -191,8 +191,8 @@ def test_criterion_07_polykay_properties_and_inheritance():
     n_comp = 100_000
     k1 = np.empty(n_comp)
     k2 = np.empty(n_comp)
-    for s in range(n_comp):
-        sample = wm.haar_compression(x, 4, gen)
+    for s, sums in enumerate(wm.haar_power_sums(x, 4, n_comp, gen).tolist()):
+        sample = wm.PolykaySample(4, tuple(sums))
         k1[s] = wm.polykay(sample, 1)
         k2[s] = wm.polykay(sample, 2)
     z1 = abs(k1.mean() - want1) / (k1.std(ddof=1) / math.sqrt(n_comp))

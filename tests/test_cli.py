@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -180,11 +181,15 @@ def test_overflow_exits_3(tmp_path, capsys, args):
            "h": [matrix_doc(np.eye(2))], "index": [3]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
-    code = main([args[0], str(path), *args[1:]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([args[0], str(path), *args[1:]])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical error")
+    # the NumericalError alone reports the overflow: numpy prints no warning
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_exit_code_budget(paper_file):

@@ -21,7 +21,9 @@ from wishmom import (
     partition_coefficients,
     permutations_by_cycles,
 )
-from wishmom.combinatorics import complex_fsum, partition_sum, strings_of_kind
+from wishmom.combinatorics import complex_fsum, partition_sum
+
+from brute_force import strings_of_kind
 
 
 # ---------------------------------------------------------------------------

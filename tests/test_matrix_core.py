@@ -13,12 +13,11 @@ from wishmom.matrix_core import (
     hermitian_eigen,
     is_hermitian,
     mat_norm,
-    power_traces,
-    product_trace,
     solve,
     trace,
 )
 
+from brute_force import power_traces, product_trace
 from conftest import PAPER_M, PAPER_SIGMA, random_complex, random_hermitian
 
 

@@ -17,13 +17,17 @@ from wishmom import (
     estimate_joint_moment,
     estimate_trace_cumulants,
     haar_compression,
+    haar_power_sums,
     haar_unitary,
     noncentral_cumulant,
     polykay,
     sample_wishart,
 )
 from wishmom.mc import (
+    _HAAR_CHUNK,
     _Accumulator,
+    _mean_rows,
+    _psd_factor,
     _row_batches,
     _row_direction_traces,
     _row_traces,
@@ -196,6 +200,38 @@ def test_single_draw_shape_and_hermiticity():
     assert np.linalg.eigvalsh(w).min() > -1e-12
 
 
+def _batch_rows(params, gen, n_draws, batch=8192):
+    """Rows X of every draw as the sampler's stream defines them: per batch of
+    8,192 draws one standard_normal((b, n, p)) for the real parts and one for
+    the imaginary parts, scaled to unit total variance, times the eigen
+    factor F of Sigma, minus the mean rows."""
+    n, p = int(params.n), params.p
+    factor, _ = _psd_factor(params.sigma, "sigma")
+    means = _mean_rows(params, n)
+    out = []
+    for lo in range(0, n_draws, batch):
+        b = min(batch, n_draws - lo)
+        g = (gen.standard_normal((b, n, p)) + 1j * gen.standard_normal((b, n, p))) \
+            * (1.0 / math.sqrt(2.0))
+        x = (g.reshape(b * n, p) @ factor).reshape(b, n, p)
+        out.append(x if means is None else x - means)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("central", [True, False])
+@pytest.mark.parametrize("p", [2, 8])
+@pytest.mark.parametrize("n_draws", [10_000, 8193])
+def test_chunked_rows_keep_the_stream(n_draws, p, central):
+    # the sampler yields cache-sized chunks from reused buffers; the rows
+    # themselves are those of whole 8,192-draw batches, bit for bit
+    params = standard_params(50 + p, p=p, n=p + 1, central=central)
+    stream = RngStream(51, p)
+    chunks = [x.copy() for x in _row_batches(params, None, stream.generator(), n_draws)]
+    assert len(chunks) > 1
+    rows = np.concatenate(chunks)
+    assert np.array_equal(rows, _batch_rows(params, stream.generator(), n_draws))
+
+
 def _formed_traces(params, stream, n_draws, h):
     """Tr W and Tr(W H_k) per draw, from the W that _wishart_batches forms."""
     ws = np.concatenate(list(_wishart_batches(params, None, stream.generator(), n_draws)))
@@ -240,6 +276,49 @@ def test_row_estimators_match_formed_w(p, central):
     ests = estimate_trace_cumulants(params, 3, n_draws, stream)
     for order, (e, w) in enumerate(zip(ests, want), start=1):
         assert abs(e.mean - w) <= 1e-12 * np.mean(tr ** order), order
+
+
+def _formed_generalized_moment(params, h, sigma_perm, n_draws, stream) -> Estimate:
+    """The formed-W route: for each chunk of draws, W, one flat GEMM per
+    factor W H_j, the stacked product along each cycle, and np.trace."""
+    acc = _Accumulator()
+    for w in _wishart_batches(params, None, stream.generator(), n_draws):
+        b, p, _ = w.shape
+        flat = w.reshape(b * p, p)
+        vals = np.ones(b, dtype=complex)
+        for cyc in sigma_perm.cycles:
+            prod = None
+            for j in cyc:
+                step = (flat @ h[j - 1]).reshape(b, p, p)
+                prod = step if prod is None else prod @ step
+            vals *= np.trace(prod, axis1=1, axis2=2)
+        acc.add_batch(vals)
+    return acc.estimate()
+
+
+@pytest.mark.parametrize("cycles", [((1,), (2,), (3,)), ((1, 2), (3,)), ((1, 2, 3),),
+                                    ((1, 2, 3, 4),)])
+@pytest.mark.parametrize("p", [2, 4, 8])
+@pytest.mark.parametrize("n_offset", [-1, 1])
+def test_generalized_moment_matches_formed_w(cycles, p, n_offset):
+    # 1-cycles come from the rows and each longer cycle's trace from one
+    # contraction; the formed-W loop on the same draws is the oracle
+    rng = np.random.default_rng(60 + p)
+    v = rng.normal(size=p) + 1j * rng.normal(size=p)
+    params, _ = build(p + n_offset, random_psd(rng, p), 0.5 * np.outer(v, v.conj()),
+                      "standard")
+    perm = CyclePermutation(cycles)
+    h = [random_complex(rng, p) for _ in range(perm.size)]
+    stream = RngStream(61, p)
+    n_draws = 1500  # more than one chunk of draws at p = 8
+    est = estimate_generalized_moment(params, h, perm, n_draws, stream)
+    want = _formed_generalized_moment(params, h, perm, n_draws, stream)
+    # rounding is relative to the sample values, whose root mean square is
+    # sqrt(|mean|^2 + n se^2)
+    rms = math.sqrt(abs(want.mean) ** 2 + n_draws * want.std_error ** 2)
+    assert abs(est.mean - want.mean) <= 1e-12 * rms
+    assert abs(est.std_error - want.std_error) <= 1e-12 * want.std_error
+    assert est.n_samples == want.n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +432,27 @@ def test_haar_compression_validation():
         haar_compression(x, 5, RngStream(0))
     with pytest.raises(NotHermitianError):
         haar_compression(np.triu(np.ones((3, 3))), 2, RngStream(0))
+    with pytest.raises(ValidationError):
+        haar_power_sums(x, 0, 10, RngStream(0))
+    for count in (-1, 2.5):
+        with pytest.raises(ValidationError):
+            haar_power_sums(x, 2, count, RngStream(0))
+    with pytest.raises(NotHermitianError):
+        haar_power_sums(np.triu(np.ones((3, 3))), 2, 10, RngStream(0))
+    assert haar_power_sums(x, 2, 0, RngStream(0)).shape == (0, 4)
+
+
+def test_batched_haar_matches_one_draw_calls():
+    # one stacked QR per chunk of draws gives the power sums of as many
+    # successive one-draw compressions on a twin generator, bit for bit
+    rng = np.random.default_rng(24)
+    x = random_hermitian(rng, 8)
+    count = _HAAR_CHUNK + 37
+    batched = haar_power_sums(x, 4, count, RngStream(25))
+    gen = RngStream(25).generator()
+    one_by_one = np.array([haar_compression(x, 4, gen).power_sums for _ in range(count)])
+    assert batched.shape == (count, 4)
+    assert np.array_equal(batched, one_by_one)
 
 
 def test_polykay_inheritance_under_compression_quick():

@@ -9,8 +9,8 @@ from wishmom import (
     build,
     noncentrality,
 )
-from wishmom.matrix_core import product_trace
 
+from brute_force import product_trace
 from conftest import PAPER_M, PAPER_N, PAPER_SIGMA, random_psd, rel_err
 
 

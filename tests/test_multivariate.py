@@ -26,9 +26,9 @@ from wishmom import (
     rho_moment,
     rho_moment_strings,
 )
-from wishmom.matrix_core import product_trace
 from wishmom.multivariate import eta_table, rho_table
 
+from brute_force import product_trace
 from conftest import random_complex, random_psd, rel_err
 
 
