@@ -12,7 +12,6 @@ from .errors import BudgetExceededError, ValidationError
 
 MAX_UNIVARIATE_ORDER = 20   # trace moment/cumulant order i
 MAX_JOINT_WEIGHT = 10       # |i| for joint moments/cumulants and permanent_master
-MAX_STRING_WEIGHT = 8       # |i| for the all-strings brute-force oracles
 MAX_PERMUTATION_SIZE = 10   # k for full S_k enumeration
 MAX_PERMANENT_DIM = 10      # p for brute-force permanents
 MAX_PRODUCT_FACTORS = 8     # m for the group-action product-moment sums

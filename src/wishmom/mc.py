@@ -12,14 +12,25 @@ Randomness is counter-based (Philox) keyed by (seed, stream_id): identical
 keys reproduce identical draws bit-exactly, and disjoint stream_ids give
 independent streams.
 
-One row sampler, `_row_batches`, yields the n rows X of each draw, so
-W = X^H X.  It draws the Gaussians 8,192 draws at a time (this fixes the
-stream) and yields the rows in chunks of 65,536 / p^2 draws (1,024 at
-p = 8), built in reused buffers, so every temporary stays cache-sized.
-Estimators that need only Tr W = sum |x|^2 or Tr(W H) = sum conj(X) *
-(X H) read them from the rows and never form W.  The generalized
-(cycle-product) moments read 1-cycles from the rows too, and form W at
-most once per chunk, for the cycles of length 2 or more.
+One draw loop, `_normal_chunks`, defines the stream: it draws the
+Gaussians 8,192 draws at a time, one standard_normal call for all real
+parts and one for all imaginary parts, and hands them out in chunks of
+65,536 / p^2 draws (1,024 at p = 8), so every temporary stays
+cache-sized.  It has two consumers:
+
+- rows: `_row_batches` turns each chunk into the n rows X of each draw,
+  so W = X^H X, in reused buffers.  Estimators that need Tr(W H) =
+  sum conj(X) * (X H) read it from the rows and never form W.  The
+  generalized (cycle-product) moments read 1-cycles from the rows too, and
+  form W at most once per chunk, for the cycles of length 2 or more.
+- traces: `_trace_batches` turns each chunk straight into Tr W =
+  sum_j theta_j G_j, a theta-weighted sum of squares of the normals plus
+  a cross term with the mean rows, with no complex rows and no factor
+  multiply (O(n p) per draw, not O(n p^2)).  The trace cumulants and both
+  sides of the distribution identity checks read it.
+
+Both consumers see the same draws, so Tr W from the traces equals the
+trace of W from the rows up to rounding.
 
 Haar compressions are batched: one stacked QR per chunk of draws, then
 the power sums Tr Y^k, k <= 4, of each Y, read from Y and Y^2 with no
@@ -31,6 +42,7 @@ calls on the same generator bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,17 +198,45 @@ def _mean_rows(params: WishartParams, n: int) -> np.ndarray | None:
     return rows
 
 
+def _draw_count(n_samples) -> int:
+    """n_samples as an int; a bool or a non-integral count raises
+    ValidationError instead of being truncated."""
+    integral = isinstance(n_samples, numbers.Integral) or (
+        isinstance(n_samples, numbers.Real) and float(n_samples).is_integer())
+    if not integral or isinstance(n_samples, bool):
+        raise ValidationError(f"n_samples must be an integer: {n_samples!r}")
+    return int(n_samples)
+
+
+def _normal_chunks(n: int, p: int, gen, n_samples, batch=_BATCH):
+    """Yield the stream's standard normals as (re, im) chunks of shape
+    (c, n, p), the real and imaginary parts of c draws' Gaussian rows.
+
+    This loop is the stream: `batch` draws at a time, one
+    standard_normal((b, n, p)) for all real parts and then one for all
+    imaginary parts.  Each batch is handed out in chunks of
+    c = _CHUNK_ENTRIES // p^2 draws (1,024 at p = 8), the first of full
+    size, so that what a consumer builds per chunk stays cache-sized.
+    """
+    remaining = _draw_count(n_samples)
+    size = max(1, min(_CHUNK_ENTRIES // p ** 2, batch, remaining))
+    while remaining > 0:
+        b = min(batch, remaining)
+        re = gen.standard_normal((b, n, p))
+        im = gen.standard_normal((b, n, p))
+        for lo in range(0, b, size):
+            yield re[lo:lo + size], im[lo:lo + size]
+        remaining -= b
+
+
 def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
     """Yield stacked rows X of shape (c, n, p); each draw is W = X^H X.
 
     Each row is a standard complex Gaussian row times the eigen factor F of
-    Sigma, minus its mean row.  The Gaussians come `batch` draws at a time,
-    all real parts and then all imaginary parts; that fixes the stream.
-    The complex rows, the factor multiply (one 2-D GEMM over the c * n
-    rows) and the mean shift run in chunks of c = _CHUNK_ENTRIES // p^2
-    draws (1,024 at p = 8), so a stack of c draws of W stays cache-sized.
-    They use two reused buffers: a yielded X is valid until the next one
-    is requested.
+    Sigma, minus its mean row.  For each chunk of `_normal_chunks`, the
+    complex rows, the factor multiply (one 2-D GEMM over the c * n rows)
+    and the mean shift run in two reused buffers: a yielded X is valid
+    until the next one is requested.
     """
     n = _integer_n(params)
     p = params.p
@@ -208,25 +248,59 @@ def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
         if means.shape != (n, p):
             raise DimensionMismatchError(
                 f"means must have shape ({n}, {p}), got {means.shape}")
-    remaining = int(n_samples)
     scale = 1.0 / math.sqrt(2.0)
-    size = max(1, min(_CHUNK_ENTRIES // p ** 2, batch, remaining))
-    g = np.empty((size, n, p), dtype=complex)
-    x = np.empty((size, n, p), dtype=complex)
-    while remaining > 0:
-        b = min(batch, remaining)
-        re = gen.standard_normal((b, n, p))
-        im = gen.standard_normal((b, n, p))
-        for lo in range(0, b, size):
-            c = min(size, b - lo)
-            gc, xc = g[:c], x[:c]
-            np.multiply(re[lo:lo + c], scale, out=gc.real)
-            np.multiply(im[lo:lo + c], scale, out=gc.imag)
-            np.matmul(gc.reshape(c * n, p), factor, out=xc.reshape(c * n, p))
-            if means is not None:
-                xc -= means
-            yield xc
-        remaining -= b
+    g = x = None
+    for re, im in _normal_chunks(n, p, gen, n_samples, batch):
+        c = len(re)
+        if g is None:
+            g = np.empty(re.shape, dtype=complex)
+            x = np.empty_like(g)
+        gc, xc = g[:c], x[:c]
+        np.multiply(re, scale, out=gc.real)
+        np.multiply(im, scale, out=gc.imag)
+        np.matmul(gc.reshape(c * n, p), factor, out=xc.reshape(c * n, p))
+        if means is not None:
+            xc -= means
+        yield xc
+
+
+def _trace_batches(params: WishartParams, gen, n_samples):
+    """Yield Tr W per draw, one array per chunk of `_normal_chunks`: the
+    draws of `_row_batches` on the same stream, with no rows formed.
+
+    With F = diag(sqrt(theta)) Q^H the factor of Sigma, F F^H = diag(theta)
+    and u_i = F m_i^H, the row x_i = g_i F - m_i with g = (re + i im)/sqrt(2)
+    has |x_i|^2 = sum_j theta_j |g_ij|^2 - 2 Re(g_i u_i) + |m_i|^2, so
+
+        Tr W = 1/2 sum_ij theta_j (re_ij^2 + im_ij^2)
+               - sqrt(2) sum_ij (re_ij Re u_ij - im_ij Im u_ij) + sum_i |m_i|^2,
+
+    a weighted sum of squares and two matrix-vector products per chunk.
+    """
+    n = _integer_n(params)
+    p = params.p
+    factor, _ = _psd_factor(params.sigma, "sigma")
+    means = _mean_rows(params, n)
+    half_theta = np.tile(0.5 * np.vecdot(factor, factor).real, n)
+    if means is not None:
+        u = math.sqrt(2.0) * (means.conj() @ factor.T).ravel()
+        u_re, u_im = u.real.copy(), u.imag.copy()
+        offset = float(np.vecdot(means.ravel(), means.ravel()).real)
+    sq = sq_im = None
+    for re, im in _normal_chunks(n, p, gen, n_samples):
+        c = len(re)
+        re, im = re.reshape(c, n * p), im.reshape(c, n * p)
+        if sq is None:
+            sq, sq_im = np.empty_like(re), np.empty_like(im)
+        np.multiply(re, re, out=sq[:c])
+        np.multiply(im, im, out=sq_im[:c])
+        sq[:c] += sq_im[:c]
+        tr = sq[:c] @ half_theta
+        if means is not None:
+            tr -= re @ u_re
+            tr += im @ u_im
+            tr += offset
+        yield tr
 
 
 def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
@@ -239,12 +313,6 @@ def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH)
 def _gram(x: np.ndarray) -> np.ndarray:
     """W = X^H X per draw, from stacked rows (c, n, p)."""
     return x.conj().transpose(0, 2, 1) @ x
-
-
-def _row_traces(x: np.ndarray) -> np.ndarray:
-    """Tr W = sum |x|^2 per draw, from stacked rows (b, n, p)."""
-    flat = x.reshape(x.shape[0], -1)
-    return np.vecdot(flat, flat).real
 
 
 def _row_direction_traces(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -279,7 +347,7 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     Intended for n_samples in the thousands or more; the estimate is
     reproducible bit-exactly for a fixed (seed, stream_id, n_samples).
     """
-    if n_samples < 1:
+    if _draw_count(n_samples) < 1:
         raise ValidationError("n_samples must be >= 1")
     hs = [matrix_core.as_matrix(hk) for hk in h]
     kind = tuple(int(v) for v in i)
@@ -305,7 +373,7 @@ def estimate_generalized_moment(params: WishartParams, h,
     alone is not, so this estimates the full quantity that the symbolic
     expansion decomposes.
     """
-    if n_samples < 1:
+    if _draw_count(n_samples) < 1:
         raise ValidationError("n_samples must be >= 1")
     hs = [matrix_core.as_matrix(hk) for hk in h]
     if sigma_perm.size != len(hs):
@@ -343,6 +411,15 @@ def _cycle_trace(w: np.ndarray, factors) -> np.ndarray:
     return np.einsum("sab,sba->s", prod, steps[-1])
 
 
+def _power_sums(batches_of_values, k_max: int) -> np.ndarray:
+    """Raw power sums sum x^k, k = 0..k_max, over every value of every batch."""
+    raw = np.zeros(k_max + 1)
+    for vals in batches_of_values:
+        for k in range(k_max + 1):
+            raw[k] += float(np.sum(vals ** k))
+    return raw
+
+
 def estimate_trace_cumulants(params: WishartParams, i_max: int,
                              n_samples, rng) -> list[Estimate]:
     """MC estimates of Cum_1..Cum_{i_max} of Tr W (i_max <= 3).
@@ -352,14 +429,10 @@ def estimate_trace_cumulants(params: WishartParams, i_max: int,
     """
     if not 1 <= i_max <= 3:
         raise ValidationError("estimate_trace_cumulants supports orders 1..3")
-    if n_samples < 10:
+    if _draw_count(n_samples) < 10:
         raise ValidationError("n_samples too small for cumulant estimation")
     gen = _as_generator(rng)
-    raw = np.zeros(7)  # raw power sums of orders 0..6
-    for x in _row_batches(params, None, gen, n_samples):
-        tr = _row_traces(x)
-        for k in range(7):
-            raw[k] += float(np.sum(tr ** k))
+    raw = _power_sums(_trace_batches(params, gen, n_samples), 6)
     n = raw[0]
     mean = raw[1] / n
     # central moments m_k = E[(x - mean)^k]
@@ -478,7 +551,7 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
         raise ValidationError("sheffer requires a central second block")
     if not isinstance(rng, RngStream):
         raise ValidationError("identity checks need an RngStream for substreams")
-    n_samples = int(n_samples)
+    n_samples = _draw_count(n_samples)
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
 
@@ -487,26 +560,11 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
                      params1.m_matrix + params2.m_matrix, "standard")
     gen_l, gen_a, gen_b = rng.substreams(3)
 
-    def moment_sums(batches_of_values):
-        raw = np.zeros(9)
-        for vals in batches_of_values:
-            for k in range(9):
-                raw[k] += float(np.sum(vals ** k))
-        return raw
-
-    def lhs_batches():
-        for x in _row_batches(whole, None, gen_l, n_samples):
-            yield _row_traces(x)
-
-    def rhs_batches():
-        # one p and one n_samples: both samplers yield chunks of equal size
-        it_a = _row_batches(params1, None, gen_a, n_samples)
-        it_b = _row_batches(params2, None, gen_b, n_samples)
-        for xa, xb in zip(it_a, it_b):
-            yield _row_traces(xa) + _row_traces(xb)
-
-    raw_l = moment_sums(lhs_batches())
-    raw_r = moment_sums(rhs_batches())
+    raw_l = _power_sums(_trace_batches(whole, gen_l, n_samples), 8)
+    # one p and one n_samples: both streams yield chunks of equal size
+    raw_r = _power_sums((tr_a + tr_b for tr_a, tr_b in zip(
+        _trace_batches(params1, gen_a, n_samples),
+        _trace_batches(params2, gen_b, n_samples))), 8)
 
     orders = []
     for k in range(1, 5):

@@ -48,7 +48,6 @@ from .budgets import (
     MAX_EXPANSION_CYCLES,
     MAX_JOINT_WEIGHT,
     MAX_PRODUCT_FACTORS,
-    MAX_STRING_WEIGHT,
     check_budget,
 )
 from .combinatorics import (
@@ -173,7 +172,7 @@ def rho_moment_strings(params: WishartParams, h, i) -> complex:
     """rho as (1/|i|) times the sum over all strings of kind i, read from
     `rho_table` (the sub-index recursion, no string enumeration)."""
     kind = _nonzero_kind(i, h, "rho_moment_strings")
-    check_budget("string weight", sum(kind), MAX_STRING_WEIGHT)
+    check_budget("joint weight", sum(kind), MAX_JOINT_WEIGHT)
     return rho_table(_directions(params, h)[0], kind)[kind]
 
 
@@ -196,7 +195,7 @@ def eta_moment_strings(params: WishartParams, h, i) -> complex:
     """eta as the sum over all strings of kind i, read from `eta_table`
     (the sub-index recursion, no string enumeration)."""
     kind = _nonzero_kind(i, h, "eta_moment_strings")
-    check_budget("string weight", sum(kind), MAX_STRING_WEIGHT)
+    check_budget("joint weight", sum(kind), MAX_JOINT_WEIGHT)
     return eta_table(_directions(params, h)[1], params.noncentrality(), kind)[kind]
 
 

@@ -30,7 +30,7 @@ from wishmom.mc import (
     _psd_factor,
     _row_batches,
     _row_direction_traces,
-    _row_traces,
+    _trace_batches,
     _wishart_batches,
 )
 
@@ -152,16 +152,21 @@ def test_sampler_validation():
         sample_wishart(big, rng=RngStream(0))
 
 
-def test_sampler_semidefinite_sigma():
-    # rank-2 Sigma at p = 3; M lies in Sigma's range, so every draw W must
-    # annihilate the null vector u of Sigma
+def _semidefinite_params():
+    """Rank-2 Sigma at p = 3 with its null vector u, and M in Sigma's range."""
     v = np.array([1.0, 1j, 0.5])
     sigma = np.outer(v, v.conj()) + np.diag([0.0, 0.0, 1.0])
-    u = np.array([1j, 1.0, 0.0])
-    assert np.abs(sigma @ u).max() < 1e-15
     w = v + np.array([0.0, 0.0, 1.0])
-    m = 0.3 * np.outer(w, w.conj())
-    params, _ = build(3, sigma, m, "standard")
+    params, _ = build(3, sigma, 0.3 * np.outer(w, w.conj()), "standard")
+    return params, np.array([1j, 1.0, 0.0])
+
+
+def test_sampler_semidefinite_sigma():
+    # M lies in Sigma's range, so every draw W must annihilate the null
+    # vector u of Sigma
+    params, u = _semidefinite_params()
+    sigma, m = params.sigma, params.m_matrix
+    assert np.abs(sigma @ u).max() < 1e-15
     gen = RngStream(9).generator()
     total = np.zeros((3, 3), dtype=complex)
     total_sq = np.zeros((3, 3))
@@ -239,18 +244,40 @@ def _formed_traces(params, stream, n_draws, h):
             [np.trace(ws @ hk, axis1=1, axis2=2) for hk in h])
 
 
+def _trace_cases(p, central):
+    """Parameters at p for each case of M: M = 0 when central, else rank
+    one (n = p + 1) and rank n = p // 2 + 1 <= p, so that every mean row
+    is nonzero.  At p = 3, Sigma is the rank-2 semidefinite one of
+    test_sampler_semidefinite_sigma."""
+    rng = np.random.default_rng(30 + p)
+    sigma = _semidefinite_params()[0].sigma if p == 3 else random_psd(rng, p)
+    if central:
+        return [build(p + 1, sigma, None, "standard")[0]]
+    cases = []
+    for n, rank in ((p + 1, 1), (p // 2 + 1, p // 2 + 1)):
+        v = rng.normal(size=(rank, p)) + 1j * rng.normal(size=(rank, p))
+        cases.append(build(n, sigma, v.conj().T @ v / p, "standard")[0])
+    return cases
+
+
 @pytest.mark.parametrize("central", [True, False])
-@pytest.mark.parametrize("p", [2, 4, 8])
+@pytest.mark.parametrize("p", [2, 3, 4, 8])
 def test_row_traces_match_formed_w(p, central):
-    # the estimators read Tr W and Tr(W H) from the rows X, never forming
-    # W = X^H X; a complex H also catches a conjugate on the wrong factor
-    params = standard_params(30 + p, p=p, n=p + 1, central=central)
+    # the trace route reads Tr W straight from the normals, and the rows give
+    # Tr(W H) without forming W = X^H X; both match the W formed from the
+    # same stream, over 8,193 draws (two batches).  A complex H also catches
+    # a conjugate on the wrong factor
     h = random_complex(np.random.default_rng(p), p)
     stream = RngStream(31, p)
-    x = next(_row_batches(params, None, stream.generator(), 500))
-    tr, (tr_h,) = _formed_traces(params, stream, 500, [h])
-    assert np.abs(_row_traces(x) - tr).max() <= 1e-12 * tr.max()
-    assert np.abs(_row_direction_traces(x, h) - tr_h).max() <= 1e-12 * np.abs(tr_h).max()
+    n_draws = 8193
+    for params in _trace_cases(p, central):
+        tr, (tr_h,) = _formed_traces(params, stream, n_draws, [h])
+        got = np.concatenate(list(_trace_batches(params, stream.generator(), n_draws)))
+        assert got.shape == tr.shape
+        assert np.all(np.abs(got - tr) <= 1e-12 * tr)
+        got_h = np.concatenate([_row_direction_traces(x, h) for x in
+                                _row_batches(params, None, stream.generator(), n_draws)])
+        assert np.abs(got_h - tr_h).max() <= 1e-12 * np.abs(tr_h).max()
 
 
 @pytest.mark.parametrize("central", [True, False])
@@ -319,6 +346,28 @@ def test_generalized_moment_matches_formed_w(cycles, p, n_offset):
     assert abs(est.mean - want.mean) <= 1e-12 * rms
     assert abs(est.std_error - want.std_error) <= 1e-12 * want.std_error
     assert est.n_samples == want.n_samples
+
+
+@pytest.mark.parametrize("count", [12.5, True, "12"])
+@pytest.mark.parametrize("estimator", ["joint", "generalized", "cumulants", "identity",
+                                       "draw loop"])
+def test_non_integral_sample_counts_rejected(estimator, count):
+    # a count of 12.5 must not quietly run 12 draws, nor True one draw; a
+    # string is a ValidationError, not numpy's or Python's TypeError
+    params = standard_params(70)
+    block, _ = build(2, params.sigma, None, "standard")
+    h = [np.eye(2)]
+    run = {
+        "joint": lambda: estimate_joint_moment(params, h, (1,), count, RngStream(1)),
+        "generalized": lambda: estimate_generalized_moment(
+            params, h, CyclePermutation(((1,),)), count, RngStream(1)),
+        "cumulants": lambda: estimate_trace_cumulants(params, 1, count, RngStream(1)),
+        "identity": lambda: distribution_identity_check(params, block, "sheffer", count,
+                                                        RngStream(1)),
+        "draw loop": lambda: next(_row_batches(params, None, RngStream(1).generator(), count)),
+    }[estimator]
+    with pytest.raises(ValidationError):
+        run()
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,10 @@ def test_base_moment_validation():
     params, h = make_instance(4, m=2)
     with pytest.raises(ValidationError):
         rho_moment(params, h, (0, 0))
+    # the string routes read the tables under joint_cumulant's weight cap
+    assert rel_err(rho_moment_strings(params, h, (5, 5)), rho_moment(params, h, (5, 5))) < 1e-12
     with pytest.raises(BudgetExceededError):
-        rho_moment_strings(params, h, (5, 4))
+        rho_moment_strings(params, h, (6, 5))
     sigma = np.diag([1.0, 0.0, 2.0]).astype(complex)
     singular, _ = build(2, sigma, np.eye(3))
     with pytest.raises(SingularMatrixError):
