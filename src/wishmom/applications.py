@@ -12,7 +12,12 @@ import numpy as np
 from . import matrix_core
 from .budgets import MAX_JOINT_WEIGHT, MAX_PERMANENT_DIM, check_budget
 from .combinatorics import complex_fsum, cycles_of_images, multiindex_partitions, partition_sum
-from .errors import DegenerateSampleSizeError, InsufficientOrdersError, ValidationError
+from .errors import (
+    DegenerateSampleSizeError,
+    InsufficientOrdersError,
+    NumericalError,
+    ValidationError,
+)
 from .multivariate import rho_table
 from .univariate import MOMENTS, MomentSequence
 
@@ -135,8 +140,18 @@ class PolykaySample:
 
     @classmethod
     def from_eigenvalues(cls, values) -> "PolykaySample":
+        """The sample of finite `values`; power sums that overflow raise
+        NumericalError."""
         vals = [float(v) for v in values]
-        return cls(len(vals), tuple(sum(v ** k for v in vals) for k in range(1, 5)))
+        if not all(math.isfinite(v) for v in vals):
+            raise ValidationError(f"eigenvalues must be finite: {vals}")
+        try:
+            sums = tuple(sum(v ** k for v in vals) for k in range(1, 5))
+        except OverflowError:  # float ** int raises where float * float gives inf
+            sums = (math.inf,)
+        if not all(math.isfinite(s) for s in sums):
+            raise NumericalError("the power sums of the eigenvalues overflow")
+        return cls(len(vals), sums)
 
 
 def polykay(sample: PolykaySample, order: int) -> float:
@@ -144,10 +159,18 @@ def polykay(sample: PolykaySample, order: int) -> float:
 
     Unbiased in the spectral-sampling sense and inherited under Haar
     compression; shift semi-invariant for orders >= 2 and homogeneous of
-    degree `order`.
+    degree `order`.  A value that overflows raises NumericalError.
     """
-    m = sample.size
-    s1, s2, s3, s4 = sample.power_sums
+    try:
+        value = _polykay(sample.size, *sample.power_sums, order)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"the polykay of order {order} overflows")
+    return value
+
+
+def _polykay(m: int, s1: float, s2: float, s3: float, s4: float, order: int) -> float:
     if order == 1:
         return s1 / m
     if order == 2:

@@ -10,6 +10,13 @@ the library version.
 Exit codes: 0 success, 2 validation error, 3 numerical error (a singular
 matrix, or an overflow to a non-finite value), 4 budget exceeded.
 
+A request loads only what its subcommand uses.  Argument parsing, reading
+the JSON input, and the checks on --kind, --order, --seed, --d, on the
+index (or permutation) and on whether an 'h' list is present run before
+numpy is imported; each subcommand imports its engine after them.  So
+`necklaces`, and a request that fails one of those checks, never load
+numpy.
+
 Input schema:
     {"n": number,
      "sigma": {"re": [[..]], "im": [[..]]},     # "im" optional (zeros)
@@ -25,13 +32,18 @@ import argparse
 import hashlib
 import io
 import json
+import numbers
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, applications, matrix_core, mc, model, multivariate, univariate
-from .combinatorics import CyclePermutation, necklace_rotations, necklaces_of_kind
+from . import __version__
+from .choices import CONVENTIONS, IDENTITIES
 from .errors import BudgetExceededError, NumericalError, ValidationError, WishmomError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .model import WishartParams
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -73,9 +85,9 @@ def canonical_json(obj) -> str:
             out.write("]")
         elif isinstance(o, bool) or o is None:
             out.write(json.dumps(o))
-        elif isinstance(o, (int, np.integer)):
+        elif isinstance(o, numbers.Integral):
             out.write(str(int(o)))
-        elif isinstance(o, (float, np.floating)):
+        elif isinstance(o, numbers.Real):
             out.write(_fmt_float(float(o)))
         elif isinstance(o, str):
             out.write(json.dumps(o))
@@ -143,6 +155,8 @@ def _read_input(path: str) -> tuple[dict, str]:
 
 
 def _matrix_from(obj, name: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValidationError(f"{name} must be an object with a 're' matrix")
     try:
@@ -155,7 +169,9 @@ def _matrix_from(obj, name: str) -> np.ndarray:
     return re + 1j * im
 
 
-def _params_from(doc: dict, convention: str | None) -> model.WishartParams:
+def _params_from(doc: dict, convention: str | None) -> WishartParams:
+    from . import model
+
     if "n" not in doc or "sigma" not in doc:
         raise ValidationError("input needs 'n' and 'sigma'")
     try:
@@ -171,7 +187,7 @@ def _params_from(doc: dict, convention: str | None) -> model.WishartParams:
     return params
 
 
-def _h_list(doc: dict, params) -> list[np.ndarray]:
+def _h_list(doc: dict) -> list[np.ndarray]:
     hs = doc.get("h")
     if not hs or not isinstance(hs, list):
         raise ValidationError("this command needs an 'h' list of direction matrices")
@@ -210,25 +226,39 @@ def _orders(args) -> range:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_sequence(doc, args, of_order):
+# Each subcommand imports its engine after the checks that need no numpy,
+# and looks the engine function up on the module at call time, so a rebound
+# module attribute (a wrapper or a test double) is honoured.
+
+def _cmd_sequence(doc, args, of_order: str):
+    orders = _orders(args)
     params = _params_from(doc, args.convention)
-    rows = [{"order": k, "value": _cnum(of_order(params, k))} for k in _orders(args)]
+    from . import univariate
+
+    fn = getattr(univariate, of_order)
+    rows = [{"order": k, "value": _cnum(fn(params, k))} for k in orders]
     return params.convention, {"orders": rows}
 
 
-def _cmd_joint(doc, args, of_index):
-    params = _params_from(doc, args.convention)
-    h = _h_list(doc, params)
+def _cmd_joint(doc, args, of_index: str):
     index = _index_from(doc, args)
-    value = of_index(params, h, index)
+    h = _h_list(doc)
+    params = _params_from(doc, args.convention)
+    from . import multivariate
+
+    value = getattr(multivariate, of_index)(params, h, index)
     return params.convention, {"index": list(index), "value": _cnum(value)}
 
 
 def _cmd_generalized(doc, args):
-    params = _params_from(doc, args.convention)
-    h = _h_list(doc, params)
+    from . import combinatorics
+
     images = _index_from(doc, args)  # one-line permutation images
-    perm = CyclePermutation.from_images(images)
+    perm = combinatorics.CyclePermutation.from_images(images)
+    h = _h_list(doc)
+    params = _params_from(doc, args.convention)
+    from . import multivariate
+
     expansion = multivariate.generalized_moment_expansion(params, h, perm)
     terms = []
     for term in expansion.terms:
@@ -252,11 +282,13 @@ def _cmd_generalized(doc, args):
 def _cmd_permanent(doc, args):
     if "sigma" not in doc:
         raise ValidationError("permanent needs the matrix in 'sigma'")
-    y = _matrix_from(doc["sigma"], "sigma")
     try:
         d = complex(args.d) if args.d is not None else 1 + 0j
     except ValueError as exc:
         raise ValidationError(f"--d must be a complex number: {args.d!r}") from exc
+    y = _matrix_from(doc["sigma"], "sigma")
+    from . import applications
+
     if args.index is not None or "index" in doc:
         index = _index_from(doc, args)
         value = applications.permanent_master(y, index, d)
@@ -271,13 +303,16 @@ def _cmd_permanent(doc, args):
 def _cmd_polykay(doc, args):
     if "sigma" not in doc:
         raise ValidationError("polykay needs a Hermitian matrix in 'sigma'")
+    orders = _orders(args)
     x = _matrix_from(doc["sigma"], "sigma")
+    from . import applications, matrix_core
+
     if not matrix_core.is_hermitian(x):
         raise ValidationError("polykay needs a Hermitian matrix")
     vals, _ = matrix_core.hermitian_eigen(x)
     sample = applications.PolykaySample.from_eigenvalues(vals)
     rows = [{"order": k, "value": applications.polykay(sample, k)}
-            for k in _orders(args)]
+            for k in orders]
     return doc.get("convention", "paper"), {
         "eigenvalues": [float(v) for v in vals],
         "orders": rows,
@@ -285,26 +320,30 @@ def _cmd_polykay(doc, args):
 
 
 def _cmd_necklaces(doc, args):
+    from . import combinatorics
+
     if args.kind is None:
         raise ValidationError("necklaces needs --kind i1,i2,...")
     kind = _int_list(args.kind.split(","), "--kind")
     rows = []
-    for neck in necklaces_of_kind(kind):
+    for neck in combinatorics.necklaces_of_kind(kind):
         rows.append({
             "representative": neck.word,
             "block_length": neck.block_length,
             "repetitions": neck.repetitions,
             "lyndon": neck.is_lyndon,
             "rotations": ["".join(str(s) for s in rot)
-                          for rot in necklace_rotations(neck)],
+                          for rot in combinatorics.necklace_rotations(neck)],
         })
     return doc.get("convention", "paper"), {"kind": list(kind), "necklaces": rows}
 
 
 def _cmd_mc_verify(doc, args):
-    params = _params_from(doc, "standard")
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0: {args.seed}")
+    params = _params_from(doc, "standard")
+    from . import mc, model
+
     stream = mc.RngStream(args.seed, 0)
     n2 = args.n2 if args.n2 is not None else int(params.n)
     if args.identity == "df-additivity":
@@ -320,17 +359,11 @@ def _cmd_mc_verify(doc, args):
     return "standard", report
 
 
-# the lambdas look the engine up at call time, so a rebound module
-# attribute (a wrapper or a test double) is honoured
 _COMMANDS = {
-    "moments": (lambda doc, args: _cmd_sequence(
-        doc, args, univariate.noncentral_moment), True),
-    "cumulants": (lambda doc, args: _cmd_sequence(
-        doc, args, univariate.noncentral_cumulant), True),
-    "joint-moments": (lambda doc, args: _cmd_joint(
-        doc, args, multivariate.joint_moment), True),
-    "joint-cumulants": (lambda doc, args: _cmd_joint(
-        doc, args, multivariate.joint_cumulant), True),
+    "moments": (lambda doc, args: _cmd_sequence(doc, args, "noncentral_moment"), True),
+    "cumulants": (lambda doc, args: _cmd_sequence(doc, args, "noncentral_cumulant"), True),
+    "joint-moments": (lambda doc, args: _cmd_joint(doc, args, "joint_moment"), True),
+    "joint-cumulants": (lambda doc, args: _cmd_joint(doc, args, "joint_cumulant"), True),
     "generalized": (_cmd_generalized, True),
     "permanent": (_cmd_permanent, True),
     "polykay": (_cmd_polykay, True),
@@ -356,10 +389,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="permanent parameter d, python complex syntax")
     parser.add_argument("--samples", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--identity", choices=mc.IDENTITIES, default="sheffer")
+    parser.add_argument("--identity", choices=IDENTITIES, default="sheffer")
     parser.add_argument("--n2", type=int, default=None,
                         help="second block size for mc-verify (default: n)")
-    parser.add_argument("--convention", choices=model.CONVENTIONS, default=None,
+    parser.add_argument("--convention", choices=CONVENTIONS, default=None,
                         help="override the input file's convention")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     return parser

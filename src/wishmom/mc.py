@@ -49,6 +49,7 @@ import numpy as np
 
 from . import matrix_core
 from .applications import PolykaySample
+from .choices import IDENTITIES
 from .combinatorics import CyclePermutation
 from .errors import (
     DimensionMismatchError,
@@ -412,11 +413,16 @@ def _cycle_trace(w: np.ndarray, factors) -> np.ndarray:
 
 
 def _power_sums(batches_of_values, k_max: int) -> np.ndarray:
-    """Raw power sums sum x^k, k = 0..k_max, over every value of every batch."""
+    """Raw power sums sum x^k, k = 0..k_max, over every value of every batch.
+
+    Each power is the previous one times x (a running product, not pow)."""
     raw = np.zeros(k_max + 1)
     for vals in batches_of_values:
-        for k in range(k_max + 1):
-            raw[k] += float(np.sum(vals ** k))
+        raw[0] += vals.size
+        power = np.ones_like(vals)
+        for k in range(1, k_max + 1):
+            power *= vals
+            raw[k] += float(np.sum(power))
     return raw
 
 
@@ -525,9 +531,6 @@ def haar_compression(x, m: int, rng) -> PolykaySample:
 # ---------------------------------------------------------------------------
 # distributional identity checks
 # ---------------------------------------------------------------------------
-
-IDENTITIES = ("df-additivity", "sheffer", "m-split")
-
 
 def distribution_identity_check(params1: WishartParams, params2: WishartParams,
                                 identity: str, n_samples, rng) -> dict:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
+from .choices import CONVENTIONS
 from .errors import DimensionMismatchError, ValidationError
 
-CONVENTIONS = ("paper", "standard")
 DEFAULT_DEPTH = 12
 
 

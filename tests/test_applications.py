@@ -8,6 +8,7 @@ from wishmom import (
     DegenerateSampleSizeError,
     InsufficientOrdersError,
     MomentSequence,
+    NumericalError,
     PolykaySample,
     ValidationError,
     permanent_alpha,
@@ -175,6 +176,22 @@ def test_polykay_degenerate_sizes():
         polykay(three, 4)
     with pytest.raises(ValidationError):
         polykay(three, 5)
+
+
+def test_polykay_overflow_is_a_numerical_error():
+    # finite eigenvalues whose fourth power overflows
+    with pytest.raises(NumericalError):
+        PolykaySample.from_eigenvalues([1e200, 1.0])
+    # finite sums that overflow only when added
+    with pytest.raises(NumericalError):
+        PolykaySample.from_eigenvalues([1e77, 1e77])
+    with pytest.raises(ValidationError):
+        PolykaySample.from_eigenvalues([float("inf")])
+    # finite power sums whose polykay overflows: s1^4 = 1e312
+    sample = PolykaySample.from_eigenvalues([1e76] * 100)
+    assert polykay(sample, 1) == pytest.approx(1e76)
+    with pytest.raises(NumericalError):
+        polykay(sample, 4)
 
 
 def test_polykay_shift_semi_invariance():

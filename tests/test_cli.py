@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+import wishmom
+from wishmom.choices import CONVENTIONS, IDENTITIES
 from wishmom.cli import main, run
 
 from conftest import PAPER_M, PAPER_N, PAPER_SIGMA
@@ -174,6 +183,7 @@ def test_exit_code_numerical(tmp_path):
     ["joint-moments"],
     ["cumulants"],
     ["joint-cumulants"],
+    ["polykay", "--order", "4"],
 ])
 def test_overflow_exits_3(tmp_path, capsys, args):
     # finite inputs whose results overflow: a numerical error, not a traceback
@@ -277,3 +287,174 @@ def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     code, out = run([args[0], str(path), *args[1:]])
     assert code == 2
     assert out.startswith("validation error")
+
+
+# ---------------------------------------------------------------------------
+# what one request loads, each in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(wishmom.__file__).resolve().parents[1])
+
+# runs one request through main() like the console script, then reports the
+# exit code and every loaded module as the last line of stderr
+_CHILD = """
+import json, sys
+from wishmom.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(json.dumps({"code": code, "modules": sorted(sys.modules)}) + "\\n")
+"""
+
+_PARAMS = {"n": 3, "sigma": {"re": [[1.0, 0.2], [0.2, 0.5]]},
+           "m_matrix": {"re": [[0.3, 0.0], [0.0, 0.1]]}}
+_DOC = json.dumps(_PARAMS).encode()
+_DOC_WITH_H = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}])).encode()
+
+
+def _child_request(args, stdin=b""):
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *args], input=stdin,
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=SRC),
+                          timeout=120, check=False)
+    record = json.loads(proc.stderr.decode().splitlines()[-1])
+    return record["code"], set(record["modules"])
+
+
+@pytest.mark.parametrize("args, stdin, code", [
+    (["necklaces", "--kind", "3,2"], b"", 0),
+    (["moments", "-"], b'{"n": 3, "sigma":', 2),
+    (["moments", "-", "--convention", "sideways"], _DOC, 2),
+    (["cumulants", "-", "--order", "0"], _DOC, 2),
+    (["mc-verify", "-", "--seed", "-1"], _DOC, 2),
+    (["polykay", "-", "--order", "0"], _DOC, 2),
+    (["permanent", "-", "--d", "1+"], _DOC, 2),
+    (["joint-moments", "-", "--index", "2"], _DOC, 2),  # no 'h'
+    (["joint-cumulants", "-"], _DOC_WITH_H, 2),  # no index
+    (["generalized", "-", "--index", "1,1"], _DOC_WITH_H, 2),  # not a permutation
+])
+def test_request_checks_run_without_numpy(args, stdin, code):
+    got, modules = _child_request(args, stdin)
+    assert got == code
+    assert "numpy" not in modules
+
+
+def test_moments_loads_only_its_engines():
+    code, modules = _child_request(["moments", "-", "--order", "3"], _DOC)
+    assert code == 0
+    assert {"numpy", "wishmom.univariate", "wishmom.model"} <= modules
+    assert not modules & {"wishmom.mc", "wishmom.multivariate", "wishmom.applications"}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole front end in-process
+# ---------------------------------------------------------------------------
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 3), st.floats(-10, 10),
+    st.sampled_from([1e200, float("nan"), float("inf"), True, None, "x"]))
+
+
+def _square(p, entries):
+    return st.lists(st.lists(entries, min_size=p, max_size=p), min_size=p, max_size=p)
+
+
+def _diagonals(p, scale=1.0):
+    """Positive definite p x p diagonals, entries in [0.1, 2] times `scale`."""
+    return st.lists(st.floats(0.1, 2.0), min_size=p, max_size=p).map(
+        lambda d: {"re": np.diag(np.multiply(d, scale)).tolist()})
+
+
+_MATRICES = st.one_of(
+    st.integers(1, 3).flatmap(_diagonals),
+    st.integers(1, 3).flatmap(lambda p: st.fixed_dictionaries(
+        {"re": _square(p, _ENTRIES)}, optional={"im": _square(p, _ENTRIES)})),
+    st.fixed_dictionaries({"re": st.lists(st.lists(_ENTRIES, max_size=3), max_size=3)}),
+    _ENTRIES,
+)
+
+_INDICES = st.lists(st.integers(-1, 3), max_size=3)
+
+
+def _valid_documents(p):
+    diagonal = _diagonals(p)
+    return st.fixed_dictionaries(
+        {"n": st.integers(2, 5),
+         "sigma": st.one_of(diagonal, _diagonals(p, 1e200)),  # 1e200 overflows
+         "h": st.lists(diagonal, min_size=1, max_size=3)},
+        optional={"m_matrix": diagonal,
+                  "index": st.lists(st.integers(1, 2), min_size=1, max_size=3),
+                  "convention": st.sampled_from(CONVENTIONS)})
+
+
+_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    "n": st.one_of(st.integers(-1, 5), st.floats(0.5, 6), st.sampled_from(["3", True, None])),
+    "sigma": _MATRICES,
+    "m_matrix": _MATRICES,
+    "h": st.one_of(st.lists(_MATRICES, max_size=3), _MATRICES),
+    "index": st.one_of(_INDICES, st.lists(st.sampled_from([1.5, True, "2"]), max_size=2),
+                       st.just("12")),
+    "convention": st.sampled_from(list(CONVENTIONS) + ["sideways", 3]),
+})
+
+_INPUTS = st.one_of(
+    st.integers(1, 3).flatmap(_valid_documents).map(lambda doc: json.dumps(doc).encode()),
+    _DOCUMENTS.map(lambda doc: json.dumps(doc).encode()),
+    st.sampled_from([b"", b"[]", b"3", b'{"n": 3, "sigma":', b"\xff\xfe"]),
+)
+
+_COMMA_LISTS = st.one_of(
+    _INDICES.map(lambda ks: ",".join(map(str, ks))),
+    st.sampled_from(["a", "1,,2", "1.5", "6,6"]))
+
+_OPTIONS = st.one_of(
+    st.tuples(st.just("--order"), st.one_of(st.integers(-1, 6), st.just(21)).map(str)),
+    st.tuples(st.just("--index"), _COMMA_LISTS),
+    st.tuples(st.just("--kind"), _COMMA_LISTS),
+    st.tuples(st.just("--d"), st.sampled_from(["1", "-1", "0.5+1j", "zz", "inf"])),
+    st.tuples(st.just("--samples"), st.integers(-1, 200).map(str)),
+    st.tuples(st.just("--seed"), st.integers(-1, 5).map(str)),
+    st.tuples(st.just("--identity"), st.sampled_from(list(IDENTITIES) + ["bogus"])),
+    st.tuples(st.just("--n2"), st.integers(-1, 4).map(str)),
+    st.tuples(st.just("--convention"), st.sampled_from(list(CONVENTIONS) + ["sideways"])),
+    st.tuples(st.just("--format"), st.sampled_from(["json", "csv", "xml"])),
+    st.tuples(st.sampled_from(["--bogus", "--order"])),
+)
+
+# every subcommand, and one name that is not a subcommand
+_COMMAND_NAMES = ["cumulants", "generalized", "joint-cumulants", "joint-moments",
+                  "mc-verify", "moments", "necklaces", "permanent", "polykay", "spectrum"]
+
+
+class _Stdin:
+    def __init__(self, raw: bytes):
+        self.buffer = io.BytesIO(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(_COMMAND_NAMES),
+       source=st.one_of(st.just("-"), st.sampled_from([None, "absent.json"])),
+       options=st.lists(_OPTIONS, max_size=3),
+       raw=_INPUTS)
+def test_fuzz_main_exits_with_a_documented_code(command, source, options, raw):
+    argv = [command] + ([source] if source else []) + [a for opt in options for a in opt]
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = _Stdin(raw)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, raw, err.getvalue())
+    if code:
+        assert out.getvalue() == "", argv
+        assert err.getvalue()
+    else:
+        assert out.getvalue()

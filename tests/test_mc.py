@@ -27,6 +27,7 @@ from wishmom.mc import (
     _HAAR_CHUNK,
     _Accumulator,
     _mean_rows,
+    _power_sums,
     _psd_factor,
     _row_batches,
     _row_direction_traces,
@@ -258,6 +259,19 @@ def _trace_cases(p, central):
         v = rng.normal(size=(rank, p)) + 1j * rng.normal(size=(rank, p))
         cases.append(build(n, sigma, v.conj().T @ v / p, "standard")[0])
     return cases
+
+
+def test_power_sums_match_pow():
+    # the running product against numpy's pow, summed per batch: each power
+    # carries at most a few ulp more rounding, relative to sum |x|^k
+    rng = np.random.default_rng(41)
+    batches = [rng.gamma(3.0, 2.0, size=8192), rng.normal(size=1000), np.array([0.0, -2.5])]
+    got = _power_sums(iter(batches), 8)
+    for k in range(9):
+        want = sum(float(np.sum(vals ** k)) for vals in batches)
+        scale = sum(float(np.sum(np.abs(vals) ** k)) for vals in batches)
+        assert abs(got[k] - want) <= 1e-14 * scale
+    assert got[0] == 8192 + 1000 + 2
 
 
 @pytest.mark.parametrize("central", [True, False])
