@@ -12,25 +12,26 @@ Randomness is counter-based (Philox) keyed by (seed, stream_id): identical
 keys reproduce identical draws bit-exactly, and disjoint stream_ids give
 independent streams.
 
-One draw loop, `_normal_chunks`, defines the stream: it draws the
-Gaussians 8,192 draws at a time, one standard_normal call for all real
-parts and one for all imaginary parts, and hands them out in chunks of
-65,536 / p^2 draws (1,024 at p = 8), so every temporary stays
-cache-sized.  It has two consumers:
+Two samplers, each the one production route for what it draws:
 
-- rows: `_row_batches` turns each chunk into the n rows X of each draw,
-  so W = X^H X, in reused buffers.  Estimators that need Tr(W H) =
-  sum conj(X) * (X H) read it from the rows and never form W.  The
-  generalized (cycle-product) moments read 1-cycles from the rows too, and
-  form W at most once per chunk, for the cycles of length 2 or more.
-- traces: `_trace_batches` turns each chunk straight into Tr W =
-  sum_j theta_j G_j, a theta-weighted sum of squares of the normals plus
-  a cross term with the mean rows, with no complex rows and no factor
-  multiply (O(n p) per draw, not O(n p^2)).  The trace cumulants and both
-  sides of the distribution identity checks read it.
+- rows: `_row_batches` draws the Gaussians 8,192 draws at a time (one
+  standard_normal call for all real parts, one for all imaginary parts)
+  and turns them, in chunks of 65,536 / p^2 draws (1,024 at p = 8), into
+  the n rows X of each draw, so W = X^H X, in reused buffers.  Estimators
+  that need Tr(W H) = sum conj(X) * (X H) read it from the rows and never
+  form W.  The generalized (cycle-product) moments read 1-cycles from the
+  rows too, and form W at most once per chunk, for the cycles of length 2
+  or more.
+- traces: `_trace_batches` draws Tr W alone from its exact law.  In the
+  eigenbasis of Sigma, Tr W = sum_j theta_j G_j with independent
+  G_j = chi'^2_{2n}(2 d_j / theta_j) / 2 and d_j = (Q^H M Q)_jj, so each
+  draw costs one Gamma (M = 0) or non-central chi-square variate per
+  direction with theta_j > 0, not 2 n p normals.  The trace cumulants and
+  both sides of the distribution identity checks read it.
 
-Both consumers see the same draws, so Tr W from the traces equals the
-trace of W from the rows up to rounding.
+The two samplers consume their streams differently, so a trace draw is
+not the trace of a row draw on the same stream; the tests pin the trace
+sampler's law against the rows' Tr W on independent streams.
 
 Haar compressions are batched: one stacked QR per chunk of draws, then
 the power sums Tr Y^k, k <= 4, of each Y, read from Y and Y^2 with no
@@ -164,20 +165,27 @@ def _integer_n(params: WishartParams) -> int:
     return int(round(n))
 
 
-def _psd_factor(a: np.ndarray, name: str) -> tuple[np.ndarray, int]:
-    """(F, rank): F = diag(sqrt(theta)) Q^H from a = Q diag(theta) Q^H, so
-    F^H F = a, with rows in descending eigenvalue order and the rank nonzero
-    rows first.  Eigenvalues within tol = 1e-12 mat_norm(a) of zero give
-    zero rows, so F annihilates a's null space (the root of a rounding-level
-    eigenvalue would leak ~1e-8 into it); one below -tol raises NotPSDError.
+def _psd_eigen(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """(theta, Q, rank) from a = Q diag(theta) Q^H, eigenvalues descending,
+    so the rank positive ones come first.  Eigenvalues within
+    tol = 1e-12 mat_norm(a) of zero are clipped to zero, so a's null space
+    gets exactly zero weight (the root of a rounding-level eigenvalue would
+    leak ~1e-8 into it); one below -tol raises NotPSDError.
     """
     vals, vecs = matrix_core.hermitian_eigen(a)
     tol = 1e-12 * matrix_core.mat_norm(a)
     if vals[-1] < -tol:
         raise NotPSDError(f"{name} has negative eigenvalue {vals[-1]:.3e}")
     positive = vals > tol
-    root = np.sqrt(np.where(positive, vals, 0.0))
-    return root[:, None] * vecs.conj().T, int(np.count_nonzero(positive))
+    return np.where(positive, vals, 0.0), vecs, int(np.count_nonzero(positive))
+
+
+def _psd_factor(a: np.ndarray, name: str) -> tuple[np.ndarray, int]:
+    """(F, rank): F = diag(sqrt(theta)) Q^H from the clipped `_psd_eigen`,
+    so F^H F = a, with the rank nonzero rows first and zero rows that
+    annihilate a's null space."""
+    theta, vecs, rank = _psd_eigen(a, name)
+    return np.sqrt(theta)[:, None] * vecs.conj().T, rank
 
 
 def _mean_rows(params: WishartParams, n: int) -> np.ndarray | None:
@@ -209,35 +217,17 @@ def _draw_count(n_samples) -> int:
     return int(n_samples)
 
 
-def _normal_chunks(n: int, p: int, gen, n_samples, batch=_BATCH):
-    """Yield the stream's standard normals as (re, im) chunks of shape
-    (c, n, p), the real and imaginary parts of c draws' Gaussian rows.
-
-    This loop is the stream: `batch` draws at a time, one
-    standard_normal((b, n, p)) for all real parts and then one for all
-    imaginary parts.  Each batch is handed out in chunks of
-    c = _CHUNK_ENTRIES // p^2 draws (1,024 at p = 8), the first of full
-    size, so that what a consumer builds per chunk stays cache-sized.
-    """
-    remaining = _draw_count(n_samples)
-    size = max(1, min(_CHUNK_ENTRIES // p ** 2, batch, remaining))
-    while remaining > 0:
-        b = min(batch, remaining)
-        re = gen.standard_normal((b, n, p))
-        im = gen.standard_normal((b, n, p))
-        for lo in range(0, b, size):
-            yield re[lo:lo + size], im[lo:lo + size]
-        remaining -= b
-
-
 def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
     """Yield stacked rows X of shape (c, n, p); each draw is W = X^H X.
 
     Each row is a standard complex Gaussian row times the eigen factor F of
-    Sigma, minus its mean row.  For each chunk of `_normal_chunks`, the
-    complex rows, the factor multiply (one 2-D GEMM over the c * n rows)
-    and the mean shift run in two reused buffers: a yielded X is valid
-    until the next one is requested.
+    Sigma, minus its mean row.  The stream is `batch` draws at a time, one
+    standard_normal((b, n, p)) for all real parts and then one for all
+    imaginary parts.  Each batch is handed out in chunks of
+    c = _CHUNK_ENTRIES // p^2 draws (1,024 at p = 8), the first of full
+    size; per chunk, the complex rows, the factor multiply (one 2-D GEMM
+    over the c * n rows) and the mean shift run in two reused buffers, so
+    a yielded X is valid until the next one is requested.
     """
     n = _integer_n(params)
     p = params.p
@@ -249,59 +239,70 @@ def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
         if means.shape != (n, p):
             raise DimensionMismatchError(
                 f"means must have shape ({n}, {p}), got {means.shape}")
+    remaining = _draw_count(n_samples)
+    size = max(1, min(_CHUNK_ENTRIES // p ** 2, batch, remaining))
     scale = 1.0 / math.sqrt(2.0)
-    g = x = None
-    for re, im in _normal_chunks(n, p, gen, n_samples, batch):
-        c = len(re)
-        if g is None:
-            g = np.empty(re.shape, dtype=complex)
-            x = np.empty_like(g)
-        gc, xc = g[:c], x[:c]
-        np.multiply(re, scale, out=gc.real)
-        np.multiply(im, scale, out=gc.imag)
-        np.matmul(gc.reshape(c * n, p), factor, out=xc.reshape(c * n, p))
-        if means is not None:
-            xc -= means
-        yield xc
+    g = np.empty((size, n, p), dtype=complex)
+    x = np.empty_like(g)
+    while remaining > 0:
+        b = min(batch, remaining)
+        re_batch = gen.standard_normal((b, n, p))
+        im_batch = gen.standard_normal((b, n, p))
+        for lo in range(0, b, size):
+            re, im = re_batch[lo:lo + size], im_batch[lo:lo + size]
+            c = len(re)
+            gc, xc = g[:c], x[:c]
+            np.multiply(re, scale, out=gc.real)
+            np.multiply(im, scale, out=gc.imag)
+            np.matmul(gc.reshape(c * n, p), factor, out=xc.reshape(c * n, p))
+            if means is not None:
+                xc -= means
+            yield xc
+        remaining -= b
+
+
+def _trace_law(params: WishartParams) -> tuple[int, np.ndarray, np.ndarray | None, float]:
+    """(n, theta, d, offset) with Tr W = sum_j theta_j G_j + offset in law.
+
+    theta are Sigma's r positive eigenvalues, from the clipped `_psd_eigen`,
+    and the G_j are independent, G_j = chi'^2_{2n}(2 d_j / theta_j) / 2
+    (Gamma(n, 1) when M = 0, and then d is None).  With Q the eigenvectors
+    and m_i the mean rows, d_j = sum_i |(m_i Q)_j|^2 = (Q^H M Q)_jj; the
+    directions with theta_j = 0 carry no noise and add their d_j to the
+    offset.  So Cum_k = (k-1)! sum_j (n theta_j^k + k d_j theta_j^{k-1}),
+    plus the offset at k = 1.
+    """
+    n = _integer_n(params)
+    theta, vecs, rank = _psd_eigen(params.sigma, "sigma")
+    means = _mean_rows(params, n)
+    if means is None:
+        return n, theta[:rank], None, 0.0
+    d = (np.abs(means @ vecs) ** 2).sum(axis=0)
+    return n, theta[:rank], d[:rank], float(d[rank:].sum())
 
 
 def _trace_batches(params: WishartParams, gen, n_samples):
-    """Yield Tr W per draw, one array per chunk of `_normal_chunks`: the
-    draws of `_row_batches` on the same stream, with no rows formed.
+    """Yield independent draws of Tr W from its exact law (`_trace_law`),
+    one array per chunk of up to _CHUNK_ENTRIES // p draws.
 
-    With F = diag(sqrt(theta)) Q^H the factor of Sigma, F F^H = diag(theta)
-    and u_i = F m_i^H, the row x_i = g_i F - m_i with g = (re + i im)/sqrt(2)
-    has |x_i|^2 = sum_j theta_j |g_ij|^2 - 2 Re(g_i u_i) + |m_i|^2, so
-
-        Tr W = 1/2 sum_ij theta_j (re_ij^2 + im_ij^2)
-               - sqrt(2) sum_ij (re_ij Re u_ij - im_ij Im u_ij) + sum_i |m_i|^2,
-
-    a weighted sum of squares and two matrix-vector products per chunk.
+    Each chunk is one standard_gamma(n) call (M = 0) or one
+    noncentral_chisquare(2n, 2 d / theta) call of shape (c, r), reduced
+    against theta: O(p) variates per draw.  The chunk sizes depend only on
+    p and n_samples, so two parameter sets of one p give equal chunks.
     """
-    n = _integer_n(params)
-    p = params.p
-    factor, _ = _psd_factor(params.sigma, "sigma")
-    means = _mean_rows(params, n)
-    half_theta = np.tile(0.5 * np.vecdot(factor, factor).real, n)
-    if means is not None:
-        u = math.sqrt(2.0) * (means.conj() @ factor.T).ravel()
-        u_re, u_im = u.real.copy(), u.imag.copy()
-        offset = float(np.vecdot(means.ravel(), means.ravel()).real)
-    sq = sq_im = None
-    for re, im in _normal_chunks(n, p, gen, n_samples):
-        c = len(re)
-        re, im = re.reshape(c, n * p), im.reshape(c, n * p)
-        if sq is None:
-            sq, sq_im = np.empty_like(re), np.empty_like(im)
-        np.multiply(re, re, out=sq[:c])
-        np.multiply(im, im, out=sq_im[:c])
-        sq[:c] += sq_im[:c]
-        tr = sq[:c] @ half_theta
-        if means is not None:
-            tr -= re @ u_re
-            tr += im @ u_im
+    n, theta, d, offset = _trace_law(params)
+    remaining = _draw_count(n_samples)
+    size = max(1, _CHUNK_ENTRIES // params.p)
+    r = len(theta)
+    while remaining > 0:
+        c = min(size, remaining)
+        if d is None:
+            tr = gen.standard_gamma(n, (c, r)) @ theta
+        else:
+            tr = gen.noncentral_chisquare(2 * n, 2.0 * d / theta, (c, r)) @ (0.5 * theta)
             tr += offset
         yield tr
+        remaining -= c
 
 
 def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
@@ -545,6 +546,9 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
     """
     if identity not in IDENTITIES:
         raise ValidationError(f"identity must be one of {IDENTITIES}: {identity!r}")
+    if params1.p != params2.p:
+        raise DimensionMismatchError(
+            f"both parameter sets must share p: {params1.p} != {params2.p}")
     if np.abs(params1.sigma - params2.sigma).max() > 1e-12 * max(
             matrix_core.mat_norm(params1.sigma), 1e-300):
         raise ValidationError("both parameter sets must share Sigma")

@@ -5,6 +5,7 @@ import pytest
 
 from wishmom import (
     CyclePermutation,
+    DimensionMismatchError,
     Estimate,
     NonIntegerNError,
     NotHermitianError,
@@ -24,6 +25,7 @@ from wishmom import (
     sample_wishart,
 )
 from wishmom.mc import (
+    _CHUNK_ENTRIES,
     _HAAR_CHUNK,
     _Accumulator,
     _mean_rows,
@@ -32,6 +34,7 @@ from wishmom.mc import (
     _row_batches,
     _row_direction_traces,
     _trace_batches,
+    _trace_law,
     _wishart_batches,
 )
 
@@ -274,24 +277,76 @@ def test_power_sums_match_pow():
     assert got[0] == 8192 + 1000 + 2
 
 
+def _law_cumulant(params, k) -> float:
+    """Cum_k of Tr W from the trace sampler's law: (k-1)! sum_j
+    (n theta_j^k + k d_j theta_j^{k-1}), plus the offset at k = 1."""
+    n, theta, d, offset = _trace_law(params)
+    d = np.zeros_like(theta) if d is None else d
+    total = float(np.sum(n * theta ** k + k * d * theta ** (k - 1)))
+    return math.factorial(k - 1) * total + (offset if k == 1 else 0.0)
+
+
+@pytest.mark.parametrize("central", [True, False])
+@pytest.mark.parametrize("p", [2, 3, 4, 8])
+def test_trace_law_reproduces_exact_cumulants(p, central):
+    # the (theta, d) the trace sampler draws from give the closed-form
+    # cumulants n (k-1)! T_k + k! S_k exactly; at p = 3 Sigma is semidefinite
+    # and M is a general PSD matrix, so part of it sits in Sigma's null space
+    cases = _trace_cases(p, central)
+    if p == 3 and not central:
+        cases.append(_semidefinite_params()[0])  # M in Sigma's range
+    for params in cases:
+        for k in range(1, 9):
+            want = noncentral_cumulant(params, k)
+            assert abs(want.imag) <= 1e-12 * abs(want)
+            assert abs(_law_cumulant(params, k) - want.real) <= 1e-12 * abs(want), k
+
+
+def _two_sample_z(a, b, k) -> float:
+    """z of mean(a^k) - mean(b^k) for independent samples a and b."""
+    ak, bk = a ** k, b ** k
+    se = math.sqrt(ak.var(ddof=1) / ak.size + bk.var(ddof=1) / bk.size)
+    return float((ak.mean() - bk.mean()) / se)
+
+
+def _check_trace_sampler(params, tr_rows, stream, n_draws) -> list[float]:
+    """The trace sampler's Tr W on `stream` against the rows' Tr W drawn on
+    another stream (raw moments 1..4), and its cumulants 1..3 against the
+    exact ones; every |z| <= 4.  Returns the z values.
+
+    The cumulant estimates are also the sample cumulants of the same draws:
+    the estimator goes through raw power sums, so its rounding is relative
+    to the raw moment of the same order."""
+    got = np.concatenate(list(_trace_batches(params, stream.generator(), n_draws)))
+    assert got.shape == tr_rows.shape
+    zs = [_two_sample_z(got, tr_rows, k) for k in range(1, 5)]
+    ests = estimate_trace_cumulants(params, 3, n_draws, stream)
+    n, dev = got.size, got - got.mean()
+    sample = [got.mean(), got.var(ddof=1), n ** 2 / ((n - 1) * (n - 2)) * np.mean(dev ** 3)]
+    for k, (e, want) in enumerate(zip(ests, sample), start=1):
+        assert abs(e.mean - want) <= 1e-12 * np.mean(got ** k), k
+    zs += [float((e.mean - noncentral_cumulant(params, k).real) / e.std_error)
+           for k, e in enumerate(ests, start=1)]
+    assert max(abs(z) for z in zs) <= 4.0, zs
+    return zs
+
+
 @pytest.mark.parametrize("central", [True, False])
 @pytest.mark.parametrize("p", [2, 3, 4, 8])
 def test_row_traces_match_formed_w(p, central):
-    # the trace route reads Tr W straight from the normals, and the rows give
-    # Tr(W H) without forming W = X^H X; both match the W formed from the
-    # same stream, over 8,193 draws (two batches).  A complex H also catches
-    # a conjugate on the wrong factor
+    # the rows give Tr(W H) without forming W = X^H X, and match the W formed
+    # from the same stream, over 8,193 draws (two batches); a complex H also
+    # catches a conjugate on the wrong factor.  The trace sampler draws Tr W
+    # from its own law, so it is pinned to the rows' Tr W in distribution
     h = random_complex(np.random.default_rng(p), p)
     stream = RngStream(31, p)
     n_draws = 8193
     for params in _trace_cases(p, central):
         tr, (tr_h,) = _formed_traces(params, stream, n_draws, [h])
-        got = np.concatenate(list(_trace_batches(params, stream.generator(), n_draws)))
-        assert got.shape == tr.shape
-        assert np.all(np.abs(got - tr) <= 1e-12 * tr)
         got_h = np.concatenate([_row_direction_traces(x, h) for x in
                                 _row_batches(params, None, stream.generator(), n_draws)])
         assert np.abs(got_h - tr_h).max() <= 1e-12 * np.abs(tr_h).max()
+        _check_trace_sampler(params, tr, RngStream(32, p), n_draws)
 
 
 @pytest.mark.parametrize("central", [True, False])
@@ -308,15 +363,23 @@ def test_row_estimators_match_formed_w(p, central):
     est = estimate_joint_moment(params, h, (2, 1), n_draws, stream)
     assert abs(est.mean - vals.mean()) <= 1e-12 * np.abs(vals).mean()
 
-    # sample cumulants from central moments of the formed traces; the
-    # estimator goes through raw power sums, so its rounding is relative
-    # to the raw moment of the same order
-    n = tr.size
-    dev = tr - tr.mean()
-    want = [tr.mean(), tr.var(ddof=1), n ** 2 / ((n - 1) * (n - 2)) * np.mean(dev ** 3)]
-    ests = estimate_trace_cumulants(params, 3, n_draws, stream)
-    for order, (e, w) in enumerate(zip(ests, want), start=1):
-        assert abs(e.mean - w) <= 1e-12 * np.mean(tr ** order), order
+    _check_trace_sampler(params, tr, RngStream(42, p), n_draws)
+
+
+@pytest.mark.parametrize("p", [2, 3, 8])
+def test_trace_chunks_bounded_and_equal(p):
+    # the trace sampler never holds more than _CHUNK_ENTRIES variates, and two
+    # parameter sets of one p give chunks of equal size (the identity checks
+    # add them pairwise)
+    sigma = random_psd(np.random.default_rng(p), p)
+    central, _ = build(2, sigma, None, "standard")
+    shifted, _ = build(p + 1, sigma, np.eye(p), "standard")
+    n_draws = 3 * _CHUNK_ENTRIES // p + 5
+    sizes = [[len(tr) for tr in _trace_batches(params, RngStream(1).generator(), n_draws)]
+             for params in (central, shifted)]
+    assert sizes[0] == sizes[1]
+    assert sum(sizes[0]) == n_draws
+    assert max(sizes[0]) * p <= _CHUNK_ENTRIES
 
 
 def _formed_generalized_moment(params, h, sigma_perm, n_draws, stream) -> Estimate:
@@ -573,6 +636,28 @@ def test_identity_checks_quick():
         report = distribution_identity_check(p1, p2, identity, 150_000, RngStream(21))
         assert report["identity"] == identity
         assert report["max_abs_z"] <= 4.0, report
+
+
+@pytest.mark.parametrize("n, m_matrix, error, message", [
+    (2, np.diag([1.0, -0.5]), NotPSDError, "m_matrix"),
+    (1, np.eye(2), ValidationError, "rank 2 > n = 1"),
+    (2.5, None, NonIntegerNError, "integer degrees of freedom"),
+])
+def test_trace_routes_keep_the_sampling_contracts(n, m_matrix, error, message):
+    params, _ = build(n, np.eye(2), m_matrix, "standard")
+    central, _ = build(1, np.eye(2), None, "standard")
+    with pytest.raises(error, match=message):
+        estimate_trace_cumulants(params, 3, 1000, RngStream(0))
+    with pytest.raises(error, match=message):
+        distribution_identity_check(params, central, "m-split", 1000, RngStream(0))
+
+
+def test_identity_check_rejects_mismatched_p():
+    small, _ = build(2, np.eye(2), None, "standard")
+    large, _ = build(2, np.eye(3), None, "standard")
+    for p1, p2 in ((small, large), (large, small)):
+        with pytest.raises(DimensionMismatchError):
+            distribution_identity_check(p1, p2, "df-additivity", 1000, RngStream(0))
 
 
 def test_identity_check_validation():
