@@ -25,8 +25,8 @@ Two samplers, each the one production route for what it draws:
 - traces: `_trace_batches` draws Tr W alone from its exact law.  In the
   eigenbasis of Sigma, Tr W = sum_j theta_j G_j with independent
   G_j = chi'^2_{2n}(2 d_j / theta_j) / 2 and d_j = (Q^H M Q)_jj, so each
-  draw costs one Gamma (M = 0) or non-central chi-square variate per
-  direction with theta_j > 0, not 2 n p normals.  The trace cumulants and
+  draw costs one non-central chi-square variate per direction with
+  theta_j > 0, not 2 n p normals.  The trace cumulants and
   both sides of the distribution identity checks read it.
 
 The two samplers consume their streams differently, so a trace draw is
@@ -261,22 +261,22 @@ def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
         remaining -= b
 
 
-def _trace_law(params: WishartParams) -> tuple[int, np.ndarray, np.ndarray | None, float]:
+def _trace_law(params: WishartParams) -> tuple[int, np.ndarray, np.ndarray, float]:
     """(n, theta, d, offset) with Tr W = sum_j theta_j G_j + offset in law.
 
     theta are Sigma's r positive eigenvalues, from the clipped `_psd_eigen`,
     and the G_j are independent, G_j = chi'^2_{2n}(2 d_j / theta_j) / 2
-    (Gamma(n, 1) when M = 0, and then d is None).  With Q the eigenvectors
-    and m_i the mean rows, d_j = sum_i |(m_i Q)_j|^2 = (Q^H M Q)_jj; the
-    directions with theta_j = 0 carry no noise and add their d_j to the
-    offset.  So Cum_k = (k-1)! sum_j (n theta_j^k + k d_j theta_j^{k-1}),
+    (Gamma(n, 1) where d_j = 0, so everywhere when M = 0).  With Q the
+    eigenvectors and m_i the mean rows, d_j = sum_i |(m_i Q)_j|^2 =
+    (Q^H M Q)_jj; the directions with theta_j = 0 carry no noise and add
+    their d_j to the offset.  So Cum_k = (k-1)! sum_j (n theta_j^k + k d_j theta_j^{k-1}),
     plus the offset at k = 1.
     """
     n = _integer_n(params)
     theta, vecs, rank = _psd_eigen(params.sigma, "sigma")
     means = _mean_rows(params, n)
     if means is None:
-        return n, theta[:rank], None, 0.0
+        return n, theta[:rank], np.zeros(rank), 0.0
     d = (np.abs(means @ vecs) ** 2).sum(axis=0)
     return n, theta[:rank], d[:rank], float(d[rank:].sum())
 
@@ -285,10 +285,11 @@ def _trace_batches(params: WishartParams, gen, n_samples):
     """Yield independent draws of Tr W from its exact law (`_trace_law`),
     one array per chunk of up to _CHUNK_ENTRIES // p draws.
 
-    Each chunk is one standard_gamma(n) call (M = 0) or one
-    noncentral_chisquare(2n, 2 d / theta) call of shape (c, r), reduced
-    against theta: O(p) variates per draw.  The chunk sizes depend only on
-    p and n_samples, so two parameter sets of one p give equal chunks.
+    Each chunk is one noncentral_chisquare(2n, 2 d / theta) call of shape
+    (c, r), reduced against theta / 2: O(p) variates per draw.  numpy draws
+    a zero non-centrality as 2 standard_gamma(n), so M = 0 needs no branch.
+    The chunk sizes depend only on p and n_samples, so two parameter sets
+    of one p give equal chunks.
     """
     n, theta, d, offset = _trace_law(params)
     remaining = _draw_count(n_samples)
@@ -296,11 +297,8 @@ def _trace_batches(params: WishartParams, gen, n_samples):
     r = len(theta)
     while remaining > 0:
         c = min(size, remaining)
-        if d is None:
-            tr = gen.standard_gamma(n, (c, r)) @ theta
-        else:
-            tr = gen.noncentral_chisquare(2 * n, 2.0 * d / theta, (c, r)) @ (0.5 * theta)
-            tr += offset
+        tr = gen.noncentral_chisquare(2 * n, 2.0 * d / theta, (c, r)) @ (0.5 * theta)
+        tr += offset
         yield tr
         remaining -= c
 

@@ -388,12 +388,10 @@ def series_coefficient(target, base, weight):
 def assert_matches_series(got, target, base, weights):
     want = series_coefficient(target, base, weights.__getitem__)
     # relative to the same sum over absolute values, so cancellation in the
-    # alternating sums does not loosen or break the bound; subnormal sums
-    # carry an absolute rounding of a few units of 5e-324 that no relative
-    # bound can express, hence the floor of 64 of them
+    # alternating sums does not loosen or break the bound
     scale = series_coefficient(target, {v: abs(x) for v, x in base.items()},
                                lambda length: abs(weights[length]))
-    assert abs(got - want) <= 1e-12 * scale + 64 * math.ulp(0.0)
+    assert abs(got - want) <= 1e-12 * scale
 
 
 VALUES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)

@@ -281,7 +281,6 @@ def _law_cumulant(params, k) -> float:
     """Cum_k of Tr W from the trace sampler's law: (k-1)! sum_j
     (n theta_j^k + k d_j theta_j^{k-1}), plus the offset at k = 1."""
     n, theta, d, offset = _trace_law(params)
-    d = np.zeros_like(theta) if d is None else d
     total = float(np.sum(n * theta ** k + k * d * theta ** (k - 1)))
     return math.factorial(k - 1) * total + (offset if k == 1 else 0.0)
 
