@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import MAX_JOINT_WEIGHT, MAX_PERMANENT_DIM, check_budget
+from .budgets import check_joint_weight, check_permanent_dimension
 from .combinatorics import complex_fsum, cycles_of_images, multiindex_partitions, partition_sum
 from .errors import (
     DegenerateSampleSizeError,
@@ -49,7 +49,7 @@ def permanent_d(y, d) -> complex:
     """
     d = _finite_d(d)
     y = matrix_core.as_matrix(y)
-    check_budget("permanent dimension", y.shape[0], MAX_PERMANENT_DIM)
+    check_permanent_dimension(y.shape[0])
     return _cycle_weighted_permanent(y, lambda k: d ** k)
 
 
@@ -60,7 +60,7 @@ def permanent_alpha(y, a: MomentSequence) -> complex:
     """
     y = matrix_core.as_matrix(y)
     p = y.shape[0]
-    check_budget("permanent dimension", p, MAX_PERMANENT_DIM)
+    check_permanent_dimension(p)
     if a.kind != MOMENTS:
         raise ValidationError("a must be a moment sequence")
     if a.depth < p:
@@ -95,7 +95,7 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     if any(v < 0 for v in kind):
         raise ValidationError(f"index must be componentwise >= 0: {kind}")
     weight = sum(kind)
-    check_budget("joint weight", weight, MAX_JOINT_WEIGHT)
+    check_joint_weight(weight)
     if weight == 0:
         return 1.0 + 0.0j
 

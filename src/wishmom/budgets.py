@@ -1,9 +1,12 @@
-"""Enumeration budgets.
+"""Enumeration budgets, one rule per budgeted quantity.
 
-Every combinatorially explosive operation checks its size argument against
-one of the defaults below.  Setting the environment variable
-``WISHMOM_MAX_BUDGET`` (or the legacy spelling ``WISHART_MAX_BUDGET``)
-to an integer replaces *all* defaults at once.
+Every combinatorially explosive operation caps one quantity of its request
+with a rule below.  A rule reads only integers of the request's shape (an
+order, an index weight, a matrix dimension, a permutation size) and needs
+no numpy, so the engines and the CLI call the same rule before any numeric
+work.  Setting the environment variable ``WISHMOM_MAX_BUDGET`` (or the
+legacy spelling ``WISHART_MAX_BUDGET``) to an integer replaces *all*
+defaults at once, and a rejection then names that variable.
 """
 
 import os
@@ -11,7 +14,7 @@ import os
 from .errors import BudgetExceededError, ValidationError
 
 MAX_UNIVARIATE_ORDER = 20   # trace moment/cumulant order i
-MAX_JOINT_WEIGHT = 10       # |i| for joint moments/cumulants and permanent_master
+MAX_JOINT_WEIGHT = 10       # |i| for joint moments/cumulants, necklaces and permanent_master
 MAX_PERMUTATION_SIZE = 10   # k for full S_k enumeration
 MAX_PERMANENT_DIM = 10      # p for brute-force permanents
 MAX_PRODUCT_FACTORS = 8     # m for the group-action product-moment sums
@@ -20,20 +23,35 @@ MAX_EXPANSION_CYCLES = 6    # k for the 2^k central/formal assignment expansion
 _ENV_VARS = ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET")
 
 
-def budget(default: int) -> int:
-    """Effective budget: the env override when set, else `default`."""
+def _limit(default: int) -> tuple[int, str | None]:
+    """(effective budget, the environment variable that set it or None)."""
     for var in _ENV_VARS:
         raw = os.environ.get(var)
         if raw is not None:
             try:
-                return int(raw)
+                return int(raw), var
             except ValueError as exc:
                 raise ValidationError(f"{var} must be an integer: {raw!r}") from exc
-    return default
+    return default, None
 
 
-def check_budget(name: str, value: int, default: int) -> None:
-    """Raise BudgetExceededError when `value` exceeds the effective budget."""
-    limit = budget(default)
-    if value > limit:
-        raise BudgetExceededError(f"{name}={value} exceeds budget {limit}")
+def _rule(quantity: str, default: int):
+    def check(value: int) -> None:
+        limit, var = _limit(default)
+        if value > limit:
+            source = f" (set by {var})" if var else ""
+            raise BudgetExceededError(f"{quantity}={value} exceeds budget {limit}{source}")
+
+    check.__doc__ = (f"Raise BudgetExceededError when the {quantity} exceeds its "
+                     f"budget (default {default}).")
+    return check
+
+
+check_moment_order = _rule("moment order", MAX_UNIVARIATE_ORDER)
+check_cumulant_order = _rule("cumulant order", MAX_UNIVARIATE_ORDER)
+check_joint_weight = _rule("joint weight", MAX_JOINT_WEIGHT)
+check_necklace_weight = _rule("necklace weight", MAX_JOINT_WEIGHT)
+check_permutation_degree = _rule("permutation degree", MAX_PERMUTATION_SIZE)
+check_permanent_dimension = _rule("permanent dimension", MAX_PERMANENT_DIM)
+check_product_factors = _rule("product factors", MAX_PRODUCT_FACTORS)
+check_expansion_positions = _rule("expansion positions", MAX_EXPANSION_CYCLES)

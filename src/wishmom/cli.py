@@ -10,12 +10,15 @@ the library version.
 Exit codes: 0 success, 2 validation error, 3 numerical error (a singular
 matrix, or an overflow to a non-finite value), 4 budget exceeded.
 
-A request loads only what its subcommand uses.  Argument parsing, reading
-the JSON input, and the checks on --kind, --order, --seed, --d, on the
-index (or permutation) and on whether an 'h' list is present run before
-numpy is imported; each subcommand imports its engine after them.  So
-`necklaces`, and a request that fails one of those checks, never load
-numpy.
+A request loads only what its subcommand uses, and is checked in three
+steps.  First its shape: argument parsing, reading the JSON input, and the
+checks on --kind, --order, --seed, --d, on the index (or permutation) and
+on the 'h' list's presence and length (exit 2).  Then its budget, by the
+rule in `budgets` for the quantity the subcommand enumerates (exit 4).
+Both steps run before numpy is imported; each subcommand imports its
+engine after them, then reads the matrices and computes (exit 2 or 3).
+So `necklaces`, and a request rejected by its shape or its budget, never
+load numpy.
 
 Input schema:
     {"n": number,
@@ -36,9 +39,15 @@ import numbers
 import sys
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, budgets
 from .choices import CONVENTIONS, IDENTITIES
-from .errors import BudgetExceededError, NumericalError, ValidationError, WishmomError
+from .errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    NumericalError,
+    ValidationError,
+    WishmomError,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,11 +196,17 @@ def _params_from(doc: dict, convention: str | None) -> WishartParams:
     return params
 
 
-def _h_list(doc: dict) -> list[np.ndarray]:
+def _h_count(doc: dict) -> int:
+    """Length of the 'h' list of direction matrices, read without numpy."""
     hs = doc.get("h")
     if not hs or not isinstance(hs, list):
         raise ValidationError("this command needs an 'h' list of direction matrices")
-    return [_matrix_from(hk, f"h[{k}]") for k, hk in enumerate(hs)]
+    return len(hs)
+
+
+def _h_list(doc: dict) -> list[np.ndarray]:
+    _h_count(doc)
+    return [_matrix_from(hk, f"h[{k}]") for k, hk in enumerate(doc["h"])]
 
 
 def _int_list(values, name: str) -> tuple[int, ...]:
@@ -209,11 +224,17 @@ def _int_list(values, name: str) -> tuple[int, ...]:
 
 
 def _index_from(doc: dict, args) -> tuple[int, ...]:
+    """The multi-index (or permutation images) of --index or the input's
+    'index' entry: non-negative integers."""
     if args.index is not None:
-        return _int_list(args.index.split(","), "--index")
-    if "index" in doc:
-        return _int_list(doc["index"], "index")
-    raise ValidationError("this command needs --index or an 'index' entry")
+        index = _int_list(args.index.split(","), "--index")
+    elif "index" in doc:
+        index = _int_list(doc["index"], "index")
+    else:
+        raise ValidationError("this command needs --index or an 'index' entry")
+    if any(v < 0 for v in index):
+        raise ValidationError(f"index must be componentwise >= 0: {index}")
+    return index
 
 
 def _orders(args) -> range:
@@ -226,12 +247,14 @@ def _orders(args) -> range:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# Each subcommand imports its engine after the checks that need no numpy,
-# and looks the engine function up on the module at call time, so a rebound
-# module attribute (a wrapper or a test double) is honoured.
+# Each subcommand checks the request's shape and then its budget, imports
+# its engine after those checks, which need no numpy, and looks the engine
+# function up on the module at call time, so a rebound module attribute (a
+# wrapper or a test double) is honoured.
 
-def _cmd_sequence(doc, args, of_order: str):
+def _cmd_sequence(doc, args, of_order: str, check_order):
     orders = _orders(args)
+    check_order(args.order)
     params = _params_from(doc, args.convention)
     from . import univariate
 
@@ -242,6 +265,10 @@ def _cmd_sequence(doc, args, of_order: str):
 
 def _cmd_joint(doc, args, of_index: str):
     index = _index_from(doc, args)
+    m = _h_count(doc)
+    if len(index) != m:
+        raise DimensionMismatchError(f"index has {len(index)} components, expected {m}")
+    budgets.check_joint_weight(sum(index))
     h = _h_list(doc)
     params = _params_from(doc, args.convention)
     from . import multivariate
@@ -255,6 +282,9 @@ def _cmd_generalized(doc, args):
 
     images = _index_from(doc, args)  # one-line permutation images
     perm = combinatorics.CyclePermutation.from_images(images)
+    if perm.size != _h_count(doc):
+        raise DimensionMismatchError("permutation size must match len(h)")
+    budgets.check_expansion_positions(perm.size)
     h = _h_list(doc)
     params = _params_from(doc, args.convention)
     from . import multivariate
@@ -286,11 +316,16 @@ def _cmd_permanent(doc, args):
         d = complex(args.d) if args.d is not None else 1 + 0j
     except ValueError as exc:
         raise ValidationError(f"--d must be a complex number: {args.d!r}") from exc
+    master = args.index is not None or "index" in doc
+    if master:
+        index = _index_from(doc, args)
+        budgets.check_joint_weight(sum(index))
+    elif isinstance(doc["sigma"], dict) and isinstance(doc["sigma"].get("re"), list):
+        budgets.check_permanent_dimension(len(doc["sigma"]["re"]))
     y = _matrix_from(doc["sigma"], "sigma")
     from . import applications
 
-    if args.index is not None or "index" in doc:
-        index = _index_from(doc, args)
+    if master:
         value = applications.permanent_master(y, index, d)
         result = {"route": "master", "index": list(index), "value": _cnum(value)}
     else:
@@ -360,8 +395,10 @@ def _cmd_mc_verify(doc, args):
 
 
 _COMMANDS = {
-    "moments": (lambda doc, args: _cmd_sequence(doc, args, "noncentral_moment"), True),
-    "cumulants": (lambda doc, args: _cmd_sequence(doc, args, "noncentral_cumulant"), True),
+    "moments": (lambda doc, args: _cmd_sequence(
+        doc, args, "noncentral_moment", budgets.check_moment_order), True),
+    "cumulants": (lambda doc, args: _cmd_sequence(
+        doc, args, "noncentral_cumulant", budgets.check_cumulant_order), True),
     "joint-moments": (lambda doc, args: _cmd_joint(doc, args, "joint_moment"), True),
     "joint-cumulants": (lambda doc, args: _cmd_joint(doc, args, "joint_cumulant"), True),
     "generalized": (_cmd_generalized, True),

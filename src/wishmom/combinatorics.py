@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .budgets import MAX_JOINT_WEIGHT, MAX_PERMUTATION_SIZE, check_budget
+from .budgets import check_necklace_weight, check_permutation_degree
 from .errors import NumericalError, ValidationError
 
 
@@ -323,7 +323,7 @@ def necklaces_of_kind(kind) -> list[Necklace]:
     n = sum(kind)
     if n < 1:
         raise ValidationError("necklace kind must have weight >= 1")
-    check_budget("necklace weight", n, MAX_JOINT_WEIGHT)
+    check_necklace_weight(n)
     m = len(kind)
     counts = list(kind)
     a = [0] * (n + 1)  # a[0] is the sentinel smallest symbol
@@ -428,7 +428,7 @@ def permutations_by_cycles(k: int):
     decompositions, in lexicographic one-line order."""
     if k < 1:
         raise ValidationError(f"permutation degree must be >= 1: {k}")
-    check_budget("permutation degree", k, MAX_PERMUTATION_SIZE)
+    check_permutation_degree(k)
     for images in itertools.permutations(range(1, k + 1)):
         yield CyclePermutation.from_images(images)
 

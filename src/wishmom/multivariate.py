@@ -44,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import (
-    MAX_EXPANSION_CYCLES,
-    MAX_JOINT_WEIGHT,
-    MAX_PRODUCT_FACTORS,
-    check_budget,
-)
+from .budgets import check_expansion_positions, check_joint_weight, check_product_factors
 from .combinatorics import (
     CyclePermutation,
     complex_fsum,
@@ -172,7 +167,7 @@ def rho_moment_strings(params: WishartParams, h, i) -> complex:
     """rho as (1/|i|) times the sum over all strings of kind i, read from
     `rho_table` (the sub-index recursion, no string enumeration)."""
     kind = _nonzero_kind(i, h, "rho_moment_strings")
-    check_budget("joint weight", sum(kind), MAX_JOINT_WEIGHT)
+    check_joint_weight(sum(kind))
     return rho_table(_directions(params, h)[0], kind)[kind]
 
 
@@ -195,7 +190,7 @@ def eta_moment_strings(params: WishartParams, h, i) -> complex:
     """eta as the sum over all strings of kind i, read from `eta_table`
     (the sub-index recursion, no string enumeration)."""
     kind = _nonzero_kind(i, h, "eta_moment_strings")
-    check_budget("joint weight", sum(kind), MAX_JOINT_WEIGHT)
+    check_joint_weight(sum(kind))
     return eta_table(_directions(params, h)[1], params.noncentrality(), kind)[kind]
 
 
@@ -217,7 +212,7 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     """
     kind = _as_kind(i, len(h))
     weight = sum(kind)
-    check_budget("joint weight", weight, MAX_JOINT_WEIGHT)
+    check_joint_weight(weight)
     if weight == 0:
         return 1.0 + 0.0j
     rho_tab, eta_tab = _base_tables(params, h, kind)
@@ -235,7 +230,7 @@ def joint_moment(params: WishartParams, h, i) -> complex:
 def joint_cumulant(params: WishartParams, h, i) -> complex:
     """Cum_i(Tr[W H_1], ..., Tr[W H_m]) = i! (n rho[i] + sign eta[i])."""
     kind = _nonzero_kind(i, h, "joint cumulant")
-    check_budget("joint weight", sum(kind), MAX_JOINT_WEIGHT)
+    check_joint_weight(sum(kind))
     rho_tab, eta_tab = _base_tables(params, h, kind)
     return _index_factorial(kind) * (params.n * rho_tab[kind] + params.sign * eta_tab[kind])
 
@@ -259,7 +254,7 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
         raise ValidationError("alpha_cumulants must be a cumulant sequence")
     kind = _nonzero_kind(i, h, "joint cumulant")
     weight = sum(kind)
-    check_budget("joint weight", weight, MAX_JOINT_WEIGHT)
+    check_joint_weight(weight)
     if alpha_cumulants.depth < weight:
         raise InsufficientOrdersError(
             f"alpha carries {alpha_cumulants.depth} orders, need {weight}")
@@ -277,7 +272,7 @@ def _product_images(h, sigma_perm: CyclePermutation) -> tuple[int, ...]:
     product-factor budget."""
     if sigma_perm.size != len(h):
         raise DimensionMismatchError("permutation size must match len(h)")
-    check_budget("product factors", len(h), MAX_PRODUCT_FACTORS)
+    check_product_factors(len(h))
     return tuple(v - 1 for v in sigma_perm.images())
 
 
@@ -432,7 +427,7 @@ def generalized_moment_expansion(params: WishartParams, h,
     m = len(h)
     if sigma_perm.size != m:
         raise DimensionMismatchError("permutation size must match len(h)")
-    check_budget("expansion positions", m, MAX_EXPANSION_CYCLES)
+    check_expansion_positions(m)
     sh, eta_factors = _directions(params, h)
     central = params.is_central
     omega = None if central else params.noncentrality()

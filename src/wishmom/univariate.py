@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import MAX_UNIVARIATE_ORDER, check_budget
+from .budgets import check_cumulant_order, check_moment_order
 from .combinatorics import (
     complete_bell,
     complex_fsum,
@@ -77,7 +77,7 @@ class MomentSequence:
 def _check_order(i: int) -> None:
     if i < 0:
         raise ValidationError(f"order must be >= 0: {i}")
-    check_budget("moment order", i, MAX_UNIVARIATE_ORDER)
+    check_moment_order(i)
 
 
 def _d_weighted_sum(x, weight) -> complex:
@@ -112,7 +112,7 @@ def central_cumulant(params: WishartParams, i: int) -> complex:
     """Cum_i(Tr W) for the central distribution: n (i-1)! T_i."""
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
-    check_budget("cumulant order", i, MAX_UNIVARIATE_ORDER)
+    check_cumulant_order(i)
     cache = params.trace_cache(i)
     return params.n * math.factorial(i - 1) * cache.t_power(i)
 
@@ -128,7 +128,7 @@ def noncentral_cumulant(params: WishartParams, i: int) -> complex:
     """
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
-    check_budget("cumulant order", i, MAX_UNIVARIATE_ORDER)
+    check_cumulant_order(i)
     cache = params.trace_cache(i)
     return (params.n * math.factorial(i - 1) * cache.t_power(i)
             + params.sign * math.factorial(i) * cache.s_power(i))
@@ -142,7 +142,7 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
     """
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
-    check_budget("cumulant order", i, MAX_UNIVARIATE_ORDER)
+    check_cumulant_order(i)
     theta, q = matrix_core.hermitian_eigen(params.sigma)
     b = np.diagonal(q.conj().T @ params.noncentrality() @ q)
     total = sum((params.n + params.sign * i * b[j]) * theta[j] ** i
@@ -181,13 +181,17 @@ def noncentral_moment_bell(params: WishartParams, i: int) -> complex:
 
 
 def cumulant_sequence(params: WishartParams, i_max: int) -> MomentSequence:
-    """Cumulants of Tr W for orders 1..i_max."""
+    """Cumulants of Tr W for orders 1..i_max; the budget is checked on
+    i_max before any order is computed."""
+    check_cumulant_order(i_max)
     return MomentSequence.from_cumulants(
         [noncentral_cumulant(params, k) for k in range(1, i_max + 1)])
 
 
 def moment_sequence(params: WishartParams, i_max: int) -> MomentSequence:
-    """Moments of Tr W for orders 0..i_max."""
+    """Moments of Tr W for orders 0..i_max; the budget is checked on i_max
+    before any order is computed."""
+    check_moment_order(i_max)
     return MomentSequence.from_moments(
         [noncentral_moment(params, k) for k in range(1, i_max + 1)])
 
@@ -235,7 +239,7 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     """
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
-    check_budget("moment order", i_max, MAX_UNIVARIATE_ORDER)
+    check_moment_order(i_max)
     p = params.p
     e = [1.0 + 0.0j]
     for i in range(1, i_max + 1):

@@ -211,6 +211,19 @@ def test_exit_code_budget(paper_file):
     assert "necklace weight" in out
 
 
+def test_budget_message_names_the_override(paper_file, monkeypatch):
+    for var in ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET"):
+        monkeypatch.delenv(var, raising=False)
+    code, out = run(["moments", paper_file, "--order", "25"])
+    assert code == 4
+    assert out == "budget exceeded: moment order=25 exceeds budget 20\n"
+    monkeypatch.setenv("WISHART_MAX_BUDGET", "4")  # legacy spelling
+    code, out = run(["cumulants", paper_file, "--order", "6"])
+    assert code == 4
+    assert out == ("budget exceeded: cumulant order=6 exceeds budget 4"
+                   " (set by WISHART_MAX_BUDGET)\n")
+
+
 def test_csv_format(paper_file):
     code, out = run(["cumulants", paper_file, "--order", "2", "--format", "csv"])
     assert code == 0
@@ -311,11 +324,16 @@ _PARAMS = {"n": 3, "sigma": {"re": [[1.0, 0.2], [0.2, 0.5]]},
            "m_matrix": {"re": [[0.3, 0.0], [0.0, 0.1]]}}
 _DOC = json.dumps(_PARAMS).encode()
 _DOC_WITH_H = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}])).encode()
+_DOC_WITH_H2 = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}] * 2)).encode()
+_DOC_WITH_H7 = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}] * 7)).encode()
+# an 11 x 11 matrix, one row over the brute-force permanent's budget
+_DOC_11X11 = json.dumps({"sigma": {"re": np.eye(11).tolist()}}).encode()
 
 
-def _child_request(args, stdin=b""):
+def _child_request(args, stdin=b"", env=None):
     proc = subprocess.run([sys.executable, "-c", _CHILD, *args], input=stdin,
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC, **(env or {})),
                           timeout=120, check=False)
     record = json.loads(proc.stderr.decode().splitlines()[-1])
     return record["code"], set(record["modules"])
@@ -332,9 +350,26 @@ def _child_request(args, stdin=b""):
     (["joint-moments", "-", "--index", "2"], _DOC, 2),  # no 'h'
     (["joint-cumulants", "-"], _DOC_WITH_H, 2),  # no index
     (["generalized", "-", "--index", "1,1"], _DOC_WITH_H, 2),  # not a permutation
+    # over budget: rejected from the request's shape
+    (["moments", "-", "--order", "25"], _DOC, 4),
+    (["moments", "-", "--order", "25"], b'{"n": 3, "sigma": {"re": "x"}}', 4),  # budget first
+    (["joint-cumulants", "-", "--index", "6,6"], _DOC_WITH_H2, 4),
+    (["joint-moments", "-", "--index", "6,6"], _DOC_WITH_H, 2),  # shape before budget
+    (["permanent", "-", "--index", "6,5"], _DOC, 4),
+    (["permanent", "-"], _DOC_11X11, 4),
+    (["generalized", "-", "--index", "2,3,4,5,6,7,1"], _DOC_WITH_H7, 4),
 ])
 def test_request_checks_run_without_numpy(args, stdin, code):
     got, modules = _child_request(args, stdin)
+    assert got == code
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("value, options, code", [("4", ["--order", "6"], 4),
+                                                  ("ten", [], 2)])
+def test_budget_override_is_checked_without_numpy(value, options, code):
+    got, modules = _child_request(["moments", "-", *options], _DOC,
+                                  {"WISHMOM_MAX_BUDGET": value})
     assert got == code
     assert "numpy" not in modules
 

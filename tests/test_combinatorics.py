@@ -1,9 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wishmom import (
     BudgetExceededError,
@@ -367,44 +368,112 @@ def test_bell_recurrences_match_partition_enumeration():
 # the partition-sum kernel
 # ---------------------------------------------------------------------------
 
-def series_coefficient(target, base, weight):
-    """Coefficient of t^target in sum_l weight(l) (sum_v base[v] t^v)^l / l!,
-    from truncated power-series products, with no partition enumeration."""
-    zero = (0,) * len(target)
-    power = {zero: 1.0}
-    total = weight(0) * (1.0 if target == zero else 0.0)
-    for length in range(1, sum(target) + 1):
-        nxt = {}
-        for u, cu in power.items():
-            for v, xv in base.items():
-                w = tuple(a + b for a, b in zip(u, v))
-                if all(a <= b for a, b in zip(w, target)):
-                    nxt[w] = nxt.get(w, 0) + cu * xv
-        power = nxt
-        total += weight(length) * power.get(target, 0) / math.factorial(length)
-    return total
+def _units(z) -> tuple[int, int]:
+    """z as a Gaussian integer in units of 2**-1074: exact, as every finite
+    double is an integer multiple of the smallest subnormal."""
+    z = complex(z)
+    return (int(Fraction(z.real) * 2 ** 1074), int(Fraction(z.imag) * 2 ** 1074))
 
 
-def assert_matches_series(got, target, base, weights):
-    want = series_coefficient(target, base, weights.__getitem__)
-    # relative to the same sum over absolute values, so cancellation in the
-    # alternating sums does not loosen or break the bound
-    scale = series_coefficient(target, {v: abs(x) for v, x in base.items()},
-                               lambda length: abs(weights[length]))
-    assert abs(got - want) <= 1e-12 * scale
+def series_coefficient(target, base, weight) -> tuple[Fraction, Fraction]:
+    """Exact (re, im) coefficient of t^target in
+    sum_l weight(l) (sum_v base[v] t^v)^l / l!, from truncated power-series
+    products, with no partition enumeration.  The length-l power is kept
+    as Gaussian integers in units of 2**(-1074 l), so nothing rounds."""
+    base = {v: _units(x) for v, x in base.items()}
+    power = {(0,) * len(target): (1, 0)}
+    re = im = Fraction(0)
+    for length in range(sum(target) + 1):
+        if length:
+            nxt = {}
+            for u, (a, b) in power.items():
+                for v, (c, d) in base.items():
+                    w = tuple(x + y for x, y in zip(u, v))
+                    if all(x <= y for x, y in zip(w, target)):
+                        r, i = nxt.get(w, (0, 0))
+                        nxt[w] = (r + a * c - b * d, i + a * d + b * c)
+            power = nxt
+        if target in power:
+            (a, b), (c, d) = _units(weight(length)), power[target]
+            unit = Fraction(1, math.factorial(length) * 2 ** (1074 * (length + 1)))
+            re += (a * c - b * d) * unit
+            im += (a * d + b * c) * unit
+    return re, im
+
+
+def underflow_units(partitions, base, weight) -> float:
+    """c such that gradual underflow moves `partition_sum` by at most
+    c * 2**-1074, counted from the rounding steps of its terms.
+
+    Rounding to nearest, a real product or quotient in the subnormal range
+    is off by at most half the smallest subnormal, 2**-1075, and a sum or
+    difference that lands there is exact.  So a complex product, two real
+    products per component, adds at most one unit (2**-1074) to each
+    component and two to the modulus; the division of a term by the
+    integer prod r_j! adds at most half a unit per component.  An error
+    carried into a product is scaled by the modulus of the other factor.
+    The steps are those of `partition_sum`: weight(l) times each
+    base[part] ** r, which CPython raises to a small integer power by
+    binary powering, then divided by prod r_j!.  The terms are added
+    exactly when their sum is subnormal.
+    """
+    def mul(x, y):  # (computed value, bound on its underflow error in units)
+        return x[0] * y[0], abs(x[0]) * y[1] + (abs(y[0]) + y[1]) * x[1] + 2
+
+    def power(x, r):
+        acc, mask = (1 + 0j, 0.0), 1
+        while mask <= r:
+            if r & mask:
+                acc = mul(acc, x)
+            x, mask = mul(x, x), mask << 1
+        return acc
+
+    c = 0.0
+    for lam in partitions:
+        term, den = (weight(lam.length), 0.0), 1
+        for part, r in lam.part_counts():
+            term = mul(term, power((base[part], 0.0), r))
+            den *= math.factorial(r)
+        c += term[1] / den + 1
+    return c
+
+
+def assert_matches_series(got, target, base, weights, c):
+    """|got - exact| <= 1e-12 * scale + c * 2**-1074: the relative model on
+    the same sum over absolute values (so cancellation in the alternating
+    sums does not loosen or break the bound), plus the absolute error of
+    gradual underflow, c from `underflow_units`."""
+    want_re, want_im = series_coefficient(target, base, weights.__getitem__)
+    scale, _ = series_coefficient(target, {v: abs(x) for v, x in base.items()},
+                                  lambda length: abs(weights[length]))
+    bound = Fraction(1e-12) * scale + Fraction(c) * Fraction(1, 2 ** 1074)
+    miss_re, miss_im = Fraction(got.real) - want_re, Fraction(got.imag) - want_im
+    assert miss_re ** 2 + miss_im ** 2 <= bound ** 2, (got, float(want_re), float(want_im))
 
 
 VALUES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
+@st.composite
+def integer_cases(draw):
+    i = draw(st.integers(0, 12))
+    x = draw(st.lists(VALUES, min_size=i, max_size=i))
+    weights = draw(st.lists(VALUES, min_size=i + 1, max_size=i + 1))
+    return i, x, weights
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_partition_sum_matches_series_on_integer_partitions(data):
-    i = data.draw(st.integers(0, 12))
-    x = data.draw(st.lists(VALUES, min_size=i, max_size=i))
-    weights = data.draw(st.lists(VALUES, min_size=i + 1, max_size=i + 1))
-    got = partition_sum(integer_partitions(i), [0.0] + x, weights.__getitem__)
-    assert_matches_series(got, (i,), {(k,): v for k, v in enumerate(x, 1)}, weights)
+@given(integer_cases())
+# subnormal cases that fail a purely relative bound: 5e-324 * 0.5 underflows
+# to 0 in the first; the second missed the earlier float oracle by 7e-324
+@example((3, [2 + 0j, 0.5 + 0j, 0j], [2 + 0j, -2 + 0j, 5e-324 + 0j, 0j]))
+@example((3, [5e-324 + 0j, 1.5 + 0j, 1 + 0j], [5e-324 + 0j, -2.2e-313 + 0j, 2 + 0j, 5e-324 + 0j]))
+def test_partition_sum_matches_series_on_integer_partitions(case):
+    i, x, weights = case
+    base = [0.0] + x
+    got = partition_sum(integer_partitions(i), base, weights.__getitem__)
+    c = underflow_units(integer_partitions(i), base, weights.__getitem__)
+    assert_matches_series(got, (i,), {(k,): v for k, v in enumerate(x, 1)}, weights, c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,7 +486,8 @@ def test_partition_sum_matches_series_on_multiindex_partitions(data):
     weights = data.draw(st.lists(VALUES, min_size=sum(kind) + 1, max_size=sum(kind) + 1))
     base = dict(zip(cols, x))
     got = partition_sum(multiindex_partitions(kind), base, weights.__getitem__)
-    assert_matches_series(got, kind, base, weights)
+    c = underflow_units(multiindex_partitions(kind), base, weights.__getitem__)
+    assert_matches_series(got, kind, base, weights, c)
 
 
 def test_complex_fsum_is_correctly_rounded():

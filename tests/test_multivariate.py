@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wishmom
 from wishmom import (
@@ -161,6 +162,35 @@ def test_eta_closed_forms_standard_convention():
     assert rel_err(got, want1) < 1e-13
 
 
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), convention=st.sampled_from(["paper", "standard"]))
+def test_joint_unitary_conjugation_invariance(seed, convention):
+    # Sigma, M and every H_k -> U . U^H leaves every trace word unchanged
+    params, h = make_instance(seed, convention=convention)
+    u, _ = np.linalg.qr(random_complex(np.random.default_rng(seed + 1), 3))
+    turned, _ = build(params.n, u @ params.sigma @ u.conj().T,
+                      u @ params.m_matrix @ u.conj().T, convention)
+    h_turned = [u @ hk @ u.conj().T for hk in h]
+    for kind in [(2, 1), (1, 2)]:
+        assert rel_err(joint_moment(turned, h_turned, kind),
+                       joint_moment(params, h, kind)) < 1e-11
+        assert rel_err(joint_cumulant(turned, h_turned, kind),
+                       joint_cumulant(params, h, kind)) < 1e-11
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_conventions_agree_when_central(seed):
+    # the conventions differ only in the sign and word order of the eta
+    # terms, which vanish with M
+    paper, h = make_instance(seed, central=True, convention="paper")
+    standard, _ = build(paper.n, paper.sigma, None, "standard")
+    for kind in [(2, 1), (1, 2)]:
+        assert rel_err(joint_moment(paper, h, kind), joint_moment(standard, h, kind)) < 1e-13
+        assert rel_err(joint_cumulant(paper, h, kind),
+                       joint_cumulant(standard, h, kind)) < 1e-13
+
+
 def test_eta_identity_direction_is_convention_independent():
     pp, h = make_instance(3, m=1, convention="paper")
     ps, _ = build(pp.n, pp.sigma, pp.m_matrix, "standard")
@@ -254,6 +284,13 @@ def test_joint_cumulant_direction_homogeneity():
     i = (2, 1)
     assert rel_err(joint_cumulant(params, scaled, i),
                    c ** 2 * joint_cumulant(params, h, i)) < 1e-12
+    # Sigma -> c Sigma and M -> c M scale order-|i| moments and cumulants by c^|i|
+    c = 0.75
+    both, _ = build(params.n, c * params.sigma, c * params.m_matrix, params.convention)
+    for i in [(2, 1), (1, 3)]:
+        assert rel_err(joint_moment(both, h, i), c ** sum(i) * joint_moment(params, h, i)) < 1e-12
+        assert rel_err(joint_cumulant(both, h, i),
+                       c ** sum(i) * joint_cumulant(params, h, i)) < 1e-12
 
 
 def joint_cumulant_from_moments(params, h, kind):

@@ -162,6 +162,8 @@ def test_cumulant_homogeneity(convention):
     for i in range(1, 7):
         assert rel_err(noncentral_cumulant(scaled, i),
                        c ** i * noncentral_cumulant(base, i)) < 1e-12
+        assert rel_err(noncentral_moment(scaled, i),
+                       c ** i * noncentral_moment(base, i)) < 1e-12
 
 
 def test_cumulant_additivity_in_blocks():
@@ -182,6 +184,23 @@ def test_order_budget():
         noncentral_moment(params, 21)
     with pytest.raises(BudgetExceededError):
         noncentral_cumulant(params, 21)
+
+
+@pytest.mark.parametrize("sequence, per_order", [("moment_sequence", "noncentral_moment"),
+                                                 ("cumulant_sequence", "noncentral_cumulant")])
+def test_sequence_budget_is_checked_before_any_order(monkeypatch, sequence, per_order):
+    from wishmom import univariate
+
+    calls = []
+    real = getattr(univariate, per_order)
+    monkeypatch.setattr(univariate, per_order,
+                        lambda params, k: calls.append(k) or real(params, k))
+    params = random_params(11)
+    with pytest.raises(BudgetExceededError):
+        getattr(univariate, sequence)(params, 25)
+    assert calls == []
+    assert getattr(univariate, sequence)(params, 3).depth == 3
+    assert calls == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
