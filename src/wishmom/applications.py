@@ -1,4 +1,10 @@
-"""d-permanents, the master-theorem evaluation route, and spectral polykays."""
+"""d-permanents, the master-theorem evaluation route, and spectral polykays.
+
+`permanent_master` evaluates the master theorem as one truncated power-
+series composition, `combinatorics.compose_series`, on the grid of
+sub-indices of the index; it enumerates no partitions.  The brute-force
+permanents walk all p! permutations and are its independent check.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import check_joint_weight, check_permanent_dimension
-from .combinatorics import complex_fsum, cycles_of_images, multiindex_partitions, partition_sum
+from .budgets import check_joint_weight, check_permanent_dimension, integer_tuple
+from .combinatorics import complex_fsum, compose_series, cycles_of_images
 from .errors import (
     DegenerateSampleSizeError,
     InsufficientOrdersError,
@@ -83,13 +89,15 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     Uses the canonical decomposition Sigma := T with unit diagonal selectors
     H_k, which always exists, so the base moments rho are built on products
     of T's columns:
-        i! sum over partitions of a_{l} / m! prod rho[col]^r,
-    with a_k = d^k, or the moments of `d_or_alpha` when it is a sequence.
-    Equals the brute-force d-permanent of the row/column-repeated T(i).
+        i! [z^i] sum_l a_l R(z)^l / l!,  R(z) = sum_{u != 0} rho[u] z^u,
+    with a_k = d^k, or the moments of `d_or_alpha` when it is a sequence;
+    `combinatorics.compose_series` evaluates the composition on the grid of
+    sub-indices.  Equals the brute-force d-permanent of the row/column-
+    repeated T(i).
     """
     t = matrix_core.as_matrix(t)
     m = t.shape[0]
-    kind = tuple(int(v) for v in i)
+    kind = integer_tuple(i, "index")
     if len(kind) != m:
         raise ValidationError("index length must match matrix dimension")
     if any(v < 0 for v in kind):
@@ -116,7 +124,7 @@ def permanent_master(t, i, d_or_alpha) -> complex:
         e = np.zeros_like(t)
         e[:, k] = t[:, k]
         sh.append(e)
-    total = partition_sum(multiindex_partitions(kind), rho_table(sh, kind), a_of)
+    total = compose_series(rho_table(sh, kind), kind, a_of)
     return math.prod(math.factorial(v) for v in kind) * total
 
 

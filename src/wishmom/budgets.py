@@ -4,11 +4,15 @@ Every combinatorially explosive operation caps one quantity of its request
 with a rule below.  A rule reads only integers of the request's shape (an
 order, an index weight, a matrix dimension, a permutation size) and needs
 no numpy, so the engines and the CLI call the same rule before any numeric
-work.  Setting the environment variable ``WISHMOM_MAX_BUDGET`` (or the
-legacy spelling ``WISHART_MAX_BUDGET``) to an integer replaces *all*
-defaults at once, and a rejection then names that variable.
+work.  `integer_tuple` is the one reading of those integers, shared by the
+engines and the CLI, so a bool or a non-integral number is rejected rather
+than counted or truncated.  Setting the environment variable
+``WISHMOM_MAX_BUDGET`` (or the legacy spelling ``WISHART_MAX_BUDGET``) to an
+integer replaces *all* defaults at once, and a rejection then names that
+variable.
 """
 
+import numbers
 import os
 
 from .errors import BudgetExceededError, ValidationError
@@ -55,3 +59,26 @@ check_permutation_degree = _rule("permutation degree", MAX_PERMUTATION_SIZE)
 check_permanent_dimension = _rule("permanent dimension", MAX_PERMANENT_DIM)
 check_product_factors = _rule("product factors", MAX_PRODUCT_FACTORS)
 check_expansion_positions = _rule("expansion positions", MAX_EXPANSION_CYCLES)
+
+
+def integer_tuple(values, name: str) -> tuple[int, ...]:
+    """The integers of `values`: ints, integral reals such as 2.0, or
+    strings of digits.  A bare string (read digit by digit otherwise), a
+    bool, a non-integral number or anything else raises ValidationError."""
+    def one(v):
+        if type(v) is int:
+            return v
+        if isinstance(v, bool):
+            raise ValueError("a bool")
+        if isinstance(v, (numbers.Integral, str)):
+            return int(v)
+        if isinstance(v, numbers.Real) and float(v).is_integer():
+            return int(v)
+        raise ValueError("not an integer")
+
+    try:
+        if isinstance(values, str):
+            raise ValueError("a bare string")
+        return tuple(one(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be a list of integers: {values!r}") from exc

@@ -209,27 +209,13 @@ def _h_list(doc: dict) -> list[np.ndarray]:
     return [_matrix_from(hk, f"h[{k}]") for k, hk in enumerate(doc["h"])]
 
 
-def _int_list(values, name: str) -> tuple[int, ...]:
-    """Integers from a list of strings or JSON numbers; a bare string,
-    booleans and non-integral numbers are rejected rather than read digit
-    by digit or truncated."""
-    try:
-        if isinstance(values, str) or any(
-                isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())
-                for v in values):
-            raise ValueError("not a list of integers")
-        return tuple(int(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a list of integers: {values!r}") from exc
-
-
 def _index_from(doc: dict, args) -> tuple[int, ...]:
     """The multi-index (or permutation images) of --index or the input's
     'index' entry: non-negative integers."""
     if args.index is not None:
-        index = _int_list(args.index.split(","), "--index")
+        index = budgets.integer_tuple(args.index.split(","), "--index")
     elif "index" in doc:
-        index = _int_list(doc["index"], "index")
+        index = budgets.integer_tuple(doc["index"], "index")
     else:
         raise ValidationError("this command needs --index or an 'index' entry")
     if any(v < 0 for v in index):
@@ -359,7 +345,7 @@ def _cmd_necklaces(doc, args):
 
     if args.kind is None:
         raise ValidationError("necklaces needs --kind i1,i2,...")
-    kind = _int_list(args.kind.split(","), "--kind")
+    kind = budgets.integer_tuple(args.kind.split(","), "--kind")
     rows = []
     for neck in combinatorics.necklaces_of_kind(kind):
         rows.append({

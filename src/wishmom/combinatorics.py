@@ -7,11 +7,17 @@ integer partitions come in reverse-lexicographic order, multi-index
 partitions in reverse-lexicographic order on their column sequences (larger
 columns consumed first), necklace representatives in lexicographic order.
 
-`partition_sum` is the one weighted sum over partitions that every closed
-form reduces to; it adds its terms with `complex_fsum`, a correctly rounded
-complex sum.  The Bell and cyclic polynomials come from the Bell recurrence
-and enumerate nothing, so they stay an independent check on the partition
-sums.
+Every closed form reduces to a weighted sum over partitions,
+sum_lambda a_l / prod r! prod x_part^r, and there are two kernels for it.
+`compose_series` evaluates it as the coefficient [z^i] of
+sum_l a_l R(z)^l / l!, a truncated power series on the grid of sub-indices
+u <= i; it enumerates no partitions and carries every composition
+(permanents, randomized moments and cumulants, central and normalized
+moments).  `partition_sum` walks the partitions and adds the terms with
+`complex_fsum`, a correctly rounded complex sum; it carries the trace and
+joint moments and is the tests' oracle for `compose_series`.  The Bell and
+cyclic polynomials come from the Bell recurrence and enumerate nothing, so
+they stay an independent check on both.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .budgets import check_necklace_weight, check_permutation_degree
+from .budgets import check_necklace_weight, check_permutation_degree, integer_tuple
 from .errors import NumericalError, ValidationError
 
 
@@ -201,7 +208,7 @@ def multiindex_partitions(t) -> list[MultiIndexPartition]:
     multi-index analogue of reverse-lexicographic.  A one-dimensional
     multi-index (i,) reproduces integer_partitions(i).
     """
-    t = tuple(int(v) for v in t)
+    t = integer_tuple(t, "multi-index")
     if any(v < 0 for v in t):
         raise ValidationError(f"multi-index must be componentwise >= 0: {t}")
     if all(v == 0 for v in t):
@@ -282,6 +289,76 @@ def partition_sum(partitions, base, weight) -> complex:
     return total
 
 
+def compose_series(table, kind, weight) -> complex:
+    """[z^kind] of sum_{l >= 1} weight(l) R(z)^l / l!, where
+    R(z) = sum_{u != 0} table[u] z^u runs over the sub-indices u <= kind.
+
+    `table` is an array of shape kind + 1 (its entry at the origin is
+    ignored) or a mapping from sub-indices to values; a one-dimensional
+    kind (i,) takes the sequence [_, x_1, ..., x_i].  For a nonzero kind
+    this is the partition sum of `partition_sum` over the partitions of
+    kind (a zero kind gives 0, not weight(0)): R^l / l! collects
+    prod table[part]^r / prod r! over the partitions of length l.  It
+    enumerates none of them.
+
+    The powers R^l / l! live on the grid of sub-indices.  A product with R
+    adds, per nonzero entry table[u], that multiple of the previous power
+    shifted by u: one precomputed (destination, source) slice pair per
+    entry, into one of two reused buffers.  The last power is needed only
+    at kind, the grid's last entry, and is one dot product of R with the
+    reversed previous power.  Raises NumericalError on overflow.
+    """
+    # numpy loads on first use: `necklaces` and the CLI's request checks
+    # import this module and stay numpy-free
+    import numpy as np
+
+    kind = integer_tuple(kind, "kind")
+    if any(v < 0 for v in kind):
+        raise ValidationError(f"kind must be componentwise >= 0: {kind}")
+    shape = tuple(v + 1 for v in kind)
+    top = sum(kind)
+    try:
+        if isinstance(table, Mapping):
+            r = np.zeros(shape, dtype=complex)
+            for u, x in table.items():
+                r[u] = x
+        else:
+            r = np.array(table, dtype=complex)
+            if r.shape != shape:
+                raise ValueError(f"shape {r.shape}")
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"table does not fit the grid of kind {kind}: {exc}") from exc
+    if top == 0:
+        return 0j
+    flat = r.reshape(-1)
+    flat[0] = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = [weight(1) * flat[-1]]
+            if top > 1:
+                # product() walks the slice tuples in the grid's C order
+                dst = itertools.product(*([slice(x, None) for x in range(s)] for s in shape))
+                src = itertools.product(*([slice(0, s - x) for x in range(s)] for s in shape))
+                shifts = [shift for shift in zip(dst, src, flat.tolist()) if shift[2]]
+                power, buffers = r, (np.empty_like(r), np.empty_like(r))
+                for l in range(2, top):
+                    out = buffers[l % 2]
+                    out.fill(0)
+                    for dst, src, x in shifts:
+                        out[dst] += x * power[src]
+                    out /= l
+                    power = out
+                    terms.append(weight(l) * power.flat[-1])
+                # C order: reversing the flat grid reverses every axis
+                terms.append(weight(top) * np.dot(flat, power.reshape(-1)[::-1]) / top)
+    except OverflowError as exc:
+        raise NumericalError(f"series composition overflows: {exc}") from exc
+    total = complex_fsum(terms)
+    if not cmath.isfinite(total):
+        raise NumericalError(f"series composition overflows: {total}")
+    return total
+
+
 # ---------------------------------------------------------------------------
 # necklaces of fixed kind
 # ---------------------------------------------------------------------------
@@ -317,7 +394,7 @@ def necklaces_of_kind(kind) -> list[Necklace]:
     Fixed-content FKM-style generation: depth-first over prenecklaces,
     tracking the prefix period p and emitting a[1..n] whenever p divides n.
     """
-    kind = tuple(int(v) for v in kind)
+    kind = integer_tuple(kind, "kind")
     if any(v < 0 for v in kind):
         raise ValidationError(f"kind must be componentwise >= 0: {kind}")
     n = sum(kind)

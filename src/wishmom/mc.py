@@ -50,6 +50,7 @@ import numpy as np
 
 from . import matrix_core
 from .applications import PolykaySample
+from .budgets import integer_tuple
 from .choices import IDENTITIES
 from .combinatorics import CyclePermutation
 from .errors import (
@@ -350,9 +351,11 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     if _draw_count(n_samples) < 1:
         raise ValidationError("n_samples must be >= 1")
     hs = [matrix_core.as_matrix(hk) for hk in h]
-    kind = tuple(int(v) for v in i)
+    kind = integer_tuple(i, "index")
     if len(kind) != len(hs):
         raise DimensionMismatchError("index length must match len(h)")
+    if any(v < 0 for v in kind):
+        raise ValidationError(f"index must be componentwise >= 0: {kind}")
     gen = _as_generator(rng)
     acc = _Accumulator()
     for x in _row_batches(params, None, gen, n_samples):

@@ -29,10 +29,16 @@ are the independent check on the recursion; no other route enumerates
 necklaces or rotations.
 
 Joint moments expand the tables over multi-index partitions with a
-binomial convolution of the central and non-centrality parts; joint
-cumulants are i! (n rho[i] + sign eta[i]).  Partition sums go through
-`combinatorics.partition_sum`, and the necklace and group-action sums are
-added with `combinatorics.complex_fsum`, a correctly rounded sum.
+binomial convolution of the central and non-centrality parts, through
+`combinatorics.partition_sum`; joint cumulants are i! (n rho[i] + sign
+eta[i]).  The randomized joint cumulant is a composition, one truncated
+power series on the grid of sub-indices (`combinatorics.compose_series`),
+and enumerates no partitions.  Joint moments stay on the partition sums
+for now: their series form is exp of the cumulant series on the same grid,
+and it waits until the benchmark stops keeping every job's answer, which
+would charge a faster moment route with a larger peak RSS (ROADMAP.md).
+The necklace and group-action sums are added with
+`combinatorics.complex_fsum`, a correctly rounded sum.
 """
 
 from __future__ import annotations
@@ -44,10 +50,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import check_expansion_positions, check_joint_weight, check_product_factors
+from .budgets import (
+    check_expansion_positions,
+    check_joint_weight,
+    check_product_factors,
+    integer_tuple,
+)
 from .combinatorics import (
     CyclePermutation,
     complex_fsum,
+    compose_series,
     cycles_of_images,
     multiindex_partitions,
     necklace_rotations,
@@ -74,7 +86,7 @@ def _directions(params: WishartParams, h) -> tuple[list[np.ndarray], list[np.nda
 
 
 def _as_kind(i, m: int) -> tuple[int, ...]:
-    kind = tuple(int(v) for v in i)
+    kind = integer_tuple(i, "index")
     if len(kind) != m:
         raise DimensionMismatchError(f"index has {len(kind)} components, expected {m}")
     if any(v < 0 for v in kind):
@@ -242,7 +254,10 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     `alpha_cumulants` carries the cumulant sequence c_k of the random index;
     the n^{l} head of the deterministic formula becomes the full partition
     sum with c_{l(lambda)} weights:
-        i! ( sum_{lambda |= i} c_l / m! prod rho[col]^r + sign eta[i] ).
+        i! ( sum_{lambda |= i} c_l / m! prod rho[col]^r + sign eta[i] ),
+    evaluated as the series composition i! ([z^i] sum_l c_l R(z)^l / l!
+    + sign eta[i]) with R(z) = sum_{u != 0} rho[u] z^u
+    (`combinatorics.compose_series`).
 
     Only the central part is randomized: the eta term enters once,
     unweighted, so conditionally on the index being k the object is
@@ -259,7 +274,7 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
         raise InsufficientOrdersError(
             f"alpha carries {alpha_cumulants.depth} orders, need {weight}")
     rho_tab, eta_tab = _base_tables(params, h, kind)
-    total = partition_sum(multiindex_partitions(kind), rho_tab, alpha_cumulants.order)
+    total = compose_series(rho_tab, kind, alpha_cumulants.order)
     return _index_factorial(kind) * (total + params.sign * eta_tab[kind])
 
 

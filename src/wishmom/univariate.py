@@ -4,14 +4,22 @@ Wishart matrix.
 Two independent routes are shipped for each quantity and pinned together by
 the test suite: partition sums over the trace caches versus complete Bell
 polynomials of the cumulant sequence, and the trace-cache cumulant formula
-versus its eigenvalue form.  Every partition sum goes through
+versus its eigenvalue form.  The non-central moments go through
 `combinatorics.partition_sum`, which adds its terms with a correctly
 rounded sum; the Bell route is a recurrence that enumerates no partitions.
+
+The compositions, sums over partitions of a_l d_lambda prod x_part, are
+one truncated power series each (`combinatorics.compose_series`, the 1-D
+case): the central moment, the randomized moment, and both directions of
+the dimension-normalized moments.  They enumerate no partitions.  The
+moments stay on the partition sums for now; their series form, exp of the
+cumulant series, waits for a benchmark change (ROADMAP.md).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,7 @@ from .budgets import check_cumulant_order, check_moment_order
 from .combinatorics import (
     complete_bell,
     complex_fsum,
+    compose_series,
     cyclic_polynomial,
     falling_factorial,
     integer_partitions,
@@ -80,13 +89,11 @@ def _check_order(i: int) -> None:
     check_moment_order(i)
 
 
-def _d_weighted_sum(x, weight) -> complex:
-    """sum over partitions lambda of i = len(x) of
-    d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j}, with x[k-1] the
-    order-k entry: i! times the partition sum on x_k / k!."""
-    i = len(x)
-    base = [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
-    return math.factorial(i) * partition_sum(integer_partitions(i), base, weight)
+def _exponential_table(x) -> list:
+    """[0, x_1 / 1!, ..., x_i / i!] from x[k-1] = x_k: the table whose
+    composition, times i!, is the d_lambda-weighted partition sum
+    sum_lambda d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j}."""
+    return [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +104,8 @@ def central_moment(params: WishartParams, i: int) -> complex:
     """E[(Tr W)^i] for the central distribution (M ignored).
 
     Partition sum with falling-factorial weights over products of cyclic
-    polynomials of the power traces T_1..T_i.
+    polynomials of the power traces T_1..T_i, evaluated as the composition
+    i! [z^i] sum_l (n)_l R(z)^l / l! with R(z) = sum_j C_j(T) z^j / j!.
     """
     _check_order(i)
     if i == 0:
@@ -105,7 +113,8 @@ def central_moment(params: WishartParams, i: int) -> complex:
     cache = params.trace_cache(i)
     cyc = [cyclic_polynomial([cache.t_power(k) for k in range(1, j + 1)])
            for j in range(1, i + 1)]
-    return complex(_d_weighted_sum(cyc, lambda l: falling_factorial(params.n, l)))
+    return math.factorial(i) * compose_series(
+        _exponential_table(cyc), (i,), lambda l: falling_factorial(params.n, l))
 
 
 def central_cumulant(params: WishartParams, i: int) -> complex:
@@ -207,8 +216,9 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
     (Sigma, M); params.n is ignored.  The random-sum composition gives
     sum over partitions of alpha_{l(lambda)} d_lambda times products of the
     per-draw trace *cumulants*, i.e. the moment sequence of N composed with
-    the single-draw log-transform.  For N fixed at an integer n this equals
-    the n-draw moment with non-centrality n * M.
+    the single-draw log-transform, evaluated by `compose_series`.  For N
+    fixed at an integer n this equals the n-draw moment with non-centrality
+    n * M.
     """
     if alpha.kind != MOMENTS:
         raise ValidationError("alpha must be a moment sequence")
@@ -222,7 +232,7 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
     draw_cums = [math.factorial(k - 1) * cache.t_power(k)
                  + params.sign * math.factorial(k) * cache.s_power(k)
                  for k in range(1, i + 1)]
-    return complex(_d_weighted_sum(draw_cums, alpha.order))
+    return math.factorial(i) * compose_series(_exponential_table(draw_cums), (i,), alpha.order)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +244,9 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
 
     Defined by the triangular system
         E[(Tr W)^i] = sum over partitions of p^{l} d_lambda prod e_{part}^r
-    and solved for the e_i by forward substitution; reinserting the solved
-    sequence reproduces the trace moments exactly.
+    and solved for the e_i by forward substitution, each step one
+    composition (`compose_series`) of the e_k found so far; reinserting the
+    solved sequence reproduces the trace moments exactly.
     """
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
@@ -245,20 +256,29 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     for i in range(1, i_max + 1):
         mom = noncentral_moment(params, i)
         # every term but the head p * e_i, which vanishes at e_i = 0
-        rest = _d_weighted_sum(e[1:] + [0.0], lambda l: p ** l)
+        rest = math.factorial(i) * compose_series(
+            _exponential_table(e[1:] + [0.0]), (i,), lambda l: p ** l)
         e.append((mom - rest) / p)
     return MomentSequence(tuple(e), MOMENTS)
 
 
 def compose_normalized_moments(e: MomentSequence, p: int, i: int) -> complex:
     """Forward expansion: trace moment of order i from the normalized
-    sequence e (round-trip companion of `normalized_cumulant_moments`)."""
+    sequence e (round-trip companion of `normalized_cumulant_moments`),
+    i! [z^i] sum_l p^l R(z)^l / l! with R(z) = sum_k e_k z^k / k!.
+
+    p is the matrix dimension: a positive integer, else ValidationError.
+    """
     if e.kind != MOMENTS:
         raise ValidationError("e must be a moment sequence")
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+        raise ValidationError(f"p is a matrix dimension, a positive integer: {p!r}")
     if i < 0:
         raise ValidationError(f"order must be >= 0: {i}")
-    return complex(_d_weighted_sum([e.order(k) for k in range(1, i + 1)],
-                                      lambda l: p ** l))
+    if i == 0:
+        return 1.0 + 0.0j
+    return math.factorial(i) * compose_series(
+        _exponential_table([e.order(k) for k in range(1, i + 1)]), (i,), lambda l: p ** l)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Brute-force kernels that only the tests use, as independent oracles for
-the production routes: every string of a kind, and traces of explicitly
-multiplied matrix products."""
+the production routes: every string of a kind, traces of explicitly
+multiplied matrix products, and exact (Gaussian-rational) compositions,
+permanents and moments."""
+
+import itertools
+import math
+from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,3 +65,204 @@ def power_traces(a, k_max: int) -> list[complex]:
         out.append(complex(np.trace(acc)))
         acc = acc @ a
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic: compositions, permanents and moments in Fractions
+# ---------------------------------------------------------------------------
+
+class GaussianRational:
+    """An exact complex number re + i im with Fraction parts.  A float or a
+    complex converts exactly: every finite double is a rational."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @classmethod
+    def of(cls, z) -> "GaussianRational":
+        if isinstance(z, GaussianRational):
+            return z
+        if isinstance(z, (int, Fraction)):
+            return cls(z)
+        z = complex(z)
+        return cls(Fraction(z.real), Fraction(z.imag))
+
+    def __add__(self, other):
+        other = GaussianRational.of(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -GaussianRational.of(other)
+
+    def __mul__(self, other):
+        other = GaussianRational.of(other)
+        return GaussianRational(self.re * other.re - self.im * other.im,
+                                self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, q):
+        """Division by a rational."""
+        return GaussianRational(self.re / q, self.im / q)
+
+    def __pow__(self, k: int):
+        out = GaussianRational(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        other = GaussianRational.of(other)
+        return self.re == other.re and self.im == other.im
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def distance(self, z) -> float:
+        """|self - z| for a float or complex z, from the exact difference."""
+        diff = self - z
+        return math.sqrt(float(diff.re ** 2 + diff.im ** 2))
+
+
+def exact_composition(table, kind, weight) -> GaussianRational:
+    """Exact [z^kind] of sum_{l >= 1} weight(l) R(z)^l / l!, where
+    R(z) = sum_{u != 0} table[u] z^u.
+
+    `table` maps sub-indices to values, or is a sequence [_, x_1, .., x_i]
+    for a one-dimensional kind.  The entries are brought to one common
+    denominator D, so the powers D^l R^l are dictionaries of Gaussian
+    integers, multiplied term by term: no numpy and no partitions.
+    """
+    kind = tuple(kind)
+    if not isinstance(table, Mapping):
+        table = {(k,): x for k, x in enumerate(table)}
+    entries = {u: GaussianRational.of(x) for u, x in table.items() if any(u) and x != 0}
+    den = math.lcm(1, *(q.denominator for z in entries.values() for q in (z.re, z.im)))
+    r = {u: (int(z.re * den), int(z.im * den)) for u, z in entries.items()}
+    power = {(0,) * len(kind): (1, 0)}
+    total = GaussianRational(0)
+    for length in range(1, sum(kind) + 1):
+        nxt = {}
+        for u, (a, b) in power.items():
+            for v, (c, d) in r.items():
+                w = tuple(x + y for x, y in zip(u, v))
+                if all(x <= k for x, k in zip(w, kind)):
+                    re, im = nxt.get(w, (0, 0))
+                    nxt[w] = (re + a * c - b * d, im + a * d + b * c)
+        power = nxt
+        if kind in power:
+            scale = den ** length * math.factorial(length)
+            re, im = power[kind]
+            total = total + GaussianRational.of(weight(length)) * GaussianRational(
+                Fraction(re, scale), Fraction(im, scale))
+    return total
+
+
+def exact_matrix(a) -> list:
+    """A matrix of exact entries from a nested list or an array."""
+    return [[GaussianRational.of(x) for x in row] for row in np.asarray(a).tolist()]
+
+
+def _exact_matmul(a, b) -> list:
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), GaussianRational(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def master_rho(t, kind) -> dict:
+    """rho[v] = Tr S[v] / |v| of every nonzero v <= kind on the master
+    theorem's factors F_k: T with every column but column k zeroed.
+    S[v] = sum_k S[v - e_k] F_k with S[0] = I.
+
+    Exact (Gaussian-rational values, Python integers throughout) when T
+    has Gaussian-integer entries; complex floats otherwise.
+    """
+    t = np.asarray(t, dtype=complex)
+    exact = bool(np.all(t.real == np.round(t.real)) and np.all(t.imag == np.round(t.imag)))
+    re, im = (t.real, t.imag) if not exact else (
+        t.real.astype(int).astype(object), t.imag.astype(int).astype(object))
+    m = t.shape[0]
+    factors = []
+    for k in range(m):
+        keep = np.zeros((m, m), dtype=int)
+        keep[:, k] = 1
+        factors.append((re * keep, im * keep))
+    eye = np.eye(m, dtype=int).astype(re.dtype)
+    s = {}
+    for v in itertools.product(*(range(c + 1) for c in kind)):
+        if not any(v):
+            s[v] = (eye, eye * 0)
+            continue
+        acc_re = acc_im = 0
+        for k, c in enumerate(v):
+            if c:
+                (a, b), (f, g) = s[v[:k] + (c - 1,) + v[k + 1:]], factors[k]
+                acc_re = acc_re + a @ f - b @ g
+                acc_im = acc_im + a @ g + b @ f
+        s[v] = (acc_re, acc_im)
+    out = {}
+    for v, (a, b) in s.items():
+        if any(v):
+            tr_re, tr_im = np.trace(a), np.trace(b)
+            out[v] = (GaussianRational(Fraction(int(tr_re), sum(v)), Fraction(int(tr_im), sum(v)))
+                      if exact else complex(tr_re, tr_im) / sum(v))
+    return out
+
+
+def exact_permanent_master(t, kind, weight) -> GaussianRational:
+    """per_a[T(kind)] exactly for a Gaussian-integer T: kind! times the
+    composition of the exact rho table with cycle-count weights
+    a_l = weight(l)."""
+    return math.prod(math.factorial(v) for v in kind) * exact_composition(
+        master_rho(t, kind), kind, weight)
+
+
+def exact_permanent(y, weight) -> GaussianRational:
+    """sum over permutations s of weight(#cycles(s)) prod_j y[j, s(j)],
+    exactly, over all p! permutations."""
+    y = exact_matrix(y)
+    total = GaussianRational(0)
+    for perm in itertools.permutations(range(len(y))):
+        seen, cycles = set(), 0
+        for start in range(len(perm)):
+            if start not in seen:
+                cycles += 1
+                j = start
+                while j not in seen:
+                    seen.add(j)
+                    j = perm[j]
+        term = GaussianRational.of(weight(cycles))
+        for j, col in enumerate(perm):
+            term = term * y[j][col]
+        total = total + term
+    return total
+
+
+def exact_trace_powers(sigma, m_matrix, k_max) -> tuple[list, list]:
+    """([T_1..T_k_max], [S_1..S_k_max]) exactly: T_k = Tr(Sigma^k) and
+    S_k = Tr(M Sigma^(k-1))."""
+    sigma, acc = exact_matrix(sigma), exact_matrix(m_matrix)
+    p = len(sigma)
+    t, s = [], []
+    power = sigma
+    for _ in range(k_max):
+        t.append(sum((power[a][a] for a in range(p)), GaussianRational(0)))
+        s.append(sum((acc[a][a] for a in range(p)), GaussianRational(0)))
+        power, acc = _exact_matmul(power, sigma), _exact_matmul(acc, sigma)
+    return t, s
+
+
+def exact_moments_from_cumulants(kappa) -> list:
+    """[m_0, .., m_i] from [kappa_1, .., kappa_i] by the recursion
+    m_k = sum_j C(k-1, j-1) kappa_j m_{k-j}, exactly."""
+    m = [GaussianRational(1)]
+    for k in range(1, len(kappa) + 1):
+        m.append(sum((math.comb(k - 1, j - 1) * kappa[j - 1] * m[k - j]
+                      for j in range(1, k + 1)), GaussianRational(0)))
+    return m

@@ -184,6 +184,7 @@ def test_exit_code_numerical(tmp_path):
     ["cumulants"],
     ["joint-cumulants"],
     ["polykay", "--order", "4"],
+    ["permanent", "--index", "2,1"],
 ])
 def test_overflow_exits_3(tmp_path, capsys, args):
     # finite inputs whose results overflow: a numerical error, not a traceback

@@ -118,6 +118,17 @@ def test_set_partition_coefficients_sum_to_bell():
 # multi-index partitions
 # ---------------------------------------------------------------------------
 
+def test_kinds_must_be_integers():
+    # neither truncated (1.5 -> 1) nor counted (True -> 1)
+    for kind in ((1.5, 1), (True, 1), "21"):
+        with pytest.raises(ValidationError):
+            multiindex_partitions(kind)
+        with pytest.raises(ValidationError):
+            necklaces_of_kind(kind)
+    assert multiindex_partitions((2.0, np.int64(1))) == multiindex_partitions((2, 1))
+    assert necklaces_of_kind((2.0, np.int64(1))) == necklaces_of_kind((2, 1))
+
+
 def test_multiindex_partitions_examples():
     def column_sets(t):
         out = []

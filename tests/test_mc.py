@@ -424,6 +424,14 @@ def test_generalized_moment_matches_formed_w(cycles, p, n_offset):
     assert est.n_samples == want.n_samples
 
 
+@pytest.mark.parametrize("index", [(1.5,), (True,), (-1,)])
+def test_joint_estimator_index_must_be_non_negative_integers(index):
+    # (1.5,) must not run as order 1, True as 1, nor -1 as 1 / Tr(W H)
+    params = standard_params(70)
+    with pytest.raises(ValidationError):
+        estimate_joint_moment(params, [np.eye(2)], index, 100, RngStream(1))
+
+
 @pytest.mark.parametrize("count", [12.5, True, "12"])
 @pytest.mark.parametrize("estimator", ["joint", "generalized", "cumulants", "identity",
                                        "draw loop"])

@@ -233,6 +233,25 @@ def test_joint_moment_trivial_and_budget():
         joint_moment(params, h, (6, 5))
 
 
+def test_index_components_must_be_integers():
+    # neither truncated (1.5 -> 1) nor counted (True -> 1)
+    params, h = make_instance(6)
+    alpha = MomentSequence.from_cumulants([1.5, 0.5, 0.25])
+    t = random_complex(np.random.default_rng(6), 2)
+    routes = (lambda i: joint_moment(params, h, i),
+              lambda i: joint_cumulant(params, h, i),
+              lambda i: joint_cumulant_randomized(alpha, params, h, i),
+              lambda i: permanent_master(t, i, 0.5))
+    for route in routes:
+        for bad in ((1.5, 1), (True, 1), (1, np.float32(0.5)), (None, 1), "21"):
+            with pytest.raises(ValidationError):
+                route(bad)
+        assert route((2.0, np.int64(1))) == route((2, 1))
+    eye = [np.eye(3)]
+    with pytest.raises(ValidationError):
+        joint_moment(params, eye, (1.5,))
+
+
 def test_joint_moment_singular_sigma():
     sigma = np.diag([1.0, 0.0]).astype(complex)
     h = [np.eye(2), np.eye(2)]

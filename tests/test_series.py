@@ -1,0 +1,323 @@
+"""The truncated power-series composition kernel, `compose_series`, and the
+routes built on it: permanents, randomized moments and cumulants, central
+moments and normalized moments.
+
+Each route is pinned against an exact Gaussian-rational composition of the
+same inputs (`brute_force.exact_composition`) and against the partition
+sums it replaced.  The float error is bounded relative to the scale of
+the sum, the same composition on absolute values, so cancellation in the
+alternating weights neither breaks nor loosens a bound.
+"""
+
+import itertools
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import wishmom
+from wishmom import (
+    MomentSequence,
+    NumericalError,
+    ValidationError,
+    build,
+    central_moment,
+    compose_normalized_moments,
+    multiindex_partitions,
+    normalized_cumulant_moments,
+    permanent_master,
+    randomized_moment,
+    repeated_matrix,
+)
+from wishmom.combinatorics import compose_series, partition_sum
+
+from brute_force import (
+    GaussianRational,
+    exact_composition,
+    exact_moments_from_cumulants,
+    exact_permanent,
+    exact_permanent_master,
+    exact_trace_powers,
+    master_rho,
+)
+
+# |float - exact| <= ERROR_BOUND * scale on every route below.  The worst
+# case seen over these tests is 2.3e-16 * scale, about one unit of 2**-52.
+ERROR_BOUND = 1e-14
+
+
+def exact_scale(table, kind, weight) -> float:
+    """The composition on absolute values: the scale of a float error."""
+    if not isinstance(table, dict):
+        table = {(k,): x for k, x in enumerate(table)}
+    absolute = {u: abs(complex(x)) for u, x in table.items()}
+    return float(exact_composition(absolute, kind, lambda l: abs(complex(weight(l)))).re)
+
+
+def assert_exact(got, exact: GaussianRational, scale: float):
+    assert exact.distance(got) <= ERROR_BOUND * scale, (got, complex(exact), scale)
+
+
+def random_table(rng, kind) -> dict:
+    cells = itertools.product(*(range(c + 1) for c in kind))
+    return {u: complex(*rng.normal(size=2)) for u in cells if any(u)}
+
+
+WEIGHTS = {
+    "alternating": lambda l: (-1) ** l * (1 + l / 3),
+    "complex": lambda l: complex(0.3, -0.9) ** l,
+    "falling": lambda l: math.prod(2.5 - j for j in range(l)),
+}
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+# ---------------------------------------------------------------------------
+
+SMALL_KINDS = [(1,), (2,), (2, 1), (1, 0, 2)]
+
+
+# every weight on every small kind, and on a weight-10 kind
+@pytest.mark.parametrize("kind, weight", [
+    *itertools.product(SMALL_KINDS, sorted(WEIGHTS)),
+    ((10,), "falling"), ((5, 5), "alternating"), ((4, 3, 3), "complex"),
+    ((2, 2, 1, 1, 1), "falling"), ((4, 3, 3), "alternating"),
+])
+def test_compose_series_matches_exact_composition(kind, weight):
+    rng = np.random.default_rng(sum(kind) * 31 + len(kind))
+    table, w = random_table(rng, kind), WEIGHTS[weight]
+    assert_exact(compose_series(table, kind, w), exact_composition(table, kind, w),
+                 exact_scale(table, kind, w))
+
+
+def test_compose_series_takes_arrays_and_sequences():
+    rng = np.random.default_rng(3)
+    kind = (3, 2)
+    table = random_table(rng, kind)
+    grid = np.zeros((4, 3), dtype=complex)
+    for u, x in table.items():
+        grid[u] = x
+    grid[0, 0] = 99.0  # the origin is ignored
+    w = WEIGHTS["complex"]
+    assert compose_series(grid, kind, w) == compose_series(table, kind, w)
+    x = [0.0, 1.5, -0.25, 2.0]
+    assert compose_series(x, (3,), w) == compose_series(np.array(x), [3], w)
+    assert compose_series([5.0], (0,), w) == 0
+    # the one-partition case: weight(1) times the entry at kind
+    assert compose_series({(1, 0): 2.0}, (1, 0), lambda l: 3.0) == 6.0
+
+
+def test_compose_series_rejects_malformed_requests():
+    w = WEIGHTS["complex"]
+    with pytest.raises(ValidationError):
+        compose_series([0.0, 1.0], (2,), w)  # shape (2,) against grid (3,)
+    with pytest.raises(ValidationError):
+        compose_series({(3,): 1.0}, (2,), w)  # outside the grid
+    with pytest.raises(ValidationError):
+        compose_series([0.0], (-1,), w)
+    with pytest.raises(ValidationError):
+        compose_series([0.0, 1.0], (True,), w)
+    with pytest.raises(ValidationError):
+        compose_series([0.0, 1.0], (1.5,), w)
+
+
+VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(1e-3, 2.0).flatmap(lambda m: st.sampled_from([m, -m])),
+)
+COMPLEX = st.builds(complex, VALUES, VALUES)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_compose_series_matches_partition_sum(data):
+    # nonzero parts are at least 1e-3 in magnitude, so no product of eight
+    # of them underflows and both sums round relative to the scale
+    m = data.draw(st.integers(1, 4))
+    kind = tuple(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
+                           .filter(lambda k: 1 <= sum(k) <= 8)))
+    cells = [u for u in itertools.product(*(range(c + 1) for c in kind)) if any(u)]
+    table = dict(zip(cells, data.draw(st.lists(COMPLEX, min_size=len(cells),
+                                               max_size=len(cells)))))
+    top = sum(kind)
+    values = data.draw(st.lists(COMPLEX, min_size=top + 1, max_size=top + 1))
+    if data.draw(st.booleans()):  # alternating
+        values = [(-1) ** l * abs(v) for l, v in enumerate(values)]
+    partitions = multiindex_partitions(kind)
+    got = compose_series(table, kind, values.__getitem__)
+    want = partition_sum(partitions, table, values.__getitem__)
+    scale = partition_sum(partitions, {u: abs(x) for u, x in table.items()},
+                          lambda l: abs(values[l]))
+    assert abs(got - want) <= 1e-12 * scale.real
+
+
+def test_compose_series_overflow_is_a_numerical_error():
+    one = lambda l: 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error alone reports it
+        # a power that overflows: (1e200)^2 / 2
+        with pytest.raises(NumericalError):
+            compose_series([0.0, 1e200, 1.0], (2,), one)
+        # a middle power that overflows on a grid
+        with pytest.raises(NumericalError):
+            compose_series({(1, 0): 1e120, (0, 1): 1e120, (1, 1): 1.0, (2, 1): 1.0},
+                           (2, 1), one)
+        # finite terms whose sum overflows
+        with pytest.raises(NumericalError):
+            compose_series([0.0, 1e154, 1.7e308], (2,), one)
+        # a weight that overflows
+        with pytest.raises(NumericalError):
+            compose_series([0.0, 1.0, 1.0], (2,), lambda l: 10.0 ** (200 * l))
+
+
+# ---------------------------------------------------------------------------
+# permanents
+# ---------------------------------------------------------------------------
+
+def gaussian_integer_matrix(rng, m):
+    return rng.integers(-2, 3, size=(m, m)) + 1j * rng.integers(-2, 3, size=(m, m))
+
+
+D_VALUES = {
+    "rational": Fraction(1, 3),
+    "negative": Fraction(-5, 2),
+    "gaussian": GaussianRational(Fraction(1, 3), Fraction(-2, 5)),
+}
+
+
+def test_exact_master_route_is_the_exact_permanent():
+    # the oracle itself, against all p! permutations of T(i)
+    rng = np.random.default_rng(41)
+    t = gaussian_integer_matrix(rng, 3)
+    for kind in ((1, 1, 1), (2, 1, 0), (2, 2, 1)):
+        for d in D_VALUES.values():
+            a = lambda l: GaussianRational.of(d) ** l
+            want = exact_permanent(repeated_matrix(t, kind), a)
+            assert exact_permanent_master(t, kind, a) == want
+
+
+# every d on small kinds, and each d on a weight-10 kind
+@pytest.mark.parametrize("kind, d", [
+    *itertools.product([(2, 1), (1, 1, 1, 1)], sorted(D_VALUES)),
+    ((5, 5), "negative"), ((4, 3, 3), "gaussian"), ((10,), "rational"),
+    ((2, 2, 2, 1), "gaussian"),
+])
+def test_permanent_master_matches_exact(kind, d):
+    rng = np.random.default_rng(len(kind) * 7 + sum(kind))
+    t = gaussian_integer_matrix(rng, len(kind))
+    d = D_VALUES[d]
+    a = lambda l: GaussianRational.of(d) ** l
+    exact = exact_permanent_master(t, kind, a)
+    factorial = math.prod(math.factorial(v) for v in kind)
+    scale = factorial * exact_scale(master_rho(np.abs(t), kind), kind,
+                                    lambda l: abs(complex(d)) ** l)
+    assert_exact(permanent_master(t, kind, d), exact, scale)
+
+
+def test_permanent_master_with_alpha_matches_exact():
+    rng = np.random.default_rng(43)
+    t = gaussian_integer_matrix(rng, 3)
+    kind = (3, 3, 2)
+    alpha = MomentSequence.from_moments([(1 + 2 ** l + 3 ** l) / 3 for l in range(1, 9)])
+    factorial = math.prod(math.factorial(v) for v in kind)
+    exact = exact_permanent_master(t, kind, alpha.order)
+    scale = factorial * exact_scale(master_rho(np.abs(t), kind), kind,
+                                    lambda l: alpha.order(l).real)
+    assert_exact(permanent_master(t, kind, alpha), exact, scale)
+
+
+# ---------------------------------------------------------------------------
+# univariate compositions
+# ---------------------------------------------------------------------------
+
+INTEGER_CASES = {
+    "p2": ([[2, 1], [1, 3]], [[1, 0], [0, 0]]),
+    "p3": ([[3, 1j, 0], [-1j, 2, 1], [0, 1, 2]], [[1, 1, 0], [0, 2, 1j], [1, 0, 0]]),
+}
+
+
+def exponential_table(x) -> list:
+    return [0] + [GaussianRational.of(v) / math.factorial(k) for k, v in enumerate(x, 1)]
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("case", sorted(INTEGER_CASES))
+def test_randomized_moment_matches_exact(case, convention):
+    sigma, m_matrix = INTEGER_CASES[case]
+    params, _ = build(4.0, sigma, m_matrix, convention)
+    t, s = exact_trace_powers(sigma, m_matrix, 10)
+    cums = [math.factorial(k - 1) * t[k - 1] + params.sign * math.factorial(k) * s[k - 1]
+            for k in range(1, 11)]
+    alpha = MomentSequence.from_moments([(1 + 2 ** l + 3 ** l) / 3 for l in range(1, 11)])
+    for i in range(1, 11):
+        table = exponential_table(cums[:i])
+        exact = math.factorial(i) * exact_composition(table, (i,), alpha.order)
+        scale = math.factorial(i) * exact_scale(table, (i,), lambda l: alpha.order(l).real)
+        assert_exact(randomized_moment(alpha, params, i), exact, scale)
+
+
+@pytest.mark.parametrize("n", [2.5, 7.0])
+@pytest.mark.parametrize("case", sorted(INTEGER_CASES))
+def test_central_moment_matches_exact(case, n):
+    # the exact value from the cumulants n (k-1)! T_k, with no composition
+    sigma, _ = INTEGER_CASES[case]
+    params, _ = build(n, sigma)
+    t, _ = exact_trace_powers(sigma, np.zeros_like(sigma), 10)
+    moments = exact_moments_from_cumulants(
+        [Fraction(n) * math.factorial(k - 1) * t[k - 1] for k in range(1, 11)])
+    # the route composes the cyclic polynomials (the n = 1 moments) with
+    # falling-factorial weights, which alternate in sign once l > n
+    cyclic = exact_moments_from_cumulants([math.factorial(k - 1) * t[k - 1]
+                                           for k in range(1, 11)])[1:]
+    falling = lambda l: math.prod(n - j for j in range(l))
+    for i in range(1, 11):
+        scale = math.factorial(i) * exact_scale(exponential_table(cyclic[:i]), (i,), falling)
+        assert_exact(central_moment(params, i), moments[i], scale)
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_compose_normalized_moments_matches_exact(convention):
+    sigma, m_matrix = INTEGER_CASES["p3"]
+    params, _ = build(5.0, sigma, m_matrix, convention)
+    e = normalized_cumulant_moments(params, 10)
+    for i in range(1, 11):
+        table = exponential_table([e.order(k) for k in range(1, i + 1)])
+        power = lambda l: params.p ** l
+        exact = math.factorial(i) * exact_composition(table, (i,), power)
+        scale = math.factorial(i) * exact_scale(table, (i,), power)
+        assert_exact(compose_normalized_moments(e, params.p, i), exact, scale)
+
+
+def test_compose_normalized_moments_rejects_a_non_dimension():
+    e = MomentSequence.from_moments([1.5, 2.5, 4.0])
+    assert compose_normalized_moments(e, np.int64(2), 2) == compose_normalized_moments(e, 2, 2)
+    assert compose_normalized_moments(e, 2, 0) == 1
+    for p in (0, -1, 2.5, 2.0, True, "2", None):
+        with pytest.raises(ValidationError):
+            compose_normalized_moments(e, p, 2)
+
+
+def test_compositions_enumerate_no_partitions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("partition enumeration on a composition route")
+
+    for module in (wishmom.combinatorics, wishmom.univariate, wishmom.multivariate,
+                   wishmom.applications):
+        for name in ("integer_partitions", "multiindex_partitions", "partition_sum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    sigma, m_matrix = INTEGER_CASES["p3"]
+    params, _ = build(4.0, sigma, m_matrix)
+    h = [np.eye(3), np.diag([1.0, 2.0, 0.5])]
+    cumulants = MomentSequence.from_cumulants([1.5, 0.5, 0.25, 0.125, 0.1])
+    moments = MomentSequence.from_moments([2.0, 5.0, 15.0, 52.0, 203.0, 877.0])
+    e = MomentSequence.from_moments([1.5, 2.5, 4.0, 7.0, 12.0, 20.0])
+    assert np.isfinite(wishmom.joint_cumulant_randomized(cumulants, params, h, (3, 2)))
+    assert np.isfinite(permanent_master(np.asarray(sigma), (2, 2, 1), 0.5))
+    assert np.isfinite(permanent_master(np.asarray(sigma), (2, 2, 1), moments))
+    assert np.isfinite(randomized_moment(moments, params, 6))
+    assert np.isfinite(central_moment(params, 6))
+    assert np.isfinite(compose_normalized_moments(e, 3, 6))
