@@ -491,11 +491,17 @@ class CyclePermutation:
 
     @classmethod
     def from_images(cls, images) -> "CyclePermutation":
-        """Build from one-line notation (1-based images)."""
-        images = tuple(int(v) for v in images)
+        """Build from one-line notation (1-based images), read through
+        `integer_tuple`, so 2.0 counts as 2 but 1.7 and True are rejected."""
+        images = integer_tuple(images, "permutation images")
         k = len(images)
         if sorted(images) != list(range(1, k + 1)):
             raise ValidationError(f"not a permutation of 1..{k}: {images}")
+        return cls._of_images(images)
+
+    @classmethod
+    def _of_images(cls, images: tuple[int, ...]) -> "CyclePermutation":
+        """`from_images` for images already known to permute 1..k."""
         cycles = cycles_of_images([v - 1 for v in images])
         return cls(tuple(tuple(j + 1 for j in c) for c in cycles))
 
@@ -507,7 +513,7 @@ def permutations_by_cycles(k: int):
         raise ValidationError(f"permutation degree must be >= 1: {k}")
     check_permutation_degree(k)
     for images in itertools.permutations(range(1, k + 1)):
-        yield CyclePermutation.from_images(images)
+        yield CyclePermutation._of_images(images)
 
 
 # ---------------------------------------------------------------------------

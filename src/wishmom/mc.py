@@ -14,10 +14,12 @@ independent streams.
 
 Two samplers, each the one production route for what it draws:
 
-- rows: `_row_batches` draws the Gaussians 8,192 draws at a time (one
-  standard_normal call for all real parts, one for all imaginary parts)
-  and turns them, in chunks of 65,536 / p^2 draws (1,024 at p = 8), into
-  the n rows X of each draw, so W = X^H X, in reused buffers.  Estimators
+- rows: `_row_batches` turns the stream into the n rows X of each draw,
+  so W = X^H X.  The rows of N draws are the first 2 n p N standard
+  normals of the stream read as a complex (N, n, p) array, times the eigen
+  factor F of Sigma scaled by 1/sqrt(2), minus the mean rows; they are
+  made in chunks of 65,536 / p^2 draws (1,024 at p = 8) in reused
+  buffers, and the chunking does not change them.  Estimators
   that need Tr(W H) = sum conj(X) * (X H) read it from the rows and never
   form W.  The generalized (cycle-product) moments read 1-cycles from the
   rows too, and form W at most once per chunk, for the cycles of length 2
@@ -61,7 +63,6 @@ from .errors import (
 )
 from .model import WishartParams, build
 
-_BATCH = 8192  # draws per pair of standard_normal calls: fixes the stream
 _CHUNK_ENTRIES = 65536  # p * p * draws per chunk of rows: a 1 MB stack of W
 _HAAR_CHUNK = 1024  # draws per stacked QR
 
@@ -122,37 +123,19 @@ class Estimate:
         delta = other.mean - self.mean
         mean = self.mean + delta * nb / n
         m2 = self._m2() + other._m2() + abs(delta) ** 2 * na * nb / n
-        se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-        return Estimate(mean, se, n)
+        return Estimate(mean, _std_error(m2, n), n)
 
 
-class _Accumulator:
-    """Welford accumulator over complex values, batch-merged."""
+def _std_error(m2: float, n: int) -> float:
+    return math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
 
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0 + 0.0j
-        self.m2 = 0.0
 
-    def add_batch(self, values: np.ndarray):
-        values = np.asarray(values, dtype=complex).ravel()
-        nb = values.size
-        if nb == 0:
-            return
-        bmean = complex(values.mean())
-        bm2 = float((np.abs(values - bmean) ** 2).sum())
-        if self.n == 0:
-            self.n, self.mean, self.m2 = nb, bmean, bm2
-            return
-        n = self.n + nb
-        delta = bmean - self.mean
-        self.mean += delta * nb / n
-        self.m2 += bm2 + abs(delta) ** 2 * self.n * nb / n
-        self.n = n
-
-    def estimate(self) -> Estimate:
-        se = math.sqrt(self.m2 / (self.n - 1) / self.n) if self.n > 1 else 0.0
-        return Estimate(self.mean, se, self.n)
+def _estimate(values: np.ndarray) -> Estimate:
+    """The Estimate of one non-empty batch of complex values; batches pool
+    through Estimate.merge."""
+    n, mean = values.size, complex(values.mean())
+    m2 = float((np.abs(values - mean) ** 2).sum())
+    return Estimate(mean, _std_error(m2, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,30 +192,33 @@ def _mean_rows(params: WishartParams, n: int) -> np.ndarray | None:
 
 
 def _draw_count(n_samples) -> int:
-    """n_samples as an int; a bool or a non-integral count raises
+    """A number of draws as an int; a bool or a non-integral count raises
     ValidationError instead of being truncated."""
     integral = isinstance(n_samples, numbers.Integral) or (
         isinstance(n_samples, numbers.Real) and float(n_samples).is_integer())
     if not integral or isinstance(n_samples, bool):
-        raise ValidationError(f"n_samples must be an integer: {n_samples!r}")
+        raise ValidationError(f"the number of draws must be an integer: {n_samples!r}")
     return int(n_samples)
 
 
-def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
+def _row_batches(params: WishartParams, means, gen, n_samples):
     """Yield stacked rows X of shape (c, n, p); each draw is W = X^H X.
 
-    Each row is a standard complex Gaussian row times the eigen factor F of
-    Sigma, minus its mean row.  The stream is `batch` draws at a time, one
-    standard_normal((b, n, p)) for all real parts and then one for all
-    imaginary parts.  Each batch is handed out in chunks of
-    c = _CHUNK_ENTRIES // p^2 draws (1,024 at p = 8), the first of full
-    size; per chunk, the complex rows, the factor multiply (one 2-D GEMM
-    over the c * n rows) and the mean shift run in two reused buffers, so
-    a yielded X is valid until the next one is requested.
+    The rows of N draws are the first 2 n p N standard normals of `gen`,
+    read as a complex (N, n, p) array G (real and imaginary parts
+    interleaved), then X = G F / sqrt(2) minus the mean rows, with F the
+    eigen factor of Sigma.  They are made c = _CHUNK_ENTRIES // p^2 draws
+    at a time (1,024 at p = 8), the first chunk of full size: one
+    standard_normal fills the float view of one reused buffer, one 2-D
+    GEMM over the c * n rows fills a second, and the mean rows are
+    subtracted there.  numpy's Generator gives the same normals in one
+    call or many, so the chunking does not change the rows; a yielded X
+    is valid until the next one is requested.
     """
     n = _integer_n(params)
     p = params.p
     factor, _ = _psd_factor(params.sigma, "sigma")
+    factor /= math.sqrt(2.0)
     if means is None:
         means = _mean_rows(params, n)
     else:
@@ -241,25 +227,18 @@ def _row_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
             raise DimensionMismatchError(
                 f"means must have shape ({n}, {p}), got {means.shape}")
     remaining = _draw_count(n_samples)
-    size = max(1, min(_CHUNK_ENTRIES // p ** 2, batch, remaining))
-    scale = 1.0 / math.sqrt(2.0)
+    size = max(1, min(_CHUNK_ENTRIES // p ** 2, remaining))
     g = np.empty((size, n, p), dtype=complex)
     x = np.empty_like(g)
     while remaining > 0:
-        b = min(batch, remaining)
-        re_batch = gen.standard_normal((b, n, p))
-        im_batch = gen.standard_normal((b, n, p))
-        for lo in range(0, b, size):
-            re, im = re_batch[lo:lo + size], im_batch[lo:lo + size]
-            c = len(re)
-            gc, xc = g[:c], x[:c]
-            np.multiply(re, scale, out=gc.real)
-            np.multiply(im, scale, out=gc.imag)
-            np.matmul(gc.reshape(c * n, p), factor, out=xc.reshape(c * n, p))
-            if means is not None:
-                xc -= means
-            yield xc
-        remaining -= b
+        c = min(size, remaining)
+        gc, xc = g[:c], x[:c]
+        gen.standard_normal(out=gc.view(np.float64))
+        np.matmul(gc.reshape(c * n, p), factor, out=xc.reshape(c * n, p))
+        if means is not None:
+            xc -= means
+        yield xc
+        remaining -= c
 
 
 def _trace_law(params: WishartParams) -> tuple[int, np.ndarray, np.ndarray, float]:
@@ -304,13 +283,6 @@ def _trace_batches(params: WishartParams, gen, n_samples):
         remaining -= c
 
 
-def _wishart_batches(params: WishartParams, means, gen, n_samples, batch=_BATCH):
-    """Yield stacked draws W = X^H X of shape (c, p, p), one chunk of rows
-    at a time."""
-    for x in _row_batches(params, means, gen, n_samples, batch):
-        yield _gram(x)
-
-
 def _gram(x: np.ndarray) -> np.ndarray:
     """W = X^H X per draw, from stacked rows (c, n, p)."""
     return x.conj().transpose(0, 2, 1) @ x
@@ -332,10 +304,7 @@ def sample_wishart(params: WishartParams, means=None, rng=None) -> np.ndarray:
     draw; otherwise mean rows are derived from M, which must then be
     Hermitian PSD of rank <= n.
     """
-    gen = _as_generator(rng)
-    for w in _wishart_batches(params, means, gen, 1, batch=1):
-        return w[0]
-    raise AssertionError("unreachable")
+    return _gram(next(_row_batches(params, means, _as_generator(rng), 1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +326,14 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     if any(v < 0 for v in kind):
         raise ValidationError(f"index must be componentwise >= 0: {kind}")
     gen = _as_generator(rng)
-    acc = _Accumulator()
+    est = Estimate(0j, 0.0, 0)
     for x in _row_batches(params, None, gen, n_samples):
         vals = np.ones(x.shape[0], dtype=complex)
         for hk, ik in zip(hs, kind):
             if ik:
                 vals *= _row_direction_traces(x, hk) ** ik
-        acc.add_batch(vals)
-    return acc.estimate()
+        est = est.merge(_estimate(vals))
+    return est
 
 
 def estimate_generalized_moment(params: WishartParams, h,
@@ -383,7 +352,7 @@ def estimate_generalized_moment(params: WishartParams, h,
         raise DimensionMismatchError("permutation size must match len(h)")
     cycles = [[hs[j - 1] for j in cyc] for cyc in sigma_perm.cycles]
     gen = _as_generator(rng)
-    acc = _Accumulator()
+    est = Estimate(0j, 0.0, 0)
     for x in _row_batches(params, None, gen, n_samples):
         vals = np.ones(x.shape[0], dtype=complex)
         w = None
@@ -394,8 +363,8 @@ def estimate_generalized_moment(params: WishartParams, h,
             if w is None:
                 w = _gram(x)
             vals *= _cycle_trace(w, factors)
-        acc.add_batch(vals)
-    return acc.estimate()
+        est = est.merge(_estimate(vals))
+    return est
 
 
 def _cycle_trace(w: np.ndarray, factors) -> np.ndarray:
@@ -510,9 +479,9 @@ def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
     `haar_compression(x, m, gen)` calls on the same generator, bit for bit.
     """
     x = _compression_input(x, m)
-    if count < 0 or count != int(count):
+    count = _draw_count(count)
+    if count < 0:
         raise ValidationError(f"count must be an integer >= 0: {count}")
-    count = int(count)
     gen = _as_generator(rng)
     out = np.empty((count, 4))
     for lo in range(0, count, _HAAR_CHUNK):

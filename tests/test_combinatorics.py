@@ -279,6 +279,19 @@ def test_permutation_images_round_trip():
         assert CyclePermutation.from_images(perm.images()) == perm
 
 
+@pytest.mark.parametrize("images", [[1.7, 2], [True, 2], [2, 1.5], "21", [None, 1]])
+def test_permutation_images_must_be_integers(images):
+    # int() would read [1.7, 2] and [True, 2] as the identity on two points
+    from wishmom import CyclePermutation
+    with pytest.raises(ValidationError):
+        CyclePermutation.from_images(images)
+
+
+def test_permutation_images_accept_integral_floats():
+    from wishmom import CyclePermutation
+    assert CyclePermutation.from_images([2.0, 1]) == CyclePermutation(((1, 2),))
+
+
 def test_permutation_budget():
     with pytest.raises(BudgetExceededError):
         list(permutations_by_cycles(11))

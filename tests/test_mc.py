@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from wishmom import (
 from wishmom.mc import (
     _CHUNK_ENTRIES,
     _HAAR_CHUNK,
-    _Accumulator,
+    _estimate,
+    _gram,
     _mean_rows,
     _power_sums,
     _psd_factor,
@@ -35,7 +37,6 @@ from wishmom.mc import (
     _row_direction_traces,
     _trace_batches,
     _trace_law,
-    _wishart_batches,
 )
 
 from conftest import random_complex, random_hermitian, random_psd
@@ -78,22 +79,18 @@ def test_stream_independence_cross_correlation():
     assert abs(r) <= 4 / math.sqrt(n_draws)
 
 
-def _batches(params, gen, n):
-    return _wishart_batches(params, None, gen, n)
+def _batches(params, gen, n, means=None):
+    """Stacked draws W = X^H X, one chunk of rows at a time."""
+    return (_gram(x) for x in _row_batches(params, means, gen, n))
 
 
 def test_welford_merge_matches_single_pass():
     rng = np.random.default_rng(2)
     values = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
-    whole = _Accumulator()
-    whole.add_batch(values)
-    merged = None
+    merged = Estimate(0j, 0.0, 0)
     for chunk in np.array_split(values, 7):
-        acc = _Accumulator()
-        acc.add_batch(chunk)
-        est = acc.estimate()
-        merged = est if merged is None else merged.merge(est)
-    single = whole.estimate()
+        merged = merged.merge(_estimate(chunk))
+    single = _estimate(values)
     assert abs(merged.mean - single.mean) <= 1e-12 * abs(single.mean)
     assert abs(merged.std_error - single.std_error) <= 1e-12 * single.std_error
     assert merged.n_samples == single.n_samples
@@ -193,7 +190,7 @@ def test_sampler_explicit_means_override():
     total = np.zeros((2, 2), dtype=complex)
     n_draws = 20_000
     count = 0
-    for w in _wishart_batches(params, means, gen, n_draws):
+    for w in _batches(params, gen, n_draws, means):
         total += w.sum(axis=0)
         count += w.shape[0]
     mean = total / count
@@ -209,41 +206,61 @@ def test_single_draw_shape_and_hermiticity():
     assert np.linalg.eigvalsh(w).min() > -1e-12
 
 
-def _batch_rows(params, gen, n_draws, batch=8192):
-    """Rows X of every draw as the sampler's stream defines them: per batch of
-    8,192 draws one standard_normal((b, n, p)) for the real parts and one for
-    the imaginary parts, scaled to unit total variance, times the eigen
-    factor F of Sigma, minus the mean rows."""
+def _one_call_rows(params, gen, n_draws):
+    """Rows X of every draw as the sampler's stream defines them: the first
+    2 n p N standard normals, drawn in one call and read as a complex
+    (N, n, p) array, times the eigen factor F of Sigma over sqrt(2), minus
+    the mean rows."""
     n, p = int(params.n), params.p
     factor, _ = _psd_factor(params.sigma, "sigma")
     means = _mean_rows(params, n)
-    out = []
-    for lo in range(0, n_draws, batch):
-        b = min(batch, n_draws - lo)
-        g = (gen.standard_normal((b, n, p)) + 1j * gen.standard_normal((b, n, p))) \
-            * (1.0 / math.sqrt(2.0))
-        x = (g.reshape(b * n, p) @ factor).reshape(b, n, p)
-        out.append(x if means is None else x - means)
-    return np.concatenate(out)
+    g = gen.standard_normal((n_draws, n, 2 * p)).view(complex)
+    x = (g.reshape(n_draws * n, p) @ (factor / math.sqrt(2.0))).reshape(n_draws, n, p)
+    return x if means is None else x - means
 
 
 @pytest.mark.parametrize("central", [True, False])
 @pytest.mark.parametrize("p", [2, 8])
-@pytest.mark.parametrize("n_draws", [10_000, 8193])
+@pytest.mark.parametrize("n_draws", [10_000, 8193, 1])
 def test_chunked_rows_keep_the_stream(n_draws, p, central):
     # the sampler yields cache-sized chunks from reused buffers; the rows
-    # themselves are those of whole 8,192-draw batches, bit for bit
+    # themselves are those of one call for all the normals, bit for bit
     params = standard_params(50 + p, p=p, n=p + 1, central=central)
     stream = RngStream(51, p)
     chunks = [x.copy() for x in _row_batches(params, None, stream.generator(), n_draws)]
-    assert len(chunks) > 1
+    assert len(chunks) == -(-n_draws // (_CHUNK_ENTRIES // p ** 2))
     rows = np.concatenate(chunks)
-    assert np.array_equal(rows, _batch_rows(params, stream.generator(), n_draws))
+    assert np.array_equal(rows, _one_call_rows(params, stream.generator(), n_draws))
+
+
+@pytest.mark.parametrize("central", [True, False])
+def test_single_draw_is_the_first_of_a_run(central):
+    params = standard_params(52, p=3, n=4, central=central)
+    stream = RngStream(53)
+    first = next(_batches(params, stream.generator(), 2000))[0]
+    assert np.array_equal(sample_wishart(params, rng=stream), first)
+
+
+def test_row_estimator_memory_is_one_chunk():
+    # the rows are drawn a chunk at a time: a p = 8, 10,000-draw estimate
+    # holds two 0.5 MB chunk buffers and their products (1.6 MB at peak),
+    # never all the normals (6.2 MB with 8,192 draws of normals held whole)
+    rng = np.random.default_rng(54)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    params, _ = build(4, random_psd(rng, 8), np.outer(v, v.conj()), "standard")
+    h = [np.eye(8)]
+    tracemalloc.start()
+    try:
+        estimate_joint_moment(params, h, (2,), 10_000, RngStream(55))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
 
 
 def _formed_traces(params, stream, n_draws, h):
-    """Tr W and Tr(W H_k) per draw, from the W that _wishart_batches forms."""
-    ws = np.concatenate(list(_wishart_batches(params, None, stream.generator(), n_draws)))
+    """Tr W and Tr(W H_k) per draw, from the W formed from the rows."""
+    ws = np.concatenate(list(_batches(params, stream.generator(), n_draws)))
     return (np.trace(ws, axis1=1, axis2=2).real,
             [np.trace(ws @ hk, axis1=1, axis2=2) for hk in h])
 
@@ -334,7 +351,7 @@ def _check_trace_sampler(params, tr_rows, stream, n_draws) -> list[float]:
 @pytest.mark.parametrize("p", [2, 3, 4, 8])
 def test_row_traces_match_formed_w(p, central):
     # the rows give Tr(W H) without forming W = X^H X, and match the W formed
-    # from the same stream, over 8,193 draws (two batches); a complex H also
+    # from the same stream, over 8,193 draws (several chunks); a complex H also
     # catches a conjugate on the wrong factor.  The trace sampler draws Tr W
     # from its own law, so it is pinned to the rows' Tr W in distribution
     h = random_complex(np.random.default_rng(p), p)
@@ -384,8 +401,8 @@ def test_trace_chunks_bounded_and_equal(p):
 def _formed_generalized_moment(params, h, sigma_perm, n_draws, stream) -> Estimate:
     """The formed-W route: for each chunk of draws, W, one flat GEMM per
     factor W H_j, the stacked product along each cycle, and np.trace."""
-    acc = _Accumulator()
-    for w in _wishart_batches(params, None, stream.generator(), n_draws):
+    est = Estimate(0j, 0.0, 0)
+    for w in _batches(params, stream.generator(), n_draws):
         b, p, _ = w.shape
         flat = w.reshape(b * p, p)
         vals = np.ones(b, dtype=complex)
@@ -395,8 +412,8 @@ def _formed_generalized_moment(params, h, sigma_perm, n_draws, stream) -> Estima
                 step = (flat @ h[j - 1]).reshape(b, p, p)
                 prod = step if prod is None else prod @ step
             vals *= np.trace(prod, axis1=1, axis2=2)
-        acc.add_batch(vals)
-    return acc.estimate()
+        est = est.merge(_estimate(vals))
+    return est
 
 
 @pytest.mark.parametrize("cycles", [((1,), (2,), (3,)), ((1, 2), (3,)), ((1, 2, 3),),
@@ -434,7 +451,7 @@ def test_joint_estimator_index_must_be_non_negative_integers(index):
 
 @pytest.mark.parametrize("count", [12.5, True, "12"])
 @pytest.mark.parametrize("estimator", ["joint", "generalized", "cumulants", "identity",
-                                       "draw loop"])
+                                       "draw loop", "haar"])
 def test_non_integral_sample_counts_rejected(estimator, count):
     # a count of 12.5 must not quietly run 12 draws, nor True one draw; a
     # string is a ValidationError, not numpy's or Python's TypeError
@@ -449,6 +466,7 @@ def test_non_integral_sample_counts_rejected(estimator, count):
         "identity": lambda: distribution_identity_check(params, block, "sheffer", count,
                                                         RngStream(1)),
         "draw loop": lambda: next(_row_batches(params, None, RngStream(1).generator(), count)),
+        "haar": lambda: haar_power_sums(params.sigma, 1, count, RngStream(1)),
     }[estimator]
     with pytest.raises(ValidationError):
         run()
