@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import check_joint_weight, check_permanent_dimension, integer_tuple
+from .budgets import check_joint_weight, check_permanent_dimension, integer, integer_tuple
 from .combinatorics import complex_fsum, compose_series, cycles_of_images
 from .errors import (
     DegenerateSampleSizeError,
@@ -77,9 +77,10 @@ def permanent_alpha(y, a: MomentSequence) -> complex:
 def repeated_matrix(t, i) -> np.ndarray:
     """T(i): row/column j of T repeated i_j times (the master-theorem target)."""
     t = matrix_core.as_matrix(t)
+    i = integer_tuple(i, "index")
     if len(i) != t.shape[0]:
         raise ValidationError("index length must match matrix dimension")
-    idx = [j for j, c in enumerate(i) for _ in range(int(c))]
+    idx = [j for j, c in enumerate(i) for _ in range(c)]
     return t[np.ix_(idx, idx)]
 
 
@@ -100,10 +101,7 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     kind = integer_tuple(i, "index")
     if len(kind) != m:
         raise ValidationError("index length must match matrix dimension")
-    if any(v < 0 for v in kind):
-        raise ValidationError(f"index must be componentwise >= 0: {kind}")
-    weight = sum(kind)
-    check_joint_weight(weight)
+    weight = check_joint_weight(sum(kind))
     if weight == 0:
         return 1.0 + 0.0j
 
@@ -141,6 +139,7 @@ class PolykaySample:
     power_sums: tuple[float, float, float, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "size", integer(self.size, "size"))
         if self.size < 1:
             raise ValidationError("empty spectral sample")
         if len(self.power_sums) != 4 or not all(math.isfinite(s) for s in self.power_sums):
@@ -169,6 +168,7 @@ def polykay(sample: PolykaySample, order: int) -> float:
     compression; shift semi-invariant for orders >= 2 and homogeneous of
     degree `order`.  A value that overflows raises NumericalError.
     """
+    order = integer(order, "order")
     try:
         value = _polykay(sample.size, *sample.power_sums, order)
     except OverflowError:

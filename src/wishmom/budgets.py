@@ -1,15 +1,19 @@
-"""Enumeration budgets, one rule per budgeted quantity.
+"""The one reading of a request's integers, and the enumeration budgets.
+
+Every integer of a request (an order, an index or kind entry, a count, a
+size, a seed) is read by one rule, `integer`: an int, a numpy integer or
+an integral real is that non-negative int, so 2.0 counts as 2; True, 2.5,
+-1, "2", None and anything else that is not a non-negative integral
+number raise ValidationError naming the argument.  `integer_tuple` reads
+each entry of a sequence by it and rejects a bare string.
 
 Every combinatorially explosive operation caps one quantity of its request
-with a rule below.  A rule reads only integers of the request's shape (an
-order, an index weight, a matrix dimension, a permutation size) and needs
-no numpy, so the engines and the CLI call the same rule before any numeric
-work.  `integer_tuple` is the one reading of those integers, shared by the
-engines and the CLI, so a bool or a non-integral number is rejected rather
-than counted or truncated.  Setting the environment variable
-``WISHMOM_MAX_BUDGET`` (or the legacy spelling ``WISHART_MAX_BUDGET``) to an
-integer replaces *all* defaults at once, and a rejection then names that
-variable.
+with a rule below.  A rule reads its value by `integer`, checks its least
+value and budget, and returns the int (``i = check_moment_order(i)``); it
+needs no numpy, so the engines and the CLI call the same rule before any
+numeric work.  Setting the environment variable ``WISHMOM_MAX_BUDGET`` (or
+the legacy spelling ``WISHART_MAX_BUDGET``) to an integer replaces *all*
+defaults at once, and a rejection then names that variable.
 """
 
 import numbers
@@ -27,6 +31,36 @@ MAX_EXPANSION_CYCLES = 6    # k for the 2^k central/formal assignment expansion
 _ENV_VARS = ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET")
 
 
+def integer(value, name: str) -> int:
+    """`value` as a non-negative int: an int, a numpy integer or an
+    integral real such as 2.0.  A bool, a string, a non-integral or
+    non-finite number, a negative number or anything else raises
+    ValidationError naming `name`."""
+    if type(value) is int and value >= 0:
+        return value
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
+        read = int(value)
+        if read != value or read < 0:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a non-negative integer: {value!r}") from None
+    return read
+
+
+def integer_tuple(values, name: str) -> tuple[int, ...]:
+    """Each entry of `values` read by `integer`; a bare string or a
+    non-sequence raises ValidationError naming `name`."""
+    try:
+        if isinstance(values, str):
+            raise TypeError
+        return tuple(integer(v, name) for v in values)
+    except (TypeError, ValidationError):
+        raise ValidationError(
+            f"{name} must be a list of non-negative integers: {values!r}") from None
+
+
 def _limit(default: int) -> tuple[int, str | None]:
     """(effective budget, the environment variable that set it or None)."""
     for var in _ENV_VARS:
@@ -39,46 +73,28 @@ def _limit(default: int) -> tuple[int, str | None]:
     return default, None
 
 
-def _rule(quantity: str, default: int):
-    def check(value: int) -> None:
+def _rule(quantity: str, default: int, least: int = 0):
+    def check(value) -> int:
+        value = integer(value, quantity)
+        if value < least:
+            raise ValidationError(f"{quantity} must be >= {least}: {value}")
         limit, var = _limit(default)
         if value > limit:
             source = f" (set by {var})" if var else ""
             raise BudgetExceededError(f"{quantity}={value} exceeds budget {limit}{source}")
+        return value
 
-    check.__doc__ = (f"Raise BudgetExceededError when the {quantity} exceeds its "
-                     f"budget (default {default}).")
+    check.__doc__ = (f"The {quantity} read by `integer`: ValidationError below "
+                     f"{least}, BudgetExceededError above its budget (default "
+                     f"{default}).")
     return check
 
 
 check_moment_order = _rule("moment order", MAX_UNIVARIATE_ORDER)
 check_cumulant_order = _rule("cumulant order", MAX_UNIVARIATE_ORDER)
 check_joint_weight = _rule("joint weight", MAX_JOINT_WEIGHT)
-check_necklace_weight = _rule("necklace weight", MAX_JOINT_WEIGHT)
-check_permutation_degree = _rule("permutation degree", MAX_PERMUTATION_SIZE)
+check_necklace_weight = _rule("necklace weight", MAX_JOINT_WEIGHT, least=1)
+check_permutation_degree = _rule("permutation degree", MAX_PERMUTATION_SIZE, least=1)
 check_permanent_dimension = _rule("permanent dimension", MAX_PERMANENT_DIM)
 check_product_factors = _rule("product factors", MAX_PRODUCT_FACTORS)
 check_expansion_positions = _rule("expansion positions", MAX_EXPANSION_CYCLES)
-
-
-def integer_tuple(values, name: str) -> tuple[int, ...]:
-    """The integers of `values`: ints, integral reals such as 2.0, or
-    strings of digits.  A bare string (read digit by digit otherwise), a
-    bool, a non-integral number or anything else raises ValidationError."""
-    def one(v):
-        if type(v) is int:
-            return v
-        if isinstance(v, bool):
-            raise ValueError("a bool")
-        if isinstance(v, (numbers.Integral, str)):
-            return int(v)
-        if isinstance(v, numbers.Real) and float(v).is_integer():
-            return int(v)
-        raise ValueError("not an integer")
-
-    try:
-        if isinstance(values, str):
-            raise ValueError("a bare string")
-        return tuple(one(v) for v in values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must be a list of integers: {values!r}") from exc

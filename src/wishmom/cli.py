@@ -209,18 +209,23 @@ def _h_list(doc: dict) -> list[np.ndarray]:
     return [_matrix_from(hk, f"h[{k}]") for k, hk in enumerate(doc["h"])]
 
 
+def _option_integers(text: str, name: str) -> tuple[int, ...]:
+    """Comma-separated integers, each parsed by int() as argparse parses
+    --order, then read by `budgets.integer_tuple`."""
+    try:
+        return budgets.integer_tuple([int(v) for v in text.split(",")], name)
+    except ValueError as exc:
+        raise ValidationError(f"{name} must be comma-separated integers: {text!r}") from exc
+
+
 def _index_from(doc: dict, args) -> tuple[int, ...]:
     """The multi-index (or permutation images) of --index or the input's
     'index' entry: non-negative integers."""
     if args.index is not None:
-        index = budgets.integer_tuple(args.index.split(","), "--index")
-    elif "index" in doc:
-        index = budgets.integer_tuple(doc["index"], "index")
-    else:
-        raise ValidationError("this command needs --index or an 'index' entry")
-    if any(v < 0 for v in index):
-        raise ValidationError(f"index must be componentwise >= 0: {index}")
-    return index
+        return _option_integers(args.index, "--index")
+    if "index" in doc:
+        return budgets.integer_tuple(doc["index"], "index")
+    raise ValidationError("this command needs --index or an 'index' entry")
 
 
 def _orders(args) -> range:
@@ -345,7 +350,7 @@ def _cmd_necklaces(doc, args):
 
     if args.kind is None:
         raise ValidationError("necklaces needs --kind i1,i2,...")
-    kind = budgets.integer_tuple(args.kind.split(","), "--kind")
+    kind = _option_integers(args.kind, "--kind")
     rows = []
     for neck in combinatorics.necklaces_of_kind(kind):
         rows.append({
@@ -360,12 +365,11 @@ def _cmd_necklaces(doc, args):
 
 
 def _cmd_mc_verify(doc, args):
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0: {args.seed}")
+    seed = budgets.integer(args.seed, "--seed")
     params = _params_from(doc, "standard")
     from . import mc, model
 
-    stream = mc.RngStream(args.seed, 0)
+    stream = mc.RngStream(seed, 0)
     n2 = args.n2 if args.n2 is not None else int(params.n)
     if args.identity == "df-additivity":
         p1, _ = model.build(params.n, params.sigma, None, "standard")

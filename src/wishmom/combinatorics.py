@@ -28,8 +28,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .budgets import check_necklace_weight, check_permutation_degree, integer_tuple
-from .errors import NumericalError, ValidationError
+from .budgets import check_necklace_weight, check_permutation_degree, integer, integer_tuple
+from .errors import DimensionMismatchError, NumericalError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +84,7 @@ def integer_partitions(i: int) -> list[IntegerPartition]:
 
     i = 0 yields the single empty partition.
     """
-    if i < 0:
-        raise ValidationError(f"cannot partition a negative integer: {i}")
+    i = integer(i, "i")
     out: list[IntegerPartition] = []
     prefix: list[int] = []
 
@@ -209,8 +208,6 @@ def multiindex_partitions(t) -> list[MultiIndexPartition]:
     multi-index (i,) reproduces integer_partitions(i).
     """
     t = integer_tuple(t, "multi-index")
-    if any(v < 0 for v in t):
-        raise ValidationError(f"multi-index must be componentwise >= 0: {t}")
     if all(v == 0 for v in t):
         return [MultiIndexPartition((), ())]
 
@@ -313,8 +310,6 @@ def compose_series(table, kind, weight) -> complex:
     import numpy as np
 
     kind = integer_tuple(kind, "kind")
-    if any(v < 0 for v in kind):
-        raise ValidationError(f"kind must be componentwise >= 0: {kind}")
     shape = tuple(v + 1 for v in kind)
     top = sum(kind)
     try:
@@ -395,12 +390,7 @@ def necklaces_of_kind(kind) -> list[Necklace]:
     tracking the prefix period p and emitting a[1..n] whenever p divides n.
     """
     kind = integer_tuple(kind, "kind")
-    if any(v < 0 for v in kind):
-        raise ValidationError(f"kind must be componentwise >= 0: {kind}")
-    n = sum(kind)
-    if n < 1:
-        raise ValidationError("necklace kind must have weight >= 1")
-    check_necklace_weight(n)
+    n = check_necklace_weight(sum(kind))
     m = len(kind)
     counts = list(kind)
     a = [0] * (n + 1)  # a[0] is the sentinel smallest symbol
@@ -505,13 +495,20 @@ class CyclePermutation:
         cycles = cycles_of_images([v - 1 for v in images])
         return cls(tuple(tuple(j + 1 for j in c) for c in cycles))
 
+    @classmethod
+    def checked(cls, perm, size: int) -> "CyclePermutation":
+        """`perm`, checked to be a CyclePermutation of {1..size}."""
+        if not isinstance(perm, cls):
+            raise ValidationError(f"the permutation must be a CyclePermutation: {perm!r}")
+        if perm.size != size:
+            raise DimensionMismatchError("permutation size must match len(h)")
+        return perm
+
 
 def permutations_by_cycles(k: int):
     """Iterate over all k! permutations of {1..k} with their cycle
     decompositions, in lexicographic one-line order."""
-    if k < 1:
-        raise ValidationError(f"permutation degree must be >= 1: {k}")
-    check_permutation_degree(k)
+    k = check_permutation_degree(k)
     for images in itertools.permutations(range(1, k + 1)):
         yield CyclePermutation._of_images(images)
 
@@ -556,8 +553,7 @@ def complete_homogeneous(x, i: int) -> complex:
     i h_i = sum_{k=1..i} s_k h_{i-k} on power sums, not by monomial
     enumeration.
     """
-    if i < 0:
-        raise ValidationError(f"order must be >= 0: {i}")
+    i = integer(i, "order")
     x = list(x)
     s = [sum(v ** k for v in x) for k in range(1, i + 1)]
     h = [1]
@@ -568,8 +564,7 @@ def complete_homogeneous(x, i: int) -> complex:
 
 def falling_factorial(x, k: int):
     """x (x-1) ... (x-k+1); k = 0 gives 1.  Exact for integer x."""
-    if k < 0:
-        raise ValidationError(f"order must be >= 0: {k}")
+    k = integer(k, "k")
     out = x ** 0  # 1 in the type of x
     for j in range(k):
         out = out * (x - j)

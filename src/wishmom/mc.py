@@ -45,14 +45,13 @@ calls on the same generator bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix_core
 from .applications import PolykaySample
-from .budgets import integer_tuple
+from .budgets import integer, integer_tuple
 from .choices import IDENTITIES
 from .combinatorics import CyclePermutation
 from .errors import (
@@ -73,6 +72,10 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
+        object.__setattr__(self, "stream_id", integer(self.stream_id, "stream_id"))
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(
@@ -191,16 +194,6 @@ def _mean_rows(params: WishartParams, n: int) -> np.ndarray | None:
     return rows
 
 
-def _draw_count(n_samples) -> int:
-    """A number of draws as an int; a bool or a non-integral count raises
-    ValidationError instead of being truncated."""
-    integral = isinstance(n_samples, numbers.Integral) or (
-        isinstance(n_samples, numbers.Real) and float(n_samples).is_integer())
-    if not integral or isinstance(n_samples, bool):
-        raise ValidationError(f"the number of draws must be an integer: {n_samples!r}")
-    return int(n_samples)
-
-
 def _row_batches(params: WishartParams, means, gen, n_samples):
     """Yield stacked rows X of shape (c, n, p); each draw is W = X^H X.
 
@@ -226,7 +219,7 @@ def _row_batches(params: WishartParams, means, gen, n_samples):
         if means.shape != (n, p):
             raise DimensionMismatchError(
                 f"means must have shape ({n}, {p}), got {means.shape}")
-    remaining = _draw_count(n_samples)
+    remaining = integer(n_samples, "n_samples")
     size = max(1, min(_CHUNK_ENTRIES // p ** 2, remaining))
     g = np.empty((size, n, p), dtype=complex)
     x = np.empty_like(g)
@@ -272,7 +265,7 @@ def _trace_batches(params: WishartParams, gen, n_samples):
     of one p give equal chunks.
     """
     n, theta, d, offset = _trace_law(params)
-    remaining = _draw_count(n_samples)
+    remaining = n_samples
     size = max(1, _CHUNK_ENTRIES // params.p)
     r = len(theta)
     while remaining > 0:
@@ -317,14 +310,12 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     Intended for n_samples in the thousands or more; the estimate is
     reproducible bit-exactly for a fixed (seed, stream_id, n_samples).
     """
-    if _draw_count(n_samples) < 1:
+    if integer(n_samples, "n_samples") < 1:
         raise ValidationError("n_samples must be >= 1")
     hs = [matrix_core.as_matrix(hk) for hk in h]
     kind = integer_tuple(i, "index")
     if len(kind) != len(hs):
         raise DimensionMismatchError("index length must match len(h)")
-    if any(v < 0 for v in kind):
-        raise ValidationError(f"index must be componentwise >= 0: {kind}")
     gen = _as_generator(rng)
     est = Estimate(0j, 0.0, 0)
     for x in _row_batches(params, None, gen, n_samples):
@@ -345,11 +336,10 @@ def estimate_generalized_moment(params: WishartParams, h,
     alone is not, so this estimates the full quantity that the symbolic
     expansion decomposes.
     """
-    if _draw_count(n_samples) < 1:
+    if integer(n_samples, "n_samples") < 1:
         raise ValidationError("n_samples must be >= 1")
     hs = [matrix_core.as_matrix(hk) for hk in h]
-    if sigma_perm.size != len(hs):
-        raise DimensionMismatchError("permutation size must match len(h)")
+    sigma_perm = CyclePermutation.checked(sigma_perm, len(hs))
     cycles = [[hs[j - 1] for j in cyc] for cyc in sigma_perm.cycles]
     gen = _as_generator(rng)
     est = Estimate(0j, 0.0, 0)
@@ -404,9 +394,11 @@ def estimate_trace_cumulants(params: WishartParams, i_max: int,
     Cumulants are estimated through bias-corrected central moments of the
     (real) trace samples, with large-sample delta-method standard errors.
     """
+    i_max = integer(i_max, "i_max")
     if not 1 <= i_max <= 3:
         raise ValidationError("estimate_trace_cumulants supports orders 1..3")
-    if _draw_count(n_samples) < 10:
+    n_samples = integer(n_samples, "n_samples")
+    if n_samples < 10:
         raise ValidationError("n_samples too small for cumulant estimation")
     gen = _as_generator(rng)
     raw = _power_sums(_trace_batches(params, gen, n_samples), 6)
@@ -447,15 +439,17 @@ def _haar_unitaries(p: int, count: int, gen: np.random.Generator) -> np.ndarray:
 def haar_unitary(p: int, rng) -> np.ndarray:
     """Haar-distributed p x p unitary: Ginibre then QR, with the phase fix
     that makes R's diagonal positive real."""
-    return _haar_unitaries(p, 1, _as_generator(rng))[0]
+    return _haar_unitaries(integer(p, "p"), 1, _as_generator(rng))[0]
 
 
-def _compression_input(x, m: int) -> np.ndarray:
-    """x as a validated Hermitian matrix, with 1 <= m <= p checked."""
+def _compression_input(x, m: int) -> tuple[np.ndarray, int]:
+    """(x as a validated Hermitian matrix, m read as an int with
+    1 <= m <= p checked)."""
     x = matrix_core.hermitian_matrix(x, "a Haar compression needs a Hermitian matrix")
+    m = integer(m, "m")
     if not 1 <= m <= x.shape[0]:
         raise ValidationError(f"compressed size must satisfy 1 <= m <= p: {m}")
-    return x
+    return x, m
 
 
 def _compression_sums(x: np.ndarray, m: int, frames: np.ndarray) -> tuple:
@@ -478,10 +472,8 @@ def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
     Row s equals the power sums of the s-th of `count` successive
     `haar_compression(x, m, gen)` calls on the same generator, bit for bit.
     """
-    x = _compression_input(x, m)
-    count = _draw_count(count)
-    if count < 0:
-        raise ValidationError(f"count must be an integer >= 0: {count}")
+    x, m = _compression_input(x, m)
+    count = integer(count, "count")
     gen = _as_generator(rng)
     out = np.empty((count, 4))
     for lo in range(0, count, _HAAR_CHUNK):
@@ -494,7 +486,7 @@ def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
 def haar_compression(x, m: int, rng) -> PolykaySample:
     """Spectral sample of Y = H X H^dag for a Haar m x p frame H: the power
     sums Tr Y^k, k = 1..4 (the one-draw case of `haar_power_sums`)."""
-    x = _compression_input(x, m)
+    x, m = _compression_input(x, m)
     sums = _compression_sums(x, m, _haar_unitaries(x.shape[0], 1, _as_generator(rng)))
     return PolykaySample(m, tuple(float(s[0]) for s in sums))
 
@@ -528,7 +520,7 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
         raise ValidationError("sheffer requires a central second block")
     if not isinstance(rng, RngStream):
         raise ValidationError("identity checks need an RngStream for substreams")
-    n_samples = _draw_count(n_samples)
+    n_samples = integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
 

@@ -89,8 +89,6 @@ def _as_kind(i, m: int) -> tuple[int, ...]:
     kind = integer_tuple(i, "index")
     if len(kind) != m:
         raise DimensionMismatchError(f"index has {len(kind)} components, expected {m}")
-    if any(v < 0 for v in kind):
-        raise ValidationError(f"index must be componentwise >= 0: {kind}")
     return kind
 
 
@@ -223,8 +221,7 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     Sigma, unless M = 0.
     """
     kind = _as_kind(i, len(h))
-    weight = sum(kind)
-    check_joint_weight(weight)
+    weight = check_joint_weight(sum(kind))
     if weight == 0:
         return 1.0 + 0.0j
     rho_tab, eta_tab = _base_tables(params, h, kind)
@@ -268,8 +265,7 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     if alpha_cumulants.kind != CUMULANTS:
         raise ValidationError("alpha_cumulants must be a cumulant sequence")
     kind = _nonzero_kind(i, h, "joint cumulant")
-    weight = sum(kind)
-    check_joint_weight(weight)
+    weight = check_joint_weight(sum(kind))
     if alpha_cumulants.depth < weight:
         raise InsufficientOrdersError(
             f"alpha carries {alpha_cumulants.depth} orders, need {weight}")
@@ -285,8 +281,7 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
 def _product_images(h, sigma_perm: CyclePermutation) -> tuple[int, ...]:
     """0-based one-line images of sigma_perm, checked against len(h) and the
     product-factor budget."""
-    if sigma_perm.size != len(h):
-        raise DimensionMismatchError("permutation size must match len(h)")
+    sigma_perm = CyclePermutation.checked(sigma_perm, len(h))
     check_product_factors(len(h))
     return tuple(v - 1 for v in sigma_perm.images())
 
@@ -402,7 +397,6 @@ class ExpansionTerm:
     values are the single-cycle expectations and are informational.
     """
 
-    coefficient: complex
     factors: tuple[TraceFactor, ...]
     value: complex | None
 
@@ -439,10 +433,8 @@ def generalized_moment_expansion(params: WishartParams, h,
     When M = 0 the formal component vanishes identically, every factor
     touching it evaluates to zero, and the expansion is fully evaluated.
     """
-    m = len(h)
-    if sigma_perm.size != m:
-        raise DimensionMismatchError("permutation size must match len(h)")
-    check_expansion_positions(m)
+    sigma_perm = CyclePermutation.checked(sigma_perm, len(h))
+    m = check_expansion_positions(sigma_perm.size)
     sh, eta_factors = _directions(params, h)
     central = params.is_central
     omega = None if central else params.noncentrality()
@@ -497,7 +489,7 @@ def generalized_moment_expansion(params: WishartParams, h,
             value = (_genmom_cycles(params.n, w_sh, w_img)
                      * _genmom1_cycles(sign, a_sub, omega, a_img))
             evaluated.append(value)
-        terms.append(ExpansionTerm(1.0 + 0.0j, tuple(factors), value))
+        terms.append(ExpansionTerm(tuple(factors), value))
 
     return GeneralizedMomentExpansion(tuple(terms), complex_fsum(evaluated),
                                       tuple(symbolic.values()))

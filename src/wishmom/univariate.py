@@ -19,13 +19,12 @@ cumulant series, waits for a benchmark change (ROADMAP.md).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix_core
-from .budgets import check_cumulant_order, check_moment_order
+from .budgets import check_cumulant_order, check_moment_order, integer
 from .combinatorics import (
     complete_bell,
     complex_fsum,
@@ -69,7 +68,8 @@ class MomentSequence:
         return len(self.values) - 1
 
     def order(self, k: int) -> complex:
-        if k < 0 or k > self.depth:
+        k = integer(k, "order")
+        if k > self.depth:
             raise InsufficientOrdersError(
                 f"order {k} not available (depth {self.depth})")
         return complex(self.values[k])
@@ -81,12 +81,6 @@ class MomentSequence:
     @classmethod
     def from_cumulants(cls, orders_1_up) -> "MomentSequence":
         return cls((0,) + tuple(orders_1_up), CUMULANTS)
-
-
-def _check_order(i: int) -> None:
-    if i < 0:
-        raise ValidationError(f"order must be >= 0: {i}")
-    check_moment_order(i)
 
 
 def _exponential_table(x) -> list:
@@ -107,7 +101,7 @@ def central_moment(params: WishartParams, i: int) -> complex:
     polynomials of the power traces T_1..T_i, evaluated as the composition
     i! [z^i] sum_l (n)_l R(z)^l / l! with R(z) = sum_j C_j(T) z^j / j!.
     """
-    _check_order(i)
+    i = check_moment_order(i)
     if i == 0:
         return 1.0 + 0.0j
     cache = params.trace_cache(i)
@@ -119,9 +113,9 @@ def central_moment(params: WishartParams, i: int) -> complex:
 
 def central_cumulant(params: WishartParams, i: int) -> complex:
     """Cum_i(Tr W) for the central distribution: n (i-1)! T_i."""
+    i = check_cumulant_order(i)
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
-    check_cumulant_order(i)
     cache = params.trace_cache(i)
     return params.n * math.factorial(i - 1) * cache.t_power(i)
 
@@ -135,9 +129,9 @@ def noncentral_cumulant(params: WishartParams, i: int) -> complex:
 
     `sign` is -1 under the paper convention and +1 under the standard one.
     """
+    i = check_cumulant_order(i)
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
-    check_cumulant_order(i)
     cache = params.trace_cache(i)
     return (params.n * math.factorial(i - 1) * cache.t_power(i)
             + params.sign * math.factorial(i) * cache.s_power(i))
@@ -149,9 +143,9 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
     (i-1)! sum_j (n + sign * i * b_jj) theta_j^i with theta the eigenvalues
     and b the diagonal of Q^dag Omega Q.  Needs Sigma nonsingular.
     """
+    i = check_cumulant_order(i)
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
-    check_cumulant_order(i)
     theta, q = matrix_core.hermitian_eigen(params.sigma)
     b = np.diagonal(q.conj().T @ params.noncentrality() @ q)
     total = sum((params.n + params.sign * i * b[j]) * theta[j] ** i
@@ -166,7 +160,7 @@ def noncentral_moment(params: WishartParams, i: int) -> complex:
     of j on the S-traces and R_k sums n^l / prod r! over partitions of k on
     T_m / m.  Reduces to the central moment when M = 0.
     """
-    _check_order(i)
+    i = check_moment_order(i)
     if i == 0:
         return 1.0 + 0.0j
     cache = params.trace_cache(i)
@@ -184,7 +178,7 @@ def noncentral_moment_bell(params: WishartParams, i: int) -> complex:
 
     Independent route used to cross-check `noncentral_moment`.
     """
-    _check_order(i)
+    i = check_moment_order(i)
     cums = [noncentral_cumulant(params, k) for k in range(1, i + 1)]
     return complex(complete_bell(cums))
 
@@ -192,7 +186,7 @@ def noncentral_moment_bell(params: WishartParams, i: int) -> complex:
 def cumulant_sequence(params: WishartParams, i_max: int) -> MomentSequence:
     """Cumulants of Tr W for orders 1..i_max; the budget is checked on
     i_max before any order is computed."""
-    check_cumulant_order(i_max)
+    i_max = check_cumulant_order(i_max)
     return MomentSequence.from_cumulants(
         [noncentral_cumulant(params, k) for k in range(1, i_max + 1)])
 
@@ -200,7 +194,7 @@ def cumulant_sequence(params: WishartParams, i_max: int) -> MomentSequence:
 def moment_sequence(params: WishartParams, i_max: int) -> MomentSequence:
     """Moments of Tr W for orders 0..i_max; the budget is checked on i_max
     before any order is computed."""
-    check_moment_order(i_max)
+    i_max = check_moment_order(i_max)
     return MomentSequence.from_moments(
         [noncentral_moment(params, k) for k in range(1, i_max + 1)])
 
@@ -222,7 +216,7 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
     """
     if alpha.kind != MOMENTS:
         raise ValidationError("alpha must be a moment sequence")
-    _check_order(i)
+    i = check_moment_order(i)
     if i == 0:
         return 1.0 + 0.0j
     if alpha.depth < i:
@@ -248,9 +242,9 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     composition (`compose_series`) of the e_k found so far; reinserting the
     solved sequence reproduces the trace moments exactly.
     """
+    i_max = check_moment_order(i_max)
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
-    check_moment_order(i_max)
     p = params.p
     e = [1.0 + 0.0j]
     for i in range(1, i_max + 1):
@@ -271,10 +265,9 @@ def compose_normalized_moments(e: MomentSequence, p: int, i: int) -> complex:
     """
     if e.kind != MOMENTS:
         raise ValidationError("e must be a moment sequence")
-    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
-        raise ValidationError(f"p is a matrix dimension, a positive integer: {p!r}")
-    if i < 0:
-        raise ValidationError(f"order must be >= 0: {i}")
+    p, i = integer(p, "p"), integer(i, "order")
+    if p < 1:
+        raise ValidationError(f"p is a matrix dimension, a positive integer: {p}")
     if i == 0:
         return 1.0 + 0.0j
     return math.factorial(i) * compose_series(
@@ -297,6 +290,7 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
     """
     if not (n1 > 0 and n2 > 0):
         raise ValidationError("n1 and n2 must be positive")
+    i_max = check_moment_order(i_max)
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
     sigma, conv = params.sigma, params.convention

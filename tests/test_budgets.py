@@ -1,0 +1,120 @@
+"""The one reading of a request's integers (`budgets.integer`), through
+every entry point that takes an order, an index, a count, a size or a
+seed."""
+
+import math
+
+import numpy as np
+import pytest
+
+from wishmom import (
+    MomentSequence,
+    PolykaySample,
+    RngStream,
+    ValidationError,
+    binomial_convolution_check,
+    build,
+    central_cumulant,
+    central_moment,
+    complete_homogeneous,
+    compose_normalized_moments,
+    cumulant_sequence,
+    estimate_trace_cumulants,
+    falling_factorial,
+    haar_compression,
+    haar_power_sums,
+    haar_unitary,
+    integer_partitions,
+    joint_moment,
+    moment_sequence,
+    noncentral_cumulant,
+    noncentral_cumulant_eigen,
+    noncentral_moment,
+    noncentral_moment_bell,
+    normalized_cumulant_moments,
+    permutations_by_cycles,
+    polykay,
+    randomized_moment,
+    repeated_matrix,
+)
+from wishmom.budgets import integer, integer_tuple
+
+from conftest import random_complex, random_psd
+
+_RNG = np.random.default_rng(13)
+_PARAMS, _ = build(3, random_psd(_RNG, 2) + np.eye(2), random_psd(_RNG, 2, 0.5), "standard")
+_ALPHA = MomentSequence.from_moments([1.5, 2.5, 4.0])
+_T = random_complex(_RNG, 2)
+_X = np.diag([1.0, 2.0, 3.0])
+_SAMPLE = PolykaySample(4, (1.0, 2.0, 3.0, 4.0))
+
+# each entry point with the integer argument under test as v; a random
+# stream is made afresh per call, so equal arguments give equal draws
+_ENTRY_POINTS = {
+    "noncentral_moment": lambda v: noncentral_moment(_PARAMS, v),
+    "central_moment": lambda v: central_moment(_PARAMS, v),
+    "noncentral_moment_bell": lambda v: noncentral_moment_bell(_PARAMS, v),
+    "noncentral_cumulant": lambda v: noncentral_cumulant(_PARAMS, v),
+    "noncentral_cumulant_eigen": lambda v: noncentral_cumulant_eigen(_PARAMS, v),
+    "central_cumulant": lambda v: central_cumulant(_PARAMS, v),
+    "moment_sequence": lambda v: moment_sequence(_PARAMS, v),
+    "cumulant_sequence": lambda v: cumulant_sequence(_PARAMS, v),
+    "normalized_cumulant_moments": lambda v: normalized_cumulant_moments(_PARAMS, v),
+    "randomized_moment": lambda v: randomized_moment(_ALPHA, _PARAMS, v),
+    "compose_normalized_moments p": lambda v: compose_normalized_moments(_ALPHA, v, 2),
+    "compose_normalized_moments i": lambda v: compose_normalized_moments(_ALPHA, 2, v),
+    "binomial_convolution_check": lambda v: binomial_convolution_check(_PARAMS, 1.0, 2.0, v),
+    "repeated_matrix": lambda v: repeated_matrix(_T, (v, 1)),
+    "haar_compression": lambda v: haar_compression(_X, v, RngStream(1)),
+    "haar_power_sums m": lambda v: haar_power_sums(_X, v, 3, RngStream(1)),
+    "haar_power_sums count": lambda v: haar_power_sums(_X, 2, v, RngStream(1)),
+    "haar_unitary": lambda v: haar_unitary(v, RngStream(1)),
+    "RngStream seed": lambda v: (RngStream(v), RngStream(v).generator().standard_normal(2)),
+    "RngStream stream_id": lambda v: (RngStream(1, v),
+                                      RngStream(1, v).generator().standard_normal(2)),
+    "estimate_trace_cumulants": lambda v: estimate_trace_cumulants(
+        _PARAMS, v, 100, RngStream(1)),
+    "polykay": lambda v: polykay(_SAMPLE, v),
+    "PolykaySample": lambda v: PolykaySample(v, (1.0, 2.0, 3.0, 4.0)),
+    "MomentSequence.order": lambda v: _ALPHA.order(v),
+    "permutations_by_cycles": lambda v: list(permutations_by_cycles(v)),
+    "integer_partitions": lambda v: integer_partitions(v),
+    "falling_factorial": lambda v: falling_factorial(5, v),
+    "complete_homogeneous": lambda v: complete_homogeneous([1.0, 2.0], v),
+    "joint_moment": lambda v: joint_moment(_PARAMS, [np.eye(2)], (v,)),
+}
+
+
+def _bits(value):
+    """The exact bits of a result, and its type: equal only for results
+    that are identical bit for bit (repr round-trips every float)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_bits(v) for v in value]
+    return repr(value)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_every_integer_argument_is_read_by_one_rule(entry):
+    # 2.0 and a numpy integer count as 2; a bool is not counted, 2.5 not
+    # truncated, a digit string not parsed, and none of them reaches
+    # Python's or numpy's own TypeError or ValueError
+    run = _ENTRY_POINTS[entry]
+    want = _bits(run(2))
+    for same in (2.0, np.int64(2)):
+        assert _bits(run(same)) == want, same
+    for bad in (True, 2.5, -1, "2", None, math.inf):
+        with pytest.raises(ValidationError):
+            run(bad)
+
+
+def test_the_rule_reads_integral_values_and_names_the_argument():
+    assert integer(np.float32(3.0), "k") == 3 and type(integer(np.int8(3), "k")) is int
+    assert integer_tuple([2.0, np.uint8(0), 7], "kind") == (2, 0, 7)
+    for bad in (np.bool_(True), math.nan, 1 + 0j, "", b"2"):
+        with pytest.raises(ValidationError, match="^k must be a non-negative integer"):
+            integer(bad, "k")
+    for bad in ("12", "", 3, None, [1, "2"]):
+        with pytest.raises(ValidationError, match="^kind must be a list"):
+            integer_tuple(bad, "kind")

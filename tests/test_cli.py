@@ -290,6 +290,10 @@ def test_mc_verify_command(tmp_path):
     (["permanent", "--d", "inf", "--index", "1,1"], {}, None),
     (["moments"], {"n": True}, None),
     (["cumulants"], {"n": float("inf")}, None),
+    (["joint-moments"], {"index": ["2"]}, None),
+    (["joint-moments", "--index", "2.0"], {}, None),
+    (["joint-moments", "--index", ",1"], {}, None),
+    (["necklaces", "--kind", "0,0"], {}, None),
 ])
 def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     doc = {"n": 3, "sigma": matrix_doc(np.eye(2)), "h": [matrix_doc(np.eye(2))],

@@ -7,14 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 import wishmom
 from wishmom import (
+    CONVENTIONS,
     BudgetExceededError,
     CyclePermutation,
     MomentSequence,
     SingularMatrixError,
+    RngStream,
     ValidationError,
     a_product_moment,
     build,
     central_product_moment,
+    estimate_generalized_moment,
     eta_moment,
     eta_moment_strings,
     generalized_moment_expansion,
@@ -432,6 +435,44 @@ def test_central_product_moment_closed_forms():
     # identity permutation = the plain central joint moment at (1, 1)
     assert rel_err(central_product_moment(params, h, e2),
                    joint_moment(params, h, (1, 1))) < 1e-13
+
+
+def test_product_moments_need_a_cycle_permutation():
+    # one-line images are not read as a permutation: ValidationError, not
+    # AttributeError on the tuple's missing `size`
+    params, h = make_instance(27, convention="standard")
+    routes = (central_product_moment, a_product_moment, generalized_moment_expansion,
+              lambda params, h, perm: estimate_generalized_moment(
+                  params, h, perm, 100, RngStream(1)))
+    for route in routes:
+        with pytest.raises(ValidationError, match="CyclePermutation"):
+            route(params, h, (2, 1))
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("images", [(2, 3, 1, 4), (2, 1, 4, 3), (1, 2, 3, 4),
+                                    (3, 1, 2, 5, 4)])
+def test_generalized_moments_are_invariant_under_relabeling(images, convention):
+    # relabeling the positions by pi (h'_{pi(j)} = h_j, sigma' = pi sigma
+    # pi^-1) permutes the factors of every cycle's trace word cyclically and
+    # leaves each moment as it is
+    m = len(images)
+    params, h = make_instance(28 + m, p=2, m=m, convention=convention)
+    sigma = CyclePermutation.from_images(images)
+    want = (central_product_moment(params, h, sigma), a_product_moment(params, h, sigma),
+            generalized_moment_expansion(params, h, sigma).evaluated_sum)
+    rng = np.random.default_rng(m)
+    for pi in (np.roll(np.arange(m), 1), np.arange(m)[::-1], rng.permutation(m)):
+        h2, images2 = [None] * m, [0] * m
+        for j in range(m):
+            h2[pi[j]] = h[j]
+            images2[pi[j]] = pi[images[j] - 1] + 1
+        sigma2 = CyclePermutation.from_images(images2)
+        got = (central_product_moment(params, h2, sigma2),
+               a_product_moment(params, h2, sigma2),
+               generalized_moment_expansion(params, h2, sigma2).evaluated_sum)
+        for g, w in zip(got, want):
+            assert rel_err(g, w) <= 1e-12, (pi, g, w)
 
 
 def test_a_product_moment_single():

@@ -293,9 +293,10 @@ def test_compose_normalized_moments_matches_exact(convention):
 
 def test_compose_normalized_moments_rejects_a_non_dimension():
     e = MomentSequence.from_moments([1.5, 2.5, 4.0])
-    assert compose_normalized_moments(e, np.int64(2), 2) == compose_normalized_moments(e, 2, 2)
+    for p in (np.int64(2), 2.0):
+        assert compose_normalized_moments(e, p, 2) == compose_normalized_moments(e, 2, 2)
     assert compose_normalized_moments(e, 2, 0) == 1
-    for p in (0, -1, 2.5, 2.0, True, "2", None):
+    for p in (0, -1, 2.5, True, "2", None):
         with pytest.raises(ValidationError):
             compose_normalized_moments(e, p, 2)
 
