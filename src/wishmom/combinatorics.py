@@ -18,6 +18,17 @@ moments).  `partition_sum` walks the partitions and adds the terms with
 joint moments and is the tests' oracle for `compose_series`.  The Bell and
 cyclic polynomials come from the Bell recurrence and enumerate nothing, so
 they stay an independent check on both.
+
+The public constructors of `IntegerPartition`, `MultiIndexPartition`,
+`Necklace` and `CyclePermutation` validate: they read every integer by
+`budgets.integer`, so 2.0 counts as 2 and True or 2.5 raise
+ValidationError, check the class's invariants, and store the normalized
+fields (a `CyclePermutation` in its canonical cycle order).  The
+enumerators build their objects through one private trusted constructor
+per class, `_of`, which checks nothing: they already guarantee every
+invariant.  Integer partitions come from the reverse-lexicographic
+successor rule (Knuth, TAOCP 7.2.1.4; Zoghbi and Stojmenovic 1998, ZS1),
+one step per partition, with no recursion copying a prefix.
 """
 
 from __future__ import annotations
@@ -32,6 +43,14 @@ from .budgets import check_necklace_weight, check_permutation_degree, integer, i
 from .errors import DimensionMismatchError, NumericalError, ValidationError
 
 
+def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
+    """Each entry of `rows` read by `integer_tuple`."""
+    try:
+        return tuple(integer_tuple(row, name) for row in rows)
+    except TypeError:
+        raise ValidationError(f"{name} must be a list of integer lists: {rows!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # integer partitions
 # ---------------------------------------------------------------------------
@@ -43,10 +62,20 @@ class IntegerPartition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise ValidationError(f"parts must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValidationError(f"parts must be weakly decreasing: {self.parts}")
+        parts = integer_tuple(self.parts, "parts")
+        if any(p < 1 for p in parts):
+            raise ValidationError(f"parts must be positive: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValidationError(f"parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "IntegerPartition":
+        """The partition with these parts, unchecked: for a tuple of
+        positive ints already known to be weakly decreasing."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
 
     @property
     def size(self) -> int:
@@ -82,22 +111,40 @@ class IntegerPartition:
 def integer_partitions(i: int) -> list[IntegerPartition]:
     """All partitions of i, in reverse-lexicographic order.
 
-    i = 0 yields the single empty partition.
+    i = 0 yields the single empty partition.  Each partition is the
+    successor of the one before (ZS1): the last part x > 1 drops to
+    x - 1, and the ones after it, with the unit taken from x, are
+    regrouped into as many parts x - 1 as fit and one remainder part.
     """
     i = integer(i, "i")
-    out: list[IntegerPartition] = []
-    prefix: list[int] = []
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            out.append(IntegerPartition(tuple(prefix)))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part)
-            prefix.pop()
-
-    rec(i, i)
+    of = IntegerPartition._of
+    if i == 0:
+        return [of(())]
+    x = [1] * i          # x[:m + 1] is the current partition
+    x[0] = i
+    m = h = 0            # h indexes its last part greater than 1
+    out = [of((i,))]
+    while x[0] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            rest = m - h + 1   # the unit taken from x[h] and the ones after it
+            x[h] = r
+            while rest >= r:
+                h += 1
+                x[h] = r
+                rest -= r
+            if rest == 0:
+                m = h
+            else:
+                m = h + 1
+                if rest > 1:
+                    h += 1
+                    x[h] = rest
+        out.append(of(tuple(x[:m + 1])))
     return out
 
 
@@ -109,6 +156,7 @@ def partition_coefficients(lam: IntegerPartition, i: int) -> tuple[int, int, int
         d_tilde = i! / prod_j r_j!                 (ordered-block weight)
         c       = i! / prod_j j^{r_j} r_j!         (cycle-class count)
     """
+    i = integer(i, "i")
     if lam.size != i:
         raise ValidationError(f"{lam.parts} is not a partition of {i}")
     fact = math.factorial(i)
@@ -137,17 +185,29 @@ class MultiIndexPartition:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.columns) != len(self.multiplicities):
+        columns = _integer_rows(self.columns, "columns")
+        multiplicities = integer_tuple(self.multiplicities, "multiplicities")
+        if len(columns) != len(multiplicities):
             raise ValidationError("columns/multiplicities length mismatch")
-        for col in self.columns:
-            if all(v == 0 for v in col):
-                raise ValidationError("zero column in multi-index partition")
-            if any(v < 0 for v in col):
-                raise ValidationError(f"negative entry in column {col}")
-        if any(a >= b for a, b in zip(self.columns, self.columns[1:])):
+        if len({len(col) for col in columns}) > 1:
+            raise ValidationError(f"columns must have one length: {columns}")
+        if not all(any(col) for col in columns):
+            raise ValidationError("zero column in multi-index partition")
+        if any(a >= b for a, b in zip(columns, columns[1:])):
             raise ValidationError("columns must be strictly increasing")
-        if any(r < 1 for r in self.multiplicities):
+        if not all(multiplicities):
             raise ValidationError("multiplicities must be positive")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "multiplicities", multiplicities)
+
+    @classmethod
+    def _of(cls, columns, multiplicities) -> "MultiIndexPartition":
+        """The partition with these fields, unchecked: for distinct nonzero
+        int columns of one length in increasing order, positive counts."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        return self
 
     @property
     def target(self) -> tuple[int, ...]:
@@ -209,7 +269,7 @@ def multiindex_partitions(t) -> list[MultiIndexPartition]:
     """
     t = integer_tuple(t, "multi-index")
     if all(v == 0 for v in t):
-        return [MultiIndexPartition((), ())]
+        return [MultiIndexPartition._of((), ())]
 
     candidates = sorted(
         (c for c in itertools.product(*(range(v + 1) for v in t)) if any(c)),
@@ -222,7 +282,7 @@ def multiindex_partitions(t) -> list[MultiIndexPartition]:
         if not any(remaining):
             cols = tuple(col for col, _ in reversed(chosen))
             mults = tuple(r for _, r in reversed(chosen))
-            out.append(MultiIndexPartition(cols, mults))
+            out.append(MultiIndexPartition._of(cols, mults))
             return
         if idx == len(candidates):
             return
@@ -373,6 +433,39 @@ class Necklace:
     block_length: int
     repetitions: int
 
+    def __post_init__(self):
+        rep = integer_tuple(self.representative, "representative")
+        kind = integer_tuple(self.kind, "kind")
+        block = integer(self.block_length, "block_length")
+        repetitions = integer(self.repetitions, "repetitions")
+        n = len(rep)
+        if not n:
+            raise ValidationError("a necklace needs at least one symbol")
+        if n != sum(kind) or kind != tuple(rep.count(k) for k in range(1, len(kind) + 1)):
+            raise ValidationError(f"{rep} does not have kind {kind}")
+        if block * repetitions != n:
+            raise ValidationError(
+                f"block_length {block} times repetitions {repetitions} is not {n}")
+        rotations = [rep[r:] + rep[:r] for r in range(n)]
+        if rep != min(rotations):
+            raise ValidationError(f"{rep} is not its smallest rotation")
+        if block != next(r for r in range(1, n + 1) if rotations[r % n] == rep):
+            raise ValidationError(f"block_length {block} is not the period of {rep}")
+        for name, value in (("representative", rep), ("kind", kind),
+                            ("block_length", block), ("repetitions", repetitions)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, representative, kind, block_length, repetitions) -> "Necklace":
+        """The necklace with these fields, unchecked: for fields that
+        already satisfy the invariants above."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "block_length", block_length)
+        object.__setattr__(self, "repetitions", repetitions)
+        return self
+
     @property
     def word(self) -> str:
         return "".join(str(s) for s in self.representative)
@@ -400,7 +493,7 @@ def necklaces_of_kind(kind) -> list[Necklace]:
         if t > n:
             if n % p == 0:
                 rep = tuple(s + 1 for s in a[1:])
-                out.append(Necklace(rep, kind, p, n // p))
+                out.append(Necklace._of(rep, kind, p, n // p))
             return
         lo = a[t - p]
         for j in range(lo, m):
@@ -454,10 +547,23 @@ class CyclePermutation:
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        elems = [e for c in self.cycles for e in c]
-        k = len(elems)
-        if sorted(elems) != list(range(1, k + 1)):
+        cycles = _integer_rows(self.cycles, "cycles")
+        elems = [e for c in cycles for e in c]
+        if not all(cycles) or sorted(elems) != list(range(1, len(elems) + 1)):
             raise ValidationError(f"cycles must partition 1..k: {self.cycles}")
+        canonical = []
+        for c in cycles:
+            start = c.index(min(c))
+            canonical.append(c[start:] + c[:start])
+        object.__setattr__(self, "cycles", tuple(sorted(canonical)))
+
+    @classmethod
+    def _of(cls, cycles) -> "CyclePermutation":
+        """The permutation with these cycles, unchecked: for int cycles
+        already in canonical order that partition 1..k."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "cycles", cycles)
+        return self
 
     @property
     def size(self) -> int:
@@ -469,7 +575,7 @@ class CyclePermutation:
 
     @property
     def cycle_class(self) -> IntegerPartition:
-        return IntegerPartition(tuple(sorted((len(c) for c in self.cycles), reverse=True)))
+        return IntegerPartition._of(tuple(sorted((len(c) for c in self.cycles), reverse=True)))
 
     def images(self) -> tuple[int, ...]:
         """One-line notation: images()[j-1] is the image of j."""
@@ -493,7 +599,7 @@ class CyclePermutation:
     def _of_images(cls, images: tuple[int, ...]) -> "CyclePermutation":
         """`from_images` for images already known to permute 1..k."""
         cycles = cycles_of_images([v - 1 for v in images])
-        return cls(tuple(tuple(j + 1 for j in c) for c in cycles))
+        return cls._of(tuple(tuple(j + 1 for j in c) for c in cycles))
 
     @classmethod
     def checked(cls, perm, size: int) -> "CyclePermutation":

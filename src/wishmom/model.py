@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
+from .budgets import integer
 from .choices import CONVENTIONS
 from .errors import DimensionMismatchError, ValidationError
 
@@ -81,6 +82,7 @@ class WishartParams:
 
     def __init__(self, n, sigma, m_matrix=None, convention: str = "paper",
                  depth: int = DEFAULT_DEPTH):
+        depth = integer(depth, "depth")
         n = float(n)
         if not 0 < n < np.inf:
             raise ValidationError(f"degrees of freedom must be finite and > 0: {n}")
@@ -118,6 +120,7 @@ class WishartParams:
 
     def trace_cache(self, min_depth: int = 0) -> TraceCache:
         """The cache, extended (and kept) if shallower than min_depth."""
+        min_depth = integer(min_depth, "min_depth")
         cache = self._cache
         if cache.depth >= min_depth:
             return cache

@@ -1,7 +1,7 @@
 """Brute-force kernels that only the tests use, as independent oracles for
-the production routes: every string of a kind, traces of explicitly
-multiplied matrix products, and exact (Gaussian-rational) compositions,
-permanents and moments."""
+the production routes: every string of a kind, every partition of an
+integer by recursion, traces of explicitly multiplied matrix products, and
+exact (Gaussian-rational) compositions, permanents and moments."""
 
 import itertools
 import math
@@ -35,6 +35,26 @@ def strings_of_kind(kind):
                 counts[j] += 1
 
     yield from rec()
+
+
+def partitions_of(n):
+    """Every partition of n as a tuple of parts, in reverse-lexicographic
+    order: a recursion that extends a prefix by each part no larger than
+    its last, largest first.  The order oracle of `integer_partitions`."""
+    out = []
+    prefix: list[int] = []
+
+    def rec(remaining, cap):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            prefix.append(part)
+            rec(remaining - part, part)
+            prefix.pop()
+
+    rec(n, n)
+    return out
 
 
 def product_trace(factors) -> complex:

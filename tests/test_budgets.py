@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 
 from wishmom import (
+    CyclePermutation,
+    IntegerPartition,
     MomentSequence,
+    MultiIndexPartition,
+    Necklace,
     PolykaySample,
     RngStream,
     ValidationError,
+    WishartParams,
     binomial_convolution_check,
     build,
     central_cumulant,
@@ -32,6 +37,7 @@ from wishmom import (
     noncentral_moment,
     noncentral_moment_bell,
     normalized_cumulant_moments,
+    partition_coefficients,
     permutations_by_cycles,
     polykay,
     randomized_moment,
@@ -82,6 +88,14 @@ _ENTRY_POINTS = {
     "falling_factorial": lambda v: falling_factorial(5, v),
     "complete_homogeneous": lambda v: complete_homogeneous([1.0, 2.0], v),
     "joint_moment": lambda v: joint_moment(_PARAMS, [np.eye(2)], (v,)),
+    "partition_coefficients": lambda v: partition_coefficients(IntegerPartition((2,)), v),
+    "IntegerPartition": lambda v: IntegerPartition((v, 1)),
+    "MultiIndexPartition": lambda v: MultiIndexPartition(((0, 1), (v, 0)), (1, v)),
+    "CyclePermutation": lambda v: CyclePermutation(((3,), (v, 1))),
+    "Necklace": lambda v: Necklace((1, v), (1, 1), v, 1),
+    "build depth": lambda v: build(3, np.eye(2), depth=v)[1],
+    "WishartParams depth": lambda v: WishartParams(3, np.eye(2), depth=v).trace_cache(),
+    "WishartParams.trace_cache": lambda v: WishartParams(3, np.eye(2), depth=1).trace_cache(v),
 }
 
 

@@ -138,6 +138,25 @@ def test_generalized_command(tmp_path):
     assert len(doc_out["results"]["terms"]) == 4
 
 
+def test_generalized_reads_images_by_the_integer_rule(tmp_path, capsys):
+    # [2.0, 3.0, 1.0] is the 3-cycle [2, 3, 1]; true is not an image
+    doc = {"n": 3, "sigma": matrix_doc(np.diag([1.0, 2.0])),
+           "h": [matrix_doc(np.eye(2)), matrix_doc([[1.0, 0.5], [0.5, 3.0]]),
+                 matrix_doc(np.diag([2.0, -1.0]))]}
+    outs = []
+    for images in ([2, 3, 1], [2.0, 3.0, 1.0], [True, 3, 1]):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({**doc, "index": images}))
+        code = main(["generalized", str(path)])
+        outs.append((code, capsys.readouterr().out))
+    (code_int, out_int), (code_real, out_real), (code_bool, out_bool) = outs
+    assert code_int == code_real == 0
+    value = json.loads(out_int)["results"]["evaluated_sum"]
+    assert value["re"] != 0
+    assert json.loads(out_real)["results"]["evaluated_sum"] == value
+    assert (code_bool, out_bool) == (2, "")
+
+
 def test_permanent_command(tmp_path):
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     path = tmp_path / "perm.json"

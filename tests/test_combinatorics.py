@@ -8,7 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from wishmom import (
     BudgetExceededError,
+    CyclePermutation,
     IntegerPartition,
+    MultiIndexPartition,
+    Necklace,
     NumericalError,
     ValidationError,
     complete_bell,
@@ -24,7 +27,7 @@ from wishmom import (
 )
 from wishmom.combinatorics import complex_fsum, partition_sum
 
-from brute_force import strings_of_kind
+from brute_force import partitions_of, strings_of_kind
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +69,12 @@ def min_rotation(s):
     return min(tuple(s[r:] + s[:r]) for r in range(len(s)))
 
 
+def assert_same_object(got, checked):
+    # equal, and equal in repr: an enumerator's int field and a float or
+    # bool one compare equal, but print differently
+    assert got == checked and repr(got) == repr(checked)
+
+
 # ---------------------------------------------------------------------------
 # integer partitions
 # ---------------------------------------------------------------------------
@@ -74,6 +83,17 @@ def test_partitions_of_zero_and_four():
     assert [p.parts for p in integer_partitions(0)] == [()]
     assert [p.parts for p in integer_partitions(4)] == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_successor_rule_matches_recursive_order():
+    for n in range(26):
+        assert [lam.parts for lam in integer_partitions(n)] == partitions_of(n)
+
+
+def test_enumerated_partitions_equal_checked_ones():
+    for n in range(16):
+        for lam in integer_partitions(n):
+            assert_same_object(lam, IntegerPartition(lam.parts))
 
 
 def test_partition_counts_match_recurrence():
@@ -88,17 +108,22 @@ def test_partition_fields():
     assert lam.size == 8
     assert lam.length == 4
     assert lam.multiplicities == (1, 2, 1)
+    assert_same_object(IntegerPartition([2.0, np.int64(1)]), IntegerPartition((2, 1)))
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (0,), (2.5,), (True,), (2, -1), "21", None])
+def test_partition_constructor_rejects(parts):
     with pytest.raises(ValidationError):
-        IntegerPartition((1, 2))
-    with pytest.raises(ValidationError):
-        IntegerPartition((0,))
+        IntegerPartition(parts)
 
 
 def test_partition_coefficients_hand_values():
     assert partition_coefficients(IntegerPartition((1, 1)), 2) == (1, 1, 1)
     assert partition_coefficients(IntegerPartition((2,)), 2) == (1, 2, 1)
-    with pytest.raises(ValidationError):
-        partition_coefficients(IntegerPartition((2,)), 3)
+    assert partition_coefficients(IntegerPartition((2,)), 2.0) == (1, 2, 1)
+    for bad in (3, 2.5, True, "2"):
+        with pytest.raises(ValidationError):
+            partition_coefficients(IntegerPartition((2,)), bad)
 
 
 def test_cycle_class_coefficients_sum_to_factorial():
@@ -149,6 +174,41 @@ def test_multiindex_partitions_examples():
     ])
 
 
+# the kinds whose sub-indices the joint-moment sessions of the benchmark split
+JOINT_MOMENT_KINDS = [(4,), (9,), (3, 3), (2, 1, 1), (3, 2, 2), (2, 2, 1, 1),
+                      (1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("kind", JOINT_MOMENT_KINDS)
+def test_enumerated_multiindex_partitions_equal_checked_ones(kind):
+    for lam in multiindex_partitions(kind):
+        assert_same_object(lam, MultiIndexPartition(lam.columns, lam.multiplicities))
+
+
+def test_multiindex_partition_constructor_normalizes():
+    (lam,) = [l for l in multiindex_partitions((1, 1)) if l.length == 1]
+    assert_same_object(MultiIndexPartition([(1.0, np.int64(1))], [1.0]), lam)
+
+
+@pytest.mark.parametrize("columns, multiplicities", [
+    (((0, 1), (1, 0)), (1,)),        # one count per column
+    (((1,), (0, 1)), (1, 1)),        # columns of two lengths
+    (((0, 0),), (1,)),               # a zero column
+    (((1, 0), (0, 1)), (1, 1)),      # not increasing
+    (((0, 1), (0, 1)), (1, 1)),      # not distinct
+    (((0, 1),), (0,)),               # a zero count
+    (((0, 1.5),), (1,)),
+    (((0, True),), (1,)),
+    (((0, -1), (1, 1)), (1, 1)),
+    (((0, 1),), (True,)),
+    ("12", (1,)),
+    (5, (1,)),
+])
+def test_multiindex_partition_constructor_rejects(columns, multiplicities):
+    with pytest.raises(ValidationError):
+        MultiIndexPartition(columns, multiplicities)
+
+
 def test_multiindex_partition_invariants():
     for lam in multiindex_partitions((2, 1, 1)):
         assert lam.target == (2, 1, 1)
@@ -197,6 +257,38 @@ def test_necklaces_weight_three_all_kinds():
         if sum(kind) == 3:
             total.extend(necklaces_of_kind(kind))
     assert len(total) == 11  # all ternary necklaces of length 3
+
+
+def test_enumerated_necklaces_equal_checked_ones():
+    for m, weight in [(1, 4), (2, 6), (3, 5), (4, 4)]:
+        for kind in itertools.product(range(weight + 1), repeat=m):
+            if sum(kind) != weight:
+                continue
+            for n in necklaces_of_kind(kind):
+                assert_same_object(
+                    n, Necklace(n.representative, n.kind, n.block_length, n.repetitions))
+
+
+def test_necklace_constructor_normalizes():
+    (neck,) = necklaces_of_kind((1, 1))
+    assert_same_object(Necklace([1.0, np.int64(2)], [1, 1.0], 2.0, 1), neck)
+
+
+@pytest.mark.parametrize("fields", [
+    ((1, 2), (1, 1), 5, 7),          # block_length * repetitions != length
+    ((1, 2), (2, 0), 2, 1),          # not the symbol counts
+    ((1, 3), (1, 1), 2, 1),          # a symbol outside 1..m
+    ((2, 1), (1, 1), 2, 1),          # not the smallest rotation
+    ((1, 2, 1, 2), (2, 2), 4, 1),    # not the smallest period
+    ((), (), 0, 0),
+    ((1.5, 2), (1, 1), 2, 1),
+    ((1, 2), (1, 1), True, 2),
+    ((1, 2), (1, 1), 2.5, 1),
+    ("12", (1, 1), 2, 1),
+])
+def test_necklace_constructor_rejects(fields):
+    with pytest.raises(ValidationError):
+        Necklace(*fields)
 
 
 def test_necklace_rotations_examples():
@@ -275,20 +367,46 @@ def test_permutation_cycle_class_counts_match_cycle_coefficients():
 
 def test_permutation_images_round_trip():
     for perm in permutations_by_cycles(5):
-        from wishmom import CyclePermutation
         assert CyclePermutation.from_images(perm.images()) == perm
+
+
+def test_enumerated_permutations_equal_checked_ones():
+    for k in range(1, 7):
+        for perm in permutations_by_cycles(k):
+            assert_same_object(perm, CyclePermutation(perm.cycles))
+            assert_same_object(perm.cycle_class, IntegerPartition(perm.cycle_class.parts))
+
+
+@pytest.mark.parametrize("cycles, canonical", [
+    (((1.0, 2.0),), ((1, 2),)),
+    (((2, 1),), ((1, 2),)),
+    (((3,), (2, 1)), ((1, 2), (3,))),
+    (((3, 1, 2), (np.int64(4),)), ((1, 2, 3), (4,))),
+    ([[2, 4], [3, 1]], ((1, 3), (2, 4))),
+])
+def test_cycle_constructor_puts_cycles_in_canonical_order(cycles, canonical):
+    perm = CyclePermutation(cycles)
+    assert_same_object(perm, CyclePermutation._of(canonical))
+    assert_same_object(perm, CyclePermutation.from_images(perm.images()))
+
+
+@pytest.mark.parametrize("cycles", [
+    ((1, 1),), ((1, 3),), ((0, 1),), ((),), ((1.5, 2),), ((True, 2),),
+    ((1, -2),), ("12",), "12", 5, None,
+])
+def test_cycle_constructor_rejects(cycles):
+    with pytest.raises(ValidationError):
+        CyclePermutation(cycles)
 
 
 @pytest.mark.parametrize("images", [[1.7, 2], [True, 2], [2, 1.5], "21", [None, 1]])
 def test_permutation_images_must_be_integers(images):
     # int() would read [1.7, 2] and [True, 2] as the identity on two points
-    from wishmom import CyclePermutation
     with pytest.raises(ValidationError):
         CyclePermutation.from_images(images)
 
 
 def test_permutation_images_accept_integral_floats():
-    from wishmom import CyclePermutation
     assert CyclePermutation.from_images([2.0, 1]) == CyclePermutation(((1, 2),))
 
 

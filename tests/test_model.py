@@ -104,6 +104,17 @@ def test_cache_extension_monotone():
     assert params.trace_cache(2).depth == 9  # kept
 
 
+def test_depths_are_read_by_the_integer_rule():
+    # not Python's TypeError from range(), outside the package's errors
+    with pytest.raises(ValidationError, match="depth"):
+        build(2, PAPER_SIGMA, PAPER_M, depth=2.5)
+    params, cache = build(2, PAPER_SIGMA, PAPER_M, depth=3.0)
+    assert cache.depth == 3
+    with pytest.raises(ValidationError, match="min_depth"):
+        params.trace_cache(13.5)
+    assert params.trace_cache(np.int64(13)).depth == 13
+
+
 def test_params_are_read_only():
     params, _ = build(2, PAPER_SIGMA, PAPER_M)
     with pytest.raises(ValueError):

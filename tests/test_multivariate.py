@@ -545,6 +545,14 @@ def test_expansion_two_cycle_symbolic_factors():
     assert len(pure) == 2
 
 
+def test_product_moment_of_a_normalized_permutation():
+    # integral floats and a non-canonical cycle name the same transposition
+    params, h = make_instance(25, convention="standard")
+    want = central_product_moment(params, h, CyclePermutation(((1, 2),)))
+    for cycles in (((1.0, 2.0),), ((2, 1),)):
+        assert central_product_moment(params, h, CyclePermutation(cycles)) == want
+
+
 def test_expansion_pure_factor_values_are_single_cycle_expectations():
     params, h = make_instance(25, convention="standard")
     perm = CyclePermutation(((1, 2),))
