@@ -5,7 +5,10 @@ size, a seed) is read by one rule, `integer`: an int, a numpy integer or
 an integral real is that non-negative int, so 2.0 counts as 2; True, 2.5,
 -1, "2", None and anything else that is not a non-negative integral
 number raise ValidationError naming the argument.  `integer_tuple` reads
-each entry of a sequence by it and rejects a bare string.
+each entry of a sequence by it and rejects a bare string.  Degrees of
+freedom are read by `positive_real`: an int, a float or a numpy real is
+that positive finite float; True, "3", 3+0j, None, 0, -1, inf and nan
+raise ValidationError naming the argument.
 
 Every combinatorially explosive operation caps one quantity of its request
 with a rule below.  A rule reads its value by `integer`, checks its least
@@ -16,6 +19,7 @@ the legacy spelling ``WISHART_MAX_BUDGET``) to an integer replaces *all*
 defaults at once, and a rejection then names that variable.
 """
 
+import math
 import numbers
 import os
 
@@ -59,6 +63,22 @@ def integer_tuple(values, name: str) -> tuple[int, ...]:
     except (TypeError, ValidationError):
         raise ValidationError(
             f"{name} must be a list of non-negative integers: {values!r}") from None
+
+
+def positive_real(value, name: str) -> float:
+    """`value` as a positive finite float: an int, a float or a numpy
+    real.  A bool, a string, a complex, None, a non-positive or
+    non-finite number or anything else raises ValidationError naming
+    `name`."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
+        read = float(value)
+    except (TypeError, ValueError, OverflowError):
+        read = math.nan
+    if not 0 < read < math.inf:
+        raise ValidationError(f"{name} must be a positive finite real: {value!r}")
+    return read
 
 
 def _limit(default: int) -> tuple[int, str | None]:

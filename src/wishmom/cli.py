@@ -183,12 +183,7 @@ def _params_from(doc: dict, convention: str | None) -> WishartParams:
 
     if "n" not in doc or "sigma" not in doc:
         raise ValidationError("input needs 'n' and 'sigma'")
-    try:
-        if isinstance(doc["n"], bool):
-            raise ValueError("not a number")
-        n = float(doc["n"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"'n' must be a number: {doc['n']!r}") from exc
+    n = budgets.positive_real(doc["n"], "'n'")
     conv = convention or doc.get("convention", "paper")
     sigma = _matrix_from(doc["sigma"], "sigma")
     m_matrix = _matrix_from(doc["m_matrix"], "m_matrix") if "m_matrix" in doc else None

@@ -14,8 +14,9 @@ sum_l a_l R(z)^l / l!, a truncated power series on the grid of sub-indices
 u <= i; it enumerates no partitions and carries every composition
 (permanents, randomized moments and cumulants, central and normalized
 moments).  `partition_sum` walks the partitions and adds the terms with
-`complex_fsum`, a correctly rounded complex sum; it carries the trace and
-joint moments and is the tests' oracle for `compose_series`.  The Bell and
+`complex_fsum`, a correctly rounded complex sum; it carries the trace
+moments and the joint moments (one sum over the joint cumulant table) and
+is the tests' oracle for `compose_series`.  The Bell and
 cyclic polynomials come from the Bell recurrence and enumerate nothing, so
 they stay an independent check on both.
 

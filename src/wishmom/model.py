@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import integer
+from .budgets import integer, positive_real
 from .choices import CONVENTIONS
 from .errors import DimensionMismatchError, ValidationError
 
@@ -83,9 +83,7 @@ class WishartParams:
     def __init__(self, n, sigma, m_matrix=None, convention: str = "paper",
                  depth: int = DEFAULT_DEPTH):
         depth = integer(depth, "depth")
-        n = float(n)
-        if not 0 < n < np.inf:
-            raise ValidationError(f"degrees of freedom must be finite and > 0: {n}")
+        n = positive_real(n, "n")
         sigma = matrix_core.hermitian_matrix(sigma, "sigma must be Hermitian")
         if m_matrix is None:
             m_matrix = np.zeros_like(sigma)

@@ -28,15 +28,15 @@ sub-index from one pass; the S[v] are plain matrix sums in a fixed order.
 are the independent check on the recursion; no other route enumerates
 necklaces or rotations.
 
-Joint moments expand the tables over multi-index partitions with a
-binomial convolution of the central and non-centrality parts, through
-`combinatorics.partition_sum`; joint cumulants are i! (n rho[i] + sign
-eta[i]).  The randomized joint cumulant is a composition, one truncated
-power series on the grid of sub-indices (`combinatorics.compose_series`),
-and enumerates no partitions.  Joint moments stay on the partition sums
-for now: their series form is exp of the cumulant series on the same grid,
-and it waits until the benchmark stops keeping every job's answer, which
-would charge a faster moment route with a larger peak RSS (ROADMAP.md).
+Joint cumulants are kappa[u] = u! K[u], K[u] = n rho[u] + sign eta[u], and
+a joint moment is the moment-cumulant formula on that one table (McCullagh,
+Tensor Methods in Statistics, 1987): i! sum over the multi-index partitions
+of i of prod K[col]^r / prod r!, through `combinatorics.partition_sum`.
+The randomized joint cumulant is a composition, one truncated power series
+on the grid of sub-indices (`combinatorics.compose_series`), enumerating no
+partitions.  Joint moments wait for that series form, exp of the cumulant
+series, until the benchmark stops keeping every job's answer, which would
+charge a faster moment route with a larger peak RSS (ROADMAP.md).
 The necklace and group-action sums are added with
 `combinatorics.complex_fsum`, a correctly rounded sum.
 """
@@ -111,10 +111,6 @@ def _word_product(sh, word, left=None) -> np.ndarray:
 # base moments: the sub-index recursion and the necklace-grouped check
 # ---------------------------------------------------------------------------
 
-def _sub_indices(kind):
-    return itertools.product(*(range(c + 1) for c in kind))
-
-
 def _string_sums(factors, kind, left) -> dict[tuple[int, ...], np.ndarray]:
     """S[v] = sum over every string of kind v of left @ prod(word), for
     every sub-index v <= kind.
@@ -127,7 +123,7 @@ def _string_sums(factors, kind, left) -> dict[tuple[int, ...], np.ndarray]:
     # an overflow leaves inf/nan in the table, which the closed forms report
     # as a NumericalError; numpy's own warning would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for v in _sub_indices(kind):
+        for v in itertools.product(*(range(c + 1) for c in kind)):
             if any(v):
                 s[v] = sum(s[v[:k] + (c - 1,) + v[k + 1:]] @ factors[k]
                            for k, c in enumerate(v) if c)
@@ -212,36 +208,33 @@ def _index_factorial(kind) -> int:
     return math.prod(math.factorial(v) for v in kind)
 
 
+def _cumulant_table(params: WishartParams, h, kind) -> dict[tuple[int, ...], complex]:
+    """K[u] = kappa[u] / u! = n rho[u] + sign eta[u] of every nonzero u <= kind."""
+    rho_tab, eta_tab = _base_tables(params, h, kind)
+    return {u: params.n * rho_tab[u] + params.sign * eta_tab[u] for u in rho_tab}
+
+
 def joint_moment(params: WishartParams, h, i) -> complex:
     """E[prod_j Tr(W H_j)^{i_j}].
 
-    Binomial convolution over splits i = t1 + t2 of the non-centrality
-    partition sum (sign^l weights on eta) and the central partition sum
-    (n^l weights on rho).  The eta side needs Omega, hence a nonsingular
+    The moment-cumulant formula on K[u] = n rho[u] + sign eta[u]:
+    i! times the partition sum of prod K[col]^r / prod r! over the
+    multi-index partitions of i.  eta needs Omega, hence a nonsingular
     Sigma, unless M = 0.
     """
     kind = _as_kind(i, len(h))
     weight = check_joint_weight(sum(kind))
     if weight == 0:
         return 1.0 + 0.0j
-    rho_tab, eta_tab = _base_tables(params, h, kind)
-
-    def split_term(t2):
-        t1 = tuple(a - b for a, b in zip(kind, t2))
-        r_val = partition_sum(multiindex_partitions(t2), rho_tab, lambda l: params.n ** l)
-        a_val = partition_sum(multiindex_partitions(t1), eta_tab, lambda l: params.sign ** l)
-        return a_val * r_val
-
-    splits = [kind] if params.is_central else _sub_indices(kind)
-    return _index_factorial(kind) * complex_fsum(split_term(t2) for t2 in splits)
+    table = _cumulant_table(params, h, kind)
+    return _index_factorial(kind) * partition_sum(multiindex_partitions(kind), table, lambda l: 1)
 
 
 def joint_cumulant(params: WishartParams, h, i) -> complex:
     """Cum_i(Tr[W H_1], ..., Tr[W H_m]) = i! (n rho[i] + sign eta[i])."""
     kind = _nonzero_kind(i, h, "joint cumulant")
     check_joint_weight(sum(kind))
-    rho_tab, eta_tab = _base_tables(params, h, kind)
-    return _index_factorial(kind) * (params.n * rho_tab[kind] + params.sign * eta_tab[kind])
+    return _index_factorial(kind) * _cumulant_table(params, h, kind)[kind]
 
 
 def joint_cumulant_randomized(alpha_cumulants: MomentSequence,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import check_cumulant_order, check_moment_order, integer
+from .budgets import check_cumulant_order, check_moment_order, integer, positive_real
 from .combinatorics import (
     complete_bell,
     complex_fsum,
@@ -241,6 +241,15 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     and solved for the e_i by forward substitution, each step one
     composition (`compose_series`) of the e_k found so far; reinserting the
     solved sequence reproduces the trace moments exactly.
+
+    The system has a closed-form solution: exp(p R(z)) with
+    R(z) = sum_k e_k z^k / k! is the moment series, so p R is the cumulant
+    series and e_k = kappa_k / p exactly.  The substitution instead
+    subtracts near-equal moments, and loses accuracy with the order: over
+    200 random inputs (p from 1 to 8, both conventions, central and
+    non-central) the worst relative error against kappa_k / p was 3.3e-8
+    by order 6, 2.7e-3 by order 10 and 0.27 by order 12; at order 20 it
+    reached 1.5e6.  Only the low orders are accurate.
     """
     i_max = check_moment_order(i_max)
     if i_max < 1:
@@ -288,8 +297,7 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
     with (M1, M2) = `m_split` (default: all of M on the n1 block, so the
     second factor is central).  Returns {order: max relative deviation}.
     """
-    if not (n1 > 0 and n2 > 0):
-        raise ValidationError("n1 and n2 must be positive")
+    n1, n2 = positive_real(n1, "n1"), positive_real(n2, "n2")
     i_max = check_moment_order(i_max)
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")

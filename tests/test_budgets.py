@@ -43,7 +43,7 @@ from wishmom import (
     randomized_moment,
     repeated_matrix,
 )
-from wishmom.budgets import integer, integer_tuple
+from wishmom.budgets import integer, integer_tuple, positive_real
 
 from conftest import random_complex, random_psd
 
@@ -132,3 +132,12 @@ def test_the_rule_reads_integral_values_and_names_the_argument():
     for bad in ("12", "", 3, None, [1, "2"]):
         with pytest.raises(ValidationError, match="^kind must be a list"):
             integer_tuple(bad, "kind")
+
+
+def test_degrees_of_freedom_are_read_by_one_rule():
+    assert positive_real(3, "n") == positive_real(np.int64(3), "n") == 3.0
+    assert type(positive_real(np.float32(0.5), "n")) is float
+    for bad in (True, np.bool_(True), "3", 3 + 0j, None, 0, -1.5, math.inf, math.nan,
+                10 ** 400, [3]):
+        with pytest.raises(ValidationError, match="^n must be a positive finite real"):
+            positive_real(bad, "n")

@@ -313,6 +313,9 @@ def test_mc_verify_command(tmp_path):
     (["joint-moments", "--index", "2.0"], {}, None),
     (["joint-moments", "--index", ",1"], {}, None),
     (["necklaces", "--kind", "0,0"], {}, None),
+    (["moments"], {"n": "3"}, None),
+    (["moments"], {"n": None}, None),
+    (["moments"], {"n": [3]}, None),
 ])
 def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     doc = {"n": 3, "sigma": matrix_doc(np.eye(2)), "h": [matrix_doc(np.eye(2))],

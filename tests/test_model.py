@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,12 @@ def test_validation_errors():
         build(1, np.eye(2), np.eye(3))
     with pytest.raises(ValidationError):
         build(0, np.eye(2))
+    # n is read by one rule: not parsed from a string, not counted from a
+    # bool, and a complex does not escape as Python's own TypeError
+    for bad in ("3", True, 3 + 0j, None, math.nan, -1.0):
+        with pytest.raises(ValidationError, match="^n must be a positive finite real"):
+            build(bad, np.eye(2))
+    assert build(np.int64(3), np.eye(2))[0].n == build(3.0, np.eye(2))[0].n == 3.0
     with pytest.raises(ValidationError):
         build(1, np.eye(2), None, "weird")
 

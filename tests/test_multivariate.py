@@ -32,7 +32,13 @@ from wishmom import (
 )
 from wishmom.multivariate import eta_table, rho_table
 
-from brute_force import product_trace
+from brute_force import (
+    ERROR_BOUND,
+    exact_composition,
+    exact_joint_moment,
+    exact_joint_tables,
+    product_trace,
+)
 from conftest import random_complex, random_psd, rel_err
 
 
@@ -353,6 +359,53 @@ def test_joint_moment_from_cumulant_expansion(convention):
     for kind in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
         assert rel_err(joint_moment(params, h, kind),
                        joint_moment_from_cumulants(params, h, kind)) < 1e-10
+
+
+def test_joint_moment_enumerates_only_the_partitions_of_its_kind(monkeypatch):
+    calls = []
+    enumerate_partitions = wishmom.multivariate.multiindex_partitions
+
+    def counting(t):
+        calls.append(tuple(t))
+        return enumerate_partitions(t)
+
+    monkeypatch.setattr(wishmom.multivariate, "multiindex_partitions", counting)
+    kind = (2, 1, 1)
+    for central in (True, False):
+        params, h = make_instance(42, m=3, central=central)
+        calls.clear()
+        assert np.isfinite(joint_moment(params, h, kind))
+        assert calls == [kind], central
+
+
+def gaussian_integers(rng, p, bound=2):
+    return (rng.integers(-bound, bound + 1, size=(p, p))
+            + 1j * rng.integers(-bound, bound + 1, size=(p, p)))
+
+
+@pytest.mark.parametrize("central", [False, True])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("kind", [(3, 2), (2, 2, 1), (1, 1, 1, 1)])
+def test_joint_moment_matches_the_exact_split_convolution(kind, convention, central):
+    # Gaussian-integer Sigma, M and H make the oracle's tables exact; under
+    # the paper convention Sigma is real diagonal, so Omega = Sigma^-1 M is
+    # exact too.  The bound scales with the same sum on |K|.
+    rng = np.random.default_rng(50 + 7 * len(kind))
+    p, n = 3, 3.5
+    if convention == "paper":
+        sigma = np.diag(rng.integers(1, 4, size=p)).astype(complex)
+    else:
+        a = gaussian_integers(rng, p)
+        sigma = a @ a.conj().T + p * np.eye(p)
+    m_matrix = np.zeros((p, p)) if central else gaussian_integers(rng, p)
+    h = [gaussian_integers(rng, p) for _ in kind]
+    params, _ = build(n, sigma, m_matrix, convention)
+    rho, eta = exact_joint_tables(sigma, m_matrix, h, kind, convention)
+    exact = exact_joint_moment(n, params.sign, rho, eta, kind)
+    absolute = {u: abs(complex(n * rho[u] + params.sign * eta[u])) for u in rho}
+    scale = math.prod(map(math.factorial, kind)) * float(
+        exact_composition(absolute, kind, lambda l: 1).re)
+    assert exact.distance(joint_moment(params, h, kind)) <= ERROR_BOUND * scale
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from wishmom import (
 from wishmom.combinatorics import compose_series, partition_sum
 
 from brute_force import (
+    ERROR_BOUND,
     GaussianRational,
     exact_composition,
     exact_moments_from_cumulants,
@@ -43,10 +44,6 @@ from brute_force import (
     exact_trace_powers,
     master_rho,
 )
-
-# |float - exact| <= ERROR_BOUND * scale on every route below.  The worst
-# case seen over these tests is 2.3e-16 * scale, about one unit of 2**-52.
-ERROR_BOUND = 1e-14
 
 
 def exact_scale(table, kind, weight) -> float:

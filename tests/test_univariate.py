@@ -313,6 +313,10 @@ def test_binomial_convolution_validation():
     params = random_params(20)
     with pytest.raises(ValidationError):
         binomial_convolution_check(params, -1.0, 2.0, 3)
+    for n1, n2, name in (("3", 1.0, "n1"), (1.0, None, "n2"), (True, 1.0, "n1"),
+                         (1.0, 2 + 0j, "n2"), (math.inf, 1.0, "n1")):
+        with pytest.raises(ValidationError, match=f"^{name} must be a positive finite real"):
+            binomial_convolution_check(params, n1, n2, 3)
     with pytest.raises(ValidationError):
         binomial_convolution_check(params, 1.0, 2.0, 3,
                                    m_split=(params.m_matrix, params.m_matrix))
