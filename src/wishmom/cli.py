@@ -238,14 +238,14 @@ def _orders(args) -> range:
 # function up on the module at call time, so a rebound module attribute (a
 # wrapper or a test double) is honoured.
 
-def _cmd_sequence(doc, args, of_order: str, check_order):
+def _cmd_sequence(doc, args, sequence: str, check_order):
     orders = _orders(args)
     check_order(args.order)
     params = _params_from(doc, args.convention)
     from . import univariate
 
-    fn = getattr(univariate, of_order)
-    rows = [{"order": k, "value": _cnum(fn(params, k))} for k in orders]
+    seq = getattr(univariate, sequence)(params, args.order)
+    rows = [{"order": k, "value": _cnum(seq.order(k))} for k in orders]
     return params.convention, {"orders": rows}
 
 
@@ -381,9 +381,9 @@ def _cmd_mc_verify(doc, args):
 
 _COMMANDS = {
     "moments": (lambda doc, args: _cmd_sequence(
-        doc, args, "noncentral_moment", budgets.check_moment_order), True),
+        doc, args, "moment_sequence", budgets.check_moment_order), True),
     "cumulants": (lambda doc, args: _cmd_sequence(
-        doc, args, "noncentral_cumulant", budgets.check_cumulant_order), True),
+        doc, args, "cumulant_sequence", budgets.check_cumulant_order), True),
     "joint-moments": (lambda doc, args: _cmd_joint(doc, args, "joint_moment"), True),
     "joint-cumulants": (lambda doc, args: _cmd_joint(doc, args, "joint_cumulant"), True),
     "generalized": (_cmd_generalized, True),

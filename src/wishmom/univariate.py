@@ -4,20 +4,26 @@ Wishart matrix.
 Two independent routes are shipped for each quantity and pinned together by
 the test suite: partition sums over the trace caches versus complete Bell
 polynomials of the cumulant sequence, and the trace-cache cumulant formula
-versus its eigenvalue form.  The non-central moments go through
-`combinatorics.partition_sum`, which adds its terms with a correctly
-rounded sum; the Bell route is a recurrence that enumerates no partitions.
+versus its eigenvalue form.  The non-central moments are the paper's
+Sheffer convolution m_i = i! sum_j A_j R_{i-j}, with A_j and R_k partition
+sums (`combinatorics.partition_sum`, which adds its terms with a correctly
+rounded sum); the Bell route is a recurrence that enumerates no partitions.
 
 The compositions, sums over partitions of a_l d_lambda prod x_part, are
 one truncated power series each (`combinatorics.compose_series`, the 1-D
 case): the central moment, the randomized moment, and both directions of
 the dimension-normalized moments.  They enumerate no partitions.  The
-moments stay on the partition sums for now; their series form, exp of the
-cumulant series, waits for a benchmark change (ROADMAP.md).
+moments stay on the partition sums for now, computed once per sequence:
+`moment_sequence` and `binomial_convolution_check` take A_0..A_K and
+R_0..R_K from one pass and convolve every order from them, where a single
+`noncentral_moment` of order K pays the same pass for its one order.  The
+series form of A and R, exp of the cumulant series, waits for a benchmark
+change (ROADMAP.md).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,7 +40,12 @@ from .combinatorics import (
     integer_partitions,
     partition_sum,
 )
-from .errors import InsufficientOrdersError, ValidationError
+from .errors import (
+    DimensionMismatchError,
+    InsufficientOrdersError,
+    NumericalError,
+    ValidationError,
+)
 from .model import WishartParams, build
 
 MOMENTS = "moments"
@@ -153,24 +164,47 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
     return math.factorial(i - 1) * complex(total)
 
 
+def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
+    """The Sheffer parts A_0..A_{i_max} and R_0..R_{i_max}, one partition
+    sum each: A_j sums sign^l / prod r! over the partitions of j on the
+    S-traces, R_k sums n^l / prod r! over the partitions of k on T_m / m.
+    Every moment up to order i_max is one convolution of the two lists
+    (`_sheffer_moment`)."""
+    cache = params.trace_cache(i_max)
+    s_base = [0.0] + [cache.s_power(k) for k in range(1, i_max + 1)]
+    t_base = [0.0] + [cache.t_power(k) / k for k in range(1, i_max + 1)]
+    a_part = [partition_sum(integer_partitions(j), s_base, lambda l: params.sign ** l)
+              for j in range(i_max + 1)]
+    r_part = [partition_sum(integer_partitions(k), t_base, lambda l: params.n ** l)
+              for k in range(i_max + 1)]
+    return a_part, r_part
+
+
+def _sheffer_moment(a_part, r_part, i: int) -> complex:
+    """i! sum_{j+k=i} A_j R_k, i >= 1, from the lists of `_sheffer_parts`."""
+    return math.factorial(i) * complex_fsum(a_part[j] * r_part[i - j] for j in range(i + 1))
+
+
+def _sheffer_moments(params: WishartParams, i_max: int) -> list[complex]:
+    """Moments of orders 0..i_max from one pass of the Sheffer parts."""
+    a_part, r_part = _sheffer_parts(params, i_max)
+    return [1.0 + 0.0j] + [_sheffer_moment(a_part, r_part, i) for i in range(1, i_max + 1)]
+
+
 def noncentral_moment(params: WishartParams, i: int) -> complex:
-    """E[(Tr W)^i] by the binomial-convolution partition sum.
+    """E[(Tr W)^i] by the paper's Sheffer convolution.
 
     i! sum_{j+k=i} A_j R_k where A_j sums sign^l / prod r! over partitions
     of j on the S-traces and R_k sums n^l / prod r! over partitions of k on
-    T_m / m.  Reduces to the central moment when M = 0.
+    T_m / m (`_sheffer_parts`).  Order i needs A and R up to i, so one
+    order costs the partition sums of every lower one; a whole sequence
+    shares them (`moment_sequence`).  Reduces to the central moment when
+    M = 0.
     """
     i = check_moment_order(i)
     if i == 0:
         return 1.0 + 0.0j
-    cache = params.trace_cache(i)
-    s_base = [0.0] + [cache.s_power(k) for k in range(1, i + 1)]
-    t_base = [0.0] + [cache.t_power(k) / k for k in range(1, i + 1)]
-    a_part = [partition_sum(integer_partitions(j), s_base, lambda l: params.sign ** l)
-              for j in range(i + 1)]
-    r_part = [partition_sum(integer_partitions(k), t_base, lambda l: params.n ** l)
-              for k in range(i + 1)]
-    return math.factorial(i) * complex_fsum(a_part[j] * r_part[i - j] for j in range(i + 1))
+    return _sheffer_moment(*_sheffer_parts(params, i), i)
 
 
 def noncentral_moment_bell(params: WishartParams, i: int) -> complex:
@@ -183,20 +217,33 @@ def noncentral_moment_bell(params: WishartParams, i: int) -> complex:
     return complex(complete_bell(cums))
 
 
+def _finite(values: list, what: str) -> list:
+    """`values` (orders 1, 2, ...), or NumericalError at the first that
+    overflowed: an overflow is a numerical failure, not an invalid
+    sequence."""
+    for k, v in enumerate(values, 1):
+        if not cmath.isfinite(v):
+            raise NumericalError(f"{what} of order {k} overflows: {v}")
+    return values
+
+
 def cumulant_sequence(params: WishartParams, i_max: int) -> MomentSequence:
     """Cumulants of Tr W for orders 1..i_max; the budget is checked on
-    i_max before any order is computed."""
+    i_max before any order is computed.  Raises NumericalError when an
+    order overflows."""
     i_max = check_cumulant_order(i_max)
-    return MomentSequence.from_cumulants(
-        [noncentral_cumulant(params, k) for k in range(1, i_max + 1)])
+    return MomentSequence.from_cumulants(_finite(
+        [noncentral_cumulant(params, k) for k in range(1, i_max + 1)], "cumulant"))
 
 
 def moment_sequence(params: WishartParams, i_max: int) -> MomentSequence:
-    """Moments of Tr W for orders 0..i_max; the budget is checked on i_max
-    before any order is computed."""
+    """Moments of Tr W for orders 0..i_max, each the same value as
+    `noncentral_moment`; the budget is checked on i_max before any order
+    is computed.  One pass: the Sheffer parts A_j, R_k are computed once
+    up to i_max, and every order is one convolution of them.  Raises
+    NumericalError when an order overflows."""
     i_max = check_moment_order(i_max)
-    return MomentSequence.from_moments(
-        [noncentral_moment(params, k) for k in range(1, i_max + 1)])
+    return MomentSequence.from_moments(_finite(_sheffer_moments(params, i_max)[1:], "moment"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +342,13 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
         E[(Tr W(n1+n2, Sigma, M1+M2))^i]
           = sum_k C(i,k) E[(Tr W(n1, Sigma, M1))^k] E[(Tr W(n2, Sigma, M2))^{i-k}]
     with (M1, M2) = `m_split` (default: all of M on the n1 block, so the
-    second factor is central).  Returns {order: max relative deviation}.
+    second factor is central).  Each of the three moment sequences is one
+    pass of the Sheffer parts, as in `moment_sequence`.  Returns
+    {order: max relative deviation}.
+
+    Raises ValidationError when `m_split` is not a pair and
+    DimensionMismatchError when either matrix is not p x p, before any
+    parameters are built.
     """
     n1, n2 = positive_real(n1, "n1"), positive_real(n2, "n2")
     i_max = check_moment_order(i_max)
@@ -305,8 +358,15 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
     if m_split is None:
         m1, m2 = params.m_matrix, np.zeros_like(params.m_matrix)
     else:
-        m1 = matrix_core.as_matrix(m_split[0])
-        m2 = matrix_core.as_matrix(m_split[1])
+        try:
+            m1, m2 = m_split
+        except (TypeError, ValueError):
+            raise ValidationError("m_split must be a pair of matrices (M1, M2)") from None
+        m1, m2 = matrix_core.as_matrix(m1), matrix_core.as_matrix(m2)
+        for name, m in (("M1", m1), ("M2", m2)):
+            if m.shape != sigma.shape:
+                raise DimensionMismatchError(
+                    f"m_split {name} shape {m.shape} != sigma shape {sigma.shape}")
         if np.abs((m1 + m2) - params.m_matrix).max() > 1e-12 * max(
                 matrix_core.mat_norm(params.m_matrix), 1.0):
             raise ValidationError("m_split does not sum to params.m_matrix")
@@ -314,11 +374,12 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
     left, _ = build(n1, sigma, m1, conv)
     right, _ = build(n2, sigma, m2, conv)
 
-    lm = [noncentral_moment(left, k) for k in range(i_max + 1)]
-    rm = [noncentral_moment(right, k) for k in range(i_max + 1)]
+    wm = _sheffer_moments(whole, i_max)
+    lm = _sheffer_moments(left, i_max)
+    rm = _sheffer_moments(right, i_max)
     report = {}
     for i in range(1, i_max + 1):
-        lhs = noncentral_moment(whole, i)
+        lhs = wm[i]
         rhs = sum(math.comb(i, k) * lm[k] * rm[i - k] for k in range(i + 1))
         report[i] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return report

@@ -222,6 +222,20 @@ def test_overflow_exits_3(tmp_path, capsys, args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["moments", "cumulants"])
+def test_sequence_overflow_exits_3(tmp_path, capsys, command):
+    # only the order-20 entry overflows (the moment in its final
+    # convolution): a numerical error, not an invalid sequence
+    doc = {"n": 1, "sigma": {"re": [[1e15]]}, "m_matrix": {"re": [[1e15]]}}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path), "--order", "20", "--convention", "standard"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error")
+
+
 def test_exit_code_budget(paper_file):
     code, out = run(["moments", paper_file, "--order", "25"])
     assert code == 4

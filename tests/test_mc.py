@@ -472,6 +472,30 @@ def test_non_integral_sample_counts_rejected(estimator, count):
         run()
 
 
+@pytest.mark.parametrize("estimator", ["joint", "generalized"])
+def test_estimators_reject_directions_of_another_size(estimator, monkeypatch):
+    # a 3 x 3 H on p = 4 is the error the exact routes raise, before any
+    # draw, not numpy's matmul ValueError
+    from wishmom import mc, multivariate
+
+    def no_draws(*args):
+        raise AssertionError("drew rows before checking the directions")
+
+    monkeypatch.setattr(mc, "_row_batches", no_draws)
+    params, _ = build(4, np.eye(4), None, "standard")
+    h = [np.eye(3)]
+    run = {
+        "joint": lambda: estimate_joint_moment(params, h, (1,), 100, RngStream(1)),
+        "generalized": lambda: estimate_generalized_moment(
+            params, h, CyclePermutation(((1,),)), 100, RngStream(1)),
+    }[estimator]
+    message = "direction matrices must match params dimension"
+    with pytest.raises(DimensionMismatchError, match=message):
+        run()
+    with pytest.raises(DimensionMismatchError, match=message):
+        multivariate.joint_moment(params, h, (1,))
+
+
 # ---------------------------------------------------------------------------
 # estimators against exact formulas
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from wishmom import (
     BudgetExceededError,
+    DimensionMismatchError,
     InsufficientOrdersError,
     MomentSequence,
     ValidationError,
@@ -189,18 +190,75 @@ def test_order_budget():
 @pytest.mark.parametrize("sequence, per_order", [("moment_sequence", "noncentral_moment"),
                                                  ("cumulant_sequence", "noncentral_cumulant")])
 def test_sequence_budget_is_checked_before_any_order(monkeypatch, sequence, per_order):
+    # the cumulants are one per-order call each; the moments are one pass
+    # of the Sheffer parts A_0..A_K, R_0..R_K, so a sequence to order K
+    # makes the 2 (K + 1) partition sums of its order-K moment alone, not
+    # one pass per order (K^2 + 3K)
     from wishmom import univariate
 
     calls = []
-    real = getattr(univariate, per_order)
-    monkeypatch.setattr(univariate, per_order,
-                        lambda params, k: calls.append(k) or real(params, k))
+    if sequence == "moment_sequence":
+        real = univariate.partition_sum
+        monkeypatch.setattr(univariate, "partition_sum",
+                            lambda *args: calls.append(args) or real(*args))
+    else:
+        real = getattr(univariate, per_order)
+        monkeypatch.setattr(univariate, per_order,
+                            lambda params, k: calls.append(k) or real(params, k))
     params = random_params(11)
     with pytest.raises(BudgetExceededError):
         getattr(univariate, sequence)(params, 25)
     assert calls == []
-    assert getattr(univariate, sequence)(params, 3).depth == 3
-    assert calls == [1, 2, 3]
+    if sequence == "cumulant_sequence":
+        assert getattr(univariate, sequence)(params, 3).depth == 3
+        assert calls == [1, 2, 3]
+        return
+    for k_max in (3, 20):
+        calls.clear()
+        assert univariate.moment_sequence(params, k_max).depth == k_max
+        assert len(calls) == 2 * (k_max + 1)
+        calls.clear()
+        getattr(univariate, per_order)(params, k_max)
+        assert len(calls) == 2 * (k_max + 1)
+
+
+@pytest.mark.parametrize("sequence", ["moment_sequence", "cumulant_sequence"])
+def test_sequence_overflow_is_a_numerical_error(sequence):
+    # p = 1, Sigma = M = 1e15: every Sheffer part up to order 20 is finite,
+    # and only the order-20 convolution 20! sum_j A_j R_{20-j} overflows
+    from wishmom import NumericalError, univariate
+
+    params, _ = build(1, np.array([[1e15]]), np.array([[1e15]]), "standard")
+    assert not math.isfinite(abs(noncentral_moment(params, 20)))
+    with pytest.raises(NumericalError, match="of order 20 overflows"):
+        getattr(univariate, sequence)(params, 20)
+
+
+@pytest.mark.parametrize("central", [False, True])
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_one_pass_keeps_every_per_order_bit(convention, central):
+    # moment_sequence and binomial_convolution_check read their orders from
+    # one pass of the Sheffer parts; each value must be the one that
+    # noncentral_moment gives for its order alone, bit for bit
+    from wishmom import moment_sequence
+
+    k_max, n1, n2 = 20, 1.5, 2.5
+    params = random_params(22, convention=convention, central=central)
+    per_order = [noncentral_moment(params, k) for k in range(k_max + 1)]
+    seq = moment_sequence(params, k_max)
+    assert [seq.order(k) for k in range(k_max + 1)] == per_order
+
+    sigma, m = params.sigma, params.m_matrix
+    whole, _ = build(n1 + n2, sigma, m, convention)
+    left, _ = build(n1, sigma, m, convention)
+    right, _ = build(n2, sigma, np.zeros_like(m), convention)
+    wm, lm, rm = ([noncentral_moment(prm, k) for k in range(k_max + 1)]
+                  for prm in (whole, left, right))
+    want = {}
+    for i in range(1, k_max + 1):
+        rhs = sum(math.comb(i, k) * lm[k] * rm[i - k] for k in range(i + 1))
+        want[i] = abs(wm[i] - rhs) / max(abs(wm[i]), abs(rhs), 1e-300)
+    assert binomial_convolution_check(params, n1, n2, k_max) == want
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +378,24 @@ def test_binomial_convolution_validation():
     with pytest.raises(ValidationError):
         binomial_convolution_check(params, 1.0, 2.0, 3,
                                    m_split=(params.m_matrix, params.m_matrix))
+
+
+def test_binomial_convolution_m_split_shape(monkeypatch):
+    # a split that is not a pair of p x p matrices is rejected before any
+    # parameters are built, not by numpy's broadcast or an IndexError
+    from wishmom import univariate
+
+    def no_build(*args):
+        raise AssertionError("built parameters before checking m_split")
+
+    params = random_params(20)  # p = 3
+    monkeypatch.setattr(univariate, "build", no_build)
+    for split in ((np.eye(2), np.eye(2)), (params.m_matrix, np.eye(2))):
+        with pytest.raises(DimensionMismatchError, match="m_split M[12] shape"):
+            binomial_convolution_check(params, 1.0, 2.0, 3, m_split=split)
+    for split in ((np.eye(3),), (params.m_matrix, 0 * params.m_matrix, np.eye(3)), 7):
+        with pytest.raises(ValidationError, match="m_split must be a pair"):
+            binomial_convolution_check(params, 1.0, 2.0, 3, m_split=split)
 
 
 # ---------------------------------------------------------------------------
