@@ -37,7 +37,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .budgets import check_necklace_weight, check_permutation_degree, integer, integer_tuple
@@ -324,7 +323,8 @@ def partition_sum(partitions, base, weight) -> complex:
     with (part_j, r_j) the distinct parts of lambda and their multiplicities.
 
     `partitions` is integer_partitions(i), with base indexed by the integer
-    part, or multiindex_partitions(t), with base keyed by the column.  A
+    part, or multiindex_partitions(t), with base an array of shape t + 1
+    on the grid of sub-indices, indexed by the column.  A
     sum weighted by d_lambda = i! / prod (j!)^{r_j} r_j! is i! times this
     sum on base[k] = x_k / k!.
 
@@ -351,9 +351,9 @@ def compose_series(table, kind, weight) -> complex:
     """[z^kind] of sum_{l >= 1} weight(l) R(z)^l / l!, where
     R(z) = sum_{u != 0} table[u] z^u runs over the sub-indices u <= kind.
 
-    `table` is an array of shape kind + 1 (its entry at the origin is
-    ignored) or a mapping from sub-indices to values; a one-dimensional
-    kind (i,) takes the sequence [_, x_1, ..., x_i].  For a nonzero kind
+    `table` is an array of shape kind + 1 on the grid of sub-indices, its
+    entry at the origin ignored; a one-dimensional kind (i,) takes the
+    sequence [_, x_1, ..., x_i].  For a nonzero kind
     this is the partition sum of `partition_sum` over the partitions of
     kind (a zero kind gives 0, not weight(0)): R^l / l! collects
     prod table[part]^r / prod r! over the partitions of length l.  It
@@ -374,15 +374,10 @@ def compose_series(table, kind, weight) -> complex:
     shape = tuple(v + 1 for v in kind)
     top = sum(kind)
     try:
-        if isinstance(table, Mapping):
-            r = np.zeros(shape, dtype=complex)
-            for u, x in table.items():
-                r[u] = x
-        else:
-            r = np.array(table, dtype=complex)
-            if r.shape != shape:
-                raise ValueError(f"shape {r.shape}")
-    except (IndexError, TypeError, ValueError) as exc:
+        r = np.array(table, dtype=complex)
+        if r.shape != shape:
+            raise ValueError(f"shape {r.shape}")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"table does not fit the grid of kind {kind}: {exc}") from exc
     if top == 0:
         return 0j

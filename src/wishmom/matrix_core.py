@@ -23,8 +23,12 @@ HERMITIAN_RTOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and convert to a non-empty square complex128 array (copy)."""
-    m = np.array(a, dtype=complex)
+    """Validate and convert to a non-empty square complex128 array (copy).
+    Anything numpy cannot read as a complex array raises ValidationError."""
+    try:
+        m = np.array(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"expected a matrix of numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValidationError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import integer, positive_real
+from .budgets import check_moment_order, positive_real
 from .choices import CONVENTIONS
 from .errors import DimensionMismatchError, ValidationError
 
@@ -80,9 +80,7 @@ class WishartParams:
     readers are safe.
     """
 
-    def __init__(self, n, sigma, m_matrix=None, convention: str = "paper",
-                 depth: int = DEFAULT_DEPTH):
-        depth = integer(depth, "depth")
+    def __init__(self, n, sigma, m_matrix=None, convention: str = "paper"):
         n = positive_real(n, "n")
         sigma = matrix_core.hermitian_matrix(sigma, "sigma must be Hermitian")
         if m_matrix is None:
@@ -104,7 +102,7 @@ class WishartParams:
         self.p = sigma.shape[0]
         self.m_is_hermitian = matrix_core.is_hermitian(m_matrix)
         self._lock = threading.Lock()
-        self._cache = _compute_cache(sigma, m_matrix, max(depth, 1))
+        self._cache = _compute_cache(sigma, m_matrix, DEFAULT_DEPTH)
         self._omega = None
 
     @property
@@ -117,8 +115,12 @@ class WishartParams:
         return not np.any(self.m_matrix)
 
     def trace_cache(self, min_depth: int = 0) -> TraceCache:
-        """The cache, extended (and kept) if shallower than min_depth."""
-        min_depth = integer(min_depth, "min_depth")
+        """The cache, extended (and kept) if shallower than min_depth.
+
+        min_depth is read as a moment order, so it is capped by the same
+        budget (`budgets.check_moment_order`).
+        """
+        min_depth = check_moment_order(min_depth)
         cache = self._cache
         if cache.depth >= min_depth:
             return cache
@@ -142,24 +144,27 @@ class WishartParams:
         return self._omega
 
     def with_convention(self, convention: str) -> "WishartParams":
-        """A copy under the other sign convention (caches recomputed)."""
-        return WishartParams(self.n, self.sigma, self.m_matrix, convention,
-                             depth=self._cache.depth)
+        """A copy under the other sign convention.  It shares this trace
+        cache, which does not depend on the convention."""
+        copy = WishartParams(self.n, self.sigma, self.m_matrix, convention)
+        copy._cache = self._cache
+        return copy
 
     def __repr__(self):
         return (f"WishartParams(n={self.n}, p={self.p}, "
                 f"convention={self.convention!r}, central={self.is_central})")
 
 
-def build(n, sigma, m_matrix=None, convention: str = "paper",
-          depth: int = DEFAULT_DEPTH) -> tuple[WishartParams, TraceCache]:
-    """Validate parameters and precompute trace caches to `depth`.
+def build(n, sigma, m_matrix=None,
+          convention: str = "paper") -> tuple[WishartParams, TraceCache]:
+    """Validate parameters and precompute the trace caches to
+    DEFAULT_DEPTH; later requests extend them on demand.
 
     The non-centrality matrix is *not* computed here; see
     `WishartParams.noncentrality`.
     """
-    params = WishartParams(n, sigma, m_matrix, convention, depth)
-    return params, params.trace_cache(depth)
+    params = WishartParams(n, sigma, m_matrix, convention)
+    return params, params.trace_cache()
 
 
 def noncentrality(params: WishartParams) -> np.ndarray:

@@ -6,27 +6,29 @@ The central building block is the pair of multivariate base moments
              over rotation classes of kind i (periodic classes weighted by
              1 / repetitions), equal to the plain sum over all strings of
              kind i divided by |i|;
-    eta[i] = sum over every string of kind i of a trace word carrying the
-             non-centrality matrix Omega (no cyclic grouping: the Omega
-             factor breaks rotation invariance).
+    eta[i] = sum over every string k1 k2 ... of kind i of the same trace
+             word led by the non-centrality, Tr[L H_k1 (Sigma H_k2) ...]
+             (no cyclic grouping: the head breaks rotation invariance).
 
-The eta word ordering follows the sign convention.  Under "paper" it is
-Tr[Omega (Sigma H_k1)(Sigma H_k2)...], reproducing the source formulas
-verbatim.  Under "standard" it is Tr[Omega (H_k1 Sigma)(H_k2 Sigma)...],
-which cyclically equals Tr[M H_k1 Sigma H_k2 ...] and is the expansion of
-the sampled distribution's generating function: already the first moment
-E[Tr W H] = n Tr(Sigma H) + Tr(M H) forces this order whenever Sigma and M
-do not commute.  The two orderings coincide for H_k = I, so univariate
-results never depend on it.
+The head matrix L is where the sign convention enters, chosen in one
+helper (`_heads`).  Under "paper" L = Sigma^-1 M Sigma = Omega Sigma, so
+the word is Tr[Omega (Sigma H_k1)(Sigma H_k2)...], the source formulas
+verbatim; it needs Omega, hence a nonsingular Sigma.  Under "standard"
+L = M: the word Tr[Omega (H_k1 Sigma)(H_k2 Sigma)...] equals
+Tr[M H_k1 (Sigma H_k2)...] by trace cyclicity, needs no inverse, and is
+the expansion of the sampled distribution's generating function: already
+the first moment E[Tr W H] = n Tr(Sigma H) + Tr(M H) forces this order
+whenever Sigma and M do not commute.  The two coincide for H_k = I, so
+univariate results never depend on it.
 
 Production builds both from one recursion over the sub-indices v <= i of
-the all-strings sums S[v] = sum_k S[v - e_k] A_k: rho[v] = Tr S[v] / |v|
-with S[0] = I and A_k = Sigma H_k, eta[v] = Tr S[v] with S[0] = Omega and
-the convention-ordered factors.  `rho_table` and `eta_table` hold every
-sub-index from one pass; the S[v] are plain matrix sums in a fixed order.
-`rho_moment` and `eta_moment` keep the paper's necklace-grouped form and
-are the independent check on the recursion; no other route enumerates
-necklaces or rotations.
+the all-strings sums S[v] = sum_k S[v - e_k] (Sigma H_k), S[0] = I, held
+as one array on the grid of sub-indices: rho[v] = Tr S[v] / |v| and
+eta[v] = sum_k Tr(L H_k S[v - e_k]).  rho, eta and the cumulant table are
+arrays of shape i + 1, 0 at the origin.  `rho_moment` and `eta_moment`
+keep the paper's necklace-grouped form, eta_moment with the Omega-led,
+convention-ordered words, and are the independent check on the
+recursion; no other route enumerates necklaces or rotations.
 
 Joint cumulants are kappa[u] = u! K[u], K[u] = n rho[u] + sign eta[u], and
 a joint moment is the moment-cumulant formula on that one table (McCullagh,
@@ -37,8 +39,10 @@ on the grid of sub-indices (`combinatorics.compose_series`), enumerating no
 partitions.  Joint moments wait for that series form, exp of the cumulant
 series, until the benchmark stops keeping every job's answer, which would
 charge a faster moment route with a larger peak RSS (ROADMAP.md).
-The necklace and group-action sums are added with
-`combinatorics.complex_fsum`, a correctly rounded sum.
+The generalized moments of the formal non-centrality component read the
+same head-led words along the cycles of a permutation.  The necklace and
+group-action sums are added with `combinatorics.complex_fsum`, a correctly
+rounded sum.
 """
 
 from __future__ import annotations
@@ -70,19 +74,31 @@ from .errors import DimensionMismatchError, InsufficientOrdersError, ValidationE
 from .model import WishartParams
 from .univariate import CUMULANTS, MomentSequence
 
+# an overflow leaves inf/nan in a table, which the closed forms report as a
+# NumericalError; numpy's own warning would only repeat it on stderr
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 def _directions(params: WishartParams, h) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """([Sigma H_1, ..., Sigma H_m], the eta-word factors) from one
-    validation of h; the eta factors are ordered per the sign convention."""
+    """([H_1, ..., H_m], [Sigma H_1, ..., Sigma H_m]) from one validation of h."""
     hs = [matrix_core.as_matrix(hk) for hk in h]
     if not hs:
         raise ValidationError("need at least one direction matrix")
     if any(hk.shape[0] != params.p for hk in hs):
         raise DimensionMismatchError("direction matrices must match params dimension")
-    sh = [params.sigma @ hk for hk in hs]
-    if params.convention == "paper":
-        return sh, sh
-    return sh, [hk @ params.sigma for hk in hs]
+    return hs, [params.sigma @ hk for hk in hs]
+
+
+def _heads(params: WishartParams, hs) -> list[np.ndarray]:
+    """[L H_1, ..., L H_m], the first factors of the non-centrality words.
+
+    The one place the sign convention orders a word: L = M under
+    "standard", and L = Omega Sigma = Sigma^-1 M Sigma under "paper", whose
+    solve needs a nonsingular Sigma.  L = M = 0 when M = 0, with no solve.
+    """
+    paper = params.convention == "paper" and not params.is_central
+    head = params.noncentrality() @ params.sigma if paper else params.m_matrix
+    return [head @ hk for hk in hs]
 
 
 def _as_kind(i, m: int) -> tuple[int, ...]:
@@ -111,51 +127,49 @@ def _word_product(sh, word, left=None) -> np.ndarray:
 # base moments: the sub-index recursion and the necklace-grouped check
 # ---------------------------------------------------------------------------
 
-def _string_sums(factors, kind, left) -> dict[tuple[int, ...], np.ndarray]:
-    """S[v] = sum over every string of kind v of left @ prod(word), for
-    every sub-index v <= kind.
+def _string_sums(factors, kind) -> np.ndarray:
+    """S[v] = sum over every string of kind v of prod(word), for every
+    sub-index v <= kind, as one array of shape kind + 1 + (p, p).
 
     The last letter of a string of kind v is some k with v_k > 0, so
-    S[v] = sum_k S[v - e_k] @ factors[k], with S[0] = left.  The sub-indices
+    S[v] = sum_k S[v - e_k] @ factors[k], with S[0] = I.  The sub-indices
     come in lexicographic order, so every S[v - e_k] exists before S[v].
     """
-    s = {}
-    # an overflow leaves inf/nan in the table, which the closed forms report
-    # as a NumericalError; numpy's own warning would only repeat it on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        for v in itertools.product(*(range(c + 1) for c in kind)):
-            if any(v):
-                s[v] = sum(s[v[:k] + (c - 1,) + v[k + 1:]] @ factors[k]
-                           for k, c in enumerate(v) if c)
-            else:
-                s[v] = left
+    p = factors[0].shape[0]
+    s = np.empty(tuple(c + 1 for c in kind) + (p, p), dtype=complex)
+    s[(0,) * len(kind)] = np.eye(p)
+    for v in itertools.islice(itertools.product(*(range(c + 1) for c in kind)), 1, None):
+        s[v] = sum(s[v[:k] + (c - 1,) + v[k + 1:]] @ factors[k] for k, c in enumerate(v) if c)
     return s
 
 
-def rho_table(factors, kind) -> dict[tuple[int, ...], complex]:
-    """rho of every nonzero sub-index of `kind`, built on the trace-word
-    factors (Sigma H_1, ..., Sigma H_m), keyed by the sub-index:
-    rho[v] = Tr S[v] / |v| with S[0] = I."""
-    s = _string_sums(factors, kind, np.eye(factors[0].shape[0], dtype=complex))
-    return {v: complex(np.trace(sv)) / sum(v) for v, sv in s.items() if any(v)}
+@_quiet
+def _tables(factors, heads, kind) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, eta) of every sub-index v <= kind, arrays of shape kind + 1
+    with 0 at the origin, from one pass of the string sums S:
+    rho[v] = Tr S[v] / |v|, and eta[v] = sum_k Tr(heads[k] S[v - e_k]),
+    every string of kind v led by its first letter's head."""
+    s = _string_sums(factors, kind)
+    rho = np.trace(s, axis1=-2, axis2=-1) / np.maximum(np.indices(s.shape[:-2]).sum(axis=0), 1)
+    rho.flat[0] = 0
+    eta = np.zeros_like(rho)
+    for k, head in enumerate(heads):
+        np.moveaxis(eta, k, 0)[1:] += np.einsum("ij,...ji->...", head, np.moveaxis(s, k, 0)[:-1])
+    return rho, eta
 
 
-def eta_table(factors, omega, kind) -> dict[tuple[int, ...], complex]:
-    """eta of every nonzero sub-index of `kind`, built on the
-    convention-ordered eta factors, keyed by the sub-index:
-    eta[v] = Tr S[v] with S[0] = Omega."""
-    s = _string_sums(factors, kind, np.asarray(omega))
-    return {v: complex(np.trace(sv)) for v, sv in s.items() if any(v)}
+def rho_table(factors, kind) -> np.ndarray:
+    """rho of every sub-index of `kind` on the trace-word factors
+    (Sigma H_1, ..., Sigma H_m): an array of shape kind + 1, with
+    rho[v] = Tr S[v] / |v| and 0 at the origin."""
+    return _tables(factors, (), kind)[0]
 
 
-def _base_tables(params: WishartParams, h, kind):
-    """(rho table, eta table) of every nonzero v <= kind.  eta is zero when
-    M = 0, and Omega (which needs a nonsingular Sigma) is then not solved."""
-    sh, eta_factors = _directions(params, h)
-    rho = rho_table(sh, kind)
-    if params.is_central:
-        return rho, dict.fromkeys(rho, 0j)
-    return rho, eta_table(eta_factors, params.noncentrality(), kind)
+def _base_tables(params: WishartParams, h, kind) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, eta) of every sub-index v <= kind on the directions h, with
+    the heads of the sign convention."""
+    hs, sh = _directions(params, h)
+    return _tables(sh, _heads(params, hs), kind)
 
 
 def rho_moment(params: WishartParams, h, i) -> complex:
@@ -164,7 +178,7 @@ def rho_moment(params: WishartParams, h, i) -> complex:
     The paper's form, and the independent check on `rho_table`.
     """
     kind = _nonzero_kind(i, h, "rho_moment")
-    sh = _directions(params, h)[0]
+    sh = _directions(params, h)[1]
     return complex_fsum(np.trace(_word_product(sh, neck.representative)) / neck.repetitions
                         for neck in necklaces_of_kind(kind))
 
@@ -174,30 +188,32 @@ def rho_moment_strings(params: WishartParams, h, i) -> complex:
     `rho_table` (the sub-index recursion, no string enumeration)."""
     kind = _nonzero_kind(i, h, "rho_moment_strings")
     check_joint_weight(sum(kind))
-    return rho_table(_directions(params, h)[0], kind)[kind]
+    return complex(rho_table(_directions(params, h)[1], kind)[kind])
 
 
 def eta_moment(params: WishartParams, h, i) -> complex:
-    """Non-centrality base moment eta[i]; needs Omega explicitly.
+    """Non-centrality base moment eta[i] in the paper's form; needs Omega
+    explicitly, under either convention.
 
     The trace words are Tr[Omega prod(Sigma H_k)] under the paper
     convention and Tr[Omega prod(H_k Sigma)] under the standard one (see
     the module docstring), summed over every rotation of every necklace of
-    kind i: the independent check on `eta_table`.
+    kind i: the independent check on the head-led recursion.
     """
     kind = _nonzero_kind(i, h, "eta_moment")
-    eta_factors, omega = _directions(params, h)[1], params.noncentrality()
-    return complex_fsum(np.trace(_word_product(eta_factors, rot, left=omega))
+    hs, sh = _directions(params, h)
+    factors = sh if params.convention == "paper" else [hk @ params.sigma for hk in hs]
+    return complex_fsum(np.trace(_word_product(factors, rot, left=params.noncentrality()))
                         for neck in necklaces_of_kind(kind)
                         for rot in necklace_rotations(neck))
 
 
 def eta_moment_strings(params: WishartParams, h, i) -> complex:
-    """eta as the sum over all strings of kind i, read from `eta_table`
-    (the sub-index recursion, no string enumeration)."""
+    """eta as the sum over all strings of kind i, read from the head-led
+    recursion (no string enumeration)."""
     kind = _nonzero_kind(i, h, "eta_moment_strings")
     check_joint_weight(sum(kind))
-    return eta_table(_directions(params, h)[1], params.noncentrality(), kind)[kind]
+    return complex(_base_tables(params, h, kind)[1][kind])
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +224,22 @@ def _index_factorial(kind) -> int:
     return math.prod(math.factorial(v) for v in kind)
 
 
-def _cumulant_table(params: WishartParams, h, kind) -> dict[tuple[int, ...], complex]:
-    """K[u] = kappa[u] / u! = n rho[u] + sign eta[u] of every nonzero u <= kind."""
-    rho_tab, eta_tab = _base_tables(params, h, kind)
-    return {u: params.n * rho_tab[u] + params.sign * eta_tab[u] for u in rho_tab}
+@_quiet
+def _cumulant_table(params: WishartParams, h, kind) -> np.ndarray:
+    """K[u] = kappa[u] / u! = n rho[u] + sign eta[u] of every u <= kind, an
+    array of shape kind + 1, 0 at the origin."""
+    rho, eta = _base_tables(params, h, kind)
+    return params.n * rho + params.sign * eta
 
 
+@_quiet
 def joint_moment(params: WishartParams, h, i) -> complex:
     """E[prod_j Tr(W H_j)^{i_j}].
 
     The moment-cumulant formula on K[u] = n rho[u] + sign eta[u]:
     i! times the partition sum of prod K[col]^r / prod r! over the
-    multi-index partitions of i.  eta needs Omega, hence a nonsingular
-    Sigma, unless M = 0.
+    multi-index partitions of i.  Under "paper" eta needs Omega, hence a
+    nonsingular Sigma, unless M = 0; under "standard" any Sigma will do.
     """
     kind = _as_kind(i, len(h))
     weight = check_joint_weight(sum(kind))
@@ -231,10 +250,13 @@ def joint_moment(params: WishartParams, h, i) -> complex:
 
 
 def joint_cumulant(params: WishartParams, h, i) -> complex:
-    """Cum_i(Tr[W H_1], ..., Tr[W H_m]) = i! (n rho[i] + sign eta[i])."""
+    """Cum_i(Tr[W H_1], ..., Tr[W H_m]) = i! (n rho[i] + sign eta[i]).
+
+    Under "paper" eta needs Omega, hence a nonsingular Sigma, unless M = 0.
+    """
     kind = _nonzero_kind(i, h, "joint cumulant")
     check_joint_weight(sum(kind))
-    return _index_factorial(kind) * _cumulant_table(params, h, kind)[kind]
+    return _index_factorial(kind) * complex(_cumulant_table(params, h, kind)[kind])
 
 
 def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
@@ -262,9 +284,9 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     if alpha_cumulants.depth < weight:
         raise InsufficientOrdersError(
             f"alpha carries {alpha_cumulants.depth} orders, need {weight}")
-    rho_tab, eta_tab = _base_tables(params, h, kind)
-    total = compose_series(rho_tab, kind, alpha_cumulants.order)
-    return _index_factorial(kind) * (total + params.sign * eta_tab[kind])
+    rho, eta = _base_tables(params, h, kind)
+    total = compose_series(rho, kind, alpha_cumulants.order)
+    return _index_factorial(kind) * (total + params.sign * complex(eta[kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,47 +325,50 @@ def _genmom_cycles(n, sh, sigma_images) -> complex:
         n, sigma_images, lambda c: np.trace(_word_product(sh, [j + 1 for j in c])))
 
 
-def _genmom1_cycles(sign, eta_factors, omega, sigma_images) -> complex:
+def _genmom1_cycles(sign, heads, sh, sigma_images) -> complex:
     """Group-action sum for the formal non-centrality part: base sign, and
-    each cycle of tau weighted by the length-of-cycle weighted Omega trace
-    word, realized as the sum of the word over the cycle's rotations (which
-    is what makes the singleton assignment decomposition exact, the word not
-    being rotation invariant).
+    each cycle of tau weighted by the length-of-cycle weighted head-led
+    trace word Tr[L H_j1 (Sigma H_j2) ...], realized as the sum of the word
+    over the cycle's rotations (which is what makes the singleton
+    assignment decomposition exact, the word not being rotation invariant).
     """
     def rotations_value(c):
-        words = ([j + 1 for j in c[r:] + c[:r]] for r in range(len(c)))
-        return complex_fsum(np.trace(_word_product(eta_factors, w, left=omega)) for w in words)
+        words = (c[r:] + c[:r] for r in range(len(c)))
+        return complex_fsum(np.trace(_word_product(sh, [j + 1 for j in w[1:]], left=heads[w[0]]))
+                            for w in words)
 
     return _group_action_sum(sign, sigma_images, rotations_value)
 
 
-def _restrict(sigma_cycles, sh):
+def _restrict(sigma_cycles, *factor_lists):
     """Relabel a set of cycles over arbitrary positions to a compact
-    permutation, with the matching Sigma H sublist."""
+    permutation: its one-line images, then each list of per-position
+    factors cut down to those positions."""
     positions = sorted(j for c in sigma_cycles for j in c)
     pos_index = {j: k for k, j in enumerate(positions)}
     images = [0] * len(positions)
     for c in sigma_cycles:
         for a, b in zip(c, c[1:] + c[:1]):
             images[pos_index[a]] = pos_index[b]
-    return tuple(images), [sh[j] for j in positions]
+    return (tuple(images), *([f[j] for j in positions] for f in factor_lists))
 
 
 def central_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> complex:
     """E[prod over cycles c of sigma of Tr(prod_{j in c} W_central H_j)]."""
     images = _product_images(h, sigma_perm)
-    return _genmom_cycles(params.n, _directions(params, h)[0], images)
+    return _genmom_cycles(params.n, _directions(params, h)[1], images)
 
 
 def a_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> complex:
     """Generalized moment of the formal non-centrality component A.
 
     The base of the alternating weight is the convention sign (-1 under
-    "paper", +1 under "standard").  Needs Omega, hence nonsingular Sigma.
+    "paper", +1 under "standard").  Under "paper" it needs Omega, hence a
+    nonsingular Sigma, unless M = 0.
     """
     images = _product_images(h, sigma_perm)
-    return _genmom1_cycles(params.sign, _directions(params, h)[1],
-                           params.noncentrality(), images)
+    hs, sh = _directions(params, h)
+    return _genmom1_cycles(params.sign, _heads(params, hs), sh, images)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +450,14 @@ def generalized_moment_expansion(params: WishartParams, h,
     components yields a symbolic factor (the whole term is then symbolic).
     When M = 0 the formal component vanishes identically, every factor
     touching it evaluates to zero, and the expansion is fully evaluated.
+    Under "paper" the formal words need Omega, hence a nonsingular Sigma,
+    unless M = 0.
     """
     sigma_perm = CyclePermutation.checked(sigma_perm, len(h))
     m = check_expansion_positions(sigma_perm.size)
-    sh, eta_factors = _directions(params, h)
+    hs, sh = _directions(params, h)
+    heads = _heads(params, hs)
     central = params.is_central
-    omega = None if central else params.noncentrality()
     sign = params.sign
     cycles0 = [tuple(v - 1 for v in c) for c in sigma_perm.cycles]
 
@@ -440,8 +467,8 @@ def generalized_moment_expansion(params: WishartParams, h,
         w_value = _genmom_cycles(params.n, sub, images)
         if central:
             return w_value, 0.0 + 0.0j
-        images, sub = _restrict([cycle0], eta_factors)
-        return w_value, _genmom1_cycles(sign, sub, omega, images)
+        images, a_heads, a_sh = _restrict([cycle0], heads, sh)
+        return w_value, _genmom1_cycles(sign, a_heads, a_sh, images)
 
     pure = {cyc: pure_values(cyc) for cyc in cycles0}
 
@@ -476,11 +503,10 @@ def generalized_moment_expansion(params: WishartParams, h,
         elif central and any(b == FORMAL_LETTER for b in bits):
             value = 0.0 + 0.0j
         else:
-            w_img, w_sh = _restrict(central_cycles, sh) if central_cycles else ((), [])
-            a_img, a_sub = (_restrict(formal_cycles, eta_factors)
-                            if formal_cycles else ((), []))
+            w_img, w_sh = _restrict(central_cycles, sh)
+            a_img, a_heads, a_sh = _restrict(formal_cycles, heads, sh)
             value = (_genmom_cycles(params.n, w_sh, w_img)
-                     * _genmom1_cycles(sign, a_sub, omega, a_img))
+                     * _genmom1_cycles(sign, a_heads, a_sh, a_img))
             evaluated.append(value)
         terms.append(ExpansionTerm(tuple(factors), value))
 

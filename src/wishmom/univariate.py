@@ -151,15 +151,16 @@ def noncentral_cumulant(params: WishartParams, i: int) -> complex:
 def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
     """Cum_i(Tr W) through the eigenvalues of Sigma.
 
-    (i-1)! sum_j (n + sign * i * b_jj) theta_j^i with theta the eigenvalues
-    and b the diagonal of Q^dag Omega Q.  Needs Sigma nonsingular.
+    (i-1)! sum_j (n theta_j^i + sign * i * d_j theta_j^(i-1)) with theta
+    the eigenvalues, Sigma = Q diag(theta) Q^dag, and d the diagonal of
+    Q^dag M Q (d_j = b_j theta_j, b the diagonal of Q^dag Omega Q).
     """
     i = check_cumulant_order(i)
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
     theta, q = matrix_core.hermitian_eigen(params.sigma)
-    b = np.diagonal(q.conj().T @ params.noncentrality() @ q)
-    total = sum((params.n + params.sign * i * b[j]) * theta[j] ** i
+    d = np.diagonal(q.conj().T @ params.m_matrix @ q)
+    total = sum(params.n * theta[j] ** i + params.sign * i * d[j] * theta[j] ** (i - 1)
                 for j in range(params.p))
     return math.factorial(i - 1) * complex(total)
 

@@ -93,9 +93,7 @@ _ENTRY_POINTS = {
     "MultiIndexPartition": lambda v: MultiIndexPartition(((0, 1), (v, 0)), (1, v)),
     "CyclePermutation": lambda v: CyclePermutation(((3,), (v, 1))),
     "Necklace": lambda v: Necklace((1, v), (1, 1), v, 1),
-    "build depth": lambda v: build(3, np.eye(2), depth=v)[1],
-    "WishartParams depth": lambda v: WishartParams(3, np.eye(2), depth=v).trace_cache(),
-    "WishartParams.trace_cache": lambda v: WishartParams(3, np.eye(2), depth=1).trace_cache(v),
+    "WishartParams.trace_cache": lambda v: WishartParams(3, np.eye(2)).trace_cache(v),
 }
 
 

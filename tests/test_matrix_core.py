@@ -56,6 +56,27 @@ def test_as_matrix_rejects_empty_and_non_square():
         build(2, np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("bad", ["a", [["1", "x"]], [[1, 2], [3]], {"a": 1}, [[10 ** 400]]],
+                         ids=["string", "strings", "ragged", "mapping", "huge-int"])
+def test_matrices_numpy_cannot_read_are_validation_errors(bad):
+    # numpy's own ValueError, TypeError or OverflowError stays inside the
+    # package's error hierarchy, on every route that reads a matrix
+    from wishmom import binomial_convolution_check, haar_compression, joint_moment, permanent_d
+    from wishmom.mc import RngStream
+
+    params, _ = build(2, np.eye(2), np.eye(2))
+    routes = (lambda: as_matrix(bad),
+              lambda: build(2, bad),
+              lambda: build(2, np.eye(2), bad),
+              lambda: joint_moment(params, [bad], (1,)),
+              lambda: permanent_d(bad, 1.0),
+              lambda: haar_compression(bad, 1, RngStream(1)),
+              lambda: binomial_convolution_check(params, 1.0, 2.0, 2, m_split=(bad, bad)))
+    for route in routes:
+        with pytest.raises(ValidationError):
+            route()
+
+
 def test_product_trace_paper_sigma_squared():
     # Hermitian Sigma: Tr(Sigma^2) equals the sum of squared entry moduli
     entrywise = float(np.sum(np.abs(PAPER_SIGMA) ** 2))

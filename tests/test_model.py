@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wishmom import (
+    BudgetExceededError,
     DimensionMismatchError,
     NotHermitianError,
     SingularMatrixError,
@@ -12,17 +13,20 @@ from wishmom import (
     noncentrality,
 )
 
+from wishmom.budgets import MAX_UNIVARIATE_ORDER
+from wishmom.model import DEFAULT_DEPTH
+
 from brute_force import product_trace
 from conftest import PAPER_M, PAPER_N, PAPER_SIGMA, random_psd, rel_err
 
 
 def test_central_cache_s_vanishes():
-    _, cache = build(4, PAPER_SIGMA, None, depth=6)
-    assert all(s == 0 for s in cache.s)
+    params, _ = build(4, PAPER_SIGMA, None)
+    assert all(s == 0 for s in params.trace_cache(14).s)
 
 
 def test_paper_cache_values():
-    _, cache = build(PAPER_N, PAPER_SIGMA, PAPER_M, depth=2)
+    _, cache = build(PAPER_N, PAPER_SIGMA, PAPER_M)
     assert abs(cache.s_power(1) - 0.001) < 1e-15
     assert abs(cache.s_power(2) - (5.734e-4 - 1.425e-4j)) < 1e-6
     assert abs(cache.t_power(1) - 0.03243) < 1e-15
@@ -30,7 +34,7 @@ def test_paper_cache_values():
 
 def test_scaled_identity_cache():
     c = 0.5 - 0.0j
-    _, cache = build(2, c.real * np.eye(4), None, depth=5)
+    _, cache = build(2, c.real * np.eye(4), None)
     for i in range(1, 6):
         assert abs(cache.t_power(i) - 4 * c ** i) < 1e-15
 
@@ -39,7 +43,7 @@ def test_s_matches_omega_route():
     rng = np.random.default_rng(0)
     sigma = random_psd(rng, 4)
     m = random_psd(rng, 4)
-    params, cache = build(3, sigma, m, depth=6)
+    params, cache = build(3, sigma, m)
     omega = noncentrality(params)
     for i in range(1, 7):
         via_omega = product_trace([omega] + [sigma] * i)
@@ -47,12 +51,14 @@ def test_s_matches_omega_route():
 
 
 def test_convention_does_not_change_caches():
-    params, cache_p = build(PAPER_N, PAPER_SIGMA, PAPER_M, "paper", depth=8)
-    _, cache_s = build(PAPER_N, PAPER_SIGMA, PAPER_M, "standard", depth=8)
+    params, cache_p = build(PAPER_N, PAPER_SIGMA, PAPER_M, "paper")
+    _, cache_s = build(PAPER_N, PAPER_SIGMA, PAPER_M, "standard")
     assert cache_p == cache_s
+    deeper = params.trace_cache(16)
     flipped = params.with_convention("standard")
     assert flipped.sign == 1.0 and params.sign == -1.0
-    assert flipped.trace_cache(8) == cache_p
+    # the copy keeps the depth its original reached
+    assert flipped.trace_cache() == deeper
 
 
 def test_paper_noncentrality_entry():
@@ -97,30 +103,43 @@ def test_non_hermitian_m_flagged_not_rejected():
 def test_singular_sigma_keeps_univariate_paths():
     sigma = np.diag([1.0, 0.0]).astype(complex)
     m = np.eye(2, dtype=complex)
-    params, cache = build(2, sigma, m, depth=4)
+    params, cache = build(2, sigma, m)
     assert cache.t_power(2) == 1.0  # caches fine
     with pytest.raises(SingularMatrixError):
         params.noncentrality()
 
 
 def test_cache_extension_monotone():
-    params, cache = build(2, PAPER_SIGMA, PAPER_M, depth=3)
-    assert cache.depth == 3
-    deeper = params.trace_cache(9)
-    assert deeper.depth == 9
-    assert deeper.t[:3] == cache.t
-    assert params.trace_cache(2).depth == 9  # kept
+    params, cache = build(2, PAPER_SIGMA, PAPER_M)
+    assert cache.depth == DEFAULT_DEPTH
+    deeper = params.trace_cache(DEFAULT_DEPTH + 5)
+    assert deeper.depth == DEFAULT_DEPTH + 5
+    assert deeper.t[:DEFAULT_DEPTH] == cache.t
+    assert params.trace_cache(2).depth == DEFAULT_DEPTH + 5  # kept
 
 
 def test_depths_are_read_by_the_integer_rule():
     # not Python's TypeError from range(), outside the package's errors
-    with pytest.raises(ValidationError, match="depth"):
-        build(2, PAPER_SIGMA, PAPER_M, depth=2.5)
-    params, cache = build(2, PAPER_SIGMA, PAPER_M, depth=3.0)
-    assert cache.depth == 3
-    with pytest.raises(ValidationError, match="min_depth"):
+    params, _ = build(2, PAPER_SIGMA, PAPER_M)
+    with pytest.raises(ValidationError, match="moment order"):
         params.trace_cache(13.5)
     assert params.trace_cache(np.int64(13)).depth == 13
+
+
+def test_trace_cache_depth_is_budgeted(monkeypatch):
+    # a depth is a moment order: one budget caps both, and moves with the
+    # override
+    params, _ = build(2, PAPER_SIGMA, PAPER_M)
+    assert params.trace_cache(MAX_UNIVARIATE_ORDER).depth == MAX_UNIVARIATE_ORDER
+    with pytest.raises(BudgetExceededError, match="moment order"):
+        params.trace_cache(MAX_UNIVARIATE_ORDER + 1)
+    with pytest.raises(BudgetExceededError):
+        params.trace_cache(10 ** 5)
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "4")
+    with pytest.raises(BudgetExceededError, match="WISHMOM_MAX_BUDGET"):
+        params.trace_cache(5)
+    assert params.trace_cache(4).depth == MAX_UNIVARIATE_ORDER  # already deeper
+    assert params.with_convention("standard").trace_cache().depth == MAX_UNIVARIATE_ORDER
 
 
 def test_params_are_read_only():

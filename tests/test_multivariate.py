@@ -30,7 +30,7 @@ from wishmom import (
     rho_moment,
     rho_moment_strings,
 )
-from wishmom.multivariate import eta_table, rho_table
+from wishmom.multivariate import _base_tables, rho_table
 
 from brute_force import (
     ERROR_BOUND,
@@ -50,6 +50,18 @@ def make_instance(seed, p=3, n=4.0, m=2, convention="standard", central=False,
     params, _ = build(n, sigma, m_matrix, convention)
     h = [random_complex(rng, p) for _ in range(m)]
     return params, h
+
+
+# a singular Sigma with Gaussian-integer M and directions: the standard
+# convention's words need no Omega, so its tables are exact here
+SINGULAR_SIGMA = np.diag([2.0, 0.0])
+SINGULAR_M = np.array([[1 + 1j, 2], [-1j, 3 - 1j]])
+
+
+def singular_instance(m, convention="standard"):
+    rng = np.random.default_rng(60 + m)
+    params, _ = build(3, SINGULAR_SIGMA, SINGULAR_M, convention)
+    return params, [gaussian_integers(rng, 2) for _ in range(m)]
 
 
 def nonzero_kinds(m, max_weight):
@@ -109,12 +121,7 @@ def test_base_tables_match_necklace_sums_at_weight_ten(kind, convention):
     # the recursion's tables against the necklace-grouped sums at every
     # sub-index, beyond the weight the *_strings budget allows
     params, h = make_instance(30 + len(kind), m=len(kind), convention=convention)
-    sigma = params.sigma
-    sh = [sigma @ hk for hk in h]
-    eta_factors = sh if convention == "paper" else [hk @ sigma for hk in h]
-    rho = rho_table(sh, kind)
-    eta = eta_table(eta_factors, params.noncentrality(), kind)
-    assert set(rho) == set(eta) == set(_sub_indices(kind))
+    rho, eta = _base_tables(params, h, kind)
     for v in _sub_indices(kind):
         assert rel_err(rho[v], rho_moment(params, h, v)) < 1e-12
         assert rel_err(eta[v], eta_moment(params, h, v)) < 1e-12
@@ -134,9 +141,27 @@ def test_production_routes_enumerate_no_necklaces(monkeypatch):
         assert np.isfinite(joint_moment(params, h, kind))
         assert np.isfinite(joint_cumulant(params, h, kind))
         assert np.isfinite(joint_cumulant_randomized(alpha, params, h, kind))
-        assert len(rho_table([params.sigma @ hk for hk in h], kind)) == 11
+        assert rho_table([params.sigma @ hk for hk in h], kind).shape == (3, 2, 2)
     t = random_complex(np.random.default_rng(41), 3)
     assert np.isfinite(permanent_master(t, kind, 0.5))
+
+
+@pytest.mark.parametrize("central", [False, True])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_tables_live_on_the_sub_index_grid(convention, central):
+    # rho and eta: one array of shape kind + 1 each, 0 at the origin, and
+    # the joint cumulants read from the same grid
+    kind = (2, 0, 3)
+    params, h = make_instance(43, m=3, convention=convention, central=central)
+    rho, eta = _base_tables(params, h, kind)
+    assert rho.shape == eta.shape == (3, 1, 4)
+    assert rho.dtype == eta.dtype == complex
+    assert rho[0, 0, 0] == eta[0, 0, 0] == 0
+    assert not central or not np.any(eta)
+    for v in _sub_indices(kind):
+        want = params.n * rho[v] + params.sign * eta[v]
+        assert rel_err(joint_cumulant(params, h, v),
+                       math.prod(map(math.factorial, v)) * want) < 1e-15
 
 
 def test_eta_closed_forms_paper_convention():
@@ -408,6 +433,31 @@ def test_joint_moment_matches_the_exact_split_convolution(kind, convention, cent
     assert exact.distance(joint_moment(params, h, kind)) <= ERROR_BOUND * scale
 
 
+@pytest.mark.parametrize("kind", [(2, 1), (1, 2, 1)])
+def test_standard_tables_are_exact_at_a_singular_sigma(kind):
+    # Gaussian-integer inputs and a singular Sigma: the standard words
+    # Tr[M H_k1 (Sigma H_k2) ...] need no inverse, so rho and eta equal the
+    # exact oracle's to the last bit, and the joint moment and cumulants
+    # follow from them within the exact bound
+    params, h = singular_instance(len(kind))
+    rho_exact, eta_exact = exact_joint_tables(SINGULAR_SIGMA, SINGULAR_M, h, kind, "standard")
+    rho, eta = _base_tables(params, h, kind)
+    for v in _sub_indices(kind):
+        assert rho[v] == complex(rho_exact[v]) and eta[v] == complex(eta_exact[v]), v
+        exact = math.prod(map(math.factorial, v)) * (3 * rho_exact[v] + eta_exact[v])
+        assert exact.distance(joint_cumulant(params, h, v)) <= ERROR_BOUND * abs(complex(exact))
+    exact = exact_joint_moment(3, 1, rho_exact, eta_exact, kind)
+    absolute = {u: abs(complex(3 * rho_exact[u] + eta_exact[u])) for u in rho_exact}
+    scale = math.prod(map(math.factorial, kind)) * float(
+        exact_composition(absolute, kind, lambda l: 1).re)
+    assert exact.distance(joint_moment(params, h, kind)) <= ERROR_BOUND * scale
+    # the paper words need Omega
+    paper, _ = singular_instance(len(kind), "paper")
+    for route in (joint_moment, joint_cumulant):
+        with pytest.raises(SingularMatrixError):
+            route(paper, h, kind)
+
+
 # ---------------------------------------------------------------------------
 # randomized joint cumulants
 # ---------------------------------------------------------------------------
@@ -538,11 +588,16 @@ def test_a_product_moment_single():
     assert rel_err(got, -np.trace(params.m_matrix)) < 1e-12
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("convention, singular", [
+    ("paper", False), ("standard", False), ("standard", True),
+], ids=["paper", "standard", "standard-singular-sigma"])
 @pytest.mark.parametrize("m", [2, 3])
-def test_singleton_assignment_decomposition(m, convention):
+def test_singleton_assignment_decomposition(m, convention, singular):
     # product over subsets of the two pure formulas = joint moment at (1,..,1)
-    params, h = make_instance(19 + m, m=m, convention=convention)
+    if singular:
+        params, h = singular_instance(m)
+    else:
+        params, h = make_instance(19 + m, m=m, convention=convention)
     total = 0.0
     for mask in itertools.product((0, 1), repeat=m):
         w_pos = [j for j in range(m) if mask[j] == 0]

@@ -63,6 +63,15 @@ def random_table(rng, kind) -> dict:
     return {u: complex(*rng.normal(size=2)) for u in cells if any(u)}
 
 
+def grid(table, kind) -> np.ndarray:
+    """The mapping `table` as the array of shape kind + 1 that
+    `compose_series` reads, 0 at the origin."""
+    out = np.zeros(tuple(c + 1 for c in kind), dtype=complex)
+    for u, x in table.items():
+        out[u] = x
+    return out
+
+
 WEIGHTS = {
     "alternating": lambda l: (-1) ** l * (1 + l / 3),
     "complex": lambda l: complex(0.3, -0.9) ** l,
@@ -86,25 +95,24 @@ SMALL_KINDS = [(1,), (2,), (2, 1), (1, 0, 2)]
 def test_compose_series_matches_exact_composition(kind, weight):
     rng = np.random.default_rng(sum(kind) * 31 + len(kind))
     table, w = random_table(rng, kind), WEIGHTS[weight]
-    assert_exact(compose_series(table, kind, w), exact_composition(table, kind, w),
+    assert_exact(compose_series(grid(table, kind), kind, w), exact_composition(table, kind, w),
                  exact_scale(table, kind, w))
 
 
 def test_compose_series_takes_arrays_and_sequences():
     rng = np.random.default_rng(3)
     kind = (3, 2)
-    table = random_table(rng, kind)
-    grid = np.zeros((4, 3), dtype=complex)
-    for u, x in table.items():
-        grid[u] = x
-    grid[0, 0] = 99.0  # the origin is ignored
+    table = grid(random_table(rng, kind), kind)
     w = WEIGHTS["complex"]
-    assert compose_series(grid, kind, w) == compose_series(table, kind, w)
+    want = compose_series(table, kind, w)
+    table[0, 0] = 99.0  # the origin is ignored
+    assert compose_series(table, kind, w) == want
+    assert compose_series(table.tolist(), kind, w) == want
     x = [0.0, 1.5, -0.25, 2.0]
     assert compose_series(x, (3,), w) == compose_series(np.array(x), [3], w)
     assert compose_series([5.0], (0,), w) == 0
     # the one-partition case: weight(1) times the entry at kind
-    assert compose_series({(1, 0): 2.0}, (1, 0), lambda l: 3.0) == 6.0
+    assert compose_series([[0.0], [2.0]], (1, 0), lambda l: 3.0) == 6.0
 
 
 def test_compose_series_rejects_malformed_requests():
@@ -112,7 +120,11 @@ def test_compose_series_rejects_malformed_requests():
     with pytest.raises(ValidationError):
         compose_series([0.0, 1.0], (2,), w)  # shape (2,) against grid (3,)
     with pytest.raises(ValidationError):
-        compose_series({(3,): 1.0}, (2,), w)  # outside the grid
+        compose_series(np.zeros((3, 2)), (2,), w)  # a 2-D grid for a 1-D kind
+    with pytest.raises(ValidationError):
+        compose_series({(1,): 1.0, (2,): 1.0}, (2,), w)  # a mapping is no grid
+    with pytest.raises(ValidationError):
+        compose_series([0, 1, 10 ** 400], (2,), w)  # no complex128 reads it
     with pytest.raises(ValidationError):
         compose_series([0.0], (-1,), w)
     with pytest.raises(ValidationError):
@@ -144,7 +156,7 @@ def test_compose_series_matches_partition_sum(data):
     if data.draw(st.booleans()):  # alternating
         values = [(-1) ** l * abs(v) for l, v in enumerate(values)]
     partitions = multiindex_partitions(kind)
-    got = compose_series(table, kind, values.__getitem__)
+    got = compose_series(grid(table, kind), kind, values.__getitem__)
     want = partition_sum(partitions, table, values.__getitem__)
     scale = partition_sum(partitions, {u: abs(x) for u, x in table.items()},
                           lambda l: abs(values[l]))
@@ -160,8 +172,7 @@ def test_compose_series_overflow_is_a_numerical_error():
             compose_series([0.0, 1e200, 1.0], (2,), one)
         # a middle power that overflows on a grid
         with pytest.raises(NumericalError):
-            compose_series({(1, 0): 1e120, (0, 1): 1e120, (1, 1): 1.0, (2, 1): 1.0},
-                           (2, 1), one)
+            compose_series([[0.0, 1e120], [1e120, 1.0], [0.0, 1.0]], (2, 1), one)
         # finite terms whose sum overflows
         with pytest.raises(NumericalError):
             compose_series([0.0, 1e154, 1.7e308], (2,), one)
