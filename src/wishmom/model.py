@@ -144,11 +144,9 @@ class WishartParams:
         return self._omega
 
     def with_convention(self, convention: str) -> "WishartParams":
-        """A copy under the other sign convention.  It shares this trace
-        cache, which does not depend on the convention."""
-        copy = WishartParams(self.n, self.sigma, self.m_matrix, convention)
-        copy._cache = self._cache
-        return copy
+        """A copy under the other sign convention; its trace cache extends
+        on demand, like any other."""
+        return WishartParams(self.n, self.sigma, self.m_matrix, convention)
 
     def __repr__(self):
         return (f"WishartParams(n={self.n}, p={self.p}, "

