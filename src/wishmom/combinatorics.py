@@ -347,6 +347,23 @@ def partition_sum(partitions, base, weight) -> complex:
     return total
 
 
+def _shift_pairs(shape):
+    """The (destination, source) flat-index pairs of a product with R on
+    the grid of `shape`: destination d = source + u for every entry u and
+    every d >= u.  They are the Cartesian product of one upper triangle
+    (u_j <= d_j, `np.triu_indices`) per axis, earlier axes major, so each
+    destination meets its entries u in C order."""
+    import numpy as np
+
+    dst = src = np.zeros(1, dtype=np.intp)
+    for axis, size in enumerate(shape):
+        stride = math.prod(shape[axis + 1:])
+        u, d = np.triu_indices(size)
+        dst = np.add.outer(dst, d * stride).ravel()
+        src = np.add.outer(src, (d - u) * stride).ravel()
+    return dst, src
+
+
 def compose_series(table, kind, weight) -> complex:
     """[z^kind] of sum_{l >= 1} weight(l) R(z)^l / l!, where
     R(z) = sum_{u != 0} table[u] z^u runs over the sub-indices u <= kind.
@@ -359,12 +376,15 @@ def compose_series(table, kind, weight) -> complex:
     prod table[part]^r / prod r! over the partitions of length l.  It
     enumerates none of them.
 
-    The powers R^l / l! live on the grid of sub-indices.  A product with R
-    adds, per nonzero entry table[u], that multiple of the previous power
-    shifted by u: one precomputed (destination, source) slice pair per
-    entry, into one of two reused buffers.  The last power is needed only
-    at kind, the grid's last entry, and is one dot product of R with the
-    reversed previous power.  Raises NumericalError on overflow.
+    The powers R^l / l! live on the flattened grid of sub-indices.  A
+    product with R is one scatter-add (`np.add.at`) of table[u] times the
+    previous power at d - u into each destination d >= u, over a list of
+    (destination, source) pairs built once per call from one triangle per
+    axis and kept only for the nonzero entries u.  The list runs in C order
+    of u, so each destination adds its terms in that order.  The last power
+    is needed only at kind, the grid's last entry, and is one dot product
+    of R with the reversed previous power.  Raises NumericalError on
+    overflow.
     """
     # numpy loads on first use: `necklaces` and the CLI's request checks
     # import this module and stay numpy-free
@@ -387,21 +407,26 @@ def compose_series(table, kind, weight) -> complex:
         with np.errstate(over="ignore", invalid="ignore"):
             terms = [weight(1) * flat[-1]]
             if top > 1:
-                # product() walks the slice tuples in the grid's C order
-                dst = itertools.product(*([slice(x, None) for x in range(s)] for s in shape))
-                src = itertools.product(*([slice(0, s - x) for x in range(s)] for s in shape))
-                shifts = [shift for shift in zip(dst, src, flat.tolist()) if shift[2]]
-                power, buffers = r, (np.empty_like(r), np.empty_like(r))
+                dst, src = _shift_pairs(shape)
+                x = flat[dst - src]
+                if not x.all():
+                    keep = np.flatnonzero(x)
+                    dst, src, x = dst[keep], src[keep], x[keep]
+                power, terms_of_power = flat, np.empty_like(x)
+                buffers = (np.empty_like(flat), np.empty_like(flat))
                 for l in range(2, top):
+                    np.take(power, src, out=terms_of_power)
+                    # entry times power, in this order: numpy's complex
+                    # multiply rounds x * y and y * x differently
+                    np.multiply(x, terms_of_power, out=terms_of_power)
                     out = buffers[l % 2]
                     out.fill(0)
-                    for dst, src, x in shifts:
-                        out[dst] += x * power[src]
+                    np.add.at(out, dst, terms_of_power)
                     out /= l
                     power = out
-                    terms.append(weight(l) * power.flat[-1])
+                    terms.append(weight(l) * power[-1])
                 # C order: reversing the flat grid reverses every axis
-                terms.append(weight(top) * np.dot(flat, power.reshape(-1)[::-1]) / top)
+                terms.append(weight(top) * np.dot(flat, power[::-1]) / top)
     except OverflowError as exc:
         raise NumericalError(f"series composition overflows: {exc}") from exc
     total = complex_fsum(terms)

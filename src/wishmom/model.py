@@ -2,8 +2,9 @@
 
 A `WishartParams` holds (n, Sigma, M) plus the sign convention; `build`
 also returns the derived `TraceCache` with T_i = Tr(Sigma^i) and
-S_i = Tr(M Sigma^{i-1}).  The S_i are computed without ever forming
-Sigma^{-1}: by trace cyclicity Tr(Omega Sigma^i) = Tr(M Sigma^{i-1}).
+S_i = Tr(M Sigma^{i-1}), both read from one stacked array of powers.  The
+S_i are computed without ever forming Sigma^{-1}: by trace cyclicity
+Tr(Omega Sigma^i) = Tr(M Sigma^{i-1}).
 
 Sign convention:
 
@@ -53,17 +54,21 @@ class TraceCache:
 
 
 def _compute_cache(sigma: np.ndarray, m_matrix: np.ndarray, depth: int) -> TraceCache:
-    t, s = [], []
-    pow_sigma = sigma
-    m_pow = m_matrix
+    """T_1..T_depth and S_1..S_depth in one stacked pass.
+
+    powers[0, k] = Sigma^(k+1) and powers[1, k] = M Sigma^k are one
+    (2, depth, p, p) array: each step multiplies both previous powers by
+    Sigma in one `np.matmul` into the next slot, and one `np.trace` over
+    the stack reads every T_i and S_i.
+    """
+    powers = np.empty((2, depth) + sigma.shape, dtype=complex)
+    powers[0, 0], powers[1, 0] = sigma, m_matrix
     # an overflow leaves inf/nan in the cache, which the closed forms report
     # as a NumericalError; numpy's own warning would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(depth):
-            t.append(complex(np.trace(pow_sigma)))
-            s.append(complex(np.trace(m_pow)))
-            pow_sigma = pow_sigma @ sigma
-            m_pow = m_pow @ sigma
+        for k in range(1, depth):
+            np.matmul(powers[:, k - 1], sigma, out=powers[:, k])
+        t, s = np.trace(powers, axis1=2, axis2=3).tolist()
     return TraceCache(tuple(t), tuple(s))
 
 
@@ -117,8 +122,10 @@ class WishartParams:
     def trace_cache(self, min_depth: int = 0) -> TraceCache:
         """The cache, extended (and kept) if shallower than min_depth.
 
-        min_depth is read as a moment order, so it is capped by the same
-        budget (`budgets.check_moment_order`).
+        An extension recomputes every power up to min_depth in one stacked
+        pass (`_compute_cache`), so a loop over orders asks once for its
+        top order before it loops.  min_depth is read as a moment order,
+        so it is capped by the same budget (`budgets.check_moment_order`).
         """
         min_depth = check_moment_order(min_depth)
         cache = self._cache

@@ -214,6 +214,7 @@ def noncentral_moment_bell(params: WishartParams, i: int) -> complex:
     Independent route used to cross-check `noncentral_moment`.
     """
     i = check_moment_order(i)
+    params.trace_cache(i)  # one extension to order i, not one per order
     cums = [noncentral_cumulant(params, k) for k in range(1, i + 1)]
     return complex(complete_bell(cums))
 
@@ -233,6 +234,7 @@ def cumulant_sequence(params: WishartParams, i_max: int) -> MomentSequence:
     i_max before any order is computed.  Raises NumericalError when an
     order overflows."""
     i_max = check_cumulant_order(i_max)
+    params.trace_cache(i_max)  # one extension to i_max, not one per order
     return MomentSequence.from_cumulants(_finite(
         [noncentral_cumulant(params, k) for k in range(1, i_max + 1)], "cumulant"))
 
@@ -302,6 +304,7 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     i_max = check_moment_order(i_max)
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
+    params.trace_cache(i_max)  # one extension to i_max, not one per order
     p = params.p
     e = [1.0 + 0.0j]
     for i in range(1, i_max + 1):

@@ -1,6 +1,7 @@
 """Brute-force kernels that only the tests use, as independent oracles for
 the production routes: every string of a kind, every partition of an
-integer by recursion, traces of explicitly multiplied matrix products, and
+integer by recursion, traces of explicitly multiplied matrix products, the
+power traces and the float series composition one step at a time, and
 exact (Gaussian-rational) compositions, permanents and moments."""
 
 import itertools
@@ -11,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from wishmom import DimensionMismatchError, ValidationError
+from wishmom.combinatorics import complex_fsum
 from wishmom.matrix_core import as_matrix
 
 # |float - exact| <= ERROR_BOUND * scale on every route pinned against an
@@ -90,6 +92,51 @@ def power_traces(a, k_max: int) -> list[complex]:
         out.append(complex(np.trace(acc)))
         acc = acc @ a
     return out
+
+
+def trace_cache_by_powers(sigma, m_matrix, depth) -> tuple[tuple, tuple]:
+    """(T_1..T_depth, S_1..S_depth) with T_i = Tr(Sigma^i) and
+    S_i = Tr(M Sigma^{i-1}), one power and one trace at a time."""
+    t, s = [], []
+    pow_sigma, m_pow = sigma, m_matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(depth):
+            t.append(complex(np.trace(pow_sigma)))
+            s.append(complex(np.trace(m_pow)))
+            pow_sigma = pow_sigma @ sigma
+            m_pow = m_pow @ sigma
+    return tuple(t), tuple(s)
+
+
+def shift_add_composition(table, kind, weight) -> complex:
+    """[z^kind] of sum_{l >= 1} weight(l) R(z)^l / l! in floats, R(z) the
+    grid `table` (shape kind + 1, origin ignored): each product with R adds,
+    per nonzero entry u in C order, that multiple of the previous power
+    shifted by u, one slice pair per entry."""
+    shape = tuple(v + 1 for v in kind)
+    top = sum(kind)
+    r = np.array(table, dtype=complex)
+    flat = r.reshape(-1)
+    flat[0] = 0
+    if top == 0:
+        return 0j
+    terms = [weight(1) * flat[-1]]
+    if top > 1:
+        dst = itertools.product(*([slice(x, None) for x in range(s)] for s in shape))
+        src = itertools.product(*([slice(0, s - x) for x in range(s)] for s in shape))
+        shifts = [shift for shift in zip(dst, src, flat.tolist()) if shift[2]]
+        power, buffers = r, (np.empty_like(r), np.empty_like(r))
+        for l in range(2, top):
+            out = buffers[l % 2]
+            out.fill(0)
+            for d, s, x in shifts:
+                out[d] += x * power[s]
+            out /= l
+            power = out
+            terms.append(weight(l) * power.flat[-1])
+        # C order: reversing the flat grid reverses every axis
+        terms.append(weight(top) * np.dot(flat, power.reshape(-1)[::-1]) / top)
+    return complex_fsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import wishmom.model
 from wishmom import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -10,14 +11,17 @@ from wishmom import (
     SingularMatrixError,
     ValidationError,
     build,
+    cumulant_sequence,
+    noncentral_moment_bell,
     noncentrality,
+    normalized_cumulant_moments,
 )
 
 from wishmom.budgets import MAX_UNIVARIATE_ORDER
 from wishmom.model import DEFAULT_DEPTH
 
-from brute_force import product_trace
-from conftest import PAPER_M, PAPER_N, PAPER_SIGMA, random_psd, rel_err
+from brute_force import product_trace, trace_cache_by_powers
+from conftest import PAPER_M, PAPER_N, PAPER_SIGMA, random_complex, random_psd, rel_err
 
 
 def test_central_cache_s_vanishes():
@@ -114,6 +118,36 @@ def test_cache_extension_monotone():
     assert deeper.depth == DEFAULT_DEPTH + 5
     assert deeper.t[:DEFAULT_DEPTH] == cache.t
     assert params.trace_cache(2).depth == DEFAULT_DEPTH + 5  # kept
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_cache_is_the_per_power_loop(p):
+    # the stacked pass gives the bits of one power and one trace at a time
+    rng = np.random.default_rng(p)
+    sigma = random_psd(rng, p)
+    for m in (random_complex(rng, p), np.zeros((p, p), dtype=complex)):
+        params, _ = build(2, sigma, m)
+        cache = params.trace_cache(MAX_UNIVARIATE_ORDER)
+        assert (cache.t, cache.s) == trace_cache_by_powers(
+            params.sigma, params.m_matrix, MAX_UNIVARIATE_ORDER)
+
+
+@pytest.mark.parametrize("sequence", [
+    cumulant_sequence, normalized_cumulant_moments, noncentral_moment_bell])
+def test_sequences_extend_the_cache_once(sequence, monkeypatch):
+    # a per-order loop extends the cache to its top order before it loops,
+    # not once per order beyond DEFAULT_DEPTH
+    params, _ = build(PAPER_N, PAPER_SIGMA, PAPER_M)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return compute(*args)
+
+    compute = wishmom.model._compute_cache
+    monkeypatch.setattr(wishmom.model, "_compute_cache", counting)
+    sequence(params, 20)
+    assert calls == [20]
 
 
 def test_depths_are_read_by_the_integer_rule():

@@ -4,13 +4,16 @@ moments and normalized moments.
 
 Each route is pinned against an exact Gaussian-rational composition of the
 same inputs (`brute_force.exact_composition`) and against the partition
-sums it replaced.  The float error is bounded relative to the scale of
-the sum, the same composition on absolute values, so cancellation in the
-alternating weights neither breaks nor loosens a bound.
+sums it replaced; the kernel's scatter-add is pinned against the slice-add
+loop it replaced (`brute_force.shift_add_composition`).  The float error
+is bounded relative to the scale of the sum, the same composition on
+absolute values, so cancellation in the alternating weights neither
+breaks nor loosens a bound.
 """
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -43,6 +46,7 @@ from brute_force import (
     exact_permanent_master,
     exact_trace_powers,
     master_rho,
+    shift_add_composition,
 )
 
 
@@ -161,6 +165,46 @@ def test_compose_series_matches_partition_sum(data):
     scale = partition_sum(partitions, {u: abs(x) for u, x in table.items()},
                           lambda l: abs(values[l]))
     assert abs(got - want) <= 1e-12 * scale.real
+
+
+# the compositions of the benchmark's joint sessions, a scalar order, and
+# the widest grids up to weight 10
+SHIFT_ADD_KINDS = [
+    (4,), (9,), (6,), (3, 3), (5, 4), (4, 3), (2, 1, 1), (3, 2, 2), (2, 2, 2), (3, 3, 3),
+    (2, 2, 1, 1), (2, 2, 2, 2), (2, 2, 2, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1),
+    (2, 2, 1, 1, 1), (1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1),
+    (20,), (2, 2, 2, 2, 2), (1,) * 10,
+]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kind", SHIFT_ADD_KINDS, ids=str)
+def test_compose_series_matches_shift_add_loop(kind, sparse):
+    # the scatter-add against one slice-add per entry and power; a sparse
+    # table leaves about half its entries 0, which both routes skip
+    rng = np.random.default_rng(len(kind) * 100 + sum(kind))
+    shape = tuple(c + 1 for c in kind)
+    table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if sparse:
+        table[rng.random(shape) < 0.5] = 0
+    w = WEIGHTS["alternating"]
+    want = shift_add_composition(table, kind, w)
+    scale = shift_add_composition(np.abs(table), kind, lambda l: abs(w(l))).real
+    assert abs(compose_series(table, kind, w) - want) <= ERROR_BOUND * scale
+
+
+def test_compose_series_memory_at_the_widest_grid():
+    # (1,)*10 has 59,049 (destination, source) pairs; a dense
+    # (entries x grid x axes) difference tensor would peak near 84 MB
+    kind = (1,) * 10
+    table = np.full((2,) * 10, 0.5 + 0.25j)
+    tracemalloc.start()
+    try:
+        compose_series(table, kind, WEIGHTS["complex"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_compose_series_overflow_is_a_numerical_error():
