@@ -351,16 +351,21 @@ def _shift_pairs(shape):
     """The (destination, source) flat-index pairs of a product with R on
     the grid of `shape`: destination d = source + u for every entry u and
     every d >= u.  They are the Cartesian product of one upper triangle
-    (u_j <= d_j, `np.triu_indices`) per axis, earlier axes major, so each
-    destination meets its entries u in C order."""
+    (u_j <= d_j) per axis, earlier axes major, so each destination meets
+    its entries u in C order.  A triangle lists its rows u = 0, 1, ... in
+    turn, row u holding d = u, ..., size - 1, so d - u counts up from 0
+    within each row; it is built by arithmetic on the row lengths."""
     import numpy as np
 
     dst = src = np.zeros(1, dtype=np.intp)
     for axis, size in enumerate(shape):
         stride = math.prod(shape[axis + 1:])
-        u, d = np.triu_indices(size)
+        lengths = np.arange(size, 0, -1)
+        row_starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        delta = np.arange(len(row_starts)) - row_starts
+        d = delta + np.repeat(np.arange(size), lengths)
         dst = np.add.outer(dst, d * stride).ravel()
-        src = np.add.outer(src, (d - u) * stride).ravel()
+        src = np.add.outer(src, delta * stride).ravel()
     return dst, src
 
 
@@ -379,8 +384,9 @@ def compose_series(table, kind, weight) -> complex:
     The powers R^l / l! live on the flattened grid of sub-indices.  A
     product with R is one scatter-add (`np.add.at`) of table[u] times the
     previous power at d - u into each destination d >= u, over a list of
-    (destination, source) pairs built once per call from one triangle per
-    axis and kept only for the nonzero entries u.  The list runs in C order
+    (destination, source) pairs built once per call from one upper
+    triangle per axis, by arithmetic on its row lengths (`_shift_pairs`),
+    and kept only for the nonzero entries u.  The list runs in C order
     of u, so each destination adds its terms in that order.  The last power
     is needed only at kind, the grid's last entry, and is one dot product
     of R with the reversed previous power.  Raises NumericalError on

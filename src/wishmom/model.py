@@ -78,7 +78,7 @@ class WishartParams:
     `n` may be any positive real for formula evaluation; sampling requires
     an integer.  Sigma must be Hermitian; M may be non-Hermitian (the
     `m_is_hermitian` flag records which) since only its trace products
-    enter the univariate formulas.
+    enter the univariate formulas.  `is_central` records whether M = 0.
 
     The trace cache grows monotonically on demand and the non-centrality
     matrix is computed at most once, both under a lock, so concurrent
@@ -106,6 +106,7 @@ class WishartParams:
         self.convention = convention
         self.p = sigma.shape[0]
         self.m_is_hermitian = matrix_core.is_hermitian(m_matrix)
+        self.is_central = not np.any(m_matrix)
         self._lock = threading.Lock()
         self._cache = _compute_cache(sigma, m_matrix, DEFAULT_DEPTH)
         self._omega = None
@@ -114,10 +115,6 @@ class WishartParams:
     def sign(self) -> float:
         """Sign carried by every non-centrality contribution."""
         return -1.0 if self.convention == "paper" else 1.0
-
-    @property
-    def is_central(self) -> bool:
-        return not np.any(self.m_matrix)
 
     def trace_cache(self, min_depth: int = 0) -> TraceCache:
         """The cache, extended (and kept) if shallower than min_depth.

@@ -25,7 +25,10 @@ Production builds both from one recursion over the sub-indices v <= i of
 the all-strings sums S[v] = sum_k S[v - e_k] (Sigma H_k), S[0] = I, held
 as one array on the grid of sub-indices: rho[v] = Tr S[v] / |v| and
 eta[v] = sum_k Tr(L H_k S[v - e_k]).  rho, eta and the cumulant table are
-arrays of shape i + 1, 0 at the origin.  `rho_moment` and `eta_moment`
+arrays of shape i + 1, 0 at the origin.  The recursion walks the flattened
+grid in C order, where v - e_k lies one axis stride back, and each head's
+eta term is one einsum over a slice of S; a central model (M = 0) has
+eta = 0 and forms no heads.  `rho_moment` and `eta_moment`
 keep the paper's necklace-grouped form, eta_moment with the Omega-led,
 convention-ordered words, and are the independent check on the
 recursion; no other route enumerates necklaces or rotations.
@@ -75,7 +78,8 @@ from .model import WishartParams
 from .univariate import CUMULANTS, MomentSequence
 
 # an overflow leaves inf/nan in a table, which the closed forms report as a
-# NumericalError; numpy's own warning would only repeat it on stderr
+# NumericalError; numpy's own warning would only repeat it on stderr.  Each
+# public route that builds a table enters it once.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -133,43 +137,67 @@ def _string_sums(factors, kind) -> np.ndarray:
 
     The last letter of a string of kind v is some k with v_k > 0, so
     S[v] = sum_k S[v - e_k] @ factors[k], with S[0] = I.  The sub-indices
-    come in lexicographic order, so every S[v - e_k] exists before S[v].
+    come in lexicographic order, which is C order on the flattened grid,
+    where v - e_k sits one axis stride before v: every S[v - e_k] exists
+    before S[v].
     """
-    p = factors[0].shape[0]
-    s = np.empty(tuple(c + 1 for c in kind) + (p, p), dtype=complex)
-    s[(0,) * len(kind)] = np.eye(p)
-    for v in itertools.islice(itertools.product(*(range(c + 1) for c in kind)), 1, None):
-        s[v] = sum(s[v[:k] + (c - 1,) + v[k + 1:]] @ factors[k] for k, c in enumerate(v) if c)
+    p = len(factors[0])
+    shape = tuple(c + 1 for c in kind)
+    s = np.empty(shape + (p, p), dtype=complex)
+    flat = s.reshape(-1, p, p)
+    flat[0] = np.eye(p)
+    strides = [math.prod(shape[k + 1:]) for k in range(len(kind))]
+    cells = itertools.product(*(range(c + 1) for c in kind))
+    next(cells)
+    for f, v in enumerate(cells, 1):
+        flat[f] = sum(flat[f - stride] @ a for c, stride, a in zip(v, strides, factors) if c)
     return s
 
 
-@_quiet
 def _tables(factors, heads, kind) -> tuple[np.ndarray, np.ndarray]:
     """(rho, eta) of every sub-index v <= kind, arrays of shape kind + 1
     with 0 at the origin, from one pass of the string sums S:
     rho[v] = Tr S[v] / |v|, and eta[v] = sum_k Tr(heads[k] S[v - e_k]),
-    every string of kind v led by its first letter's head."""
+    every string of kind v led by its first letter's head.  No heads give
+    eta = 0 with no pass over S.  The caller holds `_quiet`."""
     s = _string_sums(factors, kind)
-    rho = np.trace(s, axis1=-2, axis2=-1) / np.maximum(np.indices(s.shape[:-2]).sum(axis=0), 1)
+    m = len(kind)
+    weight = sum(np.arange(c + 1).reshape((-1,) + (1,) * (m - 1 - k)) for k, c in enumerate(kind))
+    rho = np.trace(s, axis1=-2, axis2=-1) / np.maximum(weight, 1)
     rho.flat[0] = 0
     eta = np.zeros_like(rho)
     for k, head in enumerate(heads):
-        np.moveaxis(eta, k, 0)[1:] += np.einsum("ij,...ji->...", head, np.moveaxis(s, k, 0)[:-1])
+        hi, lo = ((slice(None),) * k + (cut,) for cut in (slice(1, None), slice(-1)))
+        eta[hi] += np.einsum("ij,...ji->...", head, s[lo])
     return rho, eta
 
 
+@_quiet
 def rho_table(factors, kind) -> np.ndarray:
     """rho of every sub-index of `kind` on the trace-word factors
     (Sigma H_1, ..., Sigma H_m): an array of shape kind + 1, with
-    rho[v] = Tr S[v] / |v| and 0 at the origin."""
+    rho[v] = Tr S[v] / |v| and 0 at the origin.
+
+    `kind` is read by `integer_tuple` and capped by `check_joint_weight`;
+    one factor per component of `kind`, every factor a square matrix of
+    one size, or DimensionMismatchError.  The factors are not copied."""
+    kind = integer_tuple(kind, "kind")
+    check_joint_weight(sum(kind))
+    if len(factors) != len(kind):
+        raise DimensionMismatchError(
+            f"{len(factors)} factors for a kind of {len(kind)} components")
+    shapes = {np.shape(a) for a in factors}
+    if len(shapes) != 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
+        raise DimensionMismatchError(f"factors must be square matrices of one size: {shapes}")
     return _tables(factors, (), kind)[0]
 
 
 def _base_tables(params: WishartParams, h, kind) -> tuple[np.ndarray, np.ndarray]:
     """(rho, eta) of every sub-index v <= kind on the directions h, with
-    the heads of the sign convention."""
+    the heads of the sign convention; a central model has eta = 0 and
+    forms no heads."""
     hs, sh = _directions(params, h)
-    return _tables(sh, _heads(params, hs), kind)
+    return _tables(sh, () if params.is_central else _heads(params, hs), kind)
 
 
 def rho_moment(params: WishartParams, h, i) -> complex:
@@ -208,6 +236,7 @@ def eta_moment(params: WishartParams, h, i) -> complex:
                         for rot in necklace_rotations(neck))
 
 
+@_quiet
 def eta_moment_strings(params: WishartParams, h, i) -> complex:
     """eta as the sum over all strings of kind i, read from the head-led
     recursion (no string enumeration)."""
@@ -224,7 +253,6 @@ def _index_factorial(kind) -> int:
     return math.prod(math.factorial(v) for v in kind)
 
 
-@_quiet
 def _cumulant_table(params: WishartParams, h, kind) -> np.ndarray:
     """K[u] = kappa[u] / u! = n rho[u] + sign eta[u] of every u <= kind, an
     array of shape kind + 1, 0 at the origin."""
@@ -249,6 +277,7 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     return _index_factorial(kind) * partition_sum(multiindex_partitions(kind), table, lambda l: 1)
 
 
+@_quiet
 def joint_cumulant(params: WishartParams, h, i) -> complex:
     """Cum_i(Tr[W H_1], ..., Tr[W H_m]) = i! (n rho[i] + sign eta[i]).
 
@@ -259,6 +288,7 @@ def joint_cumulant(params: WishartParams, h, i) -> complex:
     return _index_factorial(kind) * complex(_cumulant_table(params, h, kind)[kind])
 
 
+@_quiet
 def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
                               params: WishartParams, h, i) -> complex:
     """Joint cumulant when the central block's index is randomized.

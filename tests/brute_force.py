@@ -1,8 +1,10 @@
 """Brute-force kernels that only the tests use, as independent oracles for
 the production routes: every string of a kind, every partition of an
 integer by recursion, traces of explicitly multiplied matrix products, the
-power traces and the float series composition one step at a time, and
-exact (Gaussian-rational) compositions, permanents and moments."""
+power traces and the float series composition one step at a time, the
+string sums and base tables on tuple indices, the series' pair lists from
+`np.triu_indices`, and exact (Gaussian-rational) compositions, permanents
+and moments."""
 
 import itertools
 import math
@@ -106,6 +108,48 @@ def trace_cache_by_powers(sigma, m_matrix, depth) -> tuple[tuple, tuple]:
             pow_sigma = pow_sigma @ sigma
             m_pow = m_pow @ sigma
     return tuple(t), tuple(s)
+
+
+def string_sums_by_tuples(factors, kind) -> np.ndarray:
+    """S[v] = sum over every string of kind v of prod(word), for every
+    sub-index v <= kind (shape kind + 1 + (p, p)): S[v] = sum_k
+    S[v - e_k] @ factors[k], each v - e_k spelled out as a tuple index."""
+    p = factors[0].shape[0]
+    s = np.empty(tuple(c + 1 for c in kind) + (p, p), dtype=complex)
+    s[(0,) * len(kind)] = np.eye(p)
+    for v in itertools.islice(itertools.product(*(range(c + 1) for c in kind)), 1, None):
+        s[v] = sum(s[v[:k] + (c - 1,) + v[k + 1:]] @ factors[k] for k, c in enumerate(v) if c)
+    return s
+
+
+def tables_by_moveaxis(factors, heads, kind) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, eta) on the grid of sub-indices from `string_sums_by_tuples`:
+    rho[v] = Tr S[v] / |v| with |v| from `np.indices`, and eta[v] =
+    sum_k Tr(heads[k] S[v - e_k]), each head's term added with axis k moved
+    to the front of eta and of S."""
+    s = string_sums_by_tuples(factors, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.indices(s.shape[:-2]).sum(axis=0)
+        rho = np.trace(s, axis1=-2, axis2=-1) / np.maximum(weight, 1)
+        rho.flat[0] = 0
+        eta = np.zeros_like(rho)
+        for k, head in enumerate(heads):
+            np.moveaxis(eta, k, 0)[1:] += np.einsum("ij,...ji->...", head,
+                                                    np.moveaxis(s, k, 0)[:-1])
+    return rho, eta
+
+
+def shift_pairs_by_triu(shape) -> tuple[np.ndarray, np.ndarray]:
+    """The (destination, source) flat-index pairs of a product with the
+    series on the grid of `shape`: the Cartesian product, earlier axes
+    major, of one `np.triu_indices` triangle (u_j <= d_j) per axis."""
+    dst = src = np.zeros(1, dtype=np.intp)
+    for axis, size in enumerate(shape):
+        stride = math.prod(shape[axis + 1:])
+        u, d = np.triu_indices(size)
+        dst = np.add.outer(dst, d * stride).ravel()
+        src = np.add.outer(src, (d - u) * stride).ravel()
+    return dst, src
 
 
 def shift_add_composition(table, kind, weight) -> complex:

@@ -10,6 +10,7 @@ from wishmom import (
     CONVENTIONS,
     BudgetExceededError,
     CyclePermutation,
+    DimensionMismatchError,
     MomentSequence,
     SingularMatrixError,
     RngStream,
@@ -30,7 +31,7 @@ from wishmom import (
     rho_moment,
     rho_moment_strings,
 )
-from wishmom.multivariate import _base_tables, rho_table
+from wishmom.multivariate import _base_tables, _directions, _heads, _string_sums, rho_table
 
 from brute_force import (
     ERROR_BOUND,
@@ -38,6 +39,8 @@ from brute_force import (
     exact_joint_moment,
     exact_joint_tables,
     product_trace,
+    string_sums_by_tuples,
+    tables_by_moveaxis,
 )
 from conftest import random_complex, random_psd, rel_err
 
@@ -144,6 +147,74 @@ def test_production_routes_enumerate_no_necklaces(monkeypatch):
         assert rho_table([params.sigma @ hk for hk in h], kind).shape == (3, 2, 2)
     t = random_complex(np.random.default_rng(41), 3)
     assert np.isfinite(permanent_master(t, kind, 0.5))
+
+
+# the benchmark's joint session kinds, then kinds with a zero component,
+# the widest two-axis grid at weight 10 and the five-axis (2, 2, 2, 2, 2)
+KERNEL_KINDS = [
+    (2, 1), (4,), (9,), (6,), (3, 3), (5, 4), (4, 3), (2, 1, 1), (3, 2, 2), (2, 2, 2),
+    (3, 3, 3), (2, 2, 1, 1), (2, 2, 2, 2), (2, 2, 2, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1),
+    (2, 2, 1, 1, 1), (1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1),
+    (0, 3), (3, 0, 1), (5, 5), (2, 2, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS, ids=str)
+def test_tables_are_the_tuple_index_loop_bit_for_bit(kind):
+    # the flat-view string sums and the slice-read traces against the
+    # tuple-indexed loop and the moveaxis reader: the same operations in
+    # the same order, so the same bits
+    for p, convention, central in itertools.product((2, 3, 6), CONVENTIONS, (False, True)):
+        params, h = make_instance(70 + p, p=p, m=len(kind), convention=convention,
+                                  central=central)
+        hs, sh = _directions(params, h)
+        want_rho, want_eta = tables_by_moveaxis(sh, _heads(params, hs), kind)
+        rho, eta = _base_tables(params, h, kind)
+        assert np.array_equal(_string_sums(sh, kind), string_sums_by_tuples(sh, kind))
+        assert np.array_equal(rho, want_rho)
+        assert np.array_equal(eta, want_eta)
+        assert np.array_equal(rho_table(sh, kind), want_rho)
+
+
+def test_central_tables_form_no_heads(monkeypatch):
+    # M = 0 makes every head M H_k (or Omega Sigma H_k) zero: the routes
+    # read eta = 0 without forming one, under either convention
+    def refuse(*args, **kwargs):
+        raise AssertionError("a head product for a central model")
+
+    monkeypatch.setattr(wishmom.multivariate, "_heads", refuse)
+    kind = (2, 1, 1)
+    alpha = MomentSequence.from_cumulants([1.5, 0.5, 0.25, 0.125])
+    for convention in CONVENTIONS:
+        params, h = make_instance(44, m=3, convention=convention, central=True)
+        rho, eta = _base_tables(params, h, kind)
+        assert not np.any(eta)
+        assert joint_cumulant(params, h, kind) == 2 * (params.n * rho[kind])
+        assert np.isfinite(joint_moment(params, h, kind))
+        assert np.isfinite(joint_cumulant_randomized(alpha, params, h, kind))
+
+
+@pytest.mark.parametrize("factors, kind, error", [
+    ([np.eye(2)], (-1,), ValidationError),
+    ([np.eye(2)], (2.5,), ValidationError),
+    ([np.eye(2)], (True,), ValidationError),
+    ([np.ones((2, 3))], (2,), DimensionMismatchError),
+    ([np.ones((2, 2, 2))], (2,), DimensionMismatchError),
+    ([np.eye(2), np.eye(3)], (1, 1), DimensionMismatchError),
+    ([np.eye(2), np.eye(2)], (2,), DimensionMismatchError),
+    ([np.eye(2)], (1, 1), DimensionMismatchError),
+    ([], (), DimensionMismatchError),
+    ([np.eye(2)], (11,), BudgetExceededError),
+], ids=["negative", "fraction", "bool", "non-square", "three-axis", "two-sizes",
+        "extra-factor", "missing-factor", "no-factor", "over-budget"])
+def test_rho_table_checks_its_request_before_any_numeric_work(monkeypatch, factors, kind,
+                                                              error):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numeric work on a rejected request")
+
+    monkeypatch.setattr(wishmom.multivariate, "_tables", refuse)
+    with pytest.raises(error):
+        rho_table(factors, kind)
 
 
 @pytest.mark.parametrize("central", [False, True])

@@ -5,10 +5,11 @@ moments and normalized moments.
 Each route is pinned against an exact Gaussian-rational composition of the
 same inputs (`brute_force.exact_composition`) and against the partition
 sums it replaced; the kernel's scatter-add is pinned against the slice-add
-loop it replaced (`brute_force.shift_add_composition`).  The float error
-is bounded relative to the scale of the sum, the same composition on
-absolute values, so cancellation in the alternating weights neither
-breaks nor loosens a bound.
+loop it replaced (`brute_force.shift_add_composition`), and its pair lists
+against the `np.triu_indices` product (`brute_force.shift_pairs_by_triu`).
+The float error is bounded relative to the scale of the sum, the same
+composition on absolute values, so cancellation in the alternating weights
+neither breaks nor loosens a bound.
 """
 
 import itertools
@@ -35,7 +36,7 @@ from wishmom import (
     randomized_moment,
     repeated_matrix,
 )
-from wishmom.combinatorics import compose_series, partition_sum
+from wishmom.combinatorics import _shift_pairs, compose_series, partition_sum
 
 from brute_force import (
     ERROR_BOUND,
@@ -47,6 +48,7 @@ from brute_force import (
     exact_trace_powers,
     master_rho,
     shift_add_composition,
+    shift_pairs_by_triu,
 )
 
 
@@ -191,6 +193,17 @@ def test_compose_series_matches_shift_add_loop(kind, sparse):
     want = shift_add_composition(table, kind, w)
     scale = shift_add_composition(np.abs(table), kind, lambda l: abs(w(l))).real
     assert abs(compose_series(table, kind, w) - want) <= ERROR_BOUND * scale
+
+
+@pytest.mark.parametrize("kind", SHIFT_ADD_KINDS + [(2, 1), (0, 3), (3, 0, 1), (5, 5)], ids=str)
+def test_shift_pairs_are_the_triangle_product(kind):
+    # the pair lists built by arithmetic on the row lengths against the
+    # product of `np.triu_indices` triangles: the same pairs in the same
+    # order, so each destination still adds its entries in C order
+    shape = tuple(c + 1 for c in kind)
+    for got, want in zip(_shift_pairs(shape), shift_pairs_by_triu(shape)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_compose_series_memory_at_the_widest_grid():
