@@ -18,12 +18,7 @@ import numpy as np
 from . import matrix_core
 from .budgets import check_joint_weight, check_permanent_dimension, integer, integer_tuple
 from .combinatorics import complex_fsum, compose_series, cycles_of_images
-from .errors import (
-    DegenerateSampleSizeError,
-    InsufficientOrdersError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite
 from .multivariate import rho_table
 from .univariate import MOMENTS, MomentSequence
 
@@ -39,12 +34,15 @@ def _cycle_weighted_permanent(y: np.ndarray, a_of) -> complex:
     """sum over permutations s of a_of(#cycles(s)) prod_j y[j, s(j)]."""
     rows = y.tolist()
     terms = []
-    for perm in itertools.permutations(range(len(rows))):
-        prod = a_of(len(cycles_of_images(perm)))
-        for j, col in enumerate(perm):
-            prod *= rows[j][col]
-        terms.append(prod)
-    return complex_fsum(terms)
+    try:
+        for perm in itertools.permutations(range(len(rows))):
+            prod = a_of(len(cycles_of_images(perm)))
+            for j, col in enumerate(perm):
+                prod *= rows[j][col]
+            terms.append(prod)
+    except OverflowError:  # a complex power d ** k raises where a product gives inf
+        terms = [math.inf]
+    return finite(complex_fsum(terms), "permanent")
 
 
 def permanent_d(y, d) -> complex:
@@ -123,7 +121,7 @@ def permanent_master(t, i, d_or_alpha) -> complex:
         e[:, k] = t[:, k]
         sh.append(e)
     total = compose_series(rho_table(sh, kind), kind, a_of)
-    return math.prod(math.factorial(v) for v in kind) * total
+    return finite(math.prod(math.factorial(v) for v in kind) * total, "permanent")
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +153,8 @@ class PolykaySample:
         try:
             sums = tuple(sum(v ** k for v in vals) for k in range(1, 5))
         except OverflowError:  # float ** int raises where float * float gives inf
-            sums = (math.inf,)
-        if not all(math.isfinite(s) for s in sums):
-            raise NumericalError("the power sums of the eigenvalues overflow")
-        return cls(len(vals), sums)
+            sums = (math.inf,) * 4
+        return cls(len(vals), tuple(finite(s, "a power sum of the eigenvalues") for s in sums))
 
 
 def polykay(sample: PolykaySample, order: int) -> float:
@@ -173,9 +169,7 @@ def polykay(sample: PolykaySample, order: int) -> float:
         value = _polykay(sample.size, *sample.power_sums, order)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise NumericalError(f"the polykay of order {order} overflows")
-    return value
+    return finite(value, f"the polykay of order {order}")
 
 
 def _polykay(m: int, s1: float, s2: float, s3: float, s4: float, order: int) -> float:

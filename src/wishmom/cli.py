@@ -361,6 +361,8 @@ def _cmd_necklaces(doc, args):
 
 def _cmd_mc_verify(doc, args):
     seed = budgets.integer(args.seed, "--seed")
+    if args.n2 is not None and budgets.integer(args.n2, "--n2") < 1:
+        raise ValidationError(f"--n2 must be >= 1: {args.n2}")
     params = _params_from(doc, "standard")
     from . import mc, model
 

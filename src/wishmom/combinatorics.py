@@ -34,13 +34,12 @@ one step per partition, with no recursion copying a prefix.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 from .budgets import check_necklace_weight, check_permutation_degree, integer, integer_tuple
-from .errors import DimensionMismatchError, NumericalError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, finite
 
 
 def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
@@ -339,12 +338,9 @@ def partition_sum(partitions, base, weight) -> complex:
                 term = term * base[part] ** r
                 den *= math.factorial(r)
             terms.append(term / den)
-    except OverflowError as exc:
-        raise NumericalError(f"partition sum overflows: {exc}") from exc
-    total = complex_fsum(terms)
-    if not cmath.isfinite(total):
-        raise NumericalError(f"partition sum overflows: {total}")
-    return total
+    except OverflowError:  # a Python power raises where a product gives inf
+        terms = [math.inf]
+    return finite(complex_fsum(terms), "partition sum")
 
 
 def _shift_pairs(shape):
@@ -433,12 +429,9 @@ def compose_series(table, kind, weight) -> complex:
                     terms.append(weight(l) * power[-1])
                 # C order: reversing the flat grid reverses every axis
                 terms.append(weight(top) * np.dot(flat, power[::-1]) / top)
-    except OverflowError as exc:
-        raise NumericalError(f"series composition overflows: {exc}") from exc
-    total = complex_fsum(terms)
-    if not cmath.isfinite(total):
-        raise NumericalError(f"series composition overflows: {total}")
-    return total
+    except OverflowError:  # a Python power in `weight` raises where numpy gives inf
+        terms = [math.inf]
+    return finite(complex_fsum(terms), "series composition")
 
 
 # ---------------------------------------------------------------------------

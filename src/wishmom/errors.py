@@ -1,10 +1,17 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one overflow rule.
 
 Three branches matter to callers (and to the CLI exit-code mapping):
 ``ValidationError`` for bad inputs, ``NumericalError`` for conditions
 detected during computation, and ``BudgetExceededError`` for enumeration
 requests beyond the configured size limits.
+
+Every input is checked finite, so a closed form that yields inf or nan
+has overflowed.  Every public route that returns a closed form's number
+returns it through `finite`: the number as computed, or NumericalError
+naming what overflowed.  No other code reports an overflow.
 """
+
+import cmath
 
 
 class WishmomError(Exception):
@@ -50,3 +57,11 @@ class NotPSDError(NumericalError):
 
 class BudgetExceededError(WishmomError):
     """Requested enumeration exceeds the configured budget."""
+
+
+def finite(value, what: str):
+    """`value` itself when it is finite; otherwise NumericalError
+    "<what> overflows: <value>"."""
+    if cmath.isfinite(value):
+        return value
+    raise NumericalError(f"{what} overflows: {value}")

@@ -21,19 +21,40 @@ from .errors import (
 PIVOT_RTOL = 1e-12
 HERMITIAN_RTOL = 1e-10
 
+# an overflow leaves inf/nan in an array, which the closed forms report
+# through `errors.finite`; numpy's own warning would only repeat it on
+# stderr.  Used only as a decorator: that keeps its state per call, where
+# one instance entered twice by `with` raises.
+quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 def as_matrix(a) -> np.ndarray:
     """Validate and convert to a non-empty square complex128 array (copy).
-    Anything numpy cannot read as a complex array raises ValidationError."""
+    Anything numpy cannot read as a complex array raises ValidationError,
+    and any other shape DimensionMismatchError."""
     try:
         m = np.array(a, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"expected a matrix of numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValidationError(f"expected a non-empty square matrix, got shape {m.shape}")
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
     return m
+
+
+def square_matrices(items, p) -> list[np.ndarray]:
+    """Each of `items` read by `as_matrix`: at least one matrix, every one
+    p x p, or all of one size when p is None; otherwise
+    DimensionMismatchError.  The one reader of a list of direction
+    matrices or trace-word factors."""
+    mats = [as_matrix(a) for a in items]
+    sizes = {len(a) for a in mats}
+    if len(sizes) != 1:
+        raise DimensionMismatchError(f"need square matrices of one size: {sorted(sizes)}")
+    if p not in (None, *sizes):
+        raise DimensionMismatchError("direction matrices must match params dimension")
+    return mats
 
 
 def mat_norm(a) -> float:

@@ -276,14 +276,6 @@ def _trace_batches(params: WishartParams, gen, n_samples):
         remaining -= c
 
 
-def _direction_matrices(params: WishartParams, h) -> list[np.ndarray]:
-    """The direction matrices of h, each validated and p x p."""
-    hs = [matrix_core.as_matrix(hk) for hk in h]
-    if any(hk.shape[0] != params.p for hk in hs):
-        raise DimensionMismatchError("direction matrices must match params dimension")
-    return hs
-
-
 def _gram(x: np.ndarray) -> np.ndarray:
     """W = X^H X per draw, from stacked rows (c, n, p)."""
     return x.conj().transpose(0, 2, 1) @ x
@@ -320,7 +312,7 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     """
     if integer(n_samples, "n_samples") < 1:
         raise ValidationError("n_samples must be >= 1")
-    hs = _direction_matrices(params, h)
+    hs = matrix_core.square_matrices(h, params.p)
     kind = integer_tuple(i, "index")
     if len(kind) != len(hs):
         raise DimensionMismatchError("index length must match len(h)")
@@ -346,7 +338,7 @@ def estimate_generalized_moment(params: WishartParams, h,
     """
     if integer(n_samples, "n_samples") < 1:
         raise ValidationError("n_samples must be >= 1")
-    hs = _direction_matrices(params, h)
+    hs = matrix_core.square_matrices(h, params.p)
     sigma_perm = CyclePermutation.checked(sigma_perm, len(hs))
     cycles = [[hs[j - 1] for j in cyc] for cyc in sigma_perm.cycles]
     gen = _as_generator(rng)

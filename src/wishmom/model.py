@@ -53,6 +53,7 @@ class TraceCache:
         return self.s[i - 1]
 
 
+@matrix_core.quiet
 def _compute_cache(sigma: np.ndarray, m_matrix: np.ndarray, depth: int) -> TraceCache:
     """T_1..T_depth and S_1..S_depth in one stacked pass.
 
@@ -63,12 +64,9 @@ def _compute_cache(sigma: np.ndarray, m_matrix: np.ndarray, depth: int) -> Trace
     """
     powers = np.empty((2, depth) + sigma.shape, dtype=complex)
     powers[0, 0], powers[1, 0] = sigma, m_matrix
-    # an overflow leaves inf/nan in the cache, which the closed forms report
-    # as a NumericalError; numpy's own warning would only repeat it on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, depth):
-            np.matmul(powers[:, k - 1], sigma, out=powers[:, k])
-        t, s = np.trace(powers, axis1=2, axis2=3).tolist()
+    for k in range(1, depth):
+        np.matmul(powers[:, k - 1], sigma, out=powers[:, k])
+    t, s = np.trace(powers, axis1=2, axis2=3).tolist()
     return TraceCache(tuple(t), tuple(s))
 
 

@@ -73,23 +73,14 @@ from .combinatorics import (
     necklaces_of_kind,
     partition_sum,
 )
-from .errors import DimensionMismatchError, InsufficientOrdersError, ValidationError
+from .errors import DimensionMismatchError, InsufficientOrdersError, ValidationError, finite
 from .model import WishartParams
 from .univariate import CUMULANTS, MomentSequence
-
-# an overflow leaves inf/nan in a table, which the closed forms report as a
-# NumericalError; numpy's own warning would only repeat it on stderr.  Each
-# public route that builds a table enters it once.
-_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def _directions(params: WishartParams, h) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """([H_1, ..., H_m], [Sigma H_1, ..., Sigma H_m]) from one validation of h."""
-    hs = [matrix_core.as_matrix(hk) for hk in h]
-    if not hs:
-        raise ValidationError("need at least one direction matrix")
-    if any(hk.shape[0] != params.p for hk in hs):
-        raise DimensionMismatchError("direction matrices must match params dimension")
+    hs = matrix_core.square_matrices(h, params.p)
     return hs, [params.sigma @ hk for hk in hs]
 
 
@@ -159,7 +150,7 @@ def _tables(factors, heads, kind) -> tuple[np.ndarray, np.ndarray]:
     with 0 at the origin, from one pass of the string sums S:
     rho[v] = Tr S[v] / |v|, and eta[v] = sum_k Tr(heads[k] S[v - e_k]),
     every string of kind v led by its first letter's head.  No heads give
-    eta = 0 with no pass over S.  The caller holds `_quiet`."""
+    eta = 0 with no pass over S.  The caller holds `matrix_core.quiet`."""
     s = _string_sums(factors, kind)
     m = len(kind)
     weight = sum(np.arange(c + 1).reshape((-1,) + (1,) * (m - 1 - k)) for k, c in enumerate(kind))
@@ -172,24 +163,22 @@ def _tables(factors, heads, kind) -> tuple[np.ndarray, np.ndarray]:
     return rho, eta
 
 
-@_quiet
+@matrix_core.quiet
 def rho_table(factors, kind) -> np.ndarray:
     """rho of every sub-index of `kind` on the trace-word factors
     (Sigma H_1, ..., Sigma H_m): an array of shape kind + 1, with
     rho[v] = Tr S[v] / |v| and 0 at the origin.
 
     `kind` is read by `integer_tuple` and capped by `check_joint_weight`;
-    one factor per component of `kind`, every factor a square matrix of
-    one size, or DimensionMismatchError.  The factors are not copied."""
+    one factor per component of `kind`, the factors read by
+    `matrix_core.square_matrices` (square matrices of numbers, of one
+    size), or ValidationError / DimensionMismatchError."""
     kind = integer_tuple(kind, "kind")
     check_joint_weight(sum(kind))
     if len(factors) != len(kind):
         raise DimensionMismatchError(
             f"{len(factors)} factors for a kind of {len(kind)} components")
-    shapes = {np.shape(a) for a in factors}
-    if len(shapes) != 1 or any(len(sh) != 2 or sh[0] != sh[1] for sh in shapes):
-        raise DimensionMismatchError(f"factors must be square matrices of one size: {shapes}")
-    return _tables(factors, (), kind)[0]
+    return _tables(matrix_core.square_matrices(factors, None), (), kind)[0]
 
 
 def _base_tables(params: WishartParams, h, kind) -> tuple[np.ndarray, np.ndarray]:
@@ -200,6 +189,7 @@ def _base_tables(params: WishartParams, h, kind) -> tuple[np.ndarray, np.ndarray
     return _tables(sh, () if params.is_central else _heads(params, hs), kind)
 
 
+@matrix_core.quiet
 def rho_moment(params: WishartParams, h, i) -> complex:
     """Central base moment rho[i], grouped over necklaces of kind i.
 
@@ -207,18 +197,20 @@ def rho_moment(params: WishartParams, h, i) -> complex:
     """
     kind = _nonzero_kind(i, h, "rho_moment")
     sh = _directions(params, h)[1]
-    return complex_fsum(np.trace(_word_product(sh, neck.representative)) / neck.repetitions
-                        for neck in necklaces_of_kind(kind))
+    return finite(complex_fsum(np.trace(_word_product(sh, neck.representative)) / neck.repetitions
+                               for neck in necklaces_of_kind(kind)), "rho moment")
 
 
+@matrix_core.quiet
 def rho_moment_strings(params: WishartParams, h, i) -> complex:
     """rho as (1/|i|) times the sum over all strings of kind i, read from
     `rho_table` (the sub-index recursion, no string enumeration)."""
     kind = _nonzero_kind(i, h, "rho_moment_strings")
     check_joint_weight(sum(kind))
-    return complex(rho_table(_directions(params, h)[1], kind)[kind])
+    return finite(complex(rho_table(_directions(params, h)[1], kind)[kind]), "rho moment")
 
 
+@matrix_core.quiet
 def eta_moment(params: WishartParams, h, i) -> complex:
     """Non-centrality base moment eta[i] in the paper's form; needs Omega
     explicitly, under either convention.
@@ -231,18 +223,18 @@ def eta_moment(params: WishartParams, h, i) -> complex:
     kind = _nonzero_kind(i, h, "eta_moment")
     hs, sh = _directions(params, h)
     factors = sh if params.convention == "paper" else [hk @ params.sigma for hk in hs]
-    return complex_fsum(np.trace(_word_product(factors, rot, left=params.noncentrality()))
-                        for neck in necklaces_of_kind(kind)
-                        for rot in necklace_rotations(neck))
+    return finite(complex_fsum(np.trace(_word_product(factors, rot, left=params.noncentrality()))
+                               for neck in necklaces_of_kind(kind)
+                               for rot in necklace_rotations(neck)), "eta moment")
 
 
-@_quiet
+@matrix_core.quiet
 def eta_moment_strings(params: WishartParams, h, i) -> complex:
     """eta as the sum over all strings of kind i, read from the head-led
     recursion (no string enumeration)."""
     kind = _nonzero_kind(i, h, "eta_moment_strings")
     check_joint_weight(sum(kind))
-    return complex(_base_tables(params, h, kind)[1][kind])
+    return finite(complex(_base_tables(params, h, kind)[1][kind]), "eta moment")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,7 @@ def _cumulant_table(params: WishartParams, h, kind) -> np.ndarray:
     return params.n * rho + params.sign * eta
 
 
-@_quiet
+@matrix_core.quiet
 def joint_moment(params: WishartParams, h, i) -> complex:
     """E[prod_j Tr(W H_j)^{i_j}].
 
@@ -274,10 +266,11 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     if weight == 0:
         return 1.0 + 0.0j
     table = _cumulant_table(params, h, kind)
-    return _index_factorial(kind) * partition_sum(multiindex_partitions(kind), table, lambda l: 1)
+    return finite(_index_factorial(kind) * partition_sum(
+        multiindex_partitions(kind), table, lambda l: 1), "joint moment")
 
 
-@_quiet
+@matrix_core.quiet
 def joint_cumulant(params: WishartParams, h, i) -> complex:
     """Cum_i(Tr[W H_1], ..., Tr[W H_m]) = i! (n rho[i] + sign eta[i]).
 
@@ -285,10 +278,11 @@ def joint_cumulant(params: WishartParams, h, i) -> complex:
     """
     kind = _nonzero_kind(i, h, "joint cumulant")
     check_joint_weight(sum(kind))
-    return _index_factorial(kind) * complex(_cumulant_table(params, h, kind)[kind])
+    return finite(_index_factorial(kind) * complex(_cumulant_table(params, h, kind)[kind]),
+                  "joint cumulant")
 
 
-@_quiet
+@matrix_core.quiet
 def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
                               params: WishartParams, h, i) -> complex:
     """Joint cumulant when the central block's index is randomized.
@@ -316,7 +310,8 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
             f"alpha carries {alpha_cumulants.depth} orders, need {weight}")
     rho, eta = _base_tables(params, h, kind)
     total = compose_series(rho, kind, alpha_cumulants.order)
-    return _index_factorial(kind) * (total + params.sign * complex(eta[kind]))
+    return finite(_index_factorial(kind) * (total + params.sign * complex(eta[kind])),
+                  "randomized joint cumulant")
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +331,19 @@ def _group_action_sum(base, sigma_images, cycle_value) -> complex:
     cycle_value(c), with the cycles 0-based positions of sigma_images."""
     m = len(sigma_images)
     terms = []
-    for tau in itertools.permutations(range(m)):
-        inv = [0] * m
-        for a, b in enumerate(tau):
-            inv[b] = a
-        comp = tuple(sigma_images[inv[j]] for j in range(m))
-        term = base ** len(cycles_of_images(comp))
-        for c in cycles_of_images(tau):
-            term = term * cycle_value(c)
-        terms.append(term)
-    return complex_fsum(terms)
+    try:
+        for tau in itertools.permutations(range(m)):
+            inv = [0] * m
+            for a, b in enumerate(tau):
+                inv[b] = a
+            comp = tuple(sigma_images[inv[j]] for j in range(m))
+            term = base ** len(cycles_of_images(comp))
+            for c in cycles_of_images(tau):
+                term = term * cycle_value(c)
+            terms.append(term)
+    except OverflowError:  # a float power raises where a product gives inf
+        terms = [math.inf]
+    return finite(complex_fsum(terms), "generalized moment")
 
 
 def _genmom_cycles(n, sh, sigma_images) -> complex:
@@ -383,12 +381,14 @@ def _restrict(sigma_cycles, *factor_lists):
     return (tuple(images), *([f[j] for j in positions] for f in factor_lists))
 
 
+@matrix_core.quiet
 def central_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> complex:
     """E[prod over cycles c of sigma of Tr(prod_{j in c} W_central H_j)]."""
     images = _product_images(h, sigma_perm)
     return _genmom_cycles(params.n, _directions(params, h)[1], images)
 
 
+@matrix_core.quiet
 def a_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> complex:
     """Generalized moment of the formal non-centrality component A.
 
@@ -471,6 +471,7 @@ class GeneralizedMomentExpansion:
         return not self.symbolic_factors
 
 
+@matrix_core.quiet
 def generalized_moment_expansion(params: WishartParams, h,
                                  sigma_perm: CyclePermutation) -> GeneralizedMomentExpansion:
     """Expand E[prod over cycles of Tr(prod_j W H_j)] over all 2^k
@@ -540,5 +541,5 @@ def generalized_moment_expansion(params: WishartParams, h,
             evaluated.append(value)
         terms.append(ExpansionTerm(tuple(factors), value))
 
-    return GeneralizedMomentExpansion(tuple(terms), complex_fsum(evaluated),
-                                      tuple(symbolic.values()))
+    total = finite(complex_fsum(evaluated), "generalized moment")
+    return GeneralizedMomentExpansion(tuple(terms), total, tuple(symbolic.values()))

@@ -23,7 +23,6 @@ change (ROADMAP.md).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,12 +39,7 @@ from .combinatorics import (
     integer_partitions,
     partition_sum,
 )
-from .errors import (
-    DimensionMismatchError,
-    InsufficientOrdersError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, InsufficientOrdersError, ValidationError, finite
 from .model import WishartParams, build
 
 MOMENTS = "moments"
@@ -94,11 +88,13 @@ class MomentSequence:
         return cls((0,) + tuple(orders_1_up), CUMULANTS)
 
 
-def _exponential_table(x) -> list:
-    """[0, x_1 / 1!, ..., x_i / i!] from x[k-1] = x_k: the table whose
-    composition, times i!, is the d_lambda-weighted partition sum
-    sum_lambda d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j}."""
-    return [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
+def _exponential_composition(x, i: int, weight) -> complex:
+    """The d_lambda-weighted partition sum over the partitions of i,
+    sum_lambda d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j} from
+    x[k-1] = x_k: i! times the composition (`compose_series`) on the table
+    [0, x_1 / 1!, ..., x_i / i!]."""
+    table = [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
+    return math.factorial(i) * compose_series(table, (i,), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +114,8 @@ def central_moment(params: WishartParams, i: int) -> complex:
     cache = params.trace_cache(i)
     cyc = [cyclic_polynomial([cache.t_power(k) for k in range(1, j + 1)])
            for j in range(1, i + 1)]
-    return math.factorial(i) * compose_series(
-        _exponential_table(cyc), (i,), lambda l: falling_factorial(params.n, l))
+    return finite(_exponential_composition(cyc, i, lambda l: falling_factorial(params.n, l)),
+                  f"central moment of order {i}")
 
 
 def central_cumulant(params: WishartParams, i: int) -> complex:
@@ -128,7 +124,8 @@ def central_cumulant(params: WishartParams, i: int) -> complex:
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
     cache = params.trace_cache(i)
-    return params.n * math.factorial(i - 1) * cache.t_power(i)
+    return finite(params.n * math.factorial(i - 1) * cache.t_power(i),
+                  f"central cumulant of order {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +141,11 @@ def noncentral_cumulant(params: WishartParams, i: int) -> complex:
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
     cache = params.trace_cache(i)
-    return (params.n * math.factorial(i - 1) * cache.t_power(i)
-            + params.sign * math.factorial(i) * cache.s_power(i))
+    return finite(params.n * math.factorial(i - 1) * cache.t_power(i)
+                  + params.sign * math.factorial(i) * cache.s_power(i), f"cumulant of order {i}")
 
 
+@matrix_core.quiet
 def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
     """Cum_i(Tr W) through the eigenvalues of Sigma.
 
@@ -162,7 +160,7 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
     d = np.diagonal(q.conj().T @ params.m_matrix @ q)
     total = sum(params.n * theta[j] ** i + params.sign * i * d[j] * theta[j] ** (i - 1)
                 for j in range(params.p))
-    return math.factorial(i - 1) * complex(total)
+    return finite(math.factorial(i - 1) * complex(total), f"cumulant of order {i}")
 
 
 def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
@@ -183,7 +181,8 @@ def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
 
 def _sheffer_moment(a_part, r_part, i: int) -> complex:
     """i! sum_{j+k=i} A_j R_k, i >= 1, from the lists of `_sheffer_parts`."""
-    return math.factorial(i) * complex_fsum(a_part[j] * r_part[i - j] for j in range(i + 1))
+    total = complex_fsum(a_part[j] * r_part[i - j] for j in range(i + 1))
+    return finite(math.factorial(i) * total, f"moment of order {i}")
 
 
 def _sheffer_moments(params: WishartParams, i_max: int) -> list[complex]:
@@ -216,17 +215,7 @@ def noncentral_moment_bell(params: WishartParams, i: int) -> complex:
     i = check_moment_order(i)
     params.trace_cache(i)  # one extension to order i, not one per order
     cums = [noncentral_cumulant(params, k) for k in range(1, i + 1)]
-    return complex(complete_bell(cums))
-
-
-def _finite(values: list, what: str) -> list:
-    """`values` (orders 1, 2, ...), or NumericalError at the first that
-    overflowed: an overflow is a numerical failure, not an invalid
-    sequence."""
-    for k, v in enumerate(values, 1):
-        if not cmath.isfinite(v):
-            raise NumericalError(f"{what} of order {k} overflows: {v}")
-    return values
+    return finite(complex(complete_bell(cums)), f"moment of order {i}")
 
 
 def cumulant_sequence(params: WishartParams, i_max: int) -> MomentSequence:
@@ -235,8 +224,8 @@ def cumulant_sequence(params: WishartParams, i_max: int) -> MomentSequence:
     order overflows."""
     i_max = check_cumulant_order(i_max)
     params.trace_cache(i_max)  # one extension to i_max, not one per order
-    return MomentSequence.from_cumulants(_finite(
-        [noncentral_cumulant(params, k) for k in range(1, i_max + 1)], "cumulant"))
+    return MomentSequence.from_cumulants(
+        [noncentral_cumulant(params, k) for k in range(1, i_max + 1)])
 
 
 def moment_sequence(params: WishartParams, i_max: int) -> MomentSequence:
@@ -246,7 +235,7 @@ def moment_sequence(params: WishartParams, i_max: int) -> MomentSequence:
     up to i_max, and every order is one convolution of them.  Raises
     NumericalError when an order overflows."""
     i_max = check_moment_order(i_max)
-    return MomentSequence.from_moments(_finite(_sheffer_moments(params, i_max)[1:], "moment"))
+    return MomentSequence.from_moments(_sheffer_moments(params, i_max)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +265,8 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
     draw_cums = [math.factorial(k - 1) * cache.t_power(k)
                  + params.sign * math.factorial(k) * cache.s_power(k)
                  for k in range(1, i + 1)]
-    return math.factorial(i) * compose_series(_exponential_table(draw_cums), (i,), alpha.order)
+    return finite(_exponential_composition(draw_cums, i, alpha.order),
+                  f"randomized moment of order {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +300,8 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     for i in range(1, i_max + 1):
         mom = noncentral_moment(params, i)
         # every term but the head p * e_i, which vanishes at e_i = 0
-        rest = math.factorial(i) * compose_series(
-            _exponential_table(e[1:] + [0.0]), (i,), lambda l: p ** l)
-        e.append((mom - rest) / p)
+        rest = _exponential_composition(e[1:] + [0.0], i, lambda l: p ** l)
+        e.append(finite((mom - rest) / p, f"normalized moment of order {i}"))
     return MomentSequence(tuple(e), MOMENTS)
 
 
@@ -330,8 +319,8 @@ def compose_normalized_moments(e: MomentSequence, p: int, i: int) -> complex:
         raise ValidationError(f"p is a matrix dimension, a positive integer: {p}")
     if i == 0:
         return 1.0 + 0.0j
-    return math.factorial(i) * compose_series(
-        _exponential_table([e.order(k) for k in range(1, i + 1)]), (i,), lambda l: p ** l)
+    return finite(_exponential_composition([e.order(k) for k in range(1, i + 1)], i,
+                                           lambda l: p ** l), f"moment of order {i}")
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,22 @@ def test_overflow_exits_3(tmp_path, capsys, args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("args, doc", [
+    (["generalized", "--index", "1,2"],
+     {"n": 1e200, "sigma": {"re": [[1, 0], [0, 1]]}, "h": [{"re": [[1, 0], [0, 1]]}] * 2}),
+    (["permanent", "--d", "1e100"], {"sigma": {"re": np.eye(4).tolist()}}),
+])
+def test_python_power_overflow_exits_3(tmp_path, capsys, args, doc):
+    # n ** 2 and d ** 4 overflow in a Python power, which raises
+    # OverflowError where numpy gives inf: a numerical error, not a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main([args[0], str(path), *args[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows" in captured.err
+
+
 @pytest.mark.parametrize("command", ["moments", "cumulants"])
 def test_sequence_overflow_exits_3(tmp_path, capsys, command):
     # only the order-20 entry overflows (the moment in its final
@@ -330,6 +346,8 @@ def test_mc_verify_command(tmp_path):
     (["moments"], {"n": "3"}, None),
     (["moments"], {"n": None}, None),
     (["moments"], {"n": [3]}, None),
+    (["mc-verify", "--n2", "0"], {}, None),
+    (["mc-verify", "--n2", "-2"], {}, None),
 ])
 def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     doc = {"n": 3, "sigma": matrix_doc(np.eye(2)), "h": [matrix_doc(np.eye(2))],
@@ -341,6 +359,8 @@ def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     code, out = run([args[0], str(path), *args[1:]])
     assert code == 2
     assert out.startswith("validation error")
+    if "--n2" in args:
+        assert "--n2" in out
 
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,10 @@ def test_central_tables_form_no_heads(monkeypatch):
     ([np.eye(2)], (1, 1), DimensionMismatchError),
     ([], (), DimensionMismatchError),
     ([np.eye(2)], (11,), BudgetExceededError),
+    ([[[1.0, 0.0], [0.0]]], (1,), ValidationError),
+    ([[["a", "b"], ["c", "d"]]], (1,), ValidationError),
 ], ids=["negative", "fraction", "bool", "non-square", "three-axis", "two-sizes",
-        "extra-factor", "missing-factor", "no-factor", "over-budget"])
+        "extra-factor", "missing-factor", "no-factor", "over-budget", "ragged", "strings"])
 def test_rho_table_checks_its_request_before_any_numeric_work(monkeypatch, factors, kind,
                                                               error):
     def refuse(*args, **kwargs):
