@@ -17,6 +17,7 @@ import numpy as np
 
 from . import matrix_core
 from .budgets import check_joint_weight, check_permanent_dimension, integer, integer_tuple
+from .choices import POLYKAY_ORDERS
 from .combinatorics import complex_fsum, compose_series, cycles_of_images
 from .errors import DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite
 from .multivariate import rho_table
@@ -160,11 +161,18 @@ class PolykaySample:
 def polykay(sample: PolykaySample, order: int) -> float:
     """Spectral polykay estimators of the first four normalized cumulants.
 
-    Unbiased in the spectral-sampling sense and inherited under Haar
-    compression; shift semi-invariant for orders >= 2 and homogeneous of
-    degree `order`.  A value that overflows raises NumericalError.
+    Shift semi-invariant for orders >= 2 and homogeneous of degree
+    `order`.  Orders 1 to 3 are inherited under Haar compression: their
+    expectation on a compression equals their expectation on the whole
+    matrix.  Order 4 is not: its exact expectation, from the generalized
+    moments of `central_product_moment`, is 1.6807 on W(7, 0.7 I_6) and
+    2.52105 on W(7, 0.7 I_4), the law of a 4 x 4 principal minor.  An
+    order outside 1..4 raises ValidationError, and a value that overflows
+    NumericalError.
     """
     order = integer(order, "order")
+    if order not in POLYKAY_ORDERS:
+        raise ValidationError(f"order must be 1..4: {order}")
     try:
         value = _polykay(sample.size, *sample.power_sums, order)
     except OverflowError:
@@ -184,10 +192,9 @@ def _polykay(m: int, s1: float, s2: float, s3: float, s4: float, order: int) -> 
             raise DegenerateSampleSizeError("order 3 needs a sample of size >= 3")
         return 2 * (2 * s1 ** 3 - 3 * m * s1 * s2 + m ** 2 * s3) / (
             m * (m ** 2 - 1) * (m ** 2 - 4))
-    if order == 4:
-        if m < 4:
-            raise DegenerateSampleSizeError("order 4 needs a sample of size >= 4")
-        return 6 * (-5 * s1 ** 4 + 10 * m * s1 ** 2 * s2 + (3 - 2 * m ** 2) * s2 ** 2
-                    - (4 + 4 * m ** 2) * s1 * s3 + (m + m ** 3) * s4) / (
-            m ** 2 * (m ** 2 - 1) * (m ** 2 - 4) * (m ** 2 - 9))
-    raise ValidationError(f"order must be 1..4: {order}")
+    # order 4, the last of POLYKAY_ORDERS
+    if m < 4:
+        raise DegenerateSampleSizeError("order 4 needs a sample of size >= 4")
+    return 6 * (-5 * s1 ** 4 + 10 * m * s1 ** 2 * s2 + (3 - 2 * m ** 2) * s2 ** 2
+                - (4 + 4 * m ** 2) * s1 * s3 + (m + m ** 3) * s4) / (
+        m ** 2 * (m ** 2 - 1) * (m ** 2 - 4) * (m ** 2 - 9))

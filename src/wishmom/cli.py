@@ -40,7 +40,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__, budgets
-from .choices import CONVENTIONS, IDENTITIES
+from .choices import CONVENTIONS, IDENTITIES, POLYKAY_ORDERS
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -325,6 +325,8 @@ def _cmd_polykay(doc, args):
     if "sigma" not in doc:
         raise ValidationError("polykay needs a Hermitian matrix in 'sigma'")
     orders = _orders(args)
+    if args.order not in POLYKAY_ORDERS:
+        raise ValidationError(f"--order must be 1..4 for polykay: {args.order}")
     x = _matrix_from(doc["sigma"], "sigma")
     from . import applications, matrix_core
 

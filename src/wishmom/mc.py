@@ -59,6 +59,7 @@ from .errors import (
     NonIntegerNError,
     NotPSDError,
     ValidationError,
+    finite,
 )
 from .model import WishartParams, build
 
@@ -139,6 +140,26 @@ def _estimate(values: np.ndarray) -> Estimate:
     n, mean = values.size, complex(values.mean())
     m2 = float((np.abs(values - mean) ** 2).sum())
     return Estimate(mean, _std_error(m2, n), n)
+
+
+def _checked(est: Estimate, what: str) -> Estimate:
+    """`est` when its mean and standard error are finite; otherwise
+    NumericalError "<what> overflows" (`errors.finite`)."""
+    finite(est.mean, what)
+    finite(est.std_error, f"the standard error of the {what}")
+    return est
+
+
+def _pooled(batches, what: str) -> Estimate:
+    """The Estimate pooled over batches of values by Estimate.merge, through
+    `_checked`.  The caller holds `matrix_core.quiet`."""
+    est = Estimate(0j, 0.0, 0)
+    try:
+        for values in batches:
+            est = est.merge(_estimate(values))
+    except OverflowError:  # a float power raises where a product gives inf
+        est = Estimate(complex(math.inf), math.inf, est.n_samples)
+    return _checked(est, what)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +325,13 @@ def sample_wishart(params: WishartParams, means=None, rng=None) -> np.ndarray:
 # estimators
 # ---------------------------------------------------------------------------
 
+@matrix_core.quiet
 def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estimate:
     """Sample mean and standard error of prod_j Tr(W H_j)^{i_j}.
 
     Intended for n_samples in the thousands or more; the estimate is
     reproducible bit-exactly for a fixed (seed, stream_id, n_samples).
+    A mean or standard error that overflows raises NumericalError.
     """
     if integer(n_samples, "n_samples") < 1:
         raise ValidationError("n_samples must be >= 1")
@@ -317,16 +340,19 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     if len(kind) != len(hs):
         raise DimensionMismatchError("index length must match len(h)")
     gen = _as_generator(rng)
-    est = Estimate(0j, 0.0, 0)
-    for x in _row_batches(params, None, gen, n_samples):
-        vals = np.ones(x.shape[0], dtype=complex)
-        for hk, ik in zip(hs, kind):
-            if ik:
-                vals *= _row_direction_traces(x, hk) ** ik
-        est = est.merge(_estimate(vals))
-    return est
+
+    def batches():
+        for x in _row_batches(params, None, gen, n_samples):
+            vals = np.ones(x.shape[0], dtype=complex)
+            for hk, ik in zip(hs, kind):
+                if ik:
+                    vals *= _row_direction_traces(x, hk) ** ik
+            yield vals
+
+    return _pooled(batches(), "joint moment estimate")
 
 
+@matrix_core.quiet
 def estimate_generalized_moment(params: WishartParams, h,
                                 sigma_perm: CyclePermutation,
                                 n_samples, rng) -> Estimate:
@@ -334,7 +360,8 @@ def estimate_generalized_moment(params: WishartParams, h,
 
     W itself is samplable even though its formal non-centrality component
     alone is not, so this estimates the full quantity that the symbolic
-    expansion decomposes.
+    expansion decomposes.  A mean or standard error that overflows raises
+    NumericalError.
     """
     if integer(n_samples, "n_samples") < 1:
         raise ValidationError("n_samples must be >= 1")
@@ -342,19 +369,21 @@ def estimate_generalized_moment(params: WishartParams, h,
     sigma_perm = CyclePermutation.checked(sigma_perm, len(hs))
     cycles = [[hs[j - 1] for j in cyc] for cyc in sigma_perm.cycles]
     gen = _as_generator(rng)
-    est = Estimate(0j, 0.0, 0)
-    for x in _row_batches(params, None, gen, n_samples):
-        vals = np.ones(x.shape[0], dtype=complex)
-        w = None
-        for factors in cycles:
-            if len(factors) == 1:
-                vals *= _row_direction_traces(x, factors[0])
-                continue
-            if w is None:
-                w = _gram(x)
-            vals *= _cycle_trace(w, factors)
-        est = est.merge(_estimate(vals))
-    return est
+
+    def batches():
+        for x in _row_batches(params, None, gen, n_samples):
+            vals = np.ones(x.shape[0], dtype=complex)
+            w = None
+            for factors in cycles:
+                if len(factors) == 1:
+                    vals *= _row_direction_traces(x, factors[0])
+                    continue
+                if w is None:
+                    w = _gram(x)
+                vals *= _cycle_trace(w, factors)
+            yield vals
+
+    return _pooled(batches(), "generalized moment estimate")
 
 
 def _cycle_trace(w: np.ndarray, factors) -> np.ndarray:
@@ -387,12 +416,14 @@ def _power_sums(batches_of_values, k_max: int) -> np.ndarray:
     return raw
 
 
+@matrix_core.quiet
 def estimate_trace_cumulants(params: WishartParams, i_max: int,
                              n_samples, rng) -> list[Estimate]:
     """MC estimates of Cum_1..Cum_{i_max} of Tr W (i_max <= 3).
 
     Cumulants are estimated through bias-corrected central moments of the
     (real) trace samples, with large-sample delta-method standard errors.
+    An estimate or standard error that overflows raises NumericalError.
     """
     i_max = integer(i_max, "i_max")
     if not 1 <= i_max <= 3:
@@ -404,11 +435,11 @@ def estimate_trace_cumulants(params: WishartParams, i_max: int,
     raw = _power_sums(_trace_batches(params, gen, n_samples), 6)
     n = raw[0]
     mean = raw[1] / n
-    # central moments m_k = E[(x - mean)^k]
+    # central moments m_k = E[(x - mean)^k], numpy scalars like every
+    # number below: an overflow gives inf or nan, never OverflowError
     cm = [1.0, 0.0]
     for k in range(2, 7):
-        s = sum(math.comb(k, j) * raw[j] / n * (-mean) ** (k - j) for j in range(k + 1))
-        cm.append(float(s))
+        cm.append(sum(math.comb(k, j) * raw[j] / n * (-mean) ** (k - j) for j in range(k + 1)))
     out = [Estimate(mean, math.sqrt(max(cm[2], 0.0) / n), int(n))]
     if i_max >= 2:
         k2 = n / (n - 1) * cm[2]
@@ -418,7 +449,7 @@ def estimate_trace_cumulants(params: WishartParams, i_max: int,
         k3 = n ** 2 / ((n - 1) * (n - 2)) * cm[3]
         var_k3 = max(cm[6] - cm[3] ** 2 - 6 * cm[2] * cm[4] + 9 * cm[2] ** 3, 0.0) / n
         out.append(Estimate(k3, math.sqrt(var_k3), int(n)))
-    return out
+    return [_checked(est, f"trace cumulant {k} estimate") for k, est in enumerate(out, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +526,7 @@ def haar_compression(x, m: int, rng) -> PolykaySample:
 # distributional identity checks
 # ---------------------------------------------------------------------------
 
+@matrix_core.quiet
 def distribution_identity_check(params1: WishartParams, params2: WishartParams,
                                 identity: str, n_samples, rng) -> dict:
     """Compare Tr W(n1+n2, Sigma, M1+M2) against the independent sum
@@ -505,6 +537,7 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
     any split of M.  Returns a JSON-ready report with per-order z-scores
     of lhs - rhs, and each side's standard error so that either side can
     also be tested against the exact moments of Tr W(n1+n2, Sigma, M1+M2).
+    A number of the report that overflows raises NumericalError.
     """
     if identity not in IDENTITIES:
         raise ValidationError(f"identity must be one of {IDENTITIES}: {identity!r}")
@@ -537,6 +570,7 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
 
     orders = []
     for k in range(1, 5):
+        # numpy scalars: an overflow gives inf or nan here, never OverflowError
         ml, mr = raw_l[k] / n_samples, raw_r[k] / n_samples
         vl = max(raw_l[2 * k] / n_samples - ml ** 2, 0.0) / n_samples
         vr = max(raw_r[2 * k] / n_samples - mr ** 2, 0.0) / n_samples
@@ -550,6 +584,8 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
             "std_error": se,
             "z": (ml - mr) / se if se > 0 else 0.0,
         })
+        for key, value in orders[-1].items():
+            finite(value, f"identity check {key} of order {k}")
     return {
         "identity": identity,
         "convention": "standard",

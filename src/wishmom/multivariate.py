@@ -27,11 +27,23 @@ as one array on the grid of sub-indices: rho[v] = Tr S[v] / |v| and
 eta[v] = sum_k Tr(L H_k S[v - e_k]).  rho, eta and the cumulant table are
 arrays of shape i + 1, 0 at the origin.  The recursion walks the flattened
 grid in C order, where v - e_k lies one axis stride back, and each head's
-eta term is one einsum over a slice of S; a central model (M = 0) has
-eta = 0 and forms no heads.  `rho_moment` and `eta_moment`
+eta term is one dot product per cell over a slice of S; a central model
+(M = 0) has eta = 0 and forms no heads.  `rho_moment` and `eta_moment`
 keep the paper's necklace-grouped form, eta_moment with the Omega-led,
 convention-ordered words, and are the independent check on the
 recursion; no other route enumerates necklaces or rotations.
+
+The tables are shared across calls.  `_base_tables`, the one table source
+of `joint_moment`, `joint_cumulant`, `joint_cumulant_randomized` and
+`eta_moment_strings`, keeps the read-only tables of the last
+(convention, Sigma, M, H_1, ..., H_m) it built, keyed by their exact bytes
+(n is not in the key: rho and eta do not depend on it), in one slot that
+the next key replaces.  A request inside the kept grid is a slice of it;
+any other grows the grid to the componentwise max of the two when that
+has at most twice the cells of the two grids apart and stays within the
+joint-weight budget, and is computed alone otherwise.  Every cell of a
+grid is computed by the same operations whatever the grid's extent, so a
+value is bit-identical whatever calls came before.
 
 Joint cumulants are kappa[u] = u! K[u], K[u] = n rho[u] + sign eta[u], and
 a joint moment is the moment-cumulant formula on that one table (McCullagh,
@@ -73,7 +85,13 @@ from .combinatorics import (
     necklaces_of_kind,
     partition_sum,
 )
-from .errors import DimensionMismatchError, InsufficientOrdersError, ValidationError, finite
+from .errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InsufficientOrdersError,
+    ValidationError,
+    finite,
+)
 from .model import WishartParams
 from .univariate import CUMULANTS, MomentSequence
 
@@ -150,16 +168,22 @@ def _tables(factors, heads, kind) -> tuple[np.ndarray, np.ndarray]:
     with 0 at the origin, from one pass of the string sums S:
     rho[v] = Tr S[v] / |v|, and eta[v] = sum_k Tr(heads[k] S[v - e_k]),
     every string of kind v led by its first letter's head.  No heads give
-    eta = 0 with no pass over S.  The caller holds `matrix_core.quiet`."""
+    eta = 0 with no pass over S.  Each cell is computed by the same
+    operations on the same inputs whatever `kind` is, so the tables of a
+    larger kind, sliced to `kind`, are these bit for bit.  The caller holds
+    `matrix_core.quiet`."""
     s = _string_sums(factors, kind)
-    m = len(kind)
+    m, p = len(kind), len(factors[0])
     weight = sum(np.arange(c + 1).reshape((-1,) + (1,) * (m - 1 - k)) for k, c in enumerate(kind))
     rho = np.trace(s, axis1=-2, axis2=-1) / np.maximum(weight, 1)
     rho.flat[0] = 0
     eta = np.zeros_like(rho)
     for k, head in enumerate(heads):
         hi, lo = ((slice(None),) * k + (cut,) for cut in (slice(1, None), slice(-1)))
-        eta[hi] += np.einsum("ij,...ji->...", head, s[lo])
+        words = s[lo]
+        # Tr(head S) = sum_ab head[a, b] S[b, a], one dot product of p * p
+        # entries per cell, whose bits do not depend on the grid's extent
+        eta[hi] += np.vecdot(head.conj().T.ravel(), words.reshape(words.shape[:-2] + (p * p,)))
     return rho, eta
 
 
@@ -181,12 +205,50 @@ def rho_table(factors, kind) -> np.ndarray:
     return _tables(matrix_core.square_matrices(factors, None), (), kind)[0]
 
 
+# `_base_tables`' memo, one slot: (content key, read-only rho, read-only eta)
+# of the last tables built, replaced whole by one assignment
+_last_tables = (None, None, None)
+
+
 def _base_tables(params: WishartParams, h, kind) -> tuple[np.ndarray, np.ndarray]:
     """(rho, eta) of every sub-index v <= kind on the directions h, with
-    the heads of the sign convention; a central model has eta = 0 and
-    forms no heads."""
-    hs, sh = _directions(params, h)
-    return _tables(sh, () if params.is_central else _heads(params, hs), kind)
+    the heads of the sign convention, read-only; a central model has
+    eta = 0 and forms no heads.
+
+    h is validated on every call.  When the slot holds the same content and
+    its grid covers kind, the tables are slices of it.  Otherwise they are
+    computed on the componentwise max of kind and the slot's grid when that
+    grid has at most twice the cells of the two apart and is within the
+    joint-weight budget, else on kind alone, and replace the slot; a call
+    that raises leaves the slot as it was.  So a session's nested requests
+    grow one grid, while requests on disjoint axes, whose joint grid has
+    the product of their cell counts, keep apart unless both are tiny.
+    `_tables` makes a slice equal a cold call bit for bit, so no value
+    depends on which calls came before.
+    """
+    global _last_tables
+    hs = matrix_core.square_matrices(h, params.p)
+    key = (params.convention, params.sigma.tobytes(), params.m_matrix.tobytes(),
+           *(hk.tobytes() for hk in hs))
+    last_key, rho, eta = _last_tables
+    cut = tuple(slice(c + 1) for c in kind)
+    grid = kind
+    if last_key == key:
+        covered = tuple(s - 1 for s in rho.shape)
+        if all(c <= g for c, g in zip(kind, covered)):
+            return rho[cut], eta[cut]
+        union = tuple(map(max, kind, covered))
+        try:
+            check_joint_weight(sum(union))
+            if math.prod(c + 1 for c in union) <= 2 * (math.prod(c + 1 for c in kind) + rho.size):
+                grid = union
+        except BudgetExceededError:
+            pass
+    sh = [params.sigma @ hk for hk in hs]
+    rho, eta = _tables(sh, () if params.is_central else _heads(params, hs), grid)
+    rho.flags.writeable = eta.flags.writeable = False
+    _last_tables = (key, rho, eta)
+    return rho[cut], eta[cut]
 
 
 @matrix_core.quiet

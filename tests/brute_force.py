@@ -126,16 +126,19 @@ def tables_by_moveaxis(factors, heads, kind) -> tuple[np.ndarray, np.ndarray]:
     """(rho, eta) on the grid of sub-indices from `string_sums_by_tuples`:
     rho[v] = Tr S[v] / |v| with |v| from `np.indices`, and eta[v] =
     sum_k Tr(heads[k] S[v - e_k]), each head's term added with axis k moved
-    to the front of eta and of S."""
+    to the front of eta and of S, as the dot product of head^T with each
+    S[v - e_k], both flattened."""
     s = string_sums_by_tuples(factors, kind)
+    p = s.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         weight = np.indices(s.shape[:-2]).sum(axis=0)
         rho = np.trace(s, axis1=-2, axis2=-1) / np.maximum(weight, 1)
         rho.flat[0] = 0
         eta = np.zeros_like(rho)
         for k, head in enumerate(heads):
-            np.moveaxis(eta, k, 0)[1:] += np.einsum("ij,...ji->...", head,
-                                                    np.moveaxis(s, k, 0)[:-1])
+            words = np.moveaxis(s, k, 0)[:-1]
+            np.moveaxis(eta, k, 0)[1:] += np.vecdot(
+                head.T.conj().reshape(-1), words.reshape(words.shape[:-2] + (p * p,)))
     return rho, eta
 
 

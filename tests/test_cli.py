@@ -182,6 +182,17 @@ def test_polykay_command(tmp_path):
     assert rows[0]["value"] == pytest.approx(2.0)  # mean eigenvalue
 
 
+@pytest.mark.parametrize("order", ["5", "9"])
+def test_polykay_order_past_four_names_the_option(tmp_path, order):
+    # rejected from the request's shape, before the matrix is read: a 2 x 2
+    # input would otherwise report that order 3 needs a larger sample
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"n": 1, "sigma": matrix_doc(np.eye(2))}))
+    code, out = run(["polykay", str(path), "--order", order])
+    assert code == 2
+    assert out.startswith("validation error") and "--order" in out
+
+
 def test_exit_code_numerical(tmp_path):
     doc = {
         "n": 2,
@@ -204,6 +215,7 @@ def test_exit_code_numerical(tmp_path):
     ["joint-cumulants"],
     ["polykay", "--order", "4"],
     ["permanent", "--index", "2,1"],
+    ["mc-verify", "--samples", "2000", "--seed", "1"],
 ])
 def test_overflow_exits_3(tmp_path, capsys, args):
     # finite inputs whose results overflow: a numerical error, not a traceback
@@ -419,6 +431,7 @@ def _child_request(args, stdin=b"", env=None):
     (["permanent", "-", "--index", "6,5"], _DOC, 4),
     (["permanent", "-"], _DOC_11X11, 4),
     (["generalized", "-", "--index", "2,3,4,5,6,7,1"], _DOC_WITH_H7, 4),
+    (["polykay", "-", "--order", "9"], _DOC, 2),
 ])
 def test_request_checks_run_without_numpy(args, stdin, code):
     got, modules = _child_request(args, stdin)

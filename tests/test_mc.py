@@ -14,6 +14,8 @@ from wishmom import (
     RngStream,
     ValidationError,
     build,
+    central_moment,
+    central_product_moment,
     distribution_identity_check,
     estimate_generalized_moment,
     estimate_joint_moment,
@@ -649,20 +651,26 @@ def test_polykay_inheritance_under_compression_quick():
 
 
 def test_principal_submatrix_inheritance_reported():
-    # literal principal-minor variant of the inheritance statement: reported
-    # for comparison, not asserted (the Haar-compression version is the one
-    # under test elsewhere)
-    rng = np.random.default_rng(17)
+    # the literal principal-minor variant of the inheritance statement: the
+    # 2 x 2 minor of W(n, Sigma) is W(n, Sigma_11), so the mean polykays of
+    # its eigenvalues are the exact k1 = n Tr Sigma_11 / 2 and
+    # k2 = (2 E[Tr W_11^2] - E[(Tr W_11)^2]) / 6 of that law
     params = standard_params(18, p=4, n=6, central=True)
     gen = RngStream(19).generator()
     from wishmom import PolykaySample
-    vals = []
+    k1, k2 = [], []
     for w in _batches(params, gen, 2000):
         for k in range(w.shape[0]):
-            sub = w[k][:2, :2]
-            vals.append(polykay(PolykaySample.from_eigenvalues(
-                np.linalg.eigvalsh(sub)), 1))
-    print("principal 2x2 submatrix mean kappa_1:", float(np.mean(vals)))
+            sample = PolykaySample.from_eigenvalues(np.linalg.eigvalsh(w[k][:2, :2]))
+            k1.append(polykay(sample, 1))
+            k2.append(polykay(sample, 2))
+    minor, _ = build(params.n, params.sigma[:2, :2], None, "standard")
+    square = central_product_moment(minor, [np.eye(2)] * 2, CyclePermutation(((1, 2),)))
+    want1 = params.n * np.trace(minor.sigma).real / 2
+    want2 = (2 * square - central_moment(minor, 2)).real / 6
+    for series, want in ((np.array(k1), want1), (np.array(k2), want2)):
+        se = series.std(ddof=1) / math.sqrt(series.size)
+        assert abs(series.mean() - want) <= 4 * se, (series.mean(), want, se)
 
 
 # ---------------------------------------------------------------------------

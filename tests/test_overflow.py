@@ -1,5 +1,6 @@
-"""The one overflow rule: a public route whose closed form overflows on
-finite inputs raises NumericalError, and numpy prints no warning."""
+"""The one overflow rule: a public route whose closed form or Monte Carlo
+estimate overflows on finite inputs raises NumericalError, and numpy
+prints no warning."""
 
 import warnings
 
@@ -10,9 +11,14 @@ from wishmom import (
     CyclePermutation,
     MomentSequence,
     NumericalError,
+    RngStream,
     build,
     central_cumulant,
     central_product_moment,
+    distribution_identity_check,
+    estimate_generalized_moment,
+    estimate_joint_moment,
+    estimate_trace_cumulants,
     eta_moment_strings,
     generalized_moment_expansion,
     joint_cumulant,
@@ -56,6 +62,26 @@ CASES = {
         _params(I2, n=1e200), [I2, I2], CyclePermutation(((1,), (2,)))),
     "permanent_d-huge-d": lambda: permanent_d(np.eye(4), 1e100),
 }
+# the Monte Carlo estimators on sampled draws: Tr W ~ 1e200, so its square
+# and every higher power overflow
+CASES.update({
+    "estimate_joint_moment": lambda: estimate_joint_moment(
+        _params(HUGE, None, "standard"), [I2], (2,), 100, RngStream(1)),
+    "estimate_generalized_moment": lambda: estimate_generalized_moment(
+        _params(HUGE, M, "standard"), [I2, SWAP], CyclePermutation(((1, 2),)), 100,
+        RngStream(1)),
+    "estimate_trace_cumulants": lambda: estimate_trace_cumulants(
+        _params(HUGE, M, "standard"), 3, 100, RngStream(1)),
+    "distribution_identity_check": lambda: distribution_identity_check(
+        _params(HUGE, None, "standard"), _params(HUGE, None, "standard", n=2),
+        "df-additivity", 100, RngStream(1)),
+    # finite draws whose Python float powers raise OverflowError: the square
+    # of a 1e200 central moment, and of the gap between two chunks' means
+    "estimate_trace_cumulants-python-power": lambda: estimate_trace_cumulants(
+        _params(np.diag([1e100, 1.0]), None, "standard"), 2, 100, RngStream(1)),
+    "estimate_joint_moment-merge": lambda: estimate_joint_moment(
+        _params(np.diag([1e40, 1.0]), None, "standard"), [I2], (4,), 40_000, RngStream(1)),
+})
 CASES.update({
     f"{route.__name__}-{conv}":
         lambda route=route, conv=conv: route(_params(HUGE, None, conv), [I2, SWAP], (2, 1))
