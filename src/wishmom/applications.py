@@ -1,9 +1,13 @@
 """d-permanents, the master-theorem evaluation route, and spectral polykays.
 
 `permanent_master` evaluates the master theorem as one truncated power-
-series composition, `combinatorics.compose_series`, on the grid of
-sub-indices of the index; it enumerates no partitions.  The brute-force
-permanents walk all p! permutations and are its independent check.
+series composition on the grid of sub-indices of the index,
+`combinatorics.compose_grid`, whose cells are per_d[T(v)] / v! for every
+v <= i at once; it enumerates no partitions.  The last grid composed is
+kept for its (T, weights) content, so a session that tabulates the
+permanents of one T reads most of them as slices of one grid.  The
+brute-force permanents walk all p! permutations and are its independent
+check.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from . import matrix_core
 from .budgets import check_joint_weight, check_permanent_dimension, integer, integer_tuple
 from .choices import POLYKAY_ORDERS
-from .combinatorics import complex_fsum, compose_series, cycles_of_images
+from .combinatorics import KeptGrid, complex_fsum, compose_grid, cycles_of_images
 from .errors import DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite
 from .multivariate import rho_table
 from .univariate import MOMENTS, MomentSequence
@@ -83,6 +87,10 @@ def repeated_matrix(t, i) -> np.ndarray:
     return t[np.ix_(idx, idx)]
 
 
+# the last master-theorem grid composed, kept for its (T, weights) content
+_kept_permanents = KeptGrid()
+
+
 def permanent_master(t, i, d_or_alpha) -> complex:
     """per_d[T(i)] through the trace expansion of det(I - Z T)^{-d}.
 
@@ -90,10 +98,16 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     H_k, which always exists, so the base moments rho are built on products
     of T's columns:
         i! [z^i] sum_l a_l R(z)^l / l!,  R(z) = sum_{u != 0} rho[u] z^u,
-    with a_k = d^k, or the moments of `d_or_alpha` when it is a sequence;
-    `combinatorics.compose_series` evaluates the composition on the grid of
-    sub-indices.  Equals the brute-force d-permanent of the row/column-
-    repeated T(i).
+    with a_k = d^k, or the moments of `d_or_alpha` when it is a sequence.
+    The master theorem gives per_d[T(v)] for every v <= i at once, as the
+    cells of one composition on the grid of sub-indices
+    (`combinatorics.compose_grid`).  That grid is kept for the content of
+    T and the weights (the bytes of d, or the moments of alpha) in one
+    slot (`combinatorics.KeptGrid`), so a later request inside it is a
+    slice, and alpha's depth bounds its growth.  Each cell is computed by
+    the same operations whatever the grid's extent, so a value is
+    bit-identical whatever calls came before.
+    Equals the brute-force d-permanent of the row/column-repeated T(i).
     """
     t = matrix_core.as_matrix(t)
     m = t.shape[0]
@@ -110,19 +124,26 @@ def permanent_master(t, i, d_or_alpha) -> complex:
         if d_or_alpha.depth < weight:
             raise InsufficientOrdersError(
                 f"alpha carries {d_or_alpha.depth} orders, need {weight}")
-        a_of = d_or_alpha.order
+        a_of, depth = d_or_alpha.order, d_or_alpha.depth
+        weights = ("alpha", np.array(d_or_alpha.values, dtype=complex).tobytes())
     else:
         d = _finite_d(d_or_alpha)
-        a_of = lambda k: d ** k
+        a_of, depth = (lambda k: d ** k), None
+        weights = ("d", np.complex128(d).tobytes())
 
-    # Sigma H_k with H_k = E_kk keeps only column k of T
-    sh = []
-    for k in range(m):
-        e = np.zeros_like(t)
-        e[:, k] = t[:, k]
-        sh.append(e)
-    total = compose_series(rho_table(sh, kind), kind, a_of)
-    return finite(math.prod(math.factorial(v) for v in kind) * total, "permanent")
+    def build(grid):
+        # Sigma H_k with H_k = E_kk keeps only column k of T
+        sh = []
+        for k in range(m):
+            e = np.zeros_like(t)
+            e[:, k] = t[:, k]
+            sh.append(e)
+        return (compose_grid(rho_table(sh, grid), grid, a_of),)
+
+    factorial = math.prod(math.factorial(v) for v in kind)
+    return _kept_permanents.value(
+        (t.shape, t.tobytes(), *weights), kind, build,
+        lambda table: finite(factorial * complex(table[kind]), "permanent"), depth=depth)
 
 
 # ---------------------------------------------------------------------------

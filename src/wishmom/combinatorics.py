@@ -9,14 +9,18 @@ columns consumed first), necklace representatives in lexicographic order.
 
 Every closed form reduces to a weighted sum over partitions,
 sum_lambda a_l / prod r! prod x_part^r, and there are two kernels for it.
-`compose_series` evaluates it as the coefficient [z^i] of
+The series kernel evaluates it as the coefficient [z^i] of
 sum_l a_l R(z)^l / l!, a truncated power series on the grid of sub-indices
-u <= i; it enumerates no partitions and carries every composition
-(permanents, randomized moments and cumulants, central and normalized
-moments).  `partition_sum` walks the partitions and adds the terms with
+u <= i, and enumerates no partitions.  `compose_series` gives the one
+coefficient at i and carries the univariate compositions (randomized,
+central and normalized moments); `compose_grid` gives every coefficient
+u <= i at once, each bit-identical whatever the grid's extent, and carries
+the master-theorem permanents and the randomized joint cumulants, whose
+routes keep their last grid for its content in a `KeptGrid`.
+`partition_sum` walks the partitions and adds the terms with
 `complex_fsum`, a correctly rounded complex sum; it carries the trace
 moments and the joint moments (one sum over the joint cumulant table) and
-is the tests' oracle for `compose_series`.  The Bell and
+is the tests' oracle for the series kernel.  The Bell and
 cyclic polynomials come from the Bell recurrence and enumerate nothing, so
 they stay an independent check on both.
 
@@ -38,8 +42,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .budgets import check_necklace_weight, check_permutation_degree, integer, integer_tuple
-from .errors import DimensionMismatchError, ValidationError, finite
+from .budgets import (
+    check_joint_weight,
+    check_necklace_weight,
+    check_permutation_degree,
+    integer,
+    integer_tuple,
+)
+from .errors import BudgetExceededError, DimensionMismatchError, ValidationError, finite
 
 
 def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
@@ -343,6 +353,10 @@ def partition_sum(partitions, base, weight) -> complex:
     return finite(complex_fsum(terms), "partition sum")
 
 
+# ---------------------------------------------------------------------------
+# the series kernel, and the grids kept across calls
+# ---------------------------------------------------------------------------
+
 def _shift_pairs(shape):
     """The (destination, source) flat-index pairs of a product with R on
     the grid of `shape`: destination d = source + u for every entry u and
@@ -365,6 +379,59 @@ def _shift_pairs(shape):
     return dst, src
 
 
+def _series_table(table, kind):
+    """(kind, R on the flattened grid of sub-indices, 0 at the origin) from
+    a table of shape kind + 1, or ValidationError."""
+    # numpy loads on first use: `necklaces` and the CLI's request checks
+    # import this module and stay numpy-free
+    import numpy as np
+
+    kind = integer_tuple(kind, "kind")
+    shape = tuple(v + 1 for v in kind)
+    try:
+        r = np.array(table, dtype=complex)
+        if r.shape != shape:
+            raise ValueError(f"shape {r.shape}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"table does not fit the grid of kind {kind}: {exc}") from exc
+    flat = r.reshape(-1)
+    flat[0] = 0
+    return kind, flat
+
+
+def _series_powers(flat, shape):
+    """R^l / l! on the flattened grid of `shape` for l = 2, 3, ..., each
+    yielded in one of two buffers that the next power but one overwrites.
+
+    A product with R is one scatter-add (`np.add.at`) of table[u] times
+    the previous power at d - u into each destination d >= u, over a list
+    of (destination, source) pairs built at the first power from one upper
+    triangle per axis, by arithmetic on its row lengths (`_shift_pairs`),
+    and kept only for the nonzero entries u.  The list runs in C order of
+    u, so each destination adds its terms in that order, and which terms
+    they are does not depend on the grid's extent.  The caller holds an
+    `np.errstate` that ignores overflow."""
+    import numpy as np
+
+    dst, src = _shift_pairs(shape)
+    x = flat[dst - src]
+    if not x.all():
+        keep = np.flatnonzero(x)
+        dst, src, x = dst[keep], src[keep], x[keep]
+    power, terms = flat, np.empty_like(x)
+    buffers = (np.empty_like(flat), np.empty_like(flat))
+    for l in itertools.count(2):
+        np.take(power, src, out=terms)
+        # entry times power, in this order: numpy's complex multiply
+        # rounds x * y and y * x differently
+        np.multiply(x, terms, out=terms)
+        power = buffers[l % 2]
+        power.fill(0)
+        np.add.at(power, dst, terms)
+        power /= l
+        yield power
+
+
 def compose_series(table, kind, weight) -> complex:
     """[z^kind] of sum_{l >= 1} weight(l) R(z)^l / l!, where
     R(z) = sum_{u != 0} table[u] z^u runs over the sub-indices u <= kind.
@@ -377,61 +444,126 @@ def compose_series(table, kind, weight) -> complex:
     prod table[part]^r / prod r! over the partitions of length l.  It
     enumerates none of them.
 
-    The powers R^l / l! live on the flattened grid of sub-indices.  A
-    product with R is one scatter-add (`np.add.at`) of table[u] times the
-    previous power at d - u into each destination d >= u, over a list of
-    (destination, source) pairs built once per call from one upper
-    triangle per axis, by arithmetic on its row lengths (`_shift_pairs`),
-    and kept only for the nonzero entries u.  The list runs in C order
-    of u, so each destination adds its terms in that order.  The last power
-    is needed only at kind, the grid's last entry, and is one dot product
-    of R with the reversed previous power.  Raises NumericalError on
-    overflow.
+    The powers R^l / l! live on the flattened grid of sub-indices, one
+    scatter-add each (`_series_powers`).  The last power is needed only
+    at kind, the grid's last entry, and is one dot product of R with the
+    reversed previous power.  This is the single-cell route of the
+    univariate compositions; `compose_grid` gives every cell at once.
+    Raises NumericalError on overflow.
     """
-    # numpy loads on first use: `necklaces` and the CLI's request checks
-    # import this module and stay numpy-free
     import numpy as np
 
-    kind = integer_tuple(kind, "kind")
-    shape = tuple(v + 1 for v in kind)
+    kind, flat = _series_table(table, kind)
     top = sum(kind)
-    try:
-        r = np.array(table, dtype=complex)
-        if r.shape != shape:
-            raise ValueError(f"shape {r.shape}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"table does not fit the grid of kind {kind}: {exc}") from exc
     if top == 0:
         return 0j
-    flat = r.reshape(-1)
-    flat[0] = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             terms = [weight(1) * flat[-1]]
             if top > 1:
-                dst, src = _shift_pairs(shape)
-                x = flat[dst - src]
-                if not x.all():
-                    keep = np.flatnonzero(x)
-                    dst, src, x = dst[keep], src[keep], x[keep]
-                power, terms_of_power = flat, np.empty_like(x)
-                buffers = (np.empty_like(flat), np.empty_like(flat))
+                power, powers = flat, _series_powers(flat, tuple(v + 1 for v in kind))
                 for l in range(2, top):
-                    np.take(power, src, out=terms_of_power)
-                    # entry times power, in this order: numpy's complex
-                    # multiply rounds x * y and y * x differently
-                    np.multiply(x, terms_of_power, out=terms_of_power)
-                    out = buffers[l % 2]
-                    out.fill(0)
-                    np.add.at(out, dst, terms_of_power)
-                    out /= l
-                    power = out
+                    power = next(powers)
                     terms.append(weight(l) * power[-1])
                 # C order: reversing the flat grid reverses every axis
                 terms.append(weight(top) * np.dot(flat, power[::-1]) / top)
     except OverflowError:  # a Python power in `weight` raises where numpy gives inf
         terms = [math.inf]
     return finite(complex_fsum(terms), "series composition")
+
+
+def compose_grid(table, kind, weight):
+    """C[u] = [z^u] of sum_{l >= 1} weight(l) R(z)^l / l! for every
+    sub-index u <= kind: the array of shape kind + 1 whose cell at kind is
+    `compose_series`, to rounding, and whose origin is 0.
+
+    Every power R^l / l! is one scatter-add on the whole grid
+    (`_series_powers`), the last one included, and cell u adds its terms
+    weight(l) R^l[u] / l!, l = 1, ..., |u|, in order of l, correctly
+    rounded as `complex_fsum` adds them.  So each cell is computed by the
+    same operations on the same inputs whatever the grid's extent: the
+    grid of a larger kind, sliced to `kind`, is this one bit for bit.
+    A weight that overflows makes inf every cell that needs it; a cell
+    that overflows holds inf or nan, and its reader sends it through
+    `errors.finite`.
+    """
+    import numpy as np
+
+    kind, flat = _series_table(table, kind)
+    shape = tuple(v + 1 for v in kind)
+    top = sum(kind)
+    terms = np.zeros((top, flat.size), dtype=complex)  # terms[l - 1] = weight(l) R^l / l!
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = itertools.chain([flat], _series_powers(flat, shape))
+        for l, power in zip(range(1, top + 1), powers):
+            try:
+                terms[l - 1] = weight(l) * power
+            except OverflowError:  # a Python power in `weight` raises where numpy gives inf
+                terms[l - 1:] = math.inf
+                break
+    levels = np.indices(shape).sum(axis=0).ravel().tolist()
+    cells = zip(terms.real.T.tolist(), terms.imag.T.tolist(), levels)
+    out = np.array([complex(_fsum(re[:k]), _fsum(im[:k])) for re, im, k in cells])
+    return out.reshape(shape)
+
+
+class KeptGrid:
+    """One slot that keeps the read-only arrays a route last computed on a
+    grid of sub-indices, with the content key they were computed from.
+
+    `value(key, kind, build, read)` answers a request for `kind`:
+    - when the slot holds `key` and its grid covers kind, it reads slices
+      of the kept arrays;
+    - otherwise `build(grid)` computes the arrays on the componentwise max
+      of kind and the kept grid when that grid has at most twice the cells
+      of the two apart, is within the joint-weight budget and has weight
+      at most `depth`; else on kind alone.  They replace the slot.
+    `read` gets the arrays cut to kind, and its result is the answer.  A
+    call in which `build` or `read` raises leaves the slot as it was.  The
+    slot is one tuple, replaced whole by one assignment, so concurrent
+    callers each read one consistent entry without a lock.  A session's
+    nested requests grow one grid, while requests on disjoint axes, whose
+    joint grid has the product of their cell counts, keep apart unless
+    both are tiny.  `build` must compute each cell by the same operations
+    whatever the grid's extent, so that no answer depends on which calls
+    came before.
+    """
+
+    def __init__(self):
+        self.entry = (None, (), ())  # (content key, grid, arrays)
+
+    def value(self, key, kind, build, read, depth=None):
+        last_key, kept, arrays = self.entry
+        grid = kind
+        if last_key == key:
+            if all(c <= k for c, k in zip(kind, kept)):
+                return read(*_cut(arrays, kind))
+            union = tuple(map(max, kind, kept))
+            if _cells(union) <= 2 * (_cells(kind) + _cells(kept)) and _fits(union, depth):
+                grid = union
+        arrays = build(grid)
+        for a in arrays:
+            a.flags.writeable = False
+        answer = read(*_cut(arrays, kind))
+        self.entry = (key, grid, arrays)
+        return answer
+
+
+def _cells(grid) -> int:
+    return math.prod(c + 1 for c in grid)
+
+
+def _fits(grid, depth) -> bool:
+    try:
+        check_joint_weight(sum(grid))
+    except BudgetExceededError:
+        return False
+    return depth is None or sum(grid) <= depth
+
+
+def _cut(arrays, kind) -> tuple:
+    cut = tuple(slice(c + 1) for c in kind)
+    return tuple(a[cut] for a in arrays)
 
 
 # ---------------------------------------------------------------------------

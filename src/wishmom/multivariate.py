@@ -33,27 +33,33 @@ keep the paper's necklace-grouped form, eta_moment with the Omega-led,
 convention-ordered words, and are the independent check on the
 recursion; no other route enumerates necklaces or rotations.
 
-The tables are shared across calls.  `_base_tables`, the one table source
-of `joint_moment`, `joint_cumulant`, `joint_cumulant_randomized` and
-`eta_moment_strings`, keeps the read-only tables of the last
-(convention, Sigma, M, H_1, ..., H_m) it built, keyed by their exact bytes
-(n is not in the key: rho and eta do not depend on it), in one slot that
-the next key replaces.  A request inside the kept grid is a slice of it;
-any other grows the grid to the componentwise max of the two when that
-has at most twice the cells of the two grids apart and stays within the
-joint-weight budget, and is computed alone otherwise.  Every cell of a
-grid is computed by the same operations whatever the grid's extent, so a
-value is bit-identical whatever calls came before.
+The tables and the compositions are shared across calls, each in one
+slot (`combinatorics.KeptGrid`) that keeps the read-only arrays of the
+last content it computed, keyed by its exact bytes.  `_base_tables`, the
+one table source of `joint_moment`, `joint_cumulant`,
+`joint_cumulant_randomized` and `eta_moment_strings`, keeps rho and eta
+of the last (convention, Sigma, M, H_1, ..., H_m); n is not in the key,
+since rho and eta do not depend on it.  `joint_cumulant_randomized` keeps
+its composed grid of that content and the index's cumulants, so a
+session's later requests read it without composing again.  A request
+inside a kept grid is a slice of it; any other grows the grid to the
+componentwise max of the two when that has at most twice the cells of the
+two grids apart and stays within the joint-weight budget (and the
+cumulants' depth), and is computed alone otherwise.  Every cell of a grid
+is computed by the same operations whatever the grid's extent, so a value
+is bit-identical whatever calls came before.
 
 Joint cumulants are kappa[u] = u! K[u], K[u] = n rho[u] + sign eta[u], and
 a joint moment is the moment-cumulant formula on that one table (McCullagh,
 Tensor Methods in Statistics, 1987): i! sum over the multi-index partitions
 of i of prod K[col]^r / prod r!, through `combinatorics.partition_sum`.
 The randomized joint cumulant is a composition, one truncated power series
-on the grid of sub-indices (`combinatorics.compose_series`), enumerating no
-partitions.  Joint moments wait for that series form, exp of the cumulant
-series, until the benchmark stops keeping every job's answer, which would
-charge a faster moment route with a larger peak RSS (ROADMAP.md).
+on the grid of sub-indices made for every cell at once
+(`combinatorics.compose_grid`), enumerating no partitions.  Joint moments
+stay on the partition sum although the same whole-grid series, exp of the
+cumulant series, would give every joint moment of a session at once: the
+benchmark keeps every job's answer, so a faster moment route would read as
+a larger peak RSS (ROADMAP.md).
 The generalized moments of the formal non-centrality component read the
 same head-led words along the cycles of a permutation.  The necklace and
 group-action sums are added with `combinatorics.complex_fsum`, a correctly
@@ -77,8 +83,9 @@ from .budgets import (
 )
 from .combinatorics import (
     CyclePermutation,
+    KeptGrid,
     complex_fsum,
-    compose_series,
+    compose_grid,
     cycles_of_images,
     multiindex_partitions,
     necklace_rotations,
@@ -86,7 +93,6 @@ from .combinatorics import (
     partition_sum,
 )
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     InsufficientOrdersError,
     ValidationError,
@@ -205,9 +211,19 @@ def rho_table(factors, kind) -> np.ndarray:
     return _tables(matrix_core.square_matrices(factors, None), (), kind)[0]
 
 
-# `_base_tables`' memo, one slot: (content key, read-only rho, read-only eta)
-# of the last tables built, replaced whole by one assignment
-_last_tables = (None, None, None)
+def _content(params: WishartParams, h) -> tuple[list[np.ndarray], tuple]:
+    """(the validated [H_1, ..., H_m], the content key of the tables on
+    them): the convention and the exact bytes of Sigma, M and each H_k.
+    n is not in it: rho and eta do not depend on it."""
+    hs = matrix_core.square_matrices(h, params.p)
+    return hs, (params.convention, params.sigma.tobytes(), params.m_matrix.tobytes(),
+                *(hk.tobytes() for hk in hs))
+
+
+# the last tables built and the last randomized grid composed, each kept
+# for its content (`combinatorics.KeptGrid`)
+_kept_tables = KeptGrid()
+_kept_randomized = KeptGrid()
 
 
 def _base_tables(params: WishartParams, h, kind) -> tuple[np.ndarray, np.ndarray]:
@@ -215,40 +231,19 @@ def _base_tables(params: WishartParams, h, kind) -> tuple[np.ndarray, np.ndarray
     the heads of the sign convention, read-only; a central model has
     eta = 0 and forms no heads.
 
-    h is validated on every call.  When the slot holds the same content and
-    its grid covers kind, the tables are slices of it.  Otherwise they are
-    computed on the componentwise max of kind and the slot's grid when that
-    grid has at most twice the cells of the two apart and is within the
-    joint-weight budget, else on kind alone, and replace the slot; a call
-    that raises leaves the slot as it was.  So a session's nested requests
-    grow one grid, while requests on disjoint axes, whose joint grid has
-    the product of their cell counts, keep apart unless both are tiny.
-    `_tables` makes a slice equal a cold call bit for bit, so no value
-    depends on which calls came before.
+    h is validated on every call.  The tables come from `_kept_tables`:
+    a slice of the kept grid when it holds the same content and covers
+    kind, else built on a grown grid or on kind alone, and kept.  `_tables`
+    makes a slice equal a cold call bit for bit, so no value depends on
+    which calls came before.
     """
-    global _last_tables
-    hs = matrix_core.square_matrices(h, params.p)
-    key = (params.convention, params.sigma.tobytes(), params.m_matrix.tobytes(),
-           *(hk.tobytes() for hk in hs))
-    last_key, rho, eta = _last_tables
-    cut = tuple(slice(c + 1) for c in kind)
-    grid = kind
-    if last_key == key:
-        covered = tuple(s - 1 for s in rho.shape)
-        if all(c <= g for c, g in zip(kind, covered)):
-            return rho[cut], eta[cut]
-        union = tuple(map(max, kind, covered))
-        try:
-            check_joint_weight(sum(union))
-            if math.prod(c + 1 for c in union) <= 2 * (math.prod(c + 1 for c in kind) + rho.size):
-                grid = union
-        except BudgetExceededError:
-            pass
-    sh = [params.sigma @ hk for hk in hs]
-    rho, eta = _tables(sh, () if params.is_central else _heads(params, hs), grid)
-    rho.flags.writeable = eta.flags.writeable = False
-    _last_tables = (key, rho, eta)
-    return rho[cut], eta[cut]
+    hs, key = _content(params, h)
+
+    def build(grid):
+        sh = [params.sigma @ hk for hk in hs]
+        return _tables(sh, () if params.is_central else _heads(params, hs), grid)
+
+    return _kept_tables.value(key, kind, build, lambda rho, eta: (rho, eta))
 
 
 @matrix_core.quiet
@@ -354,8 +349,11 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     sum with c_{l(lambda)} weights:
         i! ( sum_{lambda |= i} c_l / m! prod rho[col]^r + sign eta[i] ),
     evaluated as the series composition i! ([z^i] sum_l c_l R(z)^l / l!
-    + sign eta[i]) with R(z) = sum_{u != 0} rho[u] z^u
-    (`combinatorics.compose_series`).
+    + sign eta[i]) with R(z) = sum_{u != 0} rho[u] z^u.  The composition
+    is made for every sub-index at once (`combinatorics.compose_grid`),
+    and the grid of (convention, Sigma, M, H, c) content is kept
+    (`_kept_randomized`) under `_base_tables`' rule, so a session's later
+    requests inside it are slices; c's depth also bounds its growth.
 
     Only the central part is randomized: the eta term enters once,
     unweighted, so conditionally on the index being k the object is
@@ -370,10 +368,17 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     if alpha_cumulants.depth < weight:
         raise InsufficientOrdersError(
             f"alpha carries {alpha_cumulants.depth} orders, need {weight}")
-    rho, eta = _base_tables(params, h, kind)
-    total = compose_series(rho, kind, alpha_cumulants.order)
-    return finite(_index_factorial(kind) * (total + params.sign * complex(eta[kind])),
-                  "randomized joint cumulant")
+    hs, key = _content(params, h)
+
+    def build(grid):
+        rho, eta = _base_tables(params, hs, grid)
+        return (compose_grid(rho, grid, alpha_cumulants.order) + params.sign * eta,)
+
+    factorial = _index_factorial(kind)
+    return _kept_randomized.value(
+        key + (np.array(alpha_cumulants.values, dtype=complex).tobytes(),), kind, build,
+        lambda table: finite(factorial * complex(table[kind]), "randomized joint cumulant"),
+        depth=alpha_cumulants.depth)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from wishmom import (
     randomized_moment,
     repeated_matrix,
 )
-from wishmom.combinatorics import _shift_pairs, compose_series, partition_sum
+from wishmom.combinatorics import _shift_pairs, compose_grid, compose_series, partition_sum
 
 from brute_force import (
     ERROR_BOUND,
@@ -218,6 +218,99 @@ def test_compose_series_memory_at_the_widest_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+# ---------------------------------------------------------------------------
+# the whole grid
+# ---------------------------------------------------------------------------
+
+# d = -1 is the alternating series of the determinant's master theorem
+GRID_WEIGHTS = {**WEIGHTS, "d = -1": lambda l: (-1) ** l}
+
+
+def same_bits(a, b) -> bool:
+    a, b = (np.ascontiguousarray(x, dtype=complex) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kind, weight", [
+    *itertools.product([(3,), (2, 1), (1, 0, 2)], sorted(GRID_WEIGHTS)),
+    ((8,), "d = -1"), ((3, 3), "d = -1"), ((2, 2, 1, 1), "d = -1"), ((3, 2, 2), "complex"),
+    ((1, 1, 1, 1, 1), "falling"),
+])
+def test_compose_grid_matches_exact_composition_in_every_cell(kind, weight):
+    rng = np.random.default_rng(sum(kind) * 37 + len(kind))
+    table, w = random_table(rng, kind), GRID_WEIGHTS[weight]
+    got = compose_grid(grid(table, kind), kind, w)
+    assert got.shape == tuple(c + 1 for c in kind)
+    for u in itertools.product(*(range(c + 1) for c in kind)):
+        assert_exact(got[u], exact_composition(table, u, w), exact_scale(table, u, w))
+
+
+@pytest.mark.parametrize("weight", sorted(GRID_WEIGHTS))
+def test_compose_grid_cells_do_not_depend_on_the_extent(weight):
+    # a cell's terms, and the order they are added in, are the same on
+    # every grid that holds it, so a grid sliced from a larger one is the
+    # smaller grid bit for bit
+    rng = np.random.default_rng(sorted(GRID_WEIGHTS).index(weight))
+    w = GRID_WEIGHTS[weight]
+    for trial in range(40):
+        m = int(rng.integers(1, 6))
+        big = tuple(int(c) for c in rng.integers(0, 5, size=m))
+        if not 1 <= sum(big) <= 10:
+            continue
+        shape = tuple(c + 1 for c in big)
+        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if trial % 2:
+            table[rng.random(shape) < 0.4] = 0
+        whole = compose_grid(table, big, w)
+        for _ in range(3):
+            v = tuple(int(rng.integers(0, c + 1)) for c in big)
+            cut = tuple(slice(c + 1) for c in v)
+            assert same_bits(whole[cut], compose_grid(table[cut], v, w)), (big, v)
+
+
+@pytest.mark.parametrize("kind", SHIFT_ADD_KINDS, ids=str)
+def test_compose_grid_cell_at_kind_is_compose_series(kind):
+    # the same composition to rounding: the grid's last power is a
+    # scatter-add where `compose_series` takes one dot product
+    rng = np.random.default_rng(len(kind) * 100 + sum(kind) + 1)
+    shape = tuple(c + 1 for c in kind)
+    table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    w = GRID_WEIGHTS["d = -1"]
+    scale = shift_add_composition(np.abs(table), kind, lambda l: 1.0).real
+    assert abs(compose_grid(table, kind, w)[kind] - compose_series(table, kind, w)) \
+        <= ERROR_BOUND * scale
+
+
+def test_compose_grid_memory_at_the_widest_grid():
+    kind = (1,) * 10
+    table = np.full((2,) * 10, 0.5 + 0.25j)
+    tracemalloc.start()
+    try:
+        compose_grid(table, kind, WEIGHTS["complex"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def test_compose_grid_overflows_cell_by_cell():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cells alone report it
+        # a weight that overflows from l = 2 on: only cells of weight >= 2
+        got = compose_grid([0.0, 1.0, 1.0, 1.0], (3,), lambda l: 10.0 ** (200 * l))
+        assert got[1] == 1e200
+        assert not np.isfinite(got[2:]).any()
+        # a power that overflows: (1e200)^2 / 2 at weight 2
+        got = compose_grid([[0.0, 1.0], [1e200, 1.0], [0.0, 1.0]], (2, 1), lambda l: 1.0)
+        assert np.isfinite(got[:2]).all()
+        assert not np.isfinite(got[2]).any()
+    assert np.array_equal(compose_grid([0.0, 2.0], (1,), lambda l: 3.0), [0, 6])
+    assert np.array_equal(compose_grid([5.0], (0,), lambda l: 3.0), [0])
+    for table, kind in (([0.0, 1.0], (2,)), (np.zeros((3, 2)), (2,)), ([0.0], (-1,))):
+        with pytest.raises(ValidationError):
+            compose_grid(table, kind, lambda l: 1.0)
 
 
 def test_compose_series_overflow_is_a_numerical_error():
