@@ -15,8 +15,15 @@ with a rule below.  A rule reads its value by `integer`, checks its least
 value and budget, and returns the int (``i = check_moment_order(i)``); it
 needs no numpy, so the engines and the CLI call the same rule before any
 numeric work.  Setting the environment variable ``WISHMOM_MAX_BUDGET`` (or
-the legacy spelling ``WISHART_MAX_BUDGET``) to an integer replaces *all*
-defaults at once, and a rejection then names that variable.
+the legacy spelling ``WISHART_MAX_BUDGET``) to an integer replaces the
+defaults of all eight rules at once (moment order, cumulant order, joint
+weight, necklace weight, permutation degree, permanent dimension, product
+factors and expansion positions), and a rejection then names that variable.
+
+The Monte Carlo cap, `check_mc_variates`, is the one budget that the
+variable does not replace: it bounds a cost, the random variates one call
+draws, not an order, so a larger order budget must not raise it.  It is
+fixed, and no variable or argument changes it.
 """
 
 import math
@@ -31,6 +38,7 @@ MAX_PERMUTATION_SIZE = 10   # k for full S_k enumeration
 MAX_PERMANENT_DIM = 10      # p for brute-force permanents
 MAX_PRODUCT_FACTORS = 8     # m for the group-action product-moment sums
 MAX_EXPANSION_CYCLES = 6    # k for the 2^k central/formal assignment expansion
+MAX_MC_VARIATES = 10 ** 9   # random variates one Monte Carlo call draws (fixed)
 
 _ENV_VARS = ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET")
 
@@ -118,3 +126,26 @@ check_permutation_degree = _rule("permutation degree", MAX_PERMUTATION_SIZE, lea
 check_permanent_dimension = _rule("permanent dimension", MAX_PERMANENT_DIM)
 check_product_factors = _rule("product factors", MAX_PRODUCT_FACTORS)
 check_expansion_positions = _rule("expansion positions", MAX_EXPANSION_CYCLES)
+
+
+def check_mc_variates(variates: int, what: str) -> int:
+    """The Monte Carlo cap: BudgetExceededError, naming the cost and the
+    cap, when `what` would draw more than MAX_MC_VARIATES random variates.
+
+    A call's cost is counted from its request before any draw: 2 n p
+    normals per draw of the n rows of a p x p Wishart matrix, p variates
+    per exact draw of its trace (one non-central chi-square per direction
+    of Sigma), and 2 p^2 normals per Haar frame of a p x p matrix.  The cap
+    is fixed: `WISHMOM_MAX_BUDGET` does not replace it.  Measured at the
+    cap on one core of a shared 2-core host (Python 3.11, numpy 2.4, one
+    BLAS thread), 10^9 variates took 26 s as Wishart rows
+    (`estimate_joint_moment`, p = 4, n = 6), 63 s as exact traces
+    (`estimate_trace_cumulants`, p = 4) and 82 s as Haar frames
+    (`haar_power_sums`, p = 16); the largest test or benchmark call draws
+    2 * 10^7.
+    """
+    if variates > MAX_MC_VARIATES:
+        raise BudgetExceededError(
+            f"{what} draws {variates} random variates, over the Monte Carlo cap "
+            f"{MAX_MC_VARIATES}")
+    return variates

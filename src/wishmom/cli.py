@@ -365,6 +365,10 @@ def _cmd_mc_verify(doc, args):
     seed = budgets.integer(args.seed, "--seed")
     if args.n2 is not None and budgets.integer(args.n2, "--n2") < 1:
         raise ValidationError(f"--n2 must be >= 1: {args.n2}")
+    sigma = doc.get("sigma")
+    if args.samples > 0 and isinstance(sigma, dict) and isinstance(sigma.get("re"), list):
+        # three exact trace samples of --samples draws, p variates a draw
+        budgets.check_mc_variates(3 * len(sigma["re"]) * args.samples, "mc-verify")
     params = _params_from(doc, "standard")
     from . import mc, model
 

@@ -40,6 +40,10 @@ the power sums Tr Y^k, k <= 4, of each Y, read from Y and Y^2 with no
 eigensolve.  `haar_unitary` and `haar_compression` are the one-draw case
 of the same kernel, so a batch reproduces the same number of one-draw
 calls on the same generator bit for bit.
+
+Every estimator and `haar_power_sums` counts the random variates it will
+draw from its request and checks that count against the fixed Monte Carlo
+cap (`budgets.check_mc_variates`) before any draw.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import numpy as np
 
 from . import matrix_core
 from .applications import PolykaySample
-from .budgets import integer, integer_tuple
+from .budgets import check_mc_variates, integer, integer_tuple
 from .choices import IDENTITIES
 from .combinatorics import CyclePermutation
 from .errors import (
@@ -255,6 +259,11 @@ def _row_batches(params: WishartParams, means, gen, n_samples):
         remaining -= c
 
 
+def _check_row_draws(params: WishartParams, n_samples: int, what: str) -> None:
+    """The Monte Carlo cap on `n_samples` row draws, 2 n p normals each."""
+    check_mc_variates(2 * _integer_n(params) * params.p * n_samples, what)
+
+
 def _trace_law(params: WishartParams) -> tuple[int, np.ndarray, np.ndarray, float]:
     """(n, theta, d, offset) with Tr W = sum_j theta_j G_j + offset in law.
 
@@ -333,12 +342,14 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     reproducible bit-exactly for a fixed (seed, stream_id, n_samples).
     A mean or standard error that overflows raises NumericalError.
     """
-    if integer(n_samples, "n_samples") < 1:
+    n_samples = integer(n_samples, "n_samples")
+    if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     hs = matrix_core.square_matrices(h, params.p)
     kind = integer_tuple(i, "index")
     if len(kind) != len(hs):
         raise DimensionMismatchError("index length must match len(h)")
+    _check_row_draws(params, n_samples, "estimate_joint_moment")
     gen = _as_generator(rng)
 
     def batches():
@@ -363,11 +374,13 @@ def estimate_generalized_moment(params: WishartParams, h,
     expansion decomposes.  A mean or standard error that overflows raises
     NumericalError.
     """
-    if integer(n_samples, "n_samples") < 1:
+    n_samples = integer(n_samples, "n_samples")
+    if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     hs = matrix_core.square_matrices(h, params.p)
     sigma_perm = CyclePermutation.checked(sigma_perm, len(hs))
     cycles = [[hs[j - 1] for j in cyc] for cyc in sigma_perm.cycles]
+    _check_row_draws(params, n_samples, "estimate_generalized_moment")
     gen = _as_generator(rng)
 
     def batches():
@@ -431,6 +444,7 @@ def estimate_trace_cumulants(params: WishartParams, i_max: int,
     n_samples = integer(n_samples, "n_samples")
     if n_samples < 10:
         raise ValidationError("n_samples too small for cumulant estimation")
+    check_mc_variates(params.p * n_samples, "estimate_trace_cumulants")
     gen = _as_generator(rng)
     raw = _power_sums(_trace_batches(params, gen, n_samples), 6)
     n = raw[0]
@@ -505,6 +519,7 @@ def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
     """
     x, m = _compression_input(x, m)
     count = integer(count, "count")
+    check_mc_variates(2 * x.shape[0] ** 2 * count, "haar_power_sums")
     gen = _as_generator(rng)
     out = np.empty((count, 4))
     for lo in range(0, count, _HAAR_CHUNK):
@@ -558,6 +573,8 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
         raise ValidationError("n_samples must be >= 1")
 
     n1, n2 = _integer_n(params1), _integer_n(params2)
+    # three trace samples of n_samples draws each: the whole and both blocks
+    check_mc_variates(3 * params1.p * n_samples, "distribution_identity_check")
     whole, _ = build(n1 + n2, params1.sigma,
                      params1.m_matrix + params2.m_matrix, "standard")
     gen_l, gen_a, gen_b = rng.substreams(3)

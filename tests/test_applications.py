@@ -5,12 +5,16 @@ import pytest
 
 from wishmom import (
     BudgetExceededError,
+    CyclePermutation,
     DegenerateSampleSizeError,
     InsufficientOrdersError,
     MomentSequence,
     NumericalError,
     PolykaySample,
     ValidationError,
+    build,
+    central_product_moment,
+    integer_partitions,
     permanent_alpha,
     permanent_d,
     permanent_master,
@@ -226,3 +230,48 @@ def test_polykay_sample_consistency_check():
     ok = PolykaySample(2, (3.0, 5.0, 9.0, 17.0))
     assert ok.size == 2
     assert PolykaySample.from_eigenvalues([1.0, 2.0]) == ok
+
+
+def _cycle_type(parts):
+    """The permutation of 1..sum(parts) whose cycles are consecutive blocks
+    of these lengths."""
+    cycles, start = [], 1
+    for part in parts:
+        cycles.append(tuple(range(start, start + part)))
+        start += part
+    return CyclePermutation(tuple(cycles))
+
+
+def _expected_polykay(params, order):
+    """E[k_order] of the spectrum of W ~ params, with no sampling.
+
+    The polykay is a linear combination of the power-sum products
+    s_lambda, |lambda| = order; its coefficients are read off `polykay`
+    itself at as many generic samples.  E[s_lambda] = E[prod Tr W^part] is
+    the generalized moment with every H = I and a permutation of cycle
+    type lambda."""
+    lambdas = [lam.parts for lam in integer_partitions(order)]
+    points = np.random.default_rng(order).uniform(1.0, 2.0, size=(len(lambdas), 4))
+    design = [[np.prod([s[part - 1] for part in lam]) for lam in lambdas] for s in points]
+    values = [polykay(PolykaySample(params.p, tuple(s)), order) for s in points]
+    coefficients = np.linalg.solve(design, values)
+    eye = [np.eye(params.p)] * order
+    moments = [central_product_moment(params, eye, _cycle_type(lam)).real for lam in lambdas]
+    return float(coefficients @ moments)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, pytest.param(4, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="polykay order 4 is not inherited: E[k4] is 1.6807 on W(7, 0.7 I_6) "
+           "and 2.52105 on its 4 x 4 principal minor W(7, 0.7 I_4)"))])
+def test_polykays_are_inherited_by_principal_minors_exactly(order):
+    # W(7, 0.7 I_6) is unitarily invariant, so the spectrum of its 4 x 4
+    # principal minor, W(7, 0.7 I_4) in law, is a Haar compression of its
+    # spectrum: an inherited polykay has the same expectation on both
+    whole, _ = build(7, 0.7 * np.eye(6), None, "standard")
+    minor, _ = build(7, 0.7 * np.eye(4), None, "standard")
+    full, part = _expected_polykay(whole, order), _expected_polykay(minor, order)
+    assert rel_err(part, full) < 1e-12, (full, part)
+    targets = {1: 4.9, 2: 3.43, 3: 4.802}
+    if order in targets:
+        assert rel_err(full, targets[order]) < 1e-12

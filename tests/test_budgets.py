@@ -139,3 +139,20 @@ def test_degrees_of_freedom_are_read_by_one_rule():
                 10 ** 400, [3]):
         with pytest.raises(ValidationError, match="^n must be a positive finite real"):
             positive_real(bad, "n")
+
+
+@pytest.mark.parametrize("override", [None, "1000000000000"])
+def test_the_monte_carlo_cap_is_fixed(monkeypatch, override):
+    # a cost, not an order: the order budgets' variable does not raise it
+    from wishmom import BudgetExceededError, budgets
+
+    for var in ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET"):
+        monkeypatch.delenv(var, raising=False)
+    if override:
+        monkeypatch.setenv("WISHMOM_MAX_BUDGET", override)
+    cap = budgets.MAX_MC_VARIATES
+    assert budgets.check_mc_variates(cap, "a call") == cap
+    with pytest.raises(BudgetExceededError,
+                       match=f"^a call draws {cap + 1} random variates, over the "
+                             f"Monte Carlo cap {cap}$"):
+        budgets.check_mc_variates(cap + 1, "a call")

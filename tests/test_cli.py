@@ -286,6 +286,31 @@ def test_budget_message_names_the_override(paper_file, monkeypatch):
                    " (set by WISHART_MAX_BUDGET)\n")
 
 
+def test_mc_verify_over_the_monte_carlo_cap_exits_4(tmp_path, capsys, monkeypatch):
+    # 10^12 samples of three exact traces of a 2 x 2 matrix, 6 * 10^12
+    # variates: rejected before any draw, also under a raised order budget
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "1000000000000000")
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({"n": 3, "sigma": matrix_doc(np.eye(2))}))
+    code = main(["mc-verify", str(path), "--samples", "1000000000000"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: mc-verify draws 6000000000000 random "
+                            "variates, over the Monte Carlo cap 1000000000\n")
+
+
+def test_mc_verify_cap_counts_the_matrix_dimension(tmp_path):
+    # the cost is 3 p variates a sample: 2 * 10^8 samples are 1.2 * 10^9
+    # variates at p = 2 and 1.8 * 10^9 at p = 3, both over the cap
+    for p in (2, 3):
+        path = tmp_path / f"p{p}.json"
+        path.write_text(json.dumps({"n": 3, "sigma": matrix_doc(np.eye(p))}))
+        code, out = run(["mc-verify", str(path), "--samples", "200000000"])
+        assert code == 4
+        assert f"draws {3 * p * 200_000_000} random variates" in out
+
+
 def test_csv_format(paper_file):
     code, out = run(["cumulants", paper_file, "--order", "2", "--format", "csv"])
     assert code == 0
@@ -432,6 +457,9 @@ def _child_request(args, stdin=b"", env=None):
     (["permanent", "-"], _DOC_11X11, 4),
     (["generalized", "-", "--index", "2,3,4,5,6,7,1"], _DOC_WITH_H7, 4),
     (["polykay", "-", "--order", "9"], _DOC, 2),
+    # over the Monte Carlo cap: 3 p variates a sample, counted from the request
+    (["mc-verify", "-", "--samples", "1000000000000"], _DOC, 4),
+    (["mc-verify", "-", "--samples", "1000000000000", "--seed", "-1"], _DOC, 2),
 ])
 def test_request_checks_run_without_numpy(args, stdin, code):
     got, modules = _child_request(args, stdin)

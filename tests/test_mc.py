@@ -674,6 +674,52 @@ def test_principal_submatrix_inheritance_reported():
 
 
 # ---------------------------------------------------------------------------
+# the Monte Carlo cap
+# ---------------------------------------------------------------------------
+
+def _capped_calls():
+    """Each capped call on p = 2, n = 4 as (name, run(count, gen), variates
+    per count): 2 n p normals a row draw, p variates an exact trace draw,
+    three trace samples in an identity check, 2 p^2 normals a Haar frame."""
+    params = standard_params(40, central=True)
+    h = [np.eye(2), np.diag([1.0, -1.0])]
+    return [
+        ("estimate_joint_moment",
+         lambda k, gen: estimate_joint_moment(params, h, (1, 1), k, gen), 16),
+        ("estimate_generalized_moment",
+         lambda k, gen: estimate_generalized_moment(
+             params, h, CyclePermutation(((1, 2),)), k, gen), 16),
+        ("estimate_trace_cumulants",
+         lambda k, gen: estimate_trace_cumulants(params, 2, k, gen), 2),
+        ("distribution_identity_check",
+         lambda k, gen: distribution_identity_check(
+             params, params, "df-additivity", k, RngStream(41)), 6),
+        ("haar_power_sums", lambda k, gen: haar_power_sums(np.diag([1.0, 2.0]), 1, k, gen), 8),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_the_monte_carlo_cap_is_checked_before_any_draw(monkeypatch, index):
+    from wishmom import BudgetExceededError, budgets
+
+    name, run, per = _capped_calls()[index]
+    # at the real cap: one count over it raises, and the generator is untouched
+    over = budgets.MAX_MC_VARIATES // per + 1
+    gen = np.random.Generator(np.random.Philox(42))
+    with pytest.raises(BudgetExceededError,
+                       match=f"^{name} draws {per * over} random variates, over the "
+                             f"Monte Carlo cap {budgets.MAX_MC_VARIATES}$"):
+        run(over, gen)
+    fresh = np.random.Generator(np.random.Philox(42))
+    assert np.array_equal(gen.standard_normal(8), fresh.standard_normal(8))
+    # at a small cap: a call that draws exactly the cap runs, one more count raises
+    monkeypatch.setattr(budgets, "MAX_MC_VARIATES", per * 40)
+    run(40, np.random.Generator(np.random.Philox(43)))
+    with pytest.raises(BudgetExceededError):
+        run(41, np.random.Generator(np.random.Philox(43)))
+
+
+# ---------------------------------------------------------------------------
 # distribution identities
 # ---------------------------------------------------------------------------
 

@@ -225,6 +225,24 @@ def test_sequence_budget_is_checked_before_any_order(monkeypatch, sequence, per_
         assert len(calls) == 2 * (k_max + 1)
 
 
+@pytest.mark.parametrize("route", ["moment_sequence", "noncentral_moment"])
+def test_one_partition_list_per_order_feeds_both_sheffer_parts(monkeypatch, route):
+    # A_j and R_j sum over the same partitions of j: a pass to order K
+    # enumerates the partitions of 0..K once each, K + 1 lists, not one
+    # per part (2 K + 2)
+    from wishmom import univariate
+
+    calls = []
+    real = univariate.integer_partitions
+    monkeypatch.setattr(univariate, "integer_partitions",
+                        lambda j: calls.append(j) or real(j))
+    params = random_params(11)
+    for k_max in (1, 3, 20):
+        calls.clear()
+        getattr(univariate, route)(params, k_max)
+        assert calls == list(range(k_max + 1))
+
+
 @pytest.mark.parametrize("sequence", ["moment_sequence", "cumulant_sequence"])
 def test_sequence_overflow_is_a_numerical_error(sequence):
     # p = 1, Sigma = M = 1e15: every Sheffer part up to order 20 is finite,
