@@ -6,14 +6,13 @@ series composition on the grid of sub-indices of the index,
 v <= i at once; it enumerates no partitions.  The last grid composed is
 kept for its (T, weights) content, so a session that tabulates the
 permanents of one T reads most of them as slices of one grid.  The
-brute-force permanents walk all p! permutations and are its independent
-check.
+brute-force permanents are one `combinatorics.permutation_sum` over all p!
+permutations and are its independent check.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import matrix_core
 from .budgets import check_joint_weight, check_permanent_dimension, integer, integer_tuple
 from .choices import POLYKAY_ORDERS
-from .combinatorics import KeptGrid, complex_fsum, compose_grid, cycles_of_images
+from .combinatorics import KeptGrid, compose_grid, permutation_sum
 from .errors import DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite
 from .multivariate import rho_table
 from .univariate import MOMENTS, MomentSequence
@@ -36,18 +35,17 @@ def _finite_d(d) -> complex:
 
 
 def _cycle_weighted_permanent(y: np.ndarray, a_of) -> complex:
-    """sum over permutations s of a_of(#cycles(s)) prod_j y[j, s(j)]."""
+    """sum over permutations s of a_of(#cycles(s)) prod_j y[j, s(j)]: one
+    `permutation_sum`, whose term is this product in row order."""
     rows = y.tolist()
-    terms = []
-    try:
-        for perm in itertools.permutations(range(len(rows))):
-            prod = a_of(len(cycles_of_images(perm)))
-            for j, col in enumerate(perm):
-                prod *= rows[j][col]
-            terms.append(prod)
-    except OverflowError:  # a complex power d ** k raises where a product gives inf
-        terms = [math.inf]
-    return finite(complex_fsum(terms), "permanent")
+
+    def term(perm, cycles):
+        prod = a_of(len(cycles))
+        for j, col in enumerate(perm):
+            prod *= rows[j][col]
+        return prod
+
+    return permutation_sum(len(rows), term, "permanent")
 
 
 def permanent_d(y, d) -> complex:

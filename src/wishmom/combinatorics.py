@@ -7,22 +7,24 @@ integer partitions come in reverse-lexicographic order, multi-index
 partitions in reverse-lexicographic order on their column sequences (larger
 columns consumed first), necklace representatives in lexicographic order.
 
-Every closed form reduces to a weighted sum over partitions,
-sum_lambda a_l / prod r! prod x_part^r, and there are two kernels for it.
-The series kernel evaluates it as the coefficient [z^i] of
-sum_l a_l R(z)^l / l!, a truncated power series on the grid of sub-indices
-u <= i, and enumerates no partitions.  `compose_series` gives the one
-coefficient at i and carries the univariate compositions (randomized,
-central and normalized moments); `compose_grid` gives every coefficient
-u <= i at once, each bit-identical whatever the grid's extent, and carries
-the master-theorem permanents and the randomized joint cumulants, whose
-routes keep their last grid for its content in a `KeptGrid`.
-`partition_sum` walks the partitions and adds the terms with
+The closed forms are sums of two kinds, with one kernel each.  A weighted
+sum over partitions, sum_lambda a_l / prod r! prod x_part^r, is the
+coefficient [z^i] of sum_l a_l R(z)^l / l!, a truncated power series on
+the grid of sub-indices u <= i.  The series kernel, `compose_grid`, gives
+every coefficient u <= i at once, each bit-identical whatever the grid's
+extent, and enumerates no partitions.  It carries the univariate
+compositions (randomized, central and normalized moments), which read
+their one cell at i, and the master-theorem permanents and the randomized
+joint cumulants, whose routes keep their last grid for its content in a
+`KeptGrid`.  `partition_sum` walks the partitions and adds the terms with
 `complex_fsum`, a correctly rounded complex sum; it carries the trace
 moments and the joint moments (one sum over the joint cumulant table) and
-is the tests' oracle for the series kernel.  The Bell and
-cyclic polynomials come from the Bell recurrence and enumerate nothing, so
-they stay an independent check on both.
+is the tests' oracle for the series kernel.  The Bell and cyclic
+polynomials come from the Bell recurrence and enumerate nothing, so they
+stay an independent check on both.  A sum over the symmetric group, the
+generalized moments' group action and the d- and alpha-permanents, is one
+walk over S_m, `permutation_sum`, which hands each permutation and its
+cycles to the caller's term and adds the terms with `complex_fsum`.
 
 The public constructors of `IntegerPartition`, `MultiIndexPartition`,
 `Necklace` and `CyclePermutation` validate: they read every integer by
@@ -379,9 +381,30 @@ def _shift_pairs(shape):
     return dst, src
 
 
-def _series_table(table, kind):
-    """(kind, R on the flattened grid of sub-indices, 0 at the origin) from
-    a table of shape kind + 1, or ValidationError."""
+def compose_grid(table, kind, weight):
+    """C[u] = [z^u] of sum_{l >= 1} weight(l) R(z)^l / l! for every
+    sub-index u <= kind, where R(z) = sum_{u != 0} table[u] z^u: the array
+    of shape kind + 1, 0 at the origin.  This is the one series kernel.
+
+    `table` is an array of shape kind + 1 on the grid of sub-indices, its
+    entry at the origin ignored, or ValidationError; a one-dimensional kind
+    (i,) takes the sequence [_, x_1, ..., x_i].  Cell u is the partition
+    sum of `partition_sum` over the partitions of u (the origin gives 0,
+    not weight(0)): R^l / l! collects prod table[part]^r / prod r! over
+    the partitions of length l.  It enumerates none of them.
+
+    Each power R^l / l! is one row of the terms array: a scatter-add
+    (`np.add.at`) of table[u] times the row before at d - u into each
+    destination d >= u, over the pairs of `_shift_pairs` kept for the
+    nonzero entries u, then a division by l.  The pairs run in C order of
+    u, so each destination adds its terms in that order, and which terms
+    they are does not depend on the grid's extent.  Cell u then adds
+    weight(l) R^l[u] / l!, l = 1, ..., |u|, in order of l, correctly
+    rounded as `complex_fsum` adds them.  So the grid of a larger kind,
+    sliced to `kind`, is this one bit for bit.  A weight that overflows
+    makes inf every cell that needs it; a cell that overflows holds inf or
+    nan, and its reader sends it through `errors.finite`.
+    """
     # numpy loads on first use: `necklaces` and the CLI's request checks
     # import this module and stay numpy-free
     import numpy as np
@@ -389,121 +412,51 @@ def _series_table(table, kind):
     kind = integer_tuple(kind, "kind")
     shape = tuple(v + 1 for v in kind)
     try:
-        r = np.array(table, dtype=complex)
-        if r.shape != shape:
-            raise ValueError(f"shape {r.shape}")
+        flat = np.array(table, dtype=complex)
+        if flat.shape != shape:
+            raise ValueError(f"shape {flat.shape}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"table does not fit the grid of kind {kind}: {exc}") from exc
-    flat = r.reshape(-1)
+    flat = flat.reshape(-1)
     flat[0] = 0
-    return kind, flat
-
-
-def _series_powers(flat, shape):
-    """R^l / l! on the flattened grid of `shape` for l = 2, 3, ..., each
-    yielded in one of two buffers that the next power but one overwrites.
-
-    A product with R is one scatter-add (`np.add.at`) of table[u] times
-    the previous power at d - u into each destination d >= u, over a list
-    of (destination, source) pairs built at the first power from one upper
-    triangle per axis, by arithmetic on its row lengths (`_shift_pairs`),
-    and kept only for the nonzero entries u.  The list runs in C order of
-    u, so each destination adds its terms in that order, and which terms
-    they are does not depend on the grid's extent.  The caller holds an
-    `np.errstate` that ignores overflow."""
-    import numpy as np
-
-    dst, src = _shift_pairs(shape)
-    x = flat[dst - src]
-    if not x.all():
-        keep = np.flatnonzero(x)
-        dst, src, x = dst[keep], src[keep], x[keep]
-    power, terms = flat, np.empty_like(x)
-    buffers = (np.empty_like(flat), np.empty_like(flat))
-    for l in itertools.count(2):
-        np.take(power, src, out=terms)
-        # entry times power, in this order: numpy's complex multiply
-        # rounds x * y and y * x differently
-        np.multiply(x, terms, out=terms)
-        power = buffers[l % 2]
-        power.fill(0)
-        np.add.at(power, dst, terms)
-        power /= l
-        yield power
-
-
-def compose_series(table, kind, weight) -> complex:
-    """[z^kind] of sum_{l >= 1} weight(l) R(z)^l / l!, where
-    R(z) = sum_{u != 0} table[u] z^u runs over the sub-indices u <= kind.
-
-    `table` is an array of shape kind + 1 on the grid of sub-indices, its
-    entry at the origin ignored; a one-dimensional kind (i,) takes the
-    sequence [_, x_1, ..., x_i].  For a nonzero kind
-    this is the partition sum of `partition_sum` over the partitions of
-    kind (a zero kind gives 0, not weight(0)): R^l / l! collects
-    prod table[part]^r / prod r! over the partitions of length l.  It
-    enumerates none of them.
-
-    The powers R^l / l! live on the flattened grid of sub-indices, one
-    scatter-add each (`_series_powers`).  The last power is needed only
-    at kind, the grid's last entry, and is one dot product of R with the
-    reversed previous power.  This is the single-cell route of the
-    univariate compositions; `compose_grid` gives every cell at once.
-    Raises NumericalError on overflow.
-    """
-    import numpy as np
-
-    kind, flat = _series_table(table, kind)
-    top = sum(kind)
-    if top == 0:
-        return 0j
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = [weight(1) * flat[-1]]
-            if top > 1:
-                power, powers = flat, _series_powers(flat, tuple(v + 1 for v in kind))
-                for l in range(2, top):
-                    power = next(powers)
-                    terms.append(weight(l) * power[-1])
-                # C order: reversing the flat grid reverses every axis
-                terms.append(weight(top) * np.dot(flat, power[::-1]) / top)
-    except OverflowError:  # a Python power in `weight` raises where numpy gives inf
-        terms = [math.inf]
-    return finite(complex_fsum(terms), "series composition")
-
-
-def compose_grid(table, kind, weight):
-    """C[u] = [z^u] of sum_{l >= 1} weight(l) R(z)^l / l! for every
-    sub-index u <= kind: the array of shape kind + 1 whose cell at kind is
-    `compose_series`, to rounding, and whose origin is 0.
-
-    Every power R^l / l! is one scatter-add on the whole grid
-    (`_series_powers`), the last one included, and cell u adds its terms
-    weight(l) R^l[u] / l!, l = 1, ..., |u|, in order of l, correctly
-    rounded as `complex_fsum` adds them.  So each cell is computed by the
-    same operations on the same inputs whatever the grid's extent: the
-    grid of a larger kind, sliced to `kind`, is this one bit for bit.
-    A weight that overflows makes inf every cell that needs it; a cell
-    that overflows holds inf or nan, and its reader sends it through
-    `errors.finite`.
-    """
-    import numpy as np
-
-    kind, flat = _series_table(table, kind)
-    shape = tuple(v + 1 for v in kind)
     top = sum(kind)
     terms = np.zeros((top, flat.size), dtype=complex)  # terms[l - 1] = weight(l) R^l / l!
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = itertools.chain([flat], _series_powers(flat, shape))
-        for l, power in zip(range(1, top + 1), powers):
+        if top:
+            terms[0] = flat
+        if top > 1:
+            dst, src = _shift_pairs(shape)
+            x = flat[dst - src]
+            if not x.all():
+                keep = np.flatnonzero(x)
+                dst, src, x = dst[keep], src[keep], x[keep]
+            products = np.empty_like(x)
+            for l, (power, row) in enumerate(itertools.pairwise(terms), 2):
+                power.take(src, out=products)
+                # entry times power, in this order: numpy's complex multiply
+                # rounds x * y and y * x differently
+                np.multiply(x, products, out=products)
+                np.add.at(row, dst, products)
+                row /= l
+        weights, finite_weights = np.empty((top, 1), dtype=complex), top
+        for l in range(1, top + 1):
             try:
-                terms[l - 1] = weight(l) * power
+                weights[l - 1] = weight(l)
             except OverflowError:  # a Python power in `weight` raises where numpy gives inf
-                terms[l - 1:] = math.inf
+                finite_weights = l - 1
                 break
-    levels = np.indices(shape).sum(axis=0).ravel().tolist()
-    cells = zip(terms.real.T.tolist(), terms.imag.T.tolist(), levels)
-    out = np.array([complex(_fsum(re[:k]), _fsum(im[:k])) for re, im, k in cells])
+        # weight times power, in this order, each row by its own weight
+        np.multiply(weights[:finite_weights], terms[:finite_weights],
+                    out=terms[:finite_weights])
+        terms[finite_weights:] = math.inf
+    # cell u adds only its terms l <= |u|: R^l[u] is 0 for l > |u|, but
+    # weight(l) times it may be nan or -0, so those terms are set to +0,
+    # which changes no correctly rounded sum
+    levels = np.indices(shape).sum(axis=0).ravel()
+    terms[np.arange(1, top + 1)[:, None] > levels] = 0
+    out = np.empty(flat.size, dtype=complex)
+    out.real = list(map(_fsum, terms.real.T.tolist()))
+    out.imag = list(map(_fsum, terms.imag.T.tolist()))
     return out.reshape(shape)
 
 
@@ -769,6 +722,23 @@ def permutations_by_cycles(k: int):
     k = check_permutation_degree(k)
     for images in itertools.permutations(range(1, k + 1)):
         yield CyclePermutation._of_images(images)
+
+
+def permutation_sum(m: int, term, what: str) -> complex:
+    """sum over the m! permutations tau of {0..m-1} of term(tau, cycles),
+    with tau in one-line notation, in lexicographic order, and cycles its
+    `cycles_of_images`: the one walk over S_m.
+
+    The terms are added with `complex_fsum`, and the sum is returned
+    through `errors.finite` labelled `what`; a term that raises
+    OverflowError (a Python power) makes the sum inf.  The caller checks
+    its own budget on m.
+    """
+    try:
+        terms = [term(tau, cycles_of_images(tau)) for tau in itertools.permutations(range(m))]
+    except OverflowError:  # a Python power raises where a product gives inf
+        terms = [math.inf]
+    return finite(complex_fsum(terms), what)
 
 
 # ---------------------------------------------------------------------------

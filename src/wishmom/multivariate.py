@@ -61,8 +61,9 @@ cumulant series, would give every joint moment of a session at once: the
 benchmark keeps every job's answer, so a faster moment route would read as
 a larger peak RSS (ROADMAP.md).
 The generalized moments of the formal non-centrality component read the
-same head-led words along the cycles of a permutation.  The necklace and
-group-action sums are added with `combinatorics.complex_fsum`, a correctly
+same head-led words along the cycles of a permutation.  A group-action sum
+over S_m is one `combinatorics.permutation_sum` of its term, and the
+necklace sums are added with `combinatorics.complex_fsum`, a correctly
 rounded sum.
 """
 
@@ -91,6 +92,7 @@ from .combinatorics import (
     necklace_rotations,
     necklaces_of_kind,
     partition_sum,
+    permutation_sum,
 )
 from .errors import (
     DimensionMismatchError,
@@ -395,22 +397,20 @@ def _product_images(h, sigma_perm: CyclePermutation) -> tuple[int, ...]:
 
 def _group_action_sum(base, sigma_images, cycle_value) -> complex:
     """sum_tau base^{#cycles(sigma tau^-1)} prod over cycles c of tau of
-    cycle_value(c), with the cycles 0-based positions of sigma_images."""
+    cycle_value(c), with the cycles 0-based positions of sigma_images: one
+    `permutation_sum`, whose term is this product."""
     m = len(sigma_images)
-    terms = []
-    try:
-        for tau in itertools.permutations(range(m)):
-            inv = [0] * m
-            for a, b in enumerate(tau):
-                inv[b] = a
-            comp = tuple(sigma_images[inv[j]] for j in range(m))
-            term = base ** len(cycles_of_images(comp))
-            for c in cycles_of_images(tau):
-                term = term * cycle_value(c)
-            terms.append(term)
-    except OverflowError:  # a float power raises where a product gives inf
-        terms = [math.inf]
-    return finite(complex_fsum(terms), "generalized moment")
+
+    def term(tau, cycles):
+        inv = [0] * m
+        for a, b in enumerate(tau):
+            inv[b] = a
+        value = base ** len(cycles_of_images([sigma_images[inv[j]] for j in range(m)]))
+        for c in cycles:
+            value = value * cycle_value(c)
+        return value
+
+    return permutation_sum(m, term, "generalized moment")
 
 
 def _genmom_cycles(n, sh, sigma_images) -> complex:

@@ -10,10 +10,10 @@ sums (`combinatorics.partition_sum`, which adds its terms with a correctly
 rounded sum); the Bell route is a recurrence that enumerates no partitions.
 
 The compositions, sums over partitions of a_l d_lambda prod x_part, are
-one truncated power series each (`combinatorics.compose_series`, the 1-D
-case): the central moment, the randomized moment, and both directions of
-the dimension-normalized moments.  They enumerate no partitions.  The
-moments stay on the partition sums for now, computed once per sequence:
+one truncated power series each, the cell i of `combinatorics.compose_grid`
+on the 1-D grid: the central moment, the randomized moment, and both
+directions of the dimension-normalized moments.  They enumerate no
+partitions.  The moments stay on the partition sums for now, computed once per sequence:
 `moment_sequence` and `binomial_convolution_check` take A_0..A_K and
 R_0..R_K from one pass and convolve every order from them, where a single
 `noncentral_moment` of order K pays the same pass for its one order.  A_j
@@ -25,7 +25,9 @@ form of A and R, exp of the cumulant series, waits for a benchmark change
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ from .budgets import check_cumulant_order, check_moment_order, integer, positive
 from .combinatorics import (
     complete_bell,
     complex_fsum,
-    compose_series,
+    compose_grid,
     cyclic_polynomial,
     falling_factorial,
     integer_partitions,
@@ -53,7 +55,8 @@ class MomentSequence:
     """A finite moment or cumulant sequence.
 
     `values[k]` is the order-k entry; index 0 holds 1 for moments and 0 for
-    cumulants by convention.
+    cumulants by convention.  Every entry must be a finite number, not a
+    bool or a string, else ValidationError.
     """
 
     values: tuple[complex, ...]
@@ -64,10 +67,10 @@ class MomentSequence:
             raise ValidationError(f"kind must be {MOMENTS!r} or {CUMULANTS!r}")
         if not self.values:
             raise ValidationError("empty sequence")
+        for v in self.values:
+            _check_entry(v)
         if self.kind == MOMENTS and self.values[0] != 1:
             raise ValidationError("a moment sequence must start with 1")
-        if any(not np.isfinite(complex(v)) for v in self.values):
-            raise ValidationError("non-finite entry in sequence")
 
     @property
     def depth(self) -> int:
@@ -90,13 +93,29 @@ class MomentSequence:
         return cls((0,) + tuple(orders_1_up), CUMULANTS)
 
 
-def _exponential_composition(x, i: int, weight) -> complex:
+def _check_entry(v) -> None:
+    """ValidationError unless the sequence entry `v` is a finite number."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Number):
+        raise ValidationError(f"sequence entries must be numbers: {v!r}")
+    try:
+        is_finite = cmath.isfinite(complex(v))
+    except (TypeError, ValueError, OverflowError):  # e.g. an int past the float range
+        is_finite = False
+    if not is_finite:
+        raise ValidationError("non-finite entry in sequence")
+
+
+def _exponential_composition(x, i: int, weight, what: str) -> complex:
     """The d_lambda-weighted partition sum over the partitions of i,
     sum_lambda d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j} from
-    x[k-1] = x_k: i! times the composition (`compose_series`) on the table
-    [0, x_1 / 1!, ..., x_i / i!]."""
-    table = [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
-    return math.factorial(i) * compose_series(table, (i,), weight)
+    x[k-1] = x_k: i! times the cell at i of `compose_grid` on the table
+    [0, x_1 / 1!, ..., x_i / i!], through `errors.finite` labelled `what`."""
+    try:
+        table = [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
+        value = math.factorial(i) * complex(compose_grid(table, (i,), weight)[i])
+    except OverflowError:  # k! past the float range (k >= 171) raises where a float gives inf
+        value = math.inf
+    return finite(value, what)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +135,8 @@ def central_moment(params: WishartParams, i: int) -> complex:
     cache = params.trace_cache(i)
     cyc = [cyclic_polynomial([cache.t_power(k) for k in range(1, j + 1)])
            for j in range(1, i + 1)]
-    return finite(_exponential_composition(cyc, i, lambda l: falling_factorial(params.n, l)),
-                  f"central moment of order {i}")
+    return _exponential_composition(cyc, i, lambda l: falling_factorial(params.n, l),
+                                    f"central moment of order {i}")
 
 
 def central_cumulant(params: WishartParams, i: int) -> complex:
@@ -253,7 +272,7 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
     (Sigma, M); params.n is ignored.  The random-sum composition gives
     sum over partitions of alpha_{l(lambda)} d_lambda times products of the
     per-draw trace *cumulants*, i.e. the moment sequence of N composed with
-    the single-draw log-transform, evaluated by `compose_series`.  For N
+    the single-draw log-transform, evaluated by `compose_grid`.  For N
     fixed at an integer n this equals the n-draw moment with non-centrality
     n * M.
     """
@@ -269,8 +288,7 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
     draw_cums = [math.factorial(k - 1) * cache.t_power(k)
                  + params.sign * math.factorial(k) * cache.s_power(k)
                  for k in range(1, i + 1)]
-    return finite(_exponential_composition(draw_cums, i, alpha.order),
-                  f"randomized moment of order {i}")
+    return _exponential_composition(draw_cums, i, alpha.order, f"randomized moment of order {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +301,7 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     Defined by the triangular system
         E[(Tr W)^i] = sum over partitions of p^{l} d_lambda prod e_{part}^r
     and solved for the e_i by forward substitution, each step one
-    composition (`compose_series`) of the e_k found so far; reinserting the
+    composition (`compose_grid`) of the e_k found so far; reinserting the
     solved sequence reproduces the trace moments exactly.
 
     The system has a closed-form solution: exp(p R(z)) with
@@ -306,8 +324,9 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     for i in range(1, i_max + 1):
         mom = noncentral_moment(params, i)
         # every term but the head p * e_i, which vanishes at e_i = 0
-        rest = _exponential_composition(e[1:] + [0.0], i, lambda l: p ** l)
-        e.append(finite((mom - rest) / p, f"normalized moment of order {i}"))
+        what = f"normalized moment of order {i}"
+        rest = _exponential_composition(e[1:] + [0.0], i, lambda l: p ** l, what)
+        e.append(finite((mom - rest) / p, what))
     return MomentSequence(tuple(e), MOMENTS)
 
 
@@ -317,16 +336,17 @@ def compose_normalized_moments(e: MomentSequence, p: int, i: int) -> complex:
     i! [z^i] sum_l p^l R(z)^l / l! with R(z) = sum_k e_k z^k / k!.
 
     p is the matrix dimension: a positive integer, else ValidationError.
+    The order is read by `check_moment_order`, as in `randomized_moment`.
     """
     if e.kind != MOMENTS:
         raise ValidationError("e must be a moment sequence")
-    p, i = integer(p, "p"), integer(i, "order")
+    p, i = integer(p, "p"), check_moment_order(i)
     if p < 1:
         raise ValidationError(f"p is a matrix dimension, a positive integer: {p}")
     if i == 0:
         return 1.0 + 0.0j
-    return finite(_exponential_composition([e.order(k) for k in range(1, i + 1)], i,
-                                           lambda l: p ** l), f"moment of order {i}")
+    return _exponential_composition([e.order(k) for k in range(1, i + 1)], i,
+                                    lambda l: p ** l, f"moment of order {i}")
 
 
 # ---------------------------------------------------------------------------

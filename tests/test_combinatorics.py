@@ -25,7 +25,7 @@ from wishmom import (
     partition_coefficients,
     permutations_by_cycles,
 )
-from wishmom.combinatorics import complex_fsum, partition_sum
+from wishmom.combinatorics import complex_fsum, partition_sum, permutation_sum
 
 from brute_force import partitions_of, strings_of_kind
 
@@ -425,6 +425,89 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("WISHART_MAX_BUDGET", "3")  # legacy spelling
     with pytest.raises(BudgetExceededError):
         list(permutations_by_cycles(4))
+
+
+# ---------------------------------------------------------------------------
+# the permutation-sum kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_permutation_sum_matches_permutations_by_cycles(m):
+    # the kernel's walk against a plain sum over `permutations_by_cycles`:
+    # the same permutations and cycles, in the same order, so the same bits
+    rng = np.random.default_rng(m)
+    y = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    a = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+    seen = []
+
+    def term(tau, cycles):
+        seen.append((tau, cycles))
+        value = complex(a[len(cycles)])
+        for c in cycles:
+            value *= y[c[0], tau[c[-1]]] ** len(c)
+        for j, col in enumerate(tau):
+            value *= y[j, col]
+        return value
+
+    got = permutation_sum(m, term, "test sum")
+    walk = [(tuple(v - 1 for v in perm.images()),
+             [tuple(j - 1 for j in c) for c in perm.cycles])
+            for perm in permutations_by_cycles(m)]
+    assert seen == walk
+    assert len(seen) == math.factorial(m)
+    seen.clear()
+    assert got == complex_fsum(term(tau, cycles) for tau, cycles in walk)
+    # S_0 holds the empty permutation, with no cycles, whose term is the sum
+    assert permutation_sum(0, lambda tau, cycles: 2.5 + len(tau) + len(cycles), "x") == 2.5
+
+
+def test_permutation_sum_overflow_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="^permanent overflows"):
+        # a Python power that raises OverflowError
+        permutation_sum(3, lambda tau, cycles: 1e200 ** len(cycles), "permanent")
+    with pytest.raises(NumericalError, match="^generalized moment overflows"):
+        # finite terms whose sum overflows
+        permutation_sum(2, lambda tau, cycles: 1.7e308, "generalized moment")
+    with pytest.raises(NumericalError, match="^generalized moment overflows"):
+        permutation_sum(2, lambda tau, cycles: complex(math.inf, 0), "generalized moment")
+
+
+def test_permutation_routes_walk_s_m_through_the_kernel(monkeypatch):
+    # every route that sums over S_m calls the one kernel with its label,
+    # and every walk over the permutations is the kernel's
+    import wishmom
+    from wishmom import (MomentSequence, a_product_moment, build, central_product_moment,
+                         generalized_moment_expansion, permanent_alpha, permanent_d)
+
+    calls, walks = [], []
+    walk = itertools.permutations
+    monkeypatch.setattr(itertools, "permutations",
+                        lambda *args: walks.append(args) or walk(*args))
+
+    def spy(m, term, what):
+        calls.append((m, what))
+        return permutation_sum(m, term, what)
+
+    for module in (wishmom.multivariate, wishmom.applications):
+        monkeypatch.setattr(module, "permutation_sum", spy)
+    params, _ = build(4.0, np.diag([2.0, 1.0]), np.diag([0.5, 0.25]), "standard")
+    h = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
+    perm = CyclePermutation(((1, 2), (3,)))
+    y = np.arange(9.0).reshape(3, 3)
+    routes = {
+        "central_product_moment": lambda: central_product_moment(params, h, perm),
+        "a_product_moment": lambda: a_product_moment(params, h, perm),
+        "generalized_moment_expansion": lambda: generalized_moment_expansion(params, h, perm),
+        "permanent_d": lambda: permanent_d(y, 0.5),
+        "permanent_alpha": lambda: permanent_alpha(y, MomentSequence.from_moments([1, 2, 5])),
+    }
+    for name, route in routes.items():
+        calls.clear()
+        walks.clear()
+        route()
+        label = "permanent" if name.startswith("permanent") else "generalized moment"
+        assert calls and all(what == label for _, what in calls), name
+        assert walks == [(range(m),) for m, _ in calls], name
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""The truncated power-series composition kernel, `compose_series`, and the
+"""The truncated power-series composition kernel, `compose_grid`, and the
 routes built on it: permanents, randomized moments and cumulants, central
 moments and normalized moments.
+
+The tests named `compose_series` check the composition read at its one
+cell, kind, through `errors.finite` (`series_cell`), as the univariate
+compositions read it.
 
 Each route is pinned against an exact Gaussian-rational composition of the
 same inputs (`brute_force.exact_composition`) and against the partition
@@ -36,7 +40,8 @@ from wishmom import (
     randomized_moment,
     repeated_matrix,
 )
-from wishmom.combinatorics import _shift_pairs, compose_grid, compose_series, partition_sum
+from wishmom.combinatorics import _shift_pairs, compose_grid, partition_sum
+from wishmom.errors import finite
 
 from brute_force import (
     ERROR_BOUND,
@@ -69,9 +74,16 @@ def random_table(rng, kind) -> dict:
     return {u: complex(*rng.normal(size=2)) for u in cells if any(u)}
 
 
+def series_cell(table, kind, weight) -> complex:
+    """The composition's cell at kind, read as the univariate compositions
+    read it: through `errors.finite`."""
+    kind = tuple(kind)
+    return finite(complex(compose_grid(table, kind, weight)[kind]), "series composition")
+
+
 def grid(table, kind) -> np.ndarray:
     """The mapping `table` as the array of shape kind + 1 that
-    `compose_series` reads, 0 at the origin."""
+    `compose_grid` reads, 0 at the origin."""
     out = np.zeros(tuple(c + 1 for c in kind), dtype=complex)
     for u, x in table.items():
         out[u] = x
@@ -101,7 +113,7 @@ SMALL_KINDS = [(1,), (2,), (2, 1), (1, 0, 2)]
 def test_compose_series_matches_exact_composition(kind, weight):
     rng = np.random.default_rng(sum(kind) * 31 + len(kind))
     table, w = random_table(rng, kind), WEIGHTS[weight]
-    assert_exact(compose_series(grid(table, kind), kind, w), exact_composition(table, kind, w),
+    assert_exact(series_cell(grid(table, kind), kind, w), exact_composition(table, kind, w),
                  exact_scale(table, kind, w))
 
 
@@ -110,33 +122,33 @@ def test_compose_series_takes_arrays_and_sequences():
     kind = (3, 2)
     table = grid(random_table(rng, kind), kind)
     w = WEIGHTS["complex"]
-    want = compose_series(table, kind, w)
+    want = series_cell(table, kind, w)
     table[0, 0] = 99.0  # the origin is ignored
-    assert compose_series(table, kind, w) == want
-    assert compose_series(table.tolist(), kind, w) == want
+    assert series_cell(table, kind, w) == want
+    assert series_cell(table.tolist(), kind, w) == want
     x = [0.0, 1.5, -0.25, 2.0]
-    assert compose_series(x, (3,), w) == compose_series(np.array(x), [3], w)
-    assert compose_series([5.0], (0,), w) == 0
+    assert series_cell(x, (3,), w) == series_cell(np.array(x), [3], w)
+    assert series_cell([5.0], (0,), w) == 0
     # the one-partition case: weight(1) times the entry at kind
-    assert compose_series([[0.0], [2.0]], (1, 0), lambda l: 3.0) == 6.0
+    assert series_cell([[0.0], [2.0]], (1, 0), lambda l: 3.0) == 6.0
 
 
 def test_compose_series_rejects_malformed_requests():
     w = WEIGHTS["complex"]
     with pytest.raises(ValidationError):
-        compose_series([0.0, 1.0], (2,), w)  # shape (2,) against grid (3,)
+        series_cell([0.0, 1.0], (2,), w)  # shape (2,) against grid (3,)
     with pytest.raises(ValidationError):
-        compose_series(np.zeros((3, 2)), (2,), w)  # a 2-D grid for a 1-D kind
+        series_cell(np.zeros((3, 2)), (2,), w)  # a 2-D grid for a 1-D kind
     with pytest.raises(ValidationError):
-        compose_series({(1,): 1.0, (2,): 1.0}, (2,), w)  # a mapping is no grid
+        series_cell({(1,): 1.0, (2,): 1.0}, (2,), w)  # a mapping is no grid
     with pytest.raises(ValidationError):
-        compose_series([0, 1, 10 ** 400], (2,), w)  # no complex128 reads it
+        series_cell([0, 1, 10 ** 400], (2,), w)  # no complex128 reads it
     with pytest.raises(ValidationError):
-        compose_series([0.0], (-1,), w)
+        series_cell([0.0], (-1,), w)
     with pytest.raises(ValidationError):
-        compose_series([0.0, 1.0], (True,), w)
+        series_cell([0.0, 1.0], (True,), w)
     with pytest.raises(ValidationError):
-        compose_series([0.0, 1.0], (1.5,), w)
+        series_cell([0.0, 1.0], (1.5,), w)
 
 
 VALUES = st.one_of(
@@ -162,7 +174,7 @@ def test_compose_series_matches_partition_sum(data):
     if data.draw(st.booleans()):  # alternating
         values = [(-1) ** l * abs(v) for l, v in enumerate(values)]
     partitions = multiindex_partitions(kind)
-    got = compose_series(grid(table, kind), kind, values.__getitem__)
+    got = series_cell(grid(table, kind), kind, values.__getitem__)
     want = partition_sum(partitions, table, values.__getitem__)
     scale = partition_sum(partitions, {u: abs(x) for u, x in table.items()},
                           lambda l: abs(values[l]))
@@ -192,7 +204,7 @@ def test_compose_series_matches_shift_add_loop(kind, sparse):
     w = WEIGHTS["alternating"]
     want = shift_add_composition(table, kind, w)
     scale = shift_add_composition(np.abs(table), kind, lambda l: abs(w(l))).real
-    assert abs(compose_series(table, kind, w) - want) <= ERROR_BOUND * scale
+    assert abs(series_cell(table, kind, w) - want) <= ERROR_BOUND * scale
 
 
 @pytest.mark.parametrize("kind", SHIFT_ADD_KINDS + [(2, 1), (0, 3), (3, 0, 1), (5, 5)], ids=str)
@@ -204,20 +216,6 @@ def test_shift_pairs_are_the_triangle_product(kind):
     for got, want in zip(_shift_pairs(shape), shift_pairs_by_triu(shape)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-
-
-def test_compose_series_memory_at_the_widest_grid():
-    # (1,)*10 has 59,049 (destination, source) pairs; a dense
-    # (entries x grid x axes) difference tensor would peak near 84 MB
-    kind = (1,) * 10
-    table = np.full((2,) * 10, 0.5 + 0.25j)
-    tracemalloc.start()
-    try:
-        compose_series(table, kind, WEIGHTS["complex"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +270,21 @@ def test_compose_grid_cells_do_not_depend_on_the_extent(weight):
 
 @pytest.mark.parametrize("kind", SHIFT_ADD_KINDS, ids=str)
 def test_compose_grid_cell_at_kind_is_compose_series(kind):
-    # the same composition to rounding: the grid's last power is a
-    # scatter-add where `compose_series` takes one dot product
+    # the cell at kind against the shift-add oracle, a single-cell route
+    # whose last power is one dot product where the grid's is a
+    # scatter-add, under the determinant's alternating weight
     rng = np.random.default_rng(len(kind) * 100 + sum(kind) + 1)
     shape = tuple(c + 1 for c in kind)
     table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     w = GRID_WEIGHTS["d = -1"]
     scale = shift_add_composition(np.abs(table), kind, lambda l: 1.0).real
-    assert abs(compose_grid(table, kind, w)[kind] - compose_series(table, kind, w)) \
+    assert abs(series_cell(table, kind, w) - shift_add_composition(table, kind, w)) \
         <= ERROR_BOUND * scale
 
 
 def test_compose_grid_memory_at_the_widest_grid():
+    # (1,)*10 has 59,049 (destination, source) pairs; a dense
+    # (entries x grid x axes) difference tensor would peak near 84 MB
     kind = (1,) * 10
     table = np.full((2,) * 10, 0.5 + 0.25j)
     tracemalloc.start()
@@ -319,16 +320,16 @@ def test_compose_series_overflow_is_a_numerical_error():
         warnings.simplefilter("error")  # the error alone reports it
         # a power that overflows: (1e200)^2 / 2
         with pytest.raises(NumericalError):
-            compose_series([0.0, 1e200, 1.0], (2,), one)
+            series_cell([0.0, 1e200, 1.0], (2,), one)
         # a middle power that overflows on a grid
         with pytest.raises(NumericalError):
-            compose_series([[0.0, 1e120], [1e120, 1.0], [0.0, 1.0]], (2, 1), one)
+            series_cell([[0.0, 1e120], [1e120, 1.0], [0.0, 1.0]], (2, 1), one)
         # finite terms whose sum overflows
         with pytest.raises(NumericalError):
-            compose_series([0.0, 1e154, 1.7e308], (2,), one)
+            series_cell([0.0, 1e154, 1.7e308], (2,), one)
         # a weight that overflows
         with pytest.raises(NumericalError):
-            compose_series([0.0, 1.0, 1.0], (2,), lambda l: 10.0 ** (200 * l))
+            series_cell([0.0, 1.0, 1.0], (2,), lambda l: 10.0 ** (200 * l))
 
 
 # ---------------------------------------------------------------------------

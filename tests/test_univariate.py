@@ -8,6 +8,7 @@ from wishmom import (
     DimensionMismatchError,
     InsufficientOrdersError,
     MomentSequence,
+    NumericalError,
     ValidationError,
     binomial_convolution_check,
     build,
@@ -182,12 +183,27 @@ def test_cumulant_additivity_in_blocks():
                        noncentral_cumulant(a, i) + noncentral_cumulant(b, i)) < 1e-12
 
 
-def test_order_budget():
+def test_order_budget(monkeypatch):
+    for var in ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET"):
+        monkeypatch.delenv(var, raising=False)
     params = random_params(11)
     with pytest.raises(BudgetExceededError):
         noncentral_moment(params, 21)
     with pytest.raises(BudgetExceededError):
         noncentral_cumulant(params, 21)
+    # the forward expansion reads its order by the same rule
+    e = MomentSequence.from_moments([1.0] * 180)
+    assert np.isfinite(compose_normalized_moments(e, 2, 20))
+    with pytest.raises(BudgetExceededError, match="moment order=21 exceeds budget 20"):
+        compose_normalized_moments(e, 2, 21)
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "5")
+    with pytest.raises(BudgetExceededError, match="set by WISHMOM_MAX_BUDGET"):
+        compose_normalized_moments(e, 2, 6)
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    assert np.isfinite(compose_normalized_moments(e, 2, 60))
+    # 171! is past the float range: an overflow, not a builtin error
+    with pytest.raises(NumericalError, match="^moment of order 171 overflows"):
+        compose_normalized_moments(e, 2, 171)
 
 
 @pytest.mark.parametrize("sequence, per_order", [("moment_sequence", "noncentral_moment"),
@@ -433,6 +449,15 @@ def test_moment_sequence_validation():
     assert seq.depth == 2 and seq.order(0) == 1
     with pytest.raises(InsufficientOrdersError):
         seq.order(3)
+    # every entry is read as a finite number: no builtin error escapes, and
+    # a bool or a digit string is no number
+    for bad in ([10 ** 400], ["a"], [None], [[1, 2]], ["2"], [True], [np.bool_(False)],
+                [math.inf], [complex(0, math.nan)]):
+        for make in (MomentSequence.from_moments, MomentSequence.from_cumulants):
+            with pytest.raises(ValidationError):
+                make(bad)
+    seq = MomentSequence.from_cumulants([2, 2.5, 1 - 1j, np.float64(3.0), np.int64(4)])
+    assert [seq.order(k) for k in range(1, 6)] == [2, 2.5, 1 - 1j, 3, 4]
 
 
 def test_sequence_helpers_match_scalar_ops():
