@@ -22,7 +22,8 @@ from . import matrix_core
 from .budgets import check_joint_weight, check_permanent_dimension, integer, integer_tuple
 from .choices import POLYKAY_ORDERS
 from .combinatorics import KeptGrid, compose_grid, permutation_sum
-from .errors import DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite
+from .errors import (DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite,
+                     finite_of)
 from .multivariate import rho_table
 from .univariate import MOMENTS, MomentSequence
 
@@ -141,7 +142,8 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     factorial = math.prod(math.factorial(v) for v in kind)
     return _kept_permanents.value(
         (t.shape, t.tobytes(), *weights), kind, build,
-        lambda table: finite(factorial * complex(table[kind]), "permanent"), depth=depth)
+        lambda table: finite_of(lambda: factorial * complex(table[kind]), "permanent"),
+        depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +194,8 @@ def polykay(sample: PolykaySample, order: int) -> float:
     order = integer(order, "order")
     if order not in POLYKAY_ORDERS:
         raise ValidationError(f"order must be 1..4: {order}")
-    try:
-        value = _polykay(sample.size, *sample.power_sums, order)
-    except OverflowError:
-        value = math.inf
-    return finite(value, f"the polykay of order {order}")
+    return finite_of(lambda: _polykay(sample.size, *sample.power_sums, order),
+                     f"the polykay of order {order}")
 
 
 def _polykay(m: int, s1: float, s2: float, s3: float, s4: float, order: int) -> float:

@@ -51,7 +51,7 @@ from .budgets import (
     integer,
     integer_tuple,
 )
-from .errors import BudgetExceededError, DimensionMismatchError, ValidationError, finite
+from .errors import BudgetExceededError, DimensionMismatchError, ValidationError, finite_of
 
 
 def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
@@ -341,8 +341,8 @@ def partition_sum(partitions, base, weight) -> complex:
 
     Raises NumericalError when a term or the sum overflows.
     """
-    terms = []
-    try:
+    def total():
+        terms = []
         for lam in partitions:
             term = weight(lam.length)
             den = 1
@@ -350,9 +350,9 @@ def partition_sum(partitions, base, weight) -> complex:
                 term = term * base[part] ** r
                 den *= math.factorial(r)
             terms.append(term / den)
-    except OverflowError:  # a Python power raises where a product gives inf
-        terms = [math.inf]
-    return finite(complex_fsum(terms), "partition sum")
+        return complex_fsum(terms)
+
+    return finite_of(total, "partition sum")
 
 
 # ---------------------------------------------------------------------------
@@ -730,15 +730,12 @@ def permutation_sum(m: int, term, what: str) -> complex:
     `cycles_of_images`: the one walk over S_m.
 
     The terms are added with `complex_fsum`, and the sum is returned
-    through `errors.finite` labelled `what`; a term that raises
+    through `errors.finite_of` labelled `what`, so a term that raises
     OverflowError (a Python power) makes the sum inf.  The caller checks
     its own budget on m.
     """
-    try:
-        terms = [term(tau, cycles_of_images(tau)) for tau in itertools.permutations(range(m))]
-    except OverflowError:  # a Python power raises where a product gives inf
-        terms = [math.inf]
-    return finite(complex_fsum(terms), what)
+    return finite_of(lambda: complex_fsum(term(tau, cycles_of_images(tau))
+                                          for tau in itertools.permutations(range(m))), what)
 
 
 # ---------------------------------------------------------------------------

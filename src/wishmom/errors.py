@@ -8,10 +8,14 @@ requests beyond the configured size limits.
 Every input is checked finite, so a closed form that yields inf or nan
 has overflowed.  Every public route that returns a closed form's number
 returns it through `finite`: the number as computed, or NumericalError
-naming what overflowed.  No other code reports an overflow.
+naming what overflowed.  Where Python raises OverflowError in place of
+giving inf (an int past the float range, such as k! for k >= 171, or a
+float power), the computation runs inside `finite_of`, which reads that
+error as the overflow it is.  No other code reports an overflow.
 """
 
 import cmath
+import math
 
 
 class WishmomError(Exception):
@@ -65,3 +69,15 @@ def finite(value, what: str):
     if cmath.isfinite(value):
         return value
     raise NumericalError(f"{what} overflows: {value}")
+
+
+def finite_of(compute, what: str):
+    """`finite(compute(), what)`, where an OverflowError raised by `compute`
+    counts as a value of inf: Python raises it where a float would give
+    inf, converting an int past the float range (k! for k >= 171) or
+    taking a float power."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    return finite(value, what)

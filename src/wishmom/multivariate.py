@@ -60,15 +60,19 @@ stay on the partition sum although the same whole-grid series, exp of the
 cumulant series, would give every joint moment of a session at once: the
 benchmark keeps every job's answer, so a faster moment route would read as
 a larger peak RSS (ROADMAP.md).
-The generalized moments of the formal non-centrality component read the
-same head-led words along the cycles of a permutation.  A group-action sum
-over S_m is one `combinatorics.permutation_sum` of its term, and the
-necklace sums are added with `combinatorics.complex_fsum`, a correctly
-rounded sum.
+The generalized moments, central and formal, and every term of their
+central/formal expansion are one group-action sum over the positions of
+sigma's cycles (`_group_action_sum`, one `combinatorics.permutation_sum`).
+One pair of cycle values per call (`_cycle_values`) forms and traces each
+distinct cycle word once.  The formal value, the head-led word summed over
+the cycle's rotations, is the trace of the corner block of one product of
+2p x 2p factors [[Sigma H_j, L H_j], [0, Sigma H_j]].  The necklace sums
+are added with `combinatorics.complex_fsum`, a correctly rounded sum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -99,6 +103,7 @@ from .errors import (
     InsufficientOrdersError,
     ValidationError,
     finite,
+    finite_of,
 )
 from .model import WishartParams
 from .univariate import CUMULANTS, MomentSequence
@@ -325,7 +330,7 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     if weight == 0:
         return 1.0 + 0.0j
     table = _cumulant_table(params, h, kind)
-    return finite(_index_factorial(kind) * partition_sum(
+    return finite_of(lambda: _index_factorial(kind) * partition_sum(
         multiindex_partitions(kind), table, lambda l: 1), "joint moment")
 
 
@@ -337,8 +342,8 @@ def joint_cumulant(params: WishartParams, h, i) -> complex:
     """
     kind = _nonzero_kind(i, h, "joint cumulant")
     check_joint_weight(sum(kind))
-    return finite(_index_factorial(kind) * complex(_cumulant_table(params, h, kind)[kind]),
-                  "joint cumulant")
+    table = _cumulant_table(params, h, kind)
+    return finite_of(lambda: _index_factorial(kind) * complex(table[kind]), "joint cumulant")
 
 
 @matrix_core.quiet
@@ -379,7 +384,8 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     factorial = _index_factorial(kind)
     return _kept_randomized.value(
         key + (np.array(alpha_cumulants.values, dtype=complex).tobytes(),), kind, build,
-        lambda table: finite(factorial * complex(table[kind]), "randomized joint cumulant"),
+        lambda table: finite_of(lambda: factorial * complex(table[kind]),
+                                "randomized joint cumulant"),
         depth=alpha_cumulants.depth)
 
 
@@ -387,72 +393,67 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
 # generalized (multi-factor trace) moments
 # ---------------------------------------------------------------------------
 
-def _product_images(h, sigma_perm: CyclePermutation) -> tuple[int, ...]:
-    """0-based one-line images of sigma_perm, checked against len(h) and the
-    product-factor budget."""
-    sigma_perm = CyclePermutation.checked(sigma_perm, len(h))
-    check_product_factors(len(h))
-    return tuple(v - 1 for v in sigma_perm.images())
-
-
-def _group_action_sum(base, sigma_images, cycle_value) -> complex:
-    """sum_tau base^{#cycles(sigma tau^-1)} prod over cycles c of tau of
-    cycle_value(c), with the cycles 0-based positions of sigma_images: one
-    `permutation_sum`, whose term is this product."""
-    m = len(sigma_images)
-
-    def term(tau, cycles):
-        inv = [0] * m
-        for a, b in enumerate(tau):
-            inv[b] = a
-        value = base ** len(cycles_of_images([sigma_images[inv[j]] for j in range(m)]))
-        for c in cycles:
-            value = value * cycle_value(c)
-        return value
-
-    return permutation_sum(m, term, "generalized moment")
-
-
-def _genmom_cycles(n, sh, sigma_images) -> complex:
-    """Group-action sum for the central part: base n, and each cycle of tau
-    weighted by the trace of the Sigma H product along the cycle."""
-    return _group_action_sum(
-        n, sigma_images, lambda c: np.trace(_word_product(sh, [j + 1 for j in c])))
-
-
-def _genmom1_cycles(sign, heads, sh, sigma_images) -> complex:
-    """Group-action sum for the formal non-centrality part: base sign, and
-    each cycle of tau weighted by the length-of-cycle weighted head-led
-    trace word Tr[L H_j1 (Sigma H_j2) ...], realized as the sum of the word
-    over the cycle's rotations (which is what makes the singleton
-    assignment decomposition exact, the word not being rotation invariant).
-    """
-    def rotations_value(c):
-        words = (c[r:] + c[:r] for r in range(len(c)))
-        return complex_fsum(np.trace(_word_product(sh, [j + 1 for j in w[1:]], left=heads[w[0]]))
-                            for w in words)
-
-    return _group_action_sum(sign, sigma_images, rotations_value)
-
-
-def _restrict(sigma_cycles, *factor_lists):
-    """Relabel a set of cycles over arbitrary positions to a compact
-    permutation: its one-line images, then each list of per-position
-    factors cut down to those positions."""
+def _group_action_sum(base, sigma_cycles, cycle_value) -> complex:
+    """sum over the permutations tau of the positions of sigma's cycles of
+    base^{#cycles(sigma tau^-1)} times prod over the cycles c of tau of
+    cycle_value(c), each c a tuple of positions: one `permutation_sum` on
+    the positions relabelled 0..k-1 in increasing order, so every cycle
+    still starts at its smallest position.  #cycles(sigma tau^-1) is read
+    as #cycles(tau sigma^-1), its inverse's, with sigma^-1 built once."""
     positions = sorted(j for c in sigma_cycles for j in c)
-    pos_index = {j: k for k, j in enumerate(positions)}
-    images = [0] * len(positions)
+    label = {j: k for k, j in enumerate(positions)}
+    sigma_inverse = [0] * len(positions)
     for c in sigma_cycles:
         for a, b in zip(c, c[1:] + c[:1]):
-            images[pos_index[a]] = pos_index[b]
-    return (tuple(images), *([f[j] for j in positions] for f in factor_lists))
+            sigma_inverse[label[b]] = label[a]
+
+    def term(tau, cycles):
+        value = base ** len(cycles_of_images([tau[s] for s in sigma_inverse]))
+        for c in cycles:
+            value = value * cycle_value(tuple(positions[j] for j in c))
+        return value
+
+    return permutation_sum(len(positions), term, "generalized moment")
+
+
+def _cycle_values(params: WishartParams, h):
+    """(central, formal), the two cycle values of one call on the
+    directions h, each kept per cycle (a tuple of 1-based positions), so
+    every distinct cycle word is formed and traced once per call.
+
+    central(c) = Tr prod_{j in c} Sigma H_j.  formal(c) is the head-led
+    word summed over the cycle's rotations, sum_r Tr[L H_{c_r}
+    (Sigma H_{c_r+1}) ...]; by trace cyclicity that is the sum over every
+    placement of the one head in prod_{j in c} Sigma H_j, which the corner
+    block of prod_{j in c} [[Sigma H_j, L H_j], [0, Sigma H_j]] collects.
+    The heads, and so Omega, are formed when a formal value is first
+    needed.
+    """
+    hs, sh = _directions(params, h)
+    p = params.p
+
+    @functools.cache
+    def blocks():
+        zero = np.zeros((p, p))
+        return [np.block([[a, b], [zero, a]]) for a, b in zip(sh, _heads(params, hs))]
+
+    @functools.cache
+    def central(c):
+        return np.trace(_word_product(sh, c))
+
+    @functools.cache
+    def formal(c):
+        return np.trace(_word_product(blocks(), c)[:p, p:])
+
+    return central, formal
 
 
 @matrix_core.quiet
 def central_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> complex:
     """E[prod over cycles c of sigma of Tr(prod_{j in c} W_central H_j)]."""
-    images = _product_images(h, sigma_perm)
-    return _genmom_cycles(params.n, _directions(params, h)[1], images)
+    sigma_perm = CyclePermutation.checked(sigma_perm, len(h))
+    check_product_factors(sigma_perm.size)
+    return _group_action_sum(params.n, sigma_perm.cycles, _cycle_values(params, h)[0])
 
 
 @matrix_core.quiet
@@ -463,9 +464,9 @@ def a_product_moment(params: WishartParams, h, sigma_perm: CyclePermutation) -> 
     "paper", +1 under "standard").  Under "paper" it needs Omega, hence a
     nonsingular Sigma, unless M = 0.
     """
-    images = _product_images(h, sigma_perm)
-    hs, sh = _directions(params, h)
-    return _genmom1_cycles(params.sign, _heads(params, hs), sh, images)
+    sigma_perm = CyclePermutation.checked(sigma_perm, len(h))
+    check_product_factors(sigma_perm.size)
+    return _group_action_sum(params.sign, sigma_perm.cycles, _cycle_values(params, h)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -553,22 +554,18 @@ def generalized_moment_expansion(params: WishartParams, h,
     """
     sigma_perm = CyclePermutation.checked(sigma_perm, len(h))
     m = check_expansion_positions(sigma_perm.size)
-    hs, sh = _directions(params, h)
-    heads = _heads(params, hs)
+    central_value, formal_value = _cycle_values(params, h)
     central = params.is_central
-    sign = params.sign
-    cycles0 = [tuple(v - 1 for v in c) for c in sigma_perm.cycles]
 
-    def pure_values(cycle0):
-        """The single-cycle expectations of the pure-W and the pure-A factor."""
-        images, sub = _restrict([cycle0], sh)
-        w_value = _genmom_cycles(params.n, sub, images)
-        if central:
-            return w_value, 0.0 + 0.0j
-        images, a_heads, a_sh = _restrict([cycle0], heads, sh)
-        return w_value, _genmom1_cycles(sign, a_heads, a_sh, images)
+    def central_sum(cycles):
+        return _group_action_sum(params.n, cycles, central_value)
 
-    pure = {cyc: pure_values(cyc) for cyc in cycles0}
+    def formal_sum(cycles):
+        return _group_action_sum(params.sign, cycles, formal_value)
+
+    # the single-cycle expectations of the pure-W and the pure-A factor
+    pure = {cyc: (central_sum([cyc]), 0.0 + 0.0j if central else formal_sum([cyc]))
+            for cyc in sigma_perm.cycles}
 
     terms = []
     evaluated = []
@@ -577,21 +574,20 @@ def generalized_moment_expansion(params: WishartParams, h,
         factors = []
         central_cycles, formal_cycles = [], []
         mixed = False
-        for cyc in cycles0:
-            letters = "".join(bits[j] for j in cyc)
-            cycle1 = tuple(j + 1 for j in cyc)
+        for cyc in sigma_perm.cycles:
+            letters = "".join(bits[j - 1] for j in cyc)
             if letters.count(CENTRAL_LETTER) == len(cyc):
                 central_cycles.append(cyc)
-                factors.append(TraceFactor(letters, cycle1, pure[cyc][0]))
+                factors.append(TraceFactor(letters, cyc, pure[cyc][0]))
             elif letters.count(FORMAL_LETTER) == len(cyc):
                 formal_cycles.append(cyc)
-                factors.append(TraceFactor(letters, cycle1, pure[cyc][1]))
+                factors.append(TraceFactor(letters, cyc, pure[cyc][1]))
             elif central:
                 # mixed word, but the formal component is identically zero
-                factors.append(TraceFactor(letters, cycle1, 0.0 + 0.0j))
+                factors.append(TraceFactor(letters, cyc, 0.0 + 0.0j))
             else:
                 mixed = True
-                factors.append(TraceFactor(letters, cycle1, None))
+                factors.append(TraceFactor(letters, cyc, None))
 
         if mixed:
             value = None
@@ -601,10 +597,7 @@ def generalized_moment_expansion(params: WishartParams, h,
         elif central and any(b == FORMAL_LETTER for b in bits):
             value = 0.0 + 0.0j
         else:
-            w_img, w_sh = _restrict(central_cycles, sh)
-            a_img, a_heads, a_sh = _restrict(formal_cycles, heads, sh)
-            value = (_genmom_cycles(params.n, w_sh, w_img)
-                     * _genmom1_cycles(sign, a_heads, a_sh, a_img))
+            value = central_sum(central_cycles) * formal_sum(formal_cycles)
             evaluated.append(value)
         terms.append(ExpansionTerm(tuple(factors), value))
 

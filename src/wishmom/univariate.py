@@ -43,7 +43,8 @@ from .combinatorics import (
     integer_partitions,
     partition_sum,
 )
-from .errors import DimensionMismatchError, InsufficientOrdersError, ValidationError, finite
+from .errors import (DimensionMismatchError, InsufficientOrdersError, ValidationError, finite,
+                     finite_of)
 from .model import WishartParams, build
 
 MOMENTS = "moments"
@@ -109,13 +110,14 @@ def _exponential_composition(x, i: int, weight, what: str) -> complex:
     """The d_lambda-weighted partition sum over the partitions of i,
     sum_lambda d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j} from
     x[k-1] = x_k: i! times the cell at i of `compose_grid` on the table
-    [0, x_1 / 1!, ..., x_i / i!], through `errors.finite` labelled `what`."""
-    try:
+    [0, x_1 / 1!, ..., x_i / i!], through `errors.finite_of` labelled
+    `what`.  x may be a generator: its entries are then computed inside the
+    overflow rule too."""
+    def compose():
         table = [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
-        value = math.factorial(i) * complex(compose_grid(table, (i,), weight)[i])
-    except OverflowError:  # k! past the float range (k >= 171) raises where a float gives inf
-        value = math.inf
-    return finite(value, what)
+        return math.factorial(i) * complex(compose_grid(table, (i,), weight)[i])
+
+    return finite_of(compose, what)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +135,8 @@ def central_moment(params: WishartParams, i: int) -> complex:
     if i == 0:
         return 1.0 + 0.0j
     cache = params.trace_cache(i)
-    cyc = [cyclic_polynomial([cache.t_power(k) for k in range(1, j + 1)])
-           for j in range(1, i + 1)]
+    cyc = (cyclic_polynomial([cache.t_power(k) for k in range(1, j + 1)])
+           for j in range(1, i + 1))
     return _exponential_composition(cyc, i, lambda l: falling_factorial(params.n, l),
                                     f"central moment of order {i}")
 
@@ -145,8 +147,8 @@ def central_cumulant(params: WishartParams, i: int) -> complex:
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
     cache = params.trace_cache(i)
-    return finite(params.n * math.factorial(i - 1) * cache.t_power(i),
-                  f"central cumulant of order {i}")
+    return finite_of(lambda: params.n * math.factorial(i - 1) * cache.t_power(i),
+                     f"central cumulant of order {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +164,9 @@ def noncentral_cumulant(params: WishartParams, i: int) -> complex:
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
     cache = params.trace_cache(i)
-    return finite(params.n * math.factorial(i - 1) * cache.t_power(i)
-                  + params.sign * math.factorial(i) * cache.s_power(i), f"cumulant of order {i}")
+    return finite_of(lambda: params.n * math.factorial(i - 1) * cache.t_power(i)
+                     + params.sign * math.factorial(i) * cache.s_power(i),
+                     f"cumulant of order {i}")
 
 
 @matrix_core.quiet
@@ -181,7 +184,7 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
     d = np.diagonal(q.conj().T @ params.m_matrix @ q)
     total = sum(params.n * theta[j] ** i + params.sign * i * d[j] * theta[j] ** (i - 1)
                 for j in range(params.p))
-    return finite(math.factorial(i - 1) * complex(total), f"cumulant of order {i}")
+    return finite_of(lambda: math.factorial(i - 1) * complex(total), f"cumulant of order {i}")
 
 
 def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
@@ -205,7 +208,7 @@ def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
 def _sheffer_moment(a_part, r_part, i: int) -> complex:
     """i! sum_{j+k=i} A_j R_k, i >= 1, from the lists of `_sheffer_parts`."""
     total = complex_fsum(a_part[j] * r_part[i - j] for j in range(i + 1))
-    return finite(math.factorial(i) * total, f"moment of order {i}")
+    return finite_of(lambda: math.factorial(i) * total, f"moment of order {i}")
 
 
 def _sheffer_moments(params: WishartParams, i_max: int) -> list[complex]:
@@ -285,9 +288,9 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
         raise InsufficientOrdersError(
             f"alpha carries {alpha.depth} orders, need {i}")
     cache = params.trace_cache(i)
-    draw_cums = [math.factorial(k - 1) * cache.t_power(k)
+    draw_cums = (math.factorial(k - 1) * cache.t_power(k)
                  + params.sign * math.factorial(k) * cache.s_power(k)
-                 for k in range(1, i + 1)]
+                 for k in range(1, i + 1))
     return _exponential_composition(draw_cums, i, alpha.order, f"randomized moment of order {i}")
 
 

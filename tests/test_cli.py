@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -262,6 +263,32 @@ def test_sequence_overflow_exits_3(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical error")
+
+
+@pytest.mark.parametrize("args", [
+    ["cumulants", "--order", "171"],
+    ["joint-cumulants", "--index", "171"],
+    ["permanent", "--index", "171"],
+])
+def test_orders_past_170_under_a_raised_budget_exit_3_or_0(tmp_path, capsys, monkeypatch, args):
+    # each request needs 171!, an int past the float range: an overflow
+    # (exit 3, nothing on stdout) or a number, never a traceback, and at
+    # once: none of these routes enumerates partitions (CPU time, which a
+    # busy host does not inflate)
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    doc = {"n": 2, "sigma": matrix_doc([[0.02]]), "m_matrix": matrix_doc([[0.001]]),
+           "h": [matrix_doc([[1.0]])]}
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    start = time.process_time()
+    code = main([args[0], str(path), *args[1:]])
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code in (0, 3), captured.err
+    if code == 3:
+        assert captured.out == ""
+        assert "overflows" in captured.err
+    assert elapsed < 0.1
 
 
 def test_exit_code_budget(paper_file):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -31,7 +32,16 @@ from wishmom import (
     rho_moment,
     rho_moment_strings,
 )
-from wishmom.multivariate import _base_tables, _directions, _heads, _string_sums, rho_table
+from wishmom.combinatorics import complex_fsum, cycles_of_images, integer_partitions
+from wishmom.multivariate import (
+    CENTRAL_LETTER,
+    FORMAL_LETTER,
+    _base_tables,
+    _directions,
+    _heads,
+    _string_sums,
+    rho_table,
+)
 
 from brute_force import (
     ERROR_BOUND,
@@ -746,6 +756,151 @@ def test_expansion_pure_factor_values_are_single_cycle_expectations():
             if factor.assignment == "AA":
                 want = a_product_moment(params, h, perm)
                 assert rel_err(factor.value, want) < 1e-12
+
+
+# the plain per-permutation loop, the oracle of the group-action sums: an
+# inverse built for every tau, #cycles(sigma tau^-1) counted on the composed
+# images, every cycle of every tau traced afresh, and each formal cycle value
+# the complex_fsum of its head-led word over the cycle's rotations
+
+def _oracle_sum(base, images, cycle_value):
+    m = len(images)
+    terms = []
+    for tau in itertools.permutations(range(m)):
+        inverse = [0] * m
+        for a, b in enumerate(tau):
+            inverse[b] = a
+        value = base ** len(cycles_of_images([images[inverse[j]] for j in range(m)]))
+        for c in cycles_of_images(tau):
+            value = value * cycle_value(c)
+        terms.append(value)
+    return complex_fsum(terms)
+
+
+def oracle_product_moment(params, h, cycles, formal=False):
+    """The central (or formal) generalized moment of the cycles over 1-based
+    positions, relabelled 0..k-1 in increasing order, by the plain loop."""
+    positions = sorted(j for c in cycles for j in c)
+    label = {j: k for k, j in enumerate(positions)}
+    images = [0] * len(positions)
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            images[label[a]] = label[b]
+    hs = [np.asarray(h[j - 1], dtype=complex) for j in positions]
+    sh, heads = [params.sigma @ hk for hk in hs], _heads(params, hs)
+
+    def word(first, rest):
+        return np.trace(functools.reduce(np.matmul, [first] + [sh[j] for j in rest]))
+
+    def rotations(c):
+        return complex_fsum(word(heads[c[r]], c[r + 1:] + c[:r]) for r in range(len(c)))
+
+    if formal:
+        return _oracle_sum(params.sign, images, rotations)
+    return _oracle_sum(params.n, images, lambda c: word(sh[c[0]], c[1:]))
+
+
+def _labelled(cycle_type, seed):
+    """A permutation of the cycle type on randomly labelled positions."""
+    labels = np.random.default_rng(seed).permutation(sum(cycle_type)) + 1
+    cuts = np.cumsum((0,) + cycle_type)
+    return CyclePermutation(tuple(tuple(int(v) for v in labels[a:b])
+                                  for a, b in zip(cuts, cuts[1:])))
+
+
+def _oracle_cases():
+    """Every cycle type up to m = 5 under both conventions, central and
+    not; at m = 6, whose oracle loop is the slow one, each of the 11 types
+    under one of those four cases in turn."""
+    cases = list(itertools.product(CONVENTIONS, ("noncentral", "central")))
+    types = [lam.parts for m in range(1, 7) for lam in integer_partitions(m)]
+    for k, cycle_type in enumerate(types):
+        for convention, central in cases if sum(cycle_type) <= 5 else [cases[k % 4]]:
+            yield pytest.param(cycle_type, convention, central == "central",
+                               id=f"{cycle_type}-{convention}-{central}")
+
+
+@pytest.mark.parametrize("cycle_type, convention, central", _oracle_cases())
+def test_group_action_sums_match_the_per_permutation_loop(cycle_type, convention, central):
+    # central values equal the loop bit for bit; formal values, one block
+    # product per cycle in place of a sum over its rotations, to rounding
+    m = sum(cycle_type)
+    params, h = make_instance(70 + m, p=2, m=m, convention=convention, central=central)
+    sigma = _labelled(cycle_type, m)
+
+    @functools.cache
+    def oracle(cycles, formal=False):
+        return oracle_product_moment(params, h, cycles, formal)
+
+    assert central_product_moment(params, h, sigma) == oracle(sigma.cycles)
+    assert rel_err(a_product_moment(params, h, sigma), oracle(sigma.cycles, True)) <= 1e-12
+    expansion = generalized_moment_expansion(params, h, sigma)
+    if central:
+        assert expansion.evaluated_sum == oracle(sigma.cycles)
+    for term in expansion.terms:
+        for f in term.factors:
+            if f.assignment == CENTRAL_LETTER * len(f.cycle):
+                assert f.value == oracle((f.cycle,))
+            elif f.assignment == FORMAL_LETTER * len(f.cycle) and not central:
+                assert rel_err(f.value, oracle((f.cycle,), True)) <= 1e-12
+        if term.symbolic or (central and any(FORMAL_LETTER in f.assignment for f in term.factors)):
+            continue
+        w_cycles = tuple(f.cycle for f in term.factors if f.assignment[0] == CENTRAL_LETTER)
+        a_cycles = tuple(f.cycle for f in term.factors if f.assignment[0] == FORMAL_LETTER)
+        want = oracle(w_cycles) * oracle(a_cycles, True)
+        if a_cycles:
+            assert rel_err(term.value, want) <= 1e-12
+        else:
+            assert term.value == want
+
+
+@pytest.mark.parametrize("route", [central_product_moment, a_product_moment,
+                                   generalized_moment_expansion])
+def test_each_distinct_cycle_word_is_formed_once_per_call(monkeypatch, route):
+    # S_5 has 274 cycles over its 120 permutations, but only 89 distinct
+    # ones (sum_k C(5, k) (k-1)!): one word each per call, central or formal
+    from wishmom import multivariate
+
+    words = []
+    real = multivariate._word_product
+
+    def spy(factors, word, left=None):
+        words.append((len(factors[0]), tuple(word)))
+        return real(factors, word, left)
+
+    monkeypatch.setattr(multivariate, "_word_product", spy)
+    params, h = make_instance(75, p=2, m=5, convention="paper")
+    route(params, h, CyclePermutation(((1, 3, 5), (2, 4))))
+    assert len(words) == len(set(words))
+    counts = {size: sum(1 for p, _ in words if p == size) for size in (2, 4)}
+    want = {central_product_moment: {2: 89, 4: 0}, a_product_moment: {2: 0, 4: 89},
+            generalized_moment_expansion: {2: 89, 4: 89}}[route]
+    assert counts == want
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_generalized_moments_at_a_singular_sigma(monkeypatch, convention):
+    # the central words need no Omega; the formal words need it under
+    # "paper" with M != 0, and under "standard" they lead with M itself
+    from wishmom import model
+
+    solves = []
+    real = model.matrix_core.solve
+    monkeypatch.setattr(model.matrix_core, "solve",
+                        lambda *args: solves.append(args) or real(*args))
+    sigma = CyclePermutation(((1, 2), (3,)))
+    params, h = singular_instance(3, convention)
+    assert np.isfinite(central_product_moment(params, h, sigma))
+    assert not solves
+    routes = (lambda: a_product_moment(params, h, sigma),
+              lambda: generalized_moment_expansion(params, h, sigma).evaluated_sum)
+    for route in routes:
+        if convention == "paper":
+            with pytest.raises(SingularMatrixError):
+                route()
+        else:
+            assert np.isfinite(route())
+    assert bool(solves) == (convention == "paper")
 
 
 def test_expansion_budget():

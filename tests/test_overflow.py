@@ -14,7 +14,9 @@ from wishmom import (
     RngStream,
     build,
     central_cumulant,
+    central_moment,
     central_product_moment,
+    cumulant_sequence,
     distribution_identity_check,
     estimate_generalized_moment,
     estimate_joint_moment,
@@ -22,12 +24,15 @@ from wishmom import (
     eta_moment_strings,
     generalized_moment_expansion,
     joint_cumulant,
+    joint_cumulant_randomized,
     noncentral_cumulant,
     noncentral_cumulant_eigen,
     noncentral_moment,
     noncentral_moment_bell,
     permanent_alpha,
     permanent_d,
+    permanent_master,
+    randomized_moment,
     repeated_matrix,
     rho_moment,
     rho_moment_strings,
@@ -101,3 +106,34 @@ def test_overflow_raises_numerical_error_without_a_warning(route):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="overflows"):
             route()
+
+
+# orders past 170 under a raised budget: each needs k! for some k >= 171,
+# an int past the float range, and reads Python's OverflowError on it as an
+# overflow; no builtin error escapes
+PAST_170 = {
+    "noncentral_cumulant-171": lambda params: noncentral_cumulant(params, 171),
+    "cumulant_sequence-171": lambda params: cumulant_sequence(params, 171).values[-1],
+    "noncentral_moment_bell-171": lambda params: noncentral_moment_bell(params, 171),
+    "randomized_moment-171": lambda params: randomized_moment(
+        MomentSequence.from_moments([1.0] * 171), params, 171),
+    "central_cumulant-172": lambda params: central_cumulant(params, 172),
+    "noncentral_cumulant_eigen-172": lambda params: noncentral_cumulant_eigen(params, 172),
+    "central_moment-172": lambda params: central_moment(params, 172),
+    "joint_cumulant-171": lambda params: joint_cumulant(params, [I2], (171,)),
+    "joint_cumulant_randomized-171": lambda params: joint_cumulant_randomized(
+        MomentSequence.from_cumulants([1.0] * 171), params, [I2], (171,)),
+    "permanent_master-171": lambda params: permanent_master(np.array([[0.5]]), (171,), 0.5),
+}
+
+
+@pytest.mark.parametrize("route", PAST_170.values(), ids=PAST_170.keys())
+def test_orders_past_170_are_a_number_or_an_overflow(monkeypatch, route):
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    params = _params(np.diag([0.01, 0.02]), np.diag([0.001, 0.0]), n=2)
+    try:
+        value = route(params)
+    except NumericalError as exc:
+        assert "overflows" in str(exc)
+    else:
+        assert np.isfinite(value)
