@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from .choices import POLYKAY_ORDERS
 from .combinatorics import KeptGrid, compose_grid, permutation_sum
 from .errors import (DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite,
                      finite_of)
-from .multivariate import rho_table
-from .univariate import MOMENTS, MomentSequence
+
+if TYPE_CHECKING:
+    from .univariate import MomentSequence
 
 
 def _finite_d(d) -> complex:
@@ -66,6 +68,8 @@ def permanent_alpha(y, a: MomentSequence) -> complex:
 
     `a` must carry moments up to order p (cycle counts reach p).
     """
+    from .univariate import MOMENTS
+
     y = matrix_core.as_matrix(y)
     p = y.shape[0]
     check_permanent_dimension(p)
@@ -108,6 +112,8 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     bit-identical whatever calls came before.
     Equals the brute-force d-permanent of the row/column-repeated T(i).
     """
+    from .univariate import MOMENTS, MomentSequence
+
     t = matrix_core.as_matrix(t)
     m = t.shape[0]
     kind = integer_tuple(i, "index")
@@ -131,6 +137,8 @@ def permanent_master(t, i, d_or_alpha) -> complex:
         weights = ("d", np.complex128(d).tobytes())
 
     def build(grid):
+        from .multivariate import rho_table
+
         # Sigma H_k with H_k = E_kk keeps only column k of T
         sh = []
         for k in range(m):
@@ -183,12 +191,15 @@ def polykay(sample: PolykaySample, order: int) -> float:
     """Spectral polykay estimators of the first four normalized cumulants.
 
     Shift semi-invariant for orders >= 2 and homogeneous of degree
-    `order`.  Orders 1 to 3 are inherited under Haar compression: their
-    expectation on a compression equals their expectation on the whole
-    matrix.  Order 4 is not: its exact expectation, from the generalized
-    moments of `central_product_moment`, is 1.6807 on W(7, 0.7 I_6) and
-    2.52105 on W(7, 0.7 I_4), the law of a 4 x 4 principal minor.  An
-    order outside 1..4 raises ValidationError, and a value that overflows
+    `order`.  Every order is inherited under Haar compression: its
+    expectation on a compression equals its expectation on the whole
+    matrix.  On W(n, c I_p) the expectation of order r is n (r-1)! c^r
+    whatever p, e.g. 10.0842 at order 4 on W(7, 0.7 I_6) and on its
+    4 x 4 principal minor W(7, 0.7 I_4).  Each order equals the hook
+    form (r-1)! sum_{a+b=r-1} (-1)^b s_{(a+1,1^b)}(y) /
+    prod_{c=-b..a} (m + c) over the Schur functions of the hooks.  An
+    order outside 1..4 raises ValidationError, a sample smaller than the
+    order DegenerateSampleSizeError, and a value that overflows
     NumericalError.
     """
     order = integer(order, "order")
@@ -215,4 +226,4 @@ def _polykay(m: int, s1: float, s2: float, s3: float, s4: float, order: int) -> 
         raise DegenerateSampleSizeError("order 4 needs a sample of size >= 4")
     return 6 * (-5 * s1 ** 4 + 10 * m * s1 ** 2 * s2 + (3 - 2 * m ** 2) * s2 ** 2
                 - (4 + 4 * m ** 2) * s1 * s3 + (m + m ** 3) * s4) / (
-        m ** 2 * (m ** 2 - 1) * (m ** 2 - 4) * (m ** 2 - 9))
+        m * (m ** 2 - 1) * (m ** 2 - 4) * (m ** 2 - 9))

@@ -35,16 +35,20 @@ enumerators build their objects through one private trusted constructor
 per class, `_of`, which checks nothing: they already guarantee every
 invariant.  Integer partitions come from the reverse-lexicographic
 successor rule (Knuth, TAOCP 7.2.1.4; Zoghbi and Stojmenovic 1998, ZS1),
-one step per partition, with no recursion copying a prefix.
+one step per partition, with no recursion copying a prefix.  Each order
+up to the default moment budget (20) is enumerated once per process and
+kept; every caller gets a fresh list of the kept partitions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .budgets import (
+    MAX_UNIVARIATE_ORDER,
     check_joint_weight,
     check_necklace_weight,
     check_permutation_degree,
@@ -120,14 +124,37 @@ class IntegerPartition:
 
 
 def integer_partitions(i: int) -> list[IntegerPartition]:
-    """All partitions of i, in reverse-lexicographic order.
+    """All partitions of i, in reverse-lexicographic order, as a new list.
+
+    i is read by `budgets.integer` on every call.  Orders up to the
+    default moment budget, `budgets.MAX_UNIVARIATE_ORDER`, are enumerated
+    once per process and kept as a tuple of frozen partitions
+    (`_kept_partitions`, 2,714 objects for orders 0..20); every call
+    copies the kept tuple into a fresh list, so a caller that mutates its
+    list changes nothing kept.  Higher orders, reachable only under a
+    raised budget, are enumerated on every call and never kept: p(60) alone
+    is 966,467 partitions.
+    """
+    i = integer(i, "i")
+    if i <= MAX_UNIVARIATE_ORDER:
+        return list(_kept_partitions(i))
+    return _enumerate_partitions(i)
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_partitions(i: int) -> tuple[IntegerPartition, ...]:
+    """The partitions of i <= MAX_UNIVARIATE_ORDER, enumerated on first use."""
+    return tuple(_enumerate_partitions(i))
+
+
+def _enumerate_partitions(i: int) -> list[IntegerPartition]:
+    """The partitions of the int i >= 0, in reverse-lexicographic order.
 
     i = 0 yields the single empty partition.  Each partition is the
     successor of the one before (ZS1): the last part x > 1 drops to
     x - 1, and the ones after it, with the unit taken from x, are
     regrouped into as many parts x - 1 as fit and one remainder part.
     """
-    i = integer(i, "i")
     of = IntegerPartition._of
     if i == 0:
         return [of(())]
@@ -748,14 +775,21 @@ def complete_bell(c) -> complex:
     The order i is len(c); an empty input gives Y_0 = 1.  Converts a
     cumulant sequence into the moment of the same order.  Evaluated by the
     recurrence Y_k = sum_{j=1..k} C(k-1, j-1) c_j Y_{k-j}, not by partition
-    enumeration.
+    enumeration: the last entry of `complete_bell_sequence`.
     """
+    return complete_bell_sequence(c)[-1]
+
+
+def complete_bell_sequence(c) -> list:
+    """[Y_0, Y_1(c_1), ..., Y_i(c_1, ..., c_i)] from one run of the Bell
+    recurrence, i = len(c).  Y_k reads only c_1..c_k, so each entry is the
+    value `complete_bell` gives on the first k entries of c, bit for bit."""
     c = list(c)
     y = [1]
     for k in range(1, len(c) + 1):
         y.append(sum(math.comb(k - 1, j - 1) * c[j - 1] * y[k - j]
                      for j in range(1, k + 1)))
-    return y[-1]
+    return y
 
 
 def cyclic_polynomial(a) -> complex:

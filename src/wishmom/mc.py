@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matrix_core
-from .applications import PolykaySample
 from .budgets import check_mc_variates, integer, integer_tuple
 from .choices import IDENTITIES
-from .combinatorics import CyclePermutation
 from .errors import (
     DimensionMismatchError,
     NonIntegerNError,
@@ -66,6 +65,10 @@ from .errors import (
     finite,
 )
 from .model import WishartParams, build
+
+if TYPE_CHECKING:
+    from .applications import PolykaySample
+    from .combinatorics import CyclePermutation
 
 _CHUNK_ENTRIES = 65536  # p * p * draws per chunk of rows: a 1 MB stack of W
 _HAAR_CHUNK = 1024  # draws per stacked QR
@@ -377,6 +380,8 @@ def estimate_generalized_moment(params: WishartParams, h,
     n_samples = integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
+    from .combinatorics import CyclePermutation
+
     hs = matrix_core.square_matrices(h, params.p)
     sigma_perm = CyclePermutation.checked(sigma_perm, len(hs))
     cycles = [[hs[j - 1] for j in cyc] for cyc in sigma_perm.cycles]
@@ -532,6 +537,8 @@ def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
 def haar_compression(x, m: int, rng) -> PolykaySample:
     """Spectral sample of Y = H X H^dag for a Haar m x p frame H: the power
     sums Tr Y^k, k = 1..4 (the one-draw case of `haar_power_sums`)."""
+    from .applications import PolykaySample
+
     x, m = _compression_input(x, m)
     sums = _compression_sums(x, m, _haar_unitaries(x.shape[0], 1, _as_generator(rng)))
     return PolykaySample(m, tuple(float(s[0]) for s in sums))

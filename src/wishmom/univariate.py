@@ -17,10 +17,15 @@ partitions.  The moments stay on the partition sums for now, computed once per s
 `moment_sequence` and `binomial_convolution_check` take A_0..A_K and
 R_0..R_K from one pass and convolve every order from them, where a single
 `noncentral_moment` of order K pays the same pass for its one order.  A_j
-and R_j sum over the same partitions of j, so a pass enumerates each
-order's partitions once and feeds the one list to both parts.  The series
-form of A and R, exp of the cumulant series, waits for a benchmark change
-(ROADMAP.md).
+and R_j sum over the same partitions of j, so a pass reads each order's
+partitions once and feeds the one list to both parts.  The lists come from
+`combinatorics.integer_partitions`, which enumerates each order up to the
+default moment budget (20) once per process and keeps it: the 230 lists
+that `normalized_cumulant_moments(params, 20)` reads through its per-order
+moments are 21 distinct ones, enumerated at most once.  An order above 20,
+reachable only under `WISHMOM_MAX_BUDGET`, is enumerated on every read and
+never kept.  The series form of A and R, exp of the cumulant series, waits
+for a benchmark change (ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from . import matrix_core
 from .budgets import check_cumulant_order, check_moment_order, integer, positive_real
 from .combinatorics import (
     complete_bell,
+    complete_bell_sequence,
     complex_fsum,
     compose_grid,
-    cyclic_polynomial,
     falling_factorial,
     integer_partitions,
     partition_sum,
@@ -130,14 +135,20 @@ def central_moment(params: WishartParams, i: int) -> complex:
     Partition sum with falling-factorial weights over products of cyclic
     polynomials of the power traces T_1..T_i, evaluated as the composition
     i! [z^i] sum_l (n)_l R(z)^l / l! with R(z) = sum_j C_j(T) z^j / j!.
+    The cyclic polynomials C_j(T) = Y_j(0! T_1, ..., (j-1)! T_j) of every
+    j <= i come from one run of the Bell recurrence, inside the overflow
+    rule.
     """
     i = check_moment_order(i)
     if i == 0:
         return 1.0 + 0.0j
     cache = params.trace_cache(i)
-    cyc = (cyclic_polynomial([cache.t_power(k) for k in range(1, j + 1)])
-           for j in range(1, i + 1))
-    return _exponential_composition(cyc, i, lambda l: falling_factorial(params.n, l),
+
+    def cyclic():
+        c = [math.factorial(k - 1) * cache.t_power(k) for k in range(1, i + 1)]
+        yield from complete_bell_sequence(c)[1:]
+
+    return _exponential_composition(cyclic(), i, lambda l: falling_factorial(params.n, l),
                                     f"central moment of order {i}")
 
 

@@ -260,18 +260,15 @@ def _expected_polykay(params, order):
     return float(coefficients @ moments)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, pytest.param(4, marks=pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="polykay order 4 is not inherited: E[k4] is 1.6807 on W(7, 0.7 I_6) "
-           "and 2.52105 on its 4 x 4 principal minor W(7, 0.7 I_4)"))])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_polykays_are_inherited_by_principal_minors_exactly(order):
     # W(7, 0.7 I_6) is unitarily invariant, so the spectrum of its 4 x 4
     # principal minor, W(7, 0.7 I_4) in law, is a Haar compression of its
-    # spectrum: an inherited polykay has the same expectation on both
+    # spectrum: an inherited polykay has the same expectation on both, and
+    # on W(n, c I_p) that expectation is n (r-1)! c^r whatever p
     whole, _ = build(7, 0.7 * np.eye(6), None, "standard")
     minor, _ = build(7, 0.7 * np.eye(4), None, "standard")
     full, part = _expected_polykay(whole, order), _expected_polykay(minor, order)
     assert rel_err(part, full) < 1e-12, (full, part)
-    targets = {1: 4.9, 2: 3.43, 3: 4.802}
-    if order in targets:
-        assert rel_err(full, targets[order]) < 1e-12
+    targets = {1: 4.9, 2: 3.43, 3: 4.802, 4: 10.0842}
+    assert rel_err(full, targets[order]) < 1e-12

@@ -25,9 +25,12 @@ from wishmom import (
     partition_coefficients,
     permutations_by_cycles,
 )
+from wishmom import build, combinatorics
+from wishmom.budgets import MAX_UNIVARIATE_ORDER
 from wishmom.combinatorics import complex_fsum, partition_sum, permutation_sum
 
 from brute_force import partitions_of, strings_of_kind
+from conftest import rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +104,42 @@ def test_partition_counts_match_recurrence():
     for n in range(31):
         assert len(integer_partitions(n)) == table[n]
     assert len(integer_partitions(20)) == 627
+
+
+def test_kept_partitions_are_a_fresh_enumeration_in_a_new_list():
+    # orders up to the default moment budget are enumerated once and kept;
+    # each call still gets its own list, so mutating one changes no other
+    for n in range(MAX_UNIVARIATE_ORDER + 1):
+        first = integer_partitions(n)
+        assert first == combinatorics._enumerate_partitions(n)
+        first.reverse()
+        first.append(IntegerPartition((1,)))
+        second = integer_partitions(n)
+        assert second is not first
+        assert [lam.parts for lam in second] == partitions_of(n)
+    assert integer_partitions(4.0) == integer_partitions(4)
+    for bad in (-1, 2.5, True, "3"):
+        with pytest.raises(ValidationError):
+            integer_partitions(bad)
+
+
+def test_orders_past_the_default_budget_are_never_kept(monkeypatch):
+    from wishmom import univariate
+
+    integer_partitions(MAX_UNIVARIATE_ORDER)
+    kept = combinatorics._kept_partitions.cache_info().currsize
+    assert len(integer_partitions(MAX_UNIVARIATE_ORDER + 2)) == 1002
+    assert combinatorics._kept_partitions.cache_info().currsize == kept
+    # the moment routes reach such an order only under a raised budget
+    params, _ = build(3.0, np.diag([1.0, 2.0]), np.diag([0.5, 0.0]), "standard")
+    order = MAX_UNIVARIATE_ORDER + 1
+    with pytest.raises(BudgetExceededError):
+        univariate.noncentral_moment(params, order)
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", str(order))
+    value = univariate.noncentral_moment(params, order)
+    assert rel_err(value, univariate.noncentral_moment_bell(params, order)) < 1e-12
+    # every order 0..order was asked for, and only 0..MAX_UNIVARIATE_ORDER are kept
+    assert combinatorics._kept_partitions.cache_info().currsize == MAX_UNIVARIATE_ORDER + 1
 
 
 def test_partition_fields():

@@ -80,3 +80,22 @@ def test_bare_import_loads_nothing_until_asked():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("mc", ("applications", "combinatorics", "multivariate", "univariate")),
+    ("applications", ("multivariate", "univariate")),
+])
+def test_engine_import_loads_only_what_it_computes_with(module, unloaded):
+    # a module imports the names it needs for one route where that route
+    # uses them, so loading it compiles no engine it does not compute with
+    code = (
+        "import sys\n"
+        f"import wishmom.{module}\n"
+        f"loaded = [m for m in {unloaded!r} if 'wishmom.' + m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(wishmom.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from wishmom import (
     central_moment,
     complete_bell,
     compose_normalized_moments,
+    cyclic_polynomial,
+    falling_factorial,
+    moment_sequence,
     noncentral_cumulant,
     noncentral_cumulant_eigen,
     noncentral_moment,
@@ -23,6 +28,8 @@ from wishmom import (
     normalized_cumulant_moments,
     randomized_moment,
 )
+
+from wishmom.combinatorics import complete_bell_sequence
 
 from conftest import PAPER_M, PAPER_N, PAPER_SIGMA, random_psd, rel_err
 
@@ -52,6 +59,37 @@ def test_central_moment_low_orders():
     assert central_moment(params, 0) == 1
     assert rel_err(central_moment(params, 1), n * t1) < 1e-14
     assert rel_err(central_moment(params, 2), n ** 2 * t1 ** 2 + n * t2) < 1e-13
+
+
+def test_central_moment_reads_every_cyclic_polynomial_from_one_bell_pass():
+    # one run of the Bell recurrence on c_k = (k-1)! T_k gives C_1..C_20,
+    # each the value of a fresh per-order `cyclic_polynomial`, so every
+    # central moment keeps the bits of the per-order route
+    from wishmom import univariate
+
+    for seed, p, convention in ((0, 1, "paper"), (1, 3, "standard"), (2, 6, "paper")):
+        params = random_params(seed, p=p, n=p + 1.5, convention=convention, central=True)
+        cache = params.trace_cache(20)
+        t = [cache.t_power(k) for k in range(1, 21)]
+        per_order = [cyclic_polynomial(t[:j]) for j in range(1, 21)]
+        one_pass = complete_bell_sequence([math.factorial(k) * v for k, v in enumerate(t)])
+        assert repr(one_pass[1:]) == repr(per_order)
+        weight = lambda l: falling_factorial(params.n, l)
+        for i in range(1, 21):
+            want = univariate._exponential_composition(per_order[:i], i, weight, "moment")
+            assert repr(central_moment(params, i)) == repr(want)
+
+
+def test_central_moment_past_170_overflows_before_any_bell_pass(monkeypatch):
+    # c_172 = 171! T_172 is past the float range: the one pass raises on it
+    # inside the overflow rule, with no per-order recurrence before it
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    params, _ = build(2, np.diag([0.01, 0.02]), None, "paper")
+    params.trace_cache(172)
+    start = time.process_time()
+    with pytest.raises(NumericalError, match="central moment of order 172 overflows"):
+        central_moment(params, 172)
+    assert time.process_time() - start < 0.1
 
 
 def test_unit_scalar_central_moments_are_factorials():
@@ -257,6 +295,34 @@ def test_one_partition_list_per_order_feeds_both_sheffer_parts(monkeypatch, rout
         calls.clear()
         getattr(univariate, route)(params, k_max)
         assert calls == list(range(k_max + 1))
+
+
+def _sheffer_digest():
+    """sha256 over repr of every Sheffer-route value on four inputs: both
+    conventions, central and not, p from 1 to 6."""
+    digest = hashlib.sha256()
+    for seed, (p, convention, central) in enumerate(
+            ((1, "paper", True), (2, "standard", False), (4, "paper", False),
+             (6, "standard", True))):
+        params = random_params(100 + seed, p=p, n=p + 0.5, convention=convention,
+                               central=central)
+        values = list(moment_sequence(params, 20).values)
+        values += [noncentral_moment(params, i) for i in range(1, 21)]
+        values += list(normalized_cumulant_moments(params, 12).values)
+        values += list(binomial_convolution_check(params, 1.5, 2.5, 20).values())
+        for v in values:
+            digest.update(repr(v).encode())
+    return digest.hexdigest()
+
+
+def test_kept_partitions_keep_every_sheffer_value_bit_for_bit(monkeypatch):
+    # the kept partition lists reach `partition_sum` in the order of a fresh
+    # enumeration, so every moment has the bits it has with no table
+    from wishmom import combinatorics, univariate
+
+    kept = _sheffer_digest()
+    monkeypatch.setattr(univariate, "integer_partitions", combinatorics._enumerate_partitions)
+    assert _sheffer_digest() == kept
 
 
 @pytest.mark.parametrize("sequence", ["moment_sequence", "cumulant_sequence"])
