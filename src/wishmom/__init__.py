@@ -26,7 +26,6 @@ _EXPORTS = {
         "repeated_matrix",
     ),
     "budgets": (),
-    "choices": (),
     "cli": (),
     "combinatorics": (
         "CyclePermutation",

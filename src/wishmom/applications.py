@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import matrix_core
-from .budgets import check_joint_weight, check_permanent_dimension, integer, integer_tuple
-from .choices import POLYKAY_ORDERS
+from .budgets import (POLYKAY_ORDERS, check_joint_weight, check_permanent_dimension, integer,
+                      integer_tuple)
 from .combinatorics import KeptGrid, compose_grid, permutation_sum
 from .errors import (DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite,
                      finite_of)

@@ -1,4 +1,8 @@
-"""The one reading of a request's integers, and the enumeration budgets.
+"""The one reading of every request field, and the enumeration budgets.
+
+This module imports neither numpy nor an engine, so the CLI reads a whole
+request with it before it loads either, and the engines read their
+arguments by the same rules.
 
 Every integer of a request (an order, an index or kind entry, a count, a
 size, a seed) is read by one rule, `integer`: an int, a numpy integer or
@@ -8,17 +12,21 @@ number raise ValidationError naming the argument.  `integer_tuple` reads
 each entry of a sequence by it and rejects a bare string.  Degrees of
 freedom are read by `positive_real`: an int, a float or a numpy real is
 that positive finite float; True, "3", 3+0j, None, 0, -1, inf and nan
-raise ValidationError naming the argument.
+raise ValidationError naming the argument.  A sign convention is read by
+`convention`: one of `CONVENTIONS`, else ValidationError.  The other
+fixed sets of names and orders live here too: `IDENTITIES`, the
+distributional identities `mc` checks, and `POLYKAY_ORDERS`, the orders
+`applications.polykay` computes.
 
 Every combinatorially explosive operation caps one quantity of its request
 with a rule below.  A rule reads its value by `integer`, checks its least
 value and budget, and returns the int (``i = check_moment_order(i)``); it
 needs no numpy, so the engines and the CLI call the same rule before any
-numeric work.  Setting the environment variable ``WISHMOM_MAX_BUDGET`` (or
-the legacy spelling ``WISHART_MAX_BUDGET``) to an integer replaces the
-defaults of all eight rules at once (moment order, cumulant order, joint
-weight, necklace weight, permutation degree, permanent dimension, product
-factors and expansion positions), and a rejection then names that variable.
+numeric work.  Setting the environment variable ``WISHMOM_MAX_BUDGET`` to
+an integer replaces the defaults of all eight rules at once (moment order,
+cumulant order, joint weight, necklace weight, permutation degree,
+permanent dimension, product factors and expansion positions), and a
+rejection then names that variable.
 
 The Monte Carlo cap, `check_mc_variates`, is the one budget that the
 variable does not replace: it bounds a cost, the random variates one call
@@ -40,7 +48,11 @@ MAX_PRODUCT_FACTORS = 8     # m for the group-action product-moment sums
 MAX_EXPANSION_CYCLES = 6    # k for the 2^k central/formal assignment expansion
 MAX_MC_VARIATES = 10 ** 9   # random variates one Monte Carlo call draws (fixed)
 
-_ENV_VARS = ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET")
+_ENV_VAR = "WISHMOM_MAX_BUDGET"
+
+CONVENTIONS = ("paper", "standard")
+IDENTITIES = ("df-additivity", "sheffer", "m-split")
+POLYKAY_ORDERS = range(1, 5)
 
 
 def integer(value, name: str) -> int:
@@ -89,16 +101,23 @@ def positive_real(value, name: str) -> float:
     return read
 
 
+def convention(value) -> str:
+    """`value` if it is one of `CONVENTIONS`; anything else raises
+    ValidationError."""
+    if value not in CONVENTIONS:
+        raise ValidationError(f"convention must be one of {CONVENTIONS}: {value!r}")
+    return value
+
+
 def _limit(default: int) -> tuple[int, str | None]:
-    """(effective budget, the environment variable that set it or None)."""
-    for var in _ENV_VARS:
-        raw = os.environ.get(var)
-        if raw is not None:
-            try:
-                return int(raw), var
-            except ValueError as exc:
-                raise ValidationError(f"{var} must be an integer: {raw!r}") from exc
-    return default, None
+    """(effective budget, the environment variable if it set it, else None)."""
+    raw = os.environ.get(_ENV_VAR)
+    if raw is None:
+        return default, None
+    try:
+        return int(raw), _ENV_VAR
+    except ValueError as exc:
+        raise ValidationError(f"{_ENV_VAR} must be an integer: {raw!r}") from exc
 
 
 def _rule(quantity: str, default: int, least: int = 0):

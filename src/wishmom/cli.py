@@ -7,18 +7,24 @@ significant digits, complex values are {"re": .., "im": ..} objects, and
 every document embeds the convention, the SHA-256 of the input bytes, and
 the library version.
 
+The convention is decided once per request, by `run`, before any
+subcommand runs: --convention, else the input's "convention", else
+"paper", read by `budgets.convention`.  Every subcommand reports it, and
+the ones that evaluate a Wishart law compute under it; mc-verify checks
+its identities on sampled matrices and always reports "standard".
+
 Exit codes: 0 success, 2 validation error, 3 numerical error (a singular
 matrix, or an overflow to a non-finite value), 4 budget exceeded.
 
 A request loads only what its subcommand uses, and is checked in three
-steps.  First its shape: argument parsing, reading the JSON input, and the
-checks on --kind, --order, --seed, --d, on the index (or permutation) and
-on the 'h' list's presence and length (exit 2).  Then its budget, by the
-rule in `budgets` for the quantity the subcommand enumerates (exit 4).
-Both steps run before numpy is imported; each subcommand imports its
-engine after them, then reads the matrices and computes (exit 2 or 3).
-So `necklaces`, and a request rejected by its shape or its budget, never
-load numpy.
+steps.  First its shape: argument parsing, reading the JSON input, the
+convention, and the checks on --kind, --order, --seed, --d, on the index
+(or permutation) and on the 'h' list's presence and length (exit 2).
+Then its budget, by the rule in `budgets` for the quantity the subcommand
+enumerates (exit 4).  Both steps run before numpy is imported; each
+subcommand imports its engine after them, then reads the matrices and
+computes (exit 2 or 3).  So `necklaces`, and a request rejected by its
+shape or its budget, never load numpy.
 
 Input schema:
     {"n": number,
@@ -40,7 +46,6 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__, budgets
-from .choices import CONVENTIONS, IDENTITIES, POLYKAY_ORDERS
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -178,16 +183,15 @@ def _matrix_from(obj, name: str) -> np.ndarray:
     return re + 1j * im
 
 
-def _params_from(doc: dict, convention: str | None) -> WishartParams:
+def _params_from(doc: dict, convention: str) -> WishartParams:
     from . import model
 
     if "n" not in doc or "sigma" not in doc:
         raise ValidationError("input needs 'n' and 'sigma'")
     n = budgets.positive_real(doc["n"], "'n'")
-    conv = convention or doc.get("convention", "paper")
     sigma = _matrix_from(doc["sigma"], "sigma")
     m_matrix = _matrix_from(doc["m_matrix"], "m_matrix") if "m_matrix" in doc else None
-    params, _ = model.build(n, sigma, m_matrix, conv)
+    params, _ = model.build(n, sigma, m_matrix, convention)
     return params
 
 
@@ -233,37 +237,38 @@ def _orders(args) -> range:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# Each subcommand checks the request's shape and then its budget, imports
-# its engine after those checks, which need no numpy, and looks the engine
-# function up on the module at call time, so a rebound module attribute (a
-# wrapper or a test double) is honoured.
+# Each subcommand receives the request's convention, checks the rest of its
+# shape and then its budget, imports its engine after those checks, which
+# need no numpy, and looks the engine function up on the module at call
+# time, so a rebound module attribute (a wrapper or a test double) is
+# honoured.  It returns its results.
 
-def _cmd_sequence(doc, args, sequence: str, check_order):
+def _cmd_sequence(doc, args, convention, sequence: str, check_order):
     orders = _orders(args)
     check_order(args.order)
-    params = _params_from(doc, args.convention)
+    params = _params_from(doc, convention)
     from . import univariate
 
     seq = getattr(univariate, sequence)(params, args.order)
     rows = [{"order": k, "value": _cnum(seq.order(k))} for k in orders]
-    return params.convention, {"orders": rows}
+    return {"orders": rows}
 
 
-def _cmd_joint(doc, args, of_index: str):
+def _cmd_joint(doc, args, convention, of_index: str):
     index = _index_from(doc, args)
     m = _h_count(doc)
     if len(index) != m:
         raise DimensionMismatchError(f"index has {len(index)} components, expected {m}")
     budgets.check_joint_weight(sum(index))
     h = _h_list(doc)
-    params = _params_from(doc, args.convention)
+    params = _params_from(doc, convention)
     from . import multivariate
 
     value = getattr(multivariate, of_index)(params, h, index)
-    return params.convention, {"index": list(index), "value": _cnum(value)}
+    return {"index": list(index), "value": _cnum(value)}
 
 
-def _cmd_generalized(doc, args):
+def _cmd_generalized(doc, args, convention):
     from . import combinatorics
 
     images = _index_from(doc, args)  # one-line permutation images
@@ -272,7 +277,7 @@ def _cmd_generalized(doc, args):
         raise DimensionMismatchError("permutation size must match len(h)")
     budgets.check_expansion_positions(perm.size)
     h = _h_list(doc)
-    params = _params_from(doc, args.convention)
+    params = _params_from(doc, convention)
     from . import multivariate
 
     expansion = multivariate.generalized_moment_expansion(params, h, perm)
@@ -286,7 +291,7 @@ def _cmd_generalized(doc, args):
             } for f in term.factors],
             "value": None if term.symbolic else _cnum(term.value),
         })
-    return params.convention, {
+    return {
         "permutation": list(images),
         "evaluated_sum": _cnum(expansion.evaluated_sum),
         "fully_evaluated": expansion.fully_evaluated,
@@ -295,7 +300,7 @@ def _cmd_generalized(doc, args):
     }
 
 
-def _cmd_permanent(doc, args):
+def _cmd_permanent(doc, args, convention):
     if "sigma" not in doc:
         raise ValidationError("permanent needs the matrix in 'sigma'")
     try:
@@ -318,14 +323,14 @@ def _cmd_permanent(doc, args):
         value = applications.permanent_d(y, d)
         result = {"route": "brute-force", "value": _cnum(value)}
     result["d"] = _cnum(d)
-    return doc.get("convention", "paper"), result
+    return result
 
 
-def _cmd_polykay(doc, args):
+def _cmd_polykay(doc, args, convention):
     if "sigma" not in doc:
         raise ValidationError("polykay needs a Hermitian matrix in 'sigma'")
     orders = _orders(args)
-    if args.order not in POLYKAY_ORDERS:
+    if args.order not in budgets.POLYKAY_ORDERS:
         raise ValidationError(f"--order must be 1..4 for polykay: {args.order}")
     x = _matrix_from(doc["sigma"], "sigma")
     from . import applications, matrix_core
@@ -336,13 +341,10 @@ def _cmd_polykay(doc, args):
     sample = applications.PolykaySample.from_eigenvalues(vals)
     rows = [{"order": k, "value": applications.polykay(sample, k)}
             for k in orders]
-    return doc.get("convention", "paper"), {
-        "eigenvalues": [float(v) for v in vals],
-        "orders": rows,
-    }
+    return {"eigenvalues": [float(v) for v in vals], "orders": rows}
 
 
-def _cmd_necklaces(doc, args):
+def _cmd_necklaces(doc, args, convention):
     from . import combinatorics
 
     if args.kind is None:
@@ -358,10 +360,10 @@ def _cmd_necklaces(doc, args):
             "rotations": ["".join(str(s) for s in rot)
                           for rot in combinatorics.necklace_rotations(neck)],
         })
-    return doc.get("convention", "paper"), {"kind": list(kind), "necklaces": rows}
+    return {"kind": list(kind), "necklaces": rows}
 
 
-def _cmd_mc_verify(doc, args):
+def _cmd_mc_verify(doc, args, convention):
     seed = budgets.integer(args.seed, "--seed")
     if args.n2 is not None and budgets.integer(args.n2, "--n2") < 1:
         raise ValidationError(f"--n2 must be >= 1: {args.n2}")
@@ -369,31 +371,32 @@ def _cmd_mc_verify(doc, args):
     if args.samples > 0 and isinstance(sigma, dict) and isinstance(sigma.get("re"), list):
         # three exact trace samples of --samples draws, p variates a draw
         budgets.check_mc_variates(3 * len(sigma["re"]) * args.samples, "mc-verify")
-    params = _params_from(doc, "standard")
+    params = _params_from(doc, convention)
     from . import mc, model
 
     stream = mc.RngStream(seed, 0)
     n2 = args.n2 if args.n2 is not None else int(params.n)
     if args.identity == "df-additivity":
-        p1, _ = model.build(params.n, params.sigma, None, "standard")
-        p2, _ = model.build(n2, params.sigma, None, "standard")
+        p1, _ = model.build(params.n, params.sigma, None, convention)
+        p2, _ = model.build(n2, params.sigma, None, convention)
     elif args.identity == "sheffer":
-        p1, _ = model.build(params.n, params.sigma, params.m_matrix, "standard")
-        p2, _ = model.build(n2, params.sigma, None, "standard")
+        p1, _ = model.build(params.n, params.sigma, params.m_matrix, convention)
+        p2, _ = model.build(n2, params.sigma, None, convention)
     else:  # m-split, half of M on each block
-        p1, _ = model.build(params.n, params.sigma, params.m_matrix / 2, "standard")
-        p2, _ = model.build(n2, params.sigma, params.m_matrix / 2, "standard")
-    report = mc.distribution_identity_check(p1, p2, args.identity, args.samples, stream)
-    return "standard", report
+        p1, _ = model.build(params.n, params.sigma, params.m_matrix / 2, convention)
+        p2, _ = model.build(n2, params.sigma, params.m_matrix / 2, convention)
+    return mc.distribution_identity_check(p1, p2, args.identity, args.samples, stream)
 
 
 _COMMANDS = {
-    "moments": (lambda doc, args: _cmd_sequence(
-        doc, args, "moment_sequence", budgets.check_moment_order), True),
-    "cumulants": (lambda doc, args: _cmd_sequence(
-        doc, args, "cumulant_sequence", budgets.check_cumulant_order), True),
-    "joint-moments": (lambda doc, args: _cmd_joint(doc, args, "joint_moment"), True),
-    "joint-cumulants": (lambda doc, args: _cmd_joint(doc, args, "joint_cumulant"), True),
+    "moments": (lambda doc, args, convention: _cmd_sequence(
+        doc, args, convention, "moment_sequence", budgets.check_moment_order), True),
+    "cumulants": (lambda doc, args, convention: _cmd_sequence(
+        doc, args, convention, "cumulant_sequence", budgets.check_cumulant_order), True),
+    "joint-moments": (lambda doc, args, convention: _cmd_joint(
+        doc, args, convention, "joint_moment"), True),
+    "joint-cumulants": (lambda doc, args, convention: _cmd_joint(
+        doc, args, convention, "joint_cumulant"), True),
     "generalized": (_cmd_generalized, True),
     "permanent": (_cmd_permanent, True),
     "polykay": (_cmd_polykay, True),
@@ -419,11 +422,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="permanent parameter d, python complex syntax")
     parser.add_argument("--samples", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--identity", choices=IDENTITIES, default="sheffer")
+    parser.add_argument("--identity", choices=budgets.IDENTITIES, default="sheffer")
     parser.add_argument("--n2", type=int, default=None,
                         help="second block size for mc-verify (default: n)")
-    parser.add_argument("--convention", choices=CONVENTIONS, default=None,
-                        help="override the input file's convention")
+    parser.add_argument("--convention", default=None,
+                        metavar="{" + ",".join(budgets.CONVENTIONS) + "}",
+                        help="override the input file's convention (default paper; "
+                             "mc-verify always uses standard)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
@@ -441,7 +446,11 @@ def run(argv) -> tuple[int, str]:
             doc, digest = _read_input(args.params_file)
         else:
             doc, digest = {}, None
-        convention, results = handler(doc, args)
+        convention = budgets.convention(
+            doc.get("convention", "paper") if args.convention is None else args.convention)
+        if args.command == "mc-verify":
+            convention = "standard"  # its identities are checked on sampled matrices
+        results = handler(doc, args, convention)
         envelope = {
             "command": args.command,
             "convention": convention,

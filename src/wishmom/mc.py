@@ -55,8 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import matrix_core
-from .budgets import check_mc_variates, integer, integer_tuple
-from .choices import IDENTITIES
+from .budgets import IDENTITIES, check_mc_variates, integer, integer_tuple
 from .errors import (
     DimensionMismatchError,
     NonIntegerNError,

@@ -14,8 +14,10 @@ Sign convention:
 * ``"standard"``: the same contribution enters with a plus sign, which is
   what matches Monte Carlo sampling of the defining sum of outer products.
 
-The convention affects no value in this module; it is consumed by the
-moment/cumulant engines downstream.
+`WishartParams` reads its convention by `budgets.convention`, the rule the
+CLI reads a request's convention by, and this module exports that rule's
+`CONVENTIONS`.  The convention affects no value in this module; it is
+consumed by the moment/cumulant engines downstream.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrix_core
-from .budgets import check_moment_order, positive_real
-from .choices import CONVENTIONS
-from .errors import DimensionMismatchError, ValidationError
+from . import budgets, matrix_core
+from .budgets import CONVENTIONS, check_moment_order, positive_real
+from .errors import DimensionMismatchError
 
 DEFAULT_DEPTH = 12
 
@@ -93,8 +94,7 @@ class WishartParams:
         if m_matrix.shape != sigma.shape:
             raise DimensionMismatchError(
                 f"m_matrix shape {m_matrix.shape} != sigma shape {sigma.shape}")
-        if convention not in CONVENTIONS:
-            raise ValidationError(f"convention must be one of {CONVENTIONS}: {convention!r}")
+        convention = budgets.convention(convention)
 
         sigma.flags.writeable = False
         m_matrix.flags.writeable = False

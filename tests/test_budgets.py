@@ -1,6 +1,6 @@
 """The one reading of a request's integers (`budgets.integer`), through
 every entry point that takes an order, an index, a count, a size or a
-seed."""
+seed, and the one reading of its degrees of freedom and sign convention."""
 
 import math
 
@@ -43,7 +43,7 @@ from wishmom import (
     randomized_moment,
     repeated_matrix,
 )
-from wishmom.budgets import integer, integer_tuple, positive_real
+from wishmom.budgets import convention, integer, integer_tuple, positive_real
 
 from conftest import random_complex, random_psd
 
@@ -141,13 +141,24 @@ def test_degrees_of_freedom_are_read_by_one_rule():
             positive_real(bad, "n")
 
 
+def test_a_sign_convention_is_read_by_one_rule():
+    assert [convention(c) for c in ("paper", "standard")] == ["paper", "standard"]
+    sigma = np.eye(2)
+    for bad in ("sideways", "Paper", "", 3, None, True, ["paper"], {"paper": 1}):
+        message = f"convention must be one of ('paper', 'standard'): {bad!r}"
+        with pytest.raises(ValidationError) as read:
+            convention(bad)
+        with pytest.raises(ValidationError) as built:
+            WishartParams(3, sigma, None, bad)
+        assert str(read.value) == str(built.value) == message
+
+
 @pytest.mark.parametrize("override", [None, "1000000000000"])
 def test_the_monte_carlo_cap_is_fixed(monkeypatch, override):
     # a cost, not an order: the order budgets' variable does not raise it
     from wishmom import BudgetExceededError, budgets
 
-    for var in ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("WISHMOM_MAX_BUDGET", raising=False)
     if override:
         monkeypatch.setenv("WISHMOM_MAX_BUDGET", override)
     cap = budgets.MAX_MC_VARIATES

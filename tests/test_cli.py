@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import wishmom
-from wishmom.choices import CONVENTIONS, IDENTITIES
+from wishmom.budgets import CONVENTIONS, IDENTITIES
 from wishmom.cli import main, run
 
 from conftest import PAPER_M, PAPER_N, PAPER_SIGMA
@@ -301,16 +301,23 @@ def test_exit_code_budget(paper_file):
 
 
 def test_budget_message_names_the_override(paper_file, monkeypatch):
-    for var in ("WISHMOM_MAX_BUDGET", "WISHART_MAX_BUDGET"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("WISHMOM_MAX_BUDGET", raising=False)
     code, out = run(["moments", paper_file, "--order", "25"])
     assert code == 4
     assert out == "budget exceeded: moment order=25 exceeds budget 20\n"
-    monkeypatch.setenv("WISHART_MAX_BUDGET", "4")  # legacy spelling
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "4")
     code, out = run(["cumulants", paper_file, "--order", "6"])
     assert code == 4
     assert out == ("budget exceeded: cumulant order=6 exceeds budget 4"
-                   " (set by WISHART_MAX_BUDGET)\n")
+                   " (set by WISHMOM_MAX_BUDGET)\n")
+    # one variable sets the budget: the old spelling WISHART_MAX_BUDGET
+    # is not read, so the default applies
+    monkeypatch.delenv("WISHMOM_MAX_BUDGET")
+    monkeypatch.setenv("WISHART_MAX_BUDGET", "4")
+    code, _ = run(["cumulants", paper_file, "--order", "6"])
+    assert code == 0
+    code, out = run(["cumulants", paper_file, "--order", "21"])
+    assert (code, out) == (4, "budget exceeded: cumulant order=21 exceeds budget 20\n")
 
 
 def test_mc_verify_over_the_monte_carlo_cap_exits_4(tmp_path, capsys, monkeypatch):
@@ -336,6 +343,38 @@ def test_mc_verify_cap_counts_the_matrix_dimension(tmp_path):
         code, out = run(["mc-verify", str(path), "--samples", "200000000"])
         assert code == 4
         assert f"draws {3 * p * 200_000_000} random variates" in out
+
+
+# one valid request of every subcommand but mc-verify, on one document
+_REQUESTS = [
+    ("moments", ["--order", "2"]),
+    ("cumulants", ["--order", "2"]),
+    ("joint-moments", ["--index", "2"]),
+    ("joint-cumulants", ["--index", "2"]),
+    ("generalized", ["--index", "1"]),
+    ("permanent", ["--index", "1,1"]),
+    ("permanent", []),
+    ("polykay", ["--order", "2"]),
+    ("necklaces", ["--kind", "2,1"]),
+]
+
+
+@pytest.mark.parametrize("command, options", _REQUESTS)
+def test_every_subcommand_reports_the_convention_option(tmp_path, command, options):
+    # --convention overrides the document's convention, else the document's
+    # is reported; the convention is decided once, for every subcommand
+    doc = {"n": 3, "sigma": matrix_doc(np.diag([1.0, 2.0])), "h": [matrix_doc(np.eye(2))],
+           "convention": "paper"}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    for argv, want in ((options, "paper"), (options + ["--convention", "standard"], "standard")):
+        code, out = run([command, str(path), *argv])
+        assert code == 0, out
+        assert json.loads(out)["convention"] == want
+        if command != "generalized":  # the one subcommand with no CSV table
+            code, out = run([command, str(path), *argv, "--format", "csv"])
+            assert code == 0, out
+            assert out.splitlines()[1].endswith("," + want)
 
 
 def test_csv_format(paper_file):
@@ -377,12 +416,15 @@ def test_mc_verify_command(tmp_path):
     assert report["convention"] == "standard"
     assert report["seed"] == 5
     assert report["results"]["max_abs_z"] <= 5.0
-    code, out = run(["mc-verify", str(path), "--samples", "200", "--format", "csv"])
+    # mc-verify reports "standard" whatever the option asks
+    code, out = run(["mc-verify", str(path), "--samples", "200", "--format", "csv",
+                     "--convention", "paper"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("order,lhs_mean,rhs_mean,")
     assert lines[0].endswith(",convention")
     assert len(lines) == 5
+    assert all(line.endswith(",standard") for line in lines[1:])
 
 
 @pytest.mark.parametrize("args, patch, env", [
@@ -453,6 +495,7 @@ _DOC_WITH_H2 = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}] * 2
 _DOC_WITH_H7 = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}] * 7)).encode()
 # an 11 x 11 matrix, one row over the brute-force permanent's budget
 _DOC_11X11 = json.dumps({"sigma": {"re": np.eye(11).tolist()}}).encode()
+_DOC_SIDEWAYS = json.dumps(dict(_PARAMS, convention="sideways")).encode()
 
 
 def _child_request(args, stdin=b"", env=None):
@@ -487,6 +530,13 @@ def _child_request(args, stdin=b"", env=None):
     # over the Monte Carlo cap: 3 p variates a sample, counted from the request
     (["mc-verify", "-", "--samples", "1000000000000"], _DOC, 4),
     (["mc-verify", "-", "--samples", "1000000000000", "--seed", "-1"], _DOC, 2),
+    # the document's convention is part of the request's shape, for every
+    # subcommand, and is read before the budget
+    (["polykay", "-", "--order", "2"], _DOC_SIDEWAYS, 2),
+    (["permanent", "-", "--index", "1,1"], _DOC_SIDEWAYS, 2),
+    (["necklaces", "-", "--kind", "2,1"], _DOC_SIDEWAYS, 2),
+    (["moments", "-", "--order", "3"], _DOC_SIDEWAYS, 2),
+    (["moments", "-", "--order", "25"], _DOC_SIDEWAYS, 2),
 ])
 def test_request_checks_run_without_numpy(args, stdin, code):
     got, modules = _child_request(args, stdin)

@@ -460,10 +460,12 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("WISHMOM_MAX_BUDGET", "3")
     with pytest.raises(BudgetExceededError):
         list(permutations_by_cycles(4))
+    # the old spelling WISHART_MAX_BUDGET is not read: the default applies
     monkeypatch.delenv("WISHMOM_MAX_BUDGET")
-    monkeypatch.setenv("WISHART_MAX_BUDGET", "3")  # legacy spelling
-    with pytest.raises(BudgetExceededError):
-        list(permutations_by_cycles(4))
+    monkeypatch.setenv("WISHART_MAX_BUDGET", "3")
+    assert sum(1 for _ in permutations_by_cycles(4)) == 24
+    with pytest.raises(BudgetExceededError, match="permutation degree=11 exceeds budget 10$"):
+        list(permutations_by_cycles(11))
 
 
 # ---------------------------------------------------------------------------

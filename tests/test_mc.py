@@ -633,21 +633,32 @@ def test_batched_haar_matches_one_draw_calls():
 
 
 def test_polykay_inheritance_under_compression_quick():
-    rng = np.random.default_rng(15)
-    x = random_hermitian(rng, 6)
-    full = np.linalg.eigvalsh(x)
+    # every order is inherited: the mean polykay of Haar compressions is the
+    # whole matrix's polykay.  k1-k3 on 4000 compressions of a 6 x 6 matrix
+    # to m = 3, and k4 on 4000 compressions of a spiked spectrum to m = 4,
+    # each batch drawn by `haar_power_sums` (the draws of as many
+    # `haar_compression` calls)
     from wishmom import PolykaySample
-    want1 = polykay(PolykaySample.from_eigenvalues(full), 1)
-    want2 = polykay(PolykaySample.from_eigenvalues(full), 2)
-    gen = RngStream(16).generator()
-    k1, k2 = [], []
-    for _ in range(4000):
-        sample = haar_compression(x, 3, gen)
-        k1.append(polykay(sample, 1))
-        k2.append(polykay(sample, 2))
-    for series, want in ((np.array(k1), want1), (np.array(k2), want2)):
-        se = series.std() / math.sqrt(series.size)
-        assert abs(series.mean() - want) < 3.5 * se
+
+    def compressions(x, m, seed):
+        rows = haar_power_sums(x, m, 4000, RngStream(seed).generator())
+        return ([PolykaySample(m, tuple(row)) for row in rows],
+                PolykaySample.from_eigenvalues(np.linalg.eigvalsh(x)))
+
+    def z(samples, whole, k):
+        """z of the mean of k over the samples against k of the whole, by
+        the sample standard error."""
+        series = np.array([k(sample) for sample in samples])
+        return (series.mean() - k(whole)) / (series.std() / math.sqrt(series.size))
+
+    samples, whole = compressions(random_hermitian(np.random.default_rng(15), 6), 3, 16)
+    for order in (1, 2, 3):
+        assert abs(z(samples, whole, lambda s: polykay(s, order))) < 3.5, order
+    samples, whole = compressions(np.diag([0.0, 0.0, 0.0, 0.0, 1.0, 3.0]), 4, 17)
+    assert abs(z(samples, whole, lambda s: polykay(s, 4))) < 3.5
+    # the gate has power: the order-4 polykay before its fix, today's
+    # value divided by the sample size, is not inherited and fails it
+    assert abs(z(samples, whole, lambda s: polykay(s, 4) / s.size)) > 3.5
 
 
 def test_principal_submatrix_inheritance_reported():

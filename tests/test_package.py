@@ -64,8 +64,10 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_engines_share_the_cli_choices():
-    assert wishmom.model.CONVENTIONS is wishmom.choices.CONVENTIONS
-    assert wishmom.mc.IDENTITIES is wishmom.choices.IDENTITIES
+    assert wishmom.model.CONVENTIONS is wishmom.budgets.CONVENTIONS
+    assert wishmom.mc.IDENTITIES is wishmom.budgets.IDENTITIES
+    assert wishmom.applications.POLYKAY_ORDERS is wishmom.budgets.POLYKAY_ORDERS
+    assert not hasattr(wishmom, "choices")
 
 
 def test_bare_import_loads_nothing_until_asked():
