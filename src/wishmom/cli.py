@@ -388,9 +388,17 @@ def _cmd_mc_verify(doc, args, convention):
     return mc.distribution_identity_check(p1, p2, args.identity, args.samples, stream)
 
 
+def _check_moment_sequence(order):
+    """The budget of `univariate.moment_sequence`: its order, then the
+    partitions its one Sheffer pass walks."""
+    budgets.check_moment_order(order)
+    budgets.check_partition_walk(budgets.sheffer_walk((order,)),
+                                 f"moment sequence to order {order}")
+
+
 _COMMANDS = {
     "moments": (lambda doc, args, convention: _cmd_sequence(
-        doc, args, convention, "moment_sequence", budgets.check_moment_order), True),
+        doc, args, convention, "moment_sequence", _check_moment_sequence), True),
     "cumulants": (lambda doc, args, convention: _cmd_sequence(
         doc, args, convention, "cumulant_sequence", budgets.check_cumulant_order), True),
     "joint-moments": (lambda doc, args, convention: _cmd_joint(
@@ -482,6 +490,9 @@ def _rows_for_csv(command: str, results: dict) -> list[dict]:
                 for row in results["necklaces"]]
     if "value" in results:
         return [{"value": results["value"]}]
+    if command == "generalized":
+        return [{k: results[k] for k in ("evaluated_sum", "fully_evaluated",
+                                         "symbolic_factor_count")}]
     raise ValidationError(f"no CSV table defined for {command}")
 
 

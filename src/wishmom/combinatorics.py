@@ -17,9 +17,11 @@ compositions (randomized, central and normalized moments), which read
 their one cell at i, and the master-theorem permanents and the randomized
 joint cumulants, whose routes keep their last grid for its content in a
 `KeptGrid`.  `partition_sum` walks the partitions and adds the terms with
-`complex_fsum`, a correctly rounded complex sum; it carries the trace
-moments and the joint moments (one sum over the joint cumulant table) and
-is the tests' oracle for the series kernel.  The Bell and cyclic
+`complex_fsum`, a correctly rounded complex sum; it is the one loop over
+partitions, and one walk evaluates one sum or several over the same
+partitions.  It carries the trace moments (the two Sheffer parts of an
+order from one walk) and the joint moments (one sum over the joint
+cumulant table), and is the tests' oracle for the series kernel.  The Bell and cyclic
 polynomials come from the Bell recurrence and enumerate nothing, so they
 stay an independent check on both.  A sum over the symmetric group, the
 generalized moments' group action and the d- and alpha-permanents, is one
@@ -37,7 +39,9 @@ invariant.  Integer partitions come from the reverse-lexicographic
 successor rule (Knuth, TAOCP 7.2.1.4; Zoghbi and Stojmenovic 1998, ZS1),
 one step per partition, with no recursion copying a prefix.  Each order
 up to the default moment budget (20) is enumerated once per process and
-kept; every caller gets a fresh list of the kept partitions.
+kept; every caller gets a fresh list of the kept partitions.  A higher
+order is enumerated only within the partition-walk cap
+(`budgets.check_partition_walk`).
 """
 
 from __future__ import annotations
@@ -51,11 +55,13 @@ from .budgets import (
     MAX_UNIVARIATE_ORDER,
     check_joint_weight,
     check_necklace_weight,
+    check_partition_walk,
     check_permutation_degree,
     integer,
     integer_tuple,
 )
-from .errors import BudgetExceededError, DimensionMismatchError, ValidationError, finite_of
+from .errors import (BudgetExceededError, DimensionMismatchError, ValidationError, finite,
+                     finite_of)
 
 
 def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
@@ -133,11 +139,14 @@ def integer_partitions(i: int) -> list[IntegerPartition]:
     copies the kept tuple into a fresh list, so a caller that mutates its
     list changes nothing kept.  Higher orders, reachable only under a
     raised budget, are enumerated on every call and never kept: p(60) alone
-    is 966,467 partitions.
+    is 966,467 partitions.  Their count p(i) is checked against the fixed
+    partition-walk cap first (`budgets.check_partition_walk`), so i = 61
+    and above raise BudgetExceededError before any enumeration.
     """
     i = integer(i, "i")
     if i <= MAX_UNIVARIATE_ORDER:
         return list(_kept_partitions(i))
+    check_partition_walk((i,), f"integer_partitions({i})")
     return _enumerate_partitions(i)
 
 
@@ -356,7 +365,7 @@ def complex_fsum(values) -> complex:
     return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
 
 
-def partition_sum(partitions, base, weight) -> complex:
+def partition_sum(partitions, base, weight, *more):
     """sum over lambda of weight(l(lambda)) / prod_j r_j! * prod_j base[part_j]^{r_j},
     with (part_j, r_j) the distinct parts of lambda and their multiplicities.
 
@@ -366,20 +375,39 @@ def partition_sum(partitions, base, weight) -> complex:
     sum weighted by d_lambda = i! / prod (j!)^{r_j} r_j! is i! times this
     sum on base[k] = x_k / k!.
 
-    Raises NumericalError when a term or the sum overflows.
+    Each further (base, weight) pair in `more` is one more sum over the
+    same partitions, and the call then returns the tuple of every sum, in
+    order.  One walk evaluates them all: it reads each partition's part
+    counts, length and prod r_j! once, and each sum keeps the term it has
+    alone (weight(l), then each base[part] ** r in part order, divided by
+    prod r_j!), its own correctly rounded sum and its own overflow rule, so
+    every sum has the bits of its one-sum call.
+
+    Raises NumericalError when a term or a sum overflows.
     """
-    def total():
+    rest = [(b, w, []) for b, w in more]
+
+    def walk():
         terms = []
         for lam in partitions:
-            term = weight(lam.length)
+            counts, length = lam.part_counts(), lam.length
+            term = weight(length)
             den = 1
-            for part, r in lam.part_counts():
+            for part, r in counts:
                 term = term * base[part] ** r
                 den *= math.factorial(r)
             terms.append(term / den)
+            for b, w, out in rest:
+                term = w(length)
+                for part, r in counts:
+                    term = term * b[part] ** r
+                out.append(term / den)
         return complex_fsum(terms)
 
-    return finite_of(total, "partition sum")
+    first = finite_of(walk, "partition sum")
+    if not more:
+        return first
+    return (first, *(finite(complex_fsum(out), "partition sum") for _, _, out in rest))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A `WishartParams` holds (n, Sigma, M) plus the sign convention; `build`
 also returns the derived `TraceCache` with T_i = Tr(Sigma^i) and
-S_i = Tr(M Sigma^{i-1}), both read from one stacked array of powers.  The
+S_i = Tr(M Sigma^{i-1}), both read from one stacked array of powers and
+kept as the two rows of one (2, depth) complex array.  The
 S_i are computed without ever forming Sigma^{-1}: by trace cyclicity
 Tr(Omega Sigma^i) = Tr(M Sigma^{i-1}).
 
@@ -34,24 +35,45 @@ from .errors import DimensionMismatchError
 DEFAULT_DEPTH = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceCache:
-    """Power-trace caches T_i = Tr(Sigma^i) and S_i = Tr(M Sigma^{i-1})."""
+    """Power-trace caches T_i = Tr(Sigma^i) and S_i = Tr(M Sigma^{i-1}).
 
-    t: tuple[complex, ...]
-    s: tuple[complex, ...]
+    Both sequences are the rows of one read-only (2, depth) complex array,
+    `traces`, 16 bytes a trace: row 0 holds T_1..T_depth and row 1
+    S_1..S_depth.  `t_power` and `s_power` read one entry as a Python
+    complex with the array's bits, and `t` and `s` give a whole row as a
+    tuple.  Two caches are equal when their traces are.
+    """
+
+    traces: np.ndarray
 
     @property
     def depth(self) -> int:
-        return len(self.t)
+        return self.traces.shape[1]
+
+    @property
+    def t(self) -> tuple[complex, ...]:
+        """(T_1, ..., T_depth)."""
+        return tuple(self.traces[0].tolist())
+
+    @property
+    def s(self) -> tuple[complex, ...]:
+        """(S_1, ..., S_depth)."""
+        return tuple(self.traces[1].tolist())
 
     def t_power(self, i: int) -> complex:
         """T_i, 1-based."""
-        return self.t[i - 1]
+        return self.traces.item(0, i - 1)
 
     def s_power(self, i: int) -> complex:
         """S_i, 1-based; S_1 = Tr(M)."""
-        return self.s[i - 1]
+        return self.traces.item(1, i - 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceCache):
+            return NotImplemented
+        return np.array_equal(self.traces, other.traces)
 
 
 @matrix_core.quiet
@@ -61,14 +83,15 @@ def _compute_cache(sigma: np.ndarray, m_matrix: np.ndarray, depth: int) -> Trace
     powers[0, k] = Sigma^(k+1) and powers[1, k] = M Sigma^k are one
     (2, depth, p, p) array: each step multiplies both previous powers by
     Sigma in one `np.matmul` into the next slot, and one `np.trace` over
-    the stack reads every T_i and S_i.
+    the stack reads every T_i and S_i into the cache's (2, depth) array.
     """
     powers = np.empty((2, depth) + sigma.shape, dtype=complex)
     powers[0, 0], powers[1, 0] = sigma, m_matrix
     for k in range(1, depth):
         np.matmul(powers[:, k - 1], sigma, out=powers[:, k])
-    t, s = np.trace(powers, axis1=2, axis2=3).tolist()
-    return TraceCache(tuple(t), tuple(s))
+    traces = np.trace(powers, axis1=2, axis2=3)
+    traces.flags.writeable = False
+    return TraceCache(traces)
 
 
 class WishartParams:

@@ -17,15 +17,20 @@ partitions.  The moments stay on the partition sums for now, computed once per s
 `moment_sequence` and `binomial_convolution_check` take A_0..A_K and
 R_0..R_K from one pass and convolve every order from them, where a single
 `noncentral_moment` of order K pays the same pass for its one order.  A_j
-and R_j sum over the same partitions of j, so a pass reads each order's
-partitions once and feeds the one list to both parts.  The lists come from
+and R_j sum over the same partitions of j, so a pass walks each order's
+partitions once: one `partition_sum` call with two sums gives both parts,
+reading each partition's part counts, length and prod r_j! once, and each
+part keeps the bits of its own one-sum walk.  The lists come from
 `combinatorics.integer_partitions`, which enumerates each order up to the
 default moment budget (20) once per process and keeps it: the 230 lists
 that `normalized_cumulant_moments(params, 20)` reads through its per-order
 moments are 21 distinct ones, enumerated at most once.  An order above 20,
 reachable only under `WISHMOM_MAX_BUDGET`, is enumerated on every read and
-never kept.  The series form of A and R, exp of the cumulant series, waits
-for a benchmark change (ROADMAP.md).
+never kept.  Every Sheffer route counts the partitions its passes will
+walk before the first one, by `budgets.check_partition_walk`, and raises
+BudgetExceededError past the fixed cap of 10^6 whatever the order budget:
+one pass reaches order 48.  The series form of A and R, exp of the
+cumulant series, waits for a benchmark change (ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core
-from .budgets import check_cumulant_order, check_moment_order, integer, positive_real
+from .budgets import (check_cumulant_order, check_moment_order, check_partition_walk, integer,
+                      positive_real, sheffer_walk)
 from .combinatorics import (
     complete_bell,
     complete_bell_sequence,
@@ -199,20 +205,24 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
 
 
 def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
-    """The Sheffer parts A_0..A_{i_max} and R_0..R_{i_max}, one partition
-    sum each: A_j sums sign^l / prod r! over the partitions of j on the
-    S-traces, R_j sums n^l / prod r! over the partitions of j on T_m / m.
-    Both sum over the same partitions, so each order's list is built once
-    and feeds the two.  Every moment up to order i_max is one convolution
-    of the two lists (`_sheffer_moment`)."""
+    """The Sheffer parts A_0..A_{i_max} and R_0..R_{i_max}: A_j sums
+    sign^l / prod r! over the partitions of j on the S-traces, R_j sums
+    n^l / prod r! over the partitions of j on T_m / m.  Both sum over the
+    same partitions, so each order is one walk, `partition_sum` with two
+    sums, that reads each partition once for both and gives each part the
+    bits of its own one-sum walk.  Every moment up to order i_max is one
+    convolution of the two lists (`_sheffer_moment`).  The caller has
+    checked the walk against the partition-walk cap."""
     cache = params.trace_cache(i_max)
     s_base = [0.0] + [cache.s_power(k) for k in range(1, i_max + 1)]
     t_base = [0.0] + [cache.t_power(k) / k for k in range(1, i_max + 1)]
+    sign, n = params.sign, params.n
     a_part, r_part = [], []
     for j in range(i_max + 1):
-        partitions = integer_partitions(j)
-        a_part.append(partition_sum(partitions, s_base, lambda l: params.sign ** l))
-        r_part.append(partition_sum(partitions, t_base, lambda l: params.n ** l))
+        a, r = partition_sum(integer_partitions(j), s_base, lambda l: sign ** l,
+                             (t_base, lambda l: n ** l))
+        a_part.append(a)
+        r_part.append(r)
     return a_part, r_part
 
 
@@ -236,9 +246,11 @@ def noncentral_moment(params: WishartParams, i: int) -> complex:
     T_m / m (`_sheffer_parts`).  Order i needs A and R up to i, so one
     order costs the partition sums of every lower one; a whole sequence
     shares them (`moment_sequence`).  Reduces to the central moment when
-    M = 0.
+    M = 0.  Raises BudgetExceededError, before any walk, when the pass
+    would walk more partitions than `budgets.MAX_PARTITION_WALK`.
     """
     i = check_moment_order(i)
+    check_partition_walk(sheffer_walk((i,)), f"moment of order {i}")
     if i == 0:
         return 1.0 + 0.0j
     return _sheffer_moment(*_sheffer_parts(params, i), i)
@@ -270,8 +282,10 @@ def moment_sequence(params: WishartParams, i_max: int) -> MomentSequence:
     `noncentral_moment`; the budget is checked on i_max before any order
     is computed.  One pass: the Sheffer parts A_j, R_k are computed once
     up to i_max, and every order is one convolution of them.  Raises
-    NumericalError when an order overflows."""
+    NumericalError when an order overflows, and BudgetExceededError when
+    the pass would walk more partitions than the partition-walk cap."""
     i_max = check_moment_order(i_max)
+    check_partition_walk(sheffer_walk((i_max,)), f"moment sequence to order {i_max}")
     return MomentSequence.from_moments(_sheffer_moments(params, i_max)[1:])
 
 
@@ -328,10 +342,16 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     reached 1.5e6.  A second set of 200 (Sigma = A A^H / p + 0.1 I, n
     between p and 3p) reached 3e-7, 3.7e-2 and 4 at orders 6, 10 and 12:
     the loss depends on the input.  Only the low orders are accurate.
+
+    Each order is one `noncentral_moment`, one Sheffer pass, and the passes
+    of every order are checked together against the partition-walk cap
+    before the first: order 39 fits, order 40 raises BudgetExceededError.
     """
     i_max = check_moment_order(i_max)
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
+    check_partition_walk(sheffer_walk(range(1, i_max + 1)),
+                         f"normalized moments to order {i_max}")
     params.trace_cache(i_max)  # one extension to i_max, not one per order
     p = params.p
     e = [1.0 + 0.0j]
@@ -376,8 +396,9 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
           = sum_k C(i,k) E[(Tr W(n1, Sigma, M1))^k] E[(Tr W(n2, Sigma, M2))^{i-k}]
     with (M1, M2) = `m_split` (default: all of M on the n1 block, so the
     second factor is central).  Each of the three moment sequences is one
-    pass of the Sheffer parts, as in `moment_sequence`.  Returns
-    {order: max relative deviation}.
+    pass of the Sheffer parts, as in `moment_sequence`, and the three
+    passes are checked together against the partition-walk cap before
+    the first.  Returns {order: max relative deviation}.
 
     Raises ValidationError when `m_split` is not a pair and
     DimensionMismatchError when either matrix is not p x p, before any
@@ -387,6 +408,8 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
     i_max = check_moment_order(i_max)
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
+    check_partition_walk(sheffer_walk((i_max,) * 3),
+                         f"binomial convolution check to order {i_max}")
     sigma, conv = params.sigma, params.convention
     if m_split is None:
         m1, m2 = params.m_matrix, np.zeros_like(params.m_matrix)

@@ -2,12 +2,15 @@
 every entry point that takes an order, an index, a count, a size or a
 seed, and the one reading of its degrees of freedom and sign convention."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wishmom import (
+    BudgetExceededError,
     CyclePermutation,
     IntegerPartition,
     MomentSequence,
@@ -167,3 +170,51 @@ def test_the_monte_carlo_cap_is_fixed(monkeypatch, override):
                        match=f"^a call draws {cap + 1} random variates, over the "
                              f"Monte Carlo cap {cap}$"):
         budgets.check_mc_variates(cap + 1, "a call")
+
+
+@pytest.mark.parametrize("override", [None, "1000000000000"])
+def test_the_partition_walk_cap_is_fixed(monkeypatch, override):
+    # a cost, like the Monte Carlo cap: counted from p(j) before any walk,
+    # and the order budgets' variable does not raise it
+    from wishmom import budgets
+
+    monkeypatch.delenv("WISHMOM_MAX_BUDGET", raising=False)
+    if override:
+        monkeypatch.setenv("WISHMOM_MAX_BUDGET", override)
+    cap = budgets.MAX_PARTITION_WALK
+    # Euler's pentagonal recurrence, up to the first p(k) over the cap,
+    # against the enumeration and p(60), p(61) of OEIS A000041
+    numbers = budgets._PARTITION_NUMBERS
+    assert list(numbers[:31]) == [len(integer_partitions(j)) for j in range(31)]
+    assert numbers[60:] == (966467, 1121505)
+    assert sum(numbers[:21]) == 2714  # one pass at the default moment budget
+    walk = budgets.check_partition_walk
+    walk((60,), "p(60)")  # 966,467
+    walk(budgets.sheffer_walk((48,)), "a pass to order 48")  # 918,220
+    walk(budgets.sheffer_walk(range(1, 40)), "passes to orders 1..39")  # 963,319
+    walk(budgets.sheffer_walk((42,) * 3), "three passes to order 42")  # 939,195
+    message = f"^{{}} walks more than {cap} integer partitions, over the partition-walk cap$"
+    for orders, what in (((61,), "p(61)"), (budgets.sheffer_walk((49,)), "order 49"),
+                         (budgets.sheffer_walk(range(1, 41)), "orders 1..40"),
+                         (budgets.sheffer_walk((43,) * 3), "three of order 43"),
+                         (itertools.repeat(0), "endless empty partitions"),
+                         (budgets.sheffer_walk((10 ** 12,)), "order 10^12")):
+        with pytest.raises(BudgetExceededError, match=message.format(re.escape(what))):
+            walk(orders, what)
+
+
+def test_the_budget_variable_is_a_plain_decimal(monkeypatch):
+    from wishmom import budgets
+
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "4")
+    assert budgets.check_moment_order(4) == 4
+    with pytest.raises(BudgetExceededError, match="set by WISHMOM_MAX_BUDGET"):
+        budgets.check_moment_order(5)
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "0")
+    assert budgets.check_moment_order(0) == 0
+    for bad in ("-1", " 1_0 ", "10 ", "+4", "1.5", "ten", "", "0x10", "\u0664",
+                "9" * 5000):
+        monkeypatch.setenv("WISHMOM_MAX_BUDGET", bad)
+        with pytest.raises(ValidationError,
+                           match="^WISHMOM_MAX_BUDGET must be a non-negative decimal integer"):
+            budgets.check_moment_order(1)

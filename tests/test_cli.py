@@ -291,6 +291,24 @@ def test_orders_past_170_under_a_raised_budget_exit_3_or_0(tmp_path, capsys, mon
     assert elapsed < 0.1
 
 
+def test_moments_past_the_partition_walk_cap_exit_4_at_once(tmp_path, capsys, monkeypatch):
+    # order 171 is inside a raised order budget, but its one Sheffer pass
+    # would walk far more partitions than the fixed cap: rejected before
+    # any walk, with nothing on stdout
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"n": 2, "sigma": matrix_doc([[0.02]])}))
+    start = time.process_time()
+    code = main(["moments", str(path), "--order", "171"])
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: moment sequence to order 171 walks more than "
+                            "1000000 integer partitions, over the partition-walk cap\n")
+    assert elapsed < 0.1
+
+
 def test_exit_code_budget(paper_file):
     code, out = run(["moments", paper_file, "--order", "25"])
     assert code == 4
@@ -371,10 +389,9 @@ def test_every_subcommand_reports_the_convention_option(tmp_path, command, optio
         code, out = run([command, str(path), *argv])
         assert code == 0, out
         assert json.loads(out)["convention"] == want
-        if command != "generalized":  # the one subcommand with no CSV table
-            code, out = run([command, str(path), *argv, "--format", "csv"])
-            assert code == 0, out
-            assert out.splitlines()[1].endswith("," + want)
+        code, out = run([command, str(path), *argv, "--format", "csv"])
+        assert code == 0, out
+        assert out.splitlines()[1].endswith("," + want)
 
 
 def test_csv_format(paper_file):
@@ -384,6 +401,31 @@ def test_csv_format(paper_file):
     assert lines[0] == "order,value_re,value_im,convention"
     assert len(lines) == 3
     assert lines[1].endswith(",paper")
+
+
+def test_generalized_csv_is_one_row_of_the_evaluated_sum(tmp_path):
+    # the evaluated sum, whether every factor was evaluated and how many
+    # stayed symbolic: the document's scalar fields, read from its JSON
+    doc = {"n": 3, "sigma": matrix_doc(np.diag([1.0, 2.0])),
+           "m_matrix": matrix_doc(np.diag([0.5, 0.1])),
+           "h": [matrix_doc(np.eye(2)), matrix_doc(np.diag([1.0, 2.0]))]}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    for convention in CONVENTIONS:
+        argv = ["generalized", str(path), "--index", "2,1", "--convention", convention]
+        code, out = run(argv)
+        assert code == 0, out
+        results = json.loads(out)["results"]
+        code, table = run(argv + ["--format", "csv"])
+        assert code == 0, table
+        header, row = table.splitlines()
+        assert header == ("evaluated_sum_re,evaluated_sum_im,fully_evaluated,"
+                          "symbolic_factor_count,convention")
+        re, im, *rest = row.split(",")
+        assert (float(re), float(im)) == (results["evaluated_sum"]["re"],
+                                          results["evaluated_sum"]["im"])
+        assert rest == [str(results["fully_evaluated"]),
+                        str(results["symbolic_factor_count"]), convention]
 
 
 def test_stdin_input(monkeypatch, capsys):
@@ -544,8 +586,19 @@ def test_request_checks_run_without_numpy(args, stdin, code):
     assert "numpy" not in modules
 
 
-@pytest.mark.parametrize("value, options, code", [("4", ["--order", "6"], 4),
-                                                  ("ten", [], 2)])
+@pytest.mark.parametrize("value, options, code", [
+    ("4", ["--order", "6"], 4),
+    ("ten", [], 2),
+    # only a plain non-negative decimal sets the budget
+    ("1.5", [], 2),
+    ("-1", ["--order", "1"], 2),
+    (" 1_0 ", ["--order", "1"], 2),
+    ("+4", ["--order", "1"], 2),
+    ("", ["--order", "1"], 2),
+    ("\u0664", ["--order", "1"], 2),  # a decimal digit, but not an ASCII one
+    # under a raised order budget the partition-walk cap still holds
+    ("200", ["--order", "171"], 4),
+])
 def test_budget_override_is_checked_without_numpy(value, options, code):
     got, modules = _child_request(["moments", "-", *options], _DOC,
                                   {"WISHMOM_MAX_BUDGET": value})

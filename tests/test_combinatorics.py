@@ -772,3 +772,20 @@ def test_partition_sum_overflow_is_a_numerical_error():
     # finite terms whose sum overflows
     with pytest.raises(NumericalError):
         partition_sum(integer_partitions(2), {1: 1e154 + 0j, 2: 1.7e308 + 0j}, one)
+
+
+def test_every_sum_of_one_walk_keeps_its_overflow_rule():
+    one = lambda l: 1
+    finite = {1: 1.0 + 0j, 2: 2.0, 3: 3.0}
+    overflowing_power = {1: 1e200 + 0j, 2: 1.0, 3: 1.0}
+    overflowing_sum = {1: 1e154 + 0j, 2: 1.7e308 + 0j}
+    # an overflow in any sum of the walk, first or later, is a NumericalError
+    for first, second, order in ((overflowing_power, finite, 3), (finite, overflowing_power, 3),
+                                 (overflowing_sum, finite, 2), (finite, overflowing_sum, 2)):
+        with pytest.raises(NumericalError, match="^partition sum overflows"):
+            partition_sum(integer_partitions(order), first, one, (second, one))
+    # finite sums come back in order, each with the bits of its own walk
+    partitions = integer_partitions(3)
+    weights = (one, lambda l: 2.0 ** l, lambda l: -0.5 ** l)
+    sums = partition_sum(partitions, finite, weights[0], *((finite, w) for w in weights[1:]))
+    assert repr(sums) == repr(tuple(partition_sum(partitions, finite, w) for w in weights))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -247,9 +248,9 @@ def test_order_budget(monkeypatch):
                                                  ("cumulant_sequence", "noncentral_cumulant")])
 def test_sequence_budget_is_checked_before_any_order(monkeypatch, sequence, per_order):
     # the cumulants are one per-order call each; the moments are one pass
-    # of the Sheffer parts A_0..A_K, R_0..R_K, so a sequence to order K
-    # makes the 2 (K + 1) partition sums of its order-K moment alone, not
-    # one pass per order (K^2 + 3K)
+    # of the Sheffer parts A_0..A_K, R_0..R_K, one walk per order giving
+    # A_j and R_j together, so a sequence to order K makes the K + 1
+    # partition walks of its order-K moment alone, not one pass per order
     from wishmom import univariate
 
     calls = []
@@ -272,10 +273,11 @@ def test_sequence_budget_is_checked_before_any_order(monkeypatch, sequence, per_
     for k_max in (3, 20):
         calls.clear()
         assert univariate.moment_sequence(params, k_max).depth == k_max
-        assert len(calls) == 2 * (k_max + 1)
+        assert len(calls) == k_max + 1
+        assert all(len(args) == 4 for args in calls)  # (partitions, A's pair, R's pair)
         calls.clear()
         getattr(univariate, per_order)(params, k_max)
-        assert len(calls) == 2 * (k_max + 1)
+        assert len(calls) == k_max + 1
 
 
 @pytest.mark.parametrize("route", ["moment_sequence", "noncentral_moment"])
@@ -294,6 +296,48 @@ def test_one_partition_list_per_order_feeds_both_sheffer_parts(monkeypatch, rout
         calls.clear()
         getattr(univariate, route)(params, k_max)
         assert calls == list(range(k_max + 1))
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("central", [False, True])
+def test_one_walk_gives_both_sheffer_parts_bit_for_bit(convention, central):
+    # A_j and R_j from one walk over the partitions of j have the bits of
+    # two separate one-sum walks, for every j up to the default budget
+    from wishmom import univariate
+    from wishmom.combinatorics import integer_partitions, partition_sum
+
+    params = random_params(41, p=4, n=5.5, convention=convention, central=central)
+    a_part, r_part = univariate._sheffer_parts(params, 20)
+    cache = params.trace_cache(20)
+    s_base = [0.0] + [cache.s_power(k) for k in range(1, 21)]
+    t_base = [0.0] + [cache.t_power(k) / k for k in range(1, 21)]
+    for j in range(21):
+        partitions = integer_partitions(j)
+        a = partition_sum(partitions, s_base, lambda l: params.sign ** l)
+        r = partition_sum(partitions, t_base, lambda l: params.n ** l)
+        assert (repr(a_part[j]), repr(r_part[j])) == (repr(a), repr(r))
+
+
+def test_orders_past_the_partition_walk_cap_are_rejected_before_any_walk(monkeypatch):
+    # a raised order budget admits order 171, but the fixed partition-walk
+    # cap rejects it from the partition counts alone, at once (CPU time)
+    from wishmom import combinatorics
+
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    params = random_params(11)
+    routes = {
+        "moment of order 171": lambda: noncentral_moment(params, 171),
+        "moment sequence to order 171": lambda: moment_sequence(params, 171),
+        "normalized moments to order 40": lambda: normalized_cumulant_moments(params, 40),
+        "binomial convolution check to order 43":
+            lambda: binomial_convolution_check(params, 1.0, 2.0, 43),
+        "integer_partitions(61)": lambda: combinatorics.integer_partitions(61),
+    }
+    for what, route in routes.items():
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(what)} walks more than "):
+            route()
+        assert time.process_time() - start < 0.1
 
 
 def _sheffer_digest():
