@@ -150,7 +150,7 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     factorial = math.prod(math.factorial(v) for v in kind)
     return _kept_permanents.value(
         (t.shape, t.tobytes(), *weights), kind, build,
-        lambda table: finite_of(lambda: factorial * complex(table[kind]), "permanent"),
+        lambda table: finite_of(lambda cell: factorial * cell, "permanent", complex(table[kind])),
         depth=depth)
 
 

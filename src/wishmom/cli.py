@@ -254,12 +254,12 @@ def _cmd_sequence(doc, args, convention, sequence: str, check_order):
     return {"orders": rows}
 
 
-def _cmd_joint(doc, args, convention, of_index: str):
+def _cmd_joint(doc, args, convention, of_index: str, check_index):
     index = _index_from(doc, args)
     m = _h_count(doc)
     if len(index) != m:
         raise DimensionMismatchError(f"index has {len(index)} components, expected {m}")
-    budgets.check_joint_weight(sum(index))
+    check_index(index)
     h = _h_list(doc)
     params = _params_from(doc, convention)
     from . import multivariate
@@ -396,15 +396,23 @@ def _check_moment_sequence(order):
                                  f"moment sequence to order {order}")
 
 
+def _check_joint_moment(index):
+    """The budget of `multivariate.joint_moment`: its weight, then the
+    multi-index partitions its walk visits."""
+    budgets.check_joint_weight(sum(index))
+    budgets.check_multiindex_walk(index, f"joint moment of index {index}")
+
+
 _COMMANDS = {
     "moments": (lambda doc, args, convention: _cmd_sequence(
         doc, args, convention, "moment_sequence", _check_moment_sequence), True),
     "cumulants": (lambda doc, args, convention: _cmd_sequence(
         doc, args, convention, "cumulant_sequence", budgets.check_cumulant_order), True),
     "joint-moments": (lambda doc, args, convention: _cmd_joint(
-        doc, args, convention, "joint_moment"), True),
+        doc, args, convention, "joint_moment", _check_joint_moment), True),
     "joint-cumulants": (lambda doc, args, convention: _cmd_joint(
-        doc, args, convention, "joint_cumulant"), True),
+        doc, args, convention, "joint_cumulant",
+        lambda index: budgets.check_joint_weight(sum(index))), True),
     "generalized": (_cmd_generalized, True),
     "permanent": (_cmd_permanent, True),
     "polykay": (_cmd_polykay, True),

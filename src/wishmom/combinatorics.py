@@ -39,9 +39,12 @@ invariant.  Integer partitions come from the reverse-lexicographic
 successor rule (Knuth, TAOCP 7.2.1.4; Zoghbi and Stojmenovic 1998, ZS1),
 one step per partition, with no recursion copying a prefix.  Each order
 up to the default moment budget (20) is enumerated once per process and
-kept; every caller gets a fresh list of the kept partitions.  A higher
-order is enumerated only within the partition-walk cap
-(`budgets.check_partition_walk`).
+kept, each partition with its (part, multiplicity) record as `counts`,
+the read `partition_sum` makes on a `MultiIndexPartition` too; every caller
+gets a fresh list of the kept partitions.  A higher order is enumerated
+only within the partition-walk cap (`budgets.check_partition_walk`), and a
+multi-index above the default joint weight only within the multi-index
+walk cap (`budgets.check_multiindex_walk`).
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from dataclasses import dataclass
 from .budgets import (
     MAX_UNIVARIATE_ORDER,
     check_joint_weight,
+    check_multiindex_walk,
     check_necklace_weight,
     check_partition_walk,
     check_permutation_degree,
@@ -75,6 +79,30 @@ def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # integer partitions
 # ---------------------------------------------------------------------------
+
+def _count_parts(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The distinct parts of weakly decreasing `parts` with their
+    multiplicities, largest part first."""
+    out = []
+    for p in parts:
+        if out and out[-1][0] == p:
+            out[-1] = (p, out[-1][1] + 1)
+        else:
+            out.append((p, 1))
+    return tuple(out)
+
+
+class _CountedOnRead:
+    """`IntegerPartition.counts` where the partition carries no record of
+    its own: the record counted from its parts on each read.  It defines no
+    __set__, so an entry in the instance's own dict takes precedence and
+    reads as a plain attribute."""
+
+    def __get__(self, lam, owner=None):
+        if lam is None:
+            return self
+        return _count_parts(lam.parts)
+
 
 @dataclass(frozen=True)
 class IntegerPartition:
@@ -118,15 +146,15 @@ class IntegerPartition:
             out[p - 1] += 1
         return tuple(out)
 
+    # the (part, multiplicity) record `partition_sum` reads: a kept partition
+    # carries it as an attribute of its own, set once by `_kept_partitions`,
+    # and any other partition counts it from its parts on each read
+    counts = _CountedOnRead()
+
     def part_counts(self) -> list[tuple[int, int]]:
-        """Distinct parts with multiplicities, largest part first."""
-        out = []
-        for p in self.parts:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + 1)
-            else:
-                out.append((p, 1))
-        return out
+        """Distinct parts with multiplicities, largest part first, as a new
+        list: mutating it changes no record a kept partition carries."""
+        return list(self.counts)
 
 
 def integer_partitions(i: int) -> list[IntegerPartition]:
@@ -135,9 +163,13 @@ def integer_partitions(i: int) -> list[IntegerPartition]:
     i is read by `budgets.integer` on every call.  Orders up to the
     default moment budget, `budgets.MAX_UNIVARIATE_ORDER`, are enumerated
     once per process and kept as a tuple of frozen partitions
-    (`_kept_partitions`, 2,714 objects for orders 0..20); every call
-    copies the kept tuple into a fresh list, so a caller that mutates its
-    list changes nothing kept.  Higher orders, reachable only under a
+    (`_kept_partitions`, 2,714 objects for orders 0..20), each carrying
+    its (part, multiplicity) record as `counts`, counted once when it is
+    kept, with one tuple per distinct pair of an order: about 0.7 MB for
+    the whole table under tracemalloc, 0.22 MB of it the records.  Every
+    call copies the kept tuple into a fresh list, so a caller that mutates
+    its list changes nothing kept, and `part_counts` hands out a fresh
+    list of the record.  Higher orders, reachable only under a
     raised budget, are enumerated on every call and never kept: p(60) alone
     is 966,467 partitions.  Their count p(i) is checked against the fixed
     partition-walk cap first (`budgets.check_partition_walk`), so i = 61
@@ -152,8 +184,14 @@ def integer_partitions(i: int) -> list[IntegerPartition]:
 
 @functools.lru_cache(maxsize=None)
 def _kept_partitions(i: int) -> tuple[IntegerPartition, ...]:
-    """The partitions of i <= MAX_UNIVARIATE_ORDER, enumerated on first use."""
-    return tuple(_enumerate_partitions(i))
+    """The partitions of i <= MAX_UNIVARIATE_ORDER, enumerated on first use,
+    each carrying its (part, multiplicity) record as its `counts`."""
+    kept = tuple(_enumerate_partitions(i))
+    pairs = {}  # one tuple per distinct (part, multiplicity) of the order
+    for lam in kept:
+        counts = tuple(pairs.setdefault(pair, pair) for pair in _count_parts(lam.parts))
+        object.__setattr__(lam, "counts", counts)
+    return kept
 
 
 def _enumerate_partitions(i: int) -> list[IntegerPartition]:
@@ -208,7 +246,7 @@ def partition_coefficients(lam: IntegerPartition, i: int) -> tuple[int, int, int
         raise ValidationError(f"{lam.parts} is not a partition of {i}")
     fact = math.factorial(i)
     den_d = den_td = den_c = 1
-    for part, r in lam.part_counts():
+    for part, r in lam.counts:
         rf = math.factorial(r)
         den_d *= math.factorial(part) ** r * rf
         den_td *= rf
@@ -273,9 +311,16 @@ class MultiIndexPartition:
         """Total number of columns, counted with multiplicity."""
         return sum(self.multiplicities)
 
+    @property
+    def counts(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The (column, multiplicity) record `partition_sum` reads, as
+        `IntegerPartition.counts` is."""
+        return tuple(zip(self.columns, self.multiplicities))
+
     def part_counts(self) -> list[tuple[tuple[int, ...], int]]:
-        """Distinct columns with multiplicities, in increasing order."""
-        return list(zip(self.columns, self.multiplicities))
+        """Distinct columns with multiplicities, in increasing order, as a
+        new list."""
+        return list(self.counts)
 
     def multiplicity_factorial(self) -> int:
         """m(lambda)! = prod_j r_j!"""
@@ -312,9 +357,17 @@ def multiindex_partitions(t) -> list[MultiIndexPartition]:
     Recursion consumes candidate columns in decreasing lexicographic order,
     taking the highest multiplicity first, so the output order is the
     multi-index analogue of reverse-lexicographic.  A one-dimensional
-    multi-index (i,) reproduces integer_partitions(i).
+    multi-index (i,) reproduces integer_partitions(i).  A column left out
+    is the next turn of a loop, not a call, so the recursion is as deep as
+    the columns a partition takes, at most |t|, and not as the candidates.
+
+    t is read by `integer_tuple`; above the default joint-weight budget its
+    partitions are counted first, and more than the fixed multi-index walk
+    cap raise BudgetExceededError before any enumeration
+    (`budgets.check_multiindex_walk`).
     """
     t = integer_tuple(t, "multi-index")
+    check_multiindex_walk(t, f"multiindex_partitions({t})")
     if all(v == 0 for v in t):
         return [MultiIndexPartition._of((), ())]
 
@@ -325,21 +378,19 @@ def multiindex_partitions(t) -> list[MultiIndexPartition]:
     out: list[MultiIndexPartition] = []
     chosen: list[tuple[tuple[int, ...], int]] = []
 
-    def rec(idx, remaining):
+    def rec(start, remaining):
         if not any(remaining):
             cols = tuple(col for col, _ in reversed(chosen))
             mults = tuple(r for _, r in reversed(chosen))
             out.append(MultiIndexPartition._of(cols, mults))
             return
-        if idx == len(candidates):
-            return
-        col = candidates[idx]
-        cap = min(rem // c for rem, c in zip(remaining, col) if c)
-        for mult in range(cap, 0, -1):
-            chosen.append((col, mult))
-            rec(idx + 1, tuple(r - mult * c for r, c in zip(remaining, col)))
-            chosen.pop()
-        rec(idx + 1, remaining)
+        for idx in range(start, len(candidates)):
+            col = candidates[idx]
+            cap = min(rem // c for rem, c in zip(remaining, col) if c)
+            for mult in range(cap, 0, -1):
+                chosen.append((col, mult))
+                rec(idx + 1, tuple(r - mult * c for r, c in zip(remaining, col)))
+                chosen.pop()
 
     rec(0, t)
     return out
@@ -381,7 +432,9 @@ def partition_sum(partitions, base, weight, *more):
     counts, length and prod r_j! once, and each sum keeps the term it has
     alone (weight(l), then each base[part] ** r in part order, divided by
     prod r_j!), its own correctly rounded sum and its own overflow rule, so
-    every sum has the bits of its one-sum call.
+    every sum has the bits of its one-sum call.  The part counts are the
+    partition's `counts`: the record a kept integer partition carries, or
+    counted on the read for any other.
 
     Raises NumericalError when a term or a sum overflows.
     """
@@ -390,7 +443,7 @@ def partition_sum(partitions, base, weight, *more):
     def walk():
         terms = []
         for lam in partitions:
-            counts, length = lam.part_counts(), lam.length
+            counts, length = lam.counts, lam.length
             term = weight(length)
             den = 1
             for part, r in counts:

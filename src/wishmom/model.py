@@ -23,6 +23,7 @@ consumed by the moment/cumulant engines downstream.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .errors import DimensionMismatchError
 DEFAULT_DEPTH = 12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TraceCache:
     """Power-trace caches T_i = Tr(Sigma^i) and S_i = Tr(M Sigma^{i-1}).
 
@@ -94,6 +95,16 @@ def _compute_cache(sigma: np.ndarray, m_matrix: np.ndarray, depth: int) -> Trace
     return TraceCache(traces)
 
 
+@functools.lru_cache(maxsize=16)
+def _zero(p: int) -> np.ndarray:
+    """The read-only p x p complex zero that central parameter sets of
+    dimension p share: a zero-stride view of one complex zero, so it holds
+    no p x p buffer, and its `tobytes()` are those of a dense zero.  The
+    cache keeps at most 16 dimensions, each entry a view of a few hundred
+    bytes."""
+    return np.broadcast_to(np.zeros((), dtype=complex), (p, p))
+
+
 class WishartParams:
     """Immutable parameters (n, Sigma, M, convention) with lazy derived data.
 
@@ -101,22 +112,30 @@ class WishartParams:
     an integer.  Sigma must be Hermitian; M may be non-Hermitian (the
     `m_is_hermitian` flag records which) since only its trace products
     enter the univariate formulas.  `is_central` records whether M = 0.
+    An M that is None or +0 in every entry is held as the read-only zero
+    that every central parameter set of its dimension shares (`_zero`),
+    not as a dense p x p array of its own.
 
     The trace cache grows monotonically on demand and the non-centrality
     matrix is computed at most once, both under a lock, so concurrent
     readers are safe.
     """
 
+    __slots__ = ("n", "sigma", "m_matrix", "convention", "p", "m_is_hermitian", "is_central",
+                 "_lock", "_cache", "_omega")
+
     def __init__(self, n, sigma, m_matrix=None, convention: str = "paper"):
         n = positive_real(n, "n")
         sigma = matrix_core.hermitian_matrix(sigma, "sigma must be Hermitian")
         if m_matrix is None:
-            m_matrix = np.zeros_like(sigma)
+            m_matrix = _zero(len(sigma))
         else:
             m_matrix = matrix_core.as_matrix(m_matrix)
-        if m_matrix.shape != sigma.shape:
-            raise DimensionMismatchError(
-                f"m_matrix shape {m_matrix.shape} != sigma shape {sigma.shape}")
+            if m_matrix.shape != sigma.shape:
+                raise DimensionMismatchError(
+                    f"m_matrix shape {m_matrix.shape} != sigma shape {sigma.shape}")
+            if not (m_matrix.any() or np.signbit(m_matrix.view(float)).any()):
+                m_matrix = _zero(len(sigma))  # every entry +0: the same bytes
         convention = budgets.convention(convention)
 
         sigma.flags.writeable = False

@@ -83,6 +83,7 @@ from . import matrix_core
 from .budgets import (
     check_expansion_positions,
     check_joint_weight,
+    check_multiindex_walk,
     check_product_factors,
     integer_tuple,
 )
@@ -324,14 +325,18 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     i! times the partition sum of prod K[col]^r / prod r! over the
     multi-index partitions of i.  Under "paper" eta needs Omega, hence a
     nonsingular Sigma, unless M = 0; under "standard" any Sigma will do.
+    Above the default joint-weight budget the partitions are counted
+    before the tables are built, and more than the fixed multi-index walk
+    cap raise BudgetExceededError (`budgets.check_multiindex_walk`).
     """
     kind = _as_kind(i, len(h))
     weight = check_joint_weight(sum(kind))
     if weight == 0:
         return 1.0 + 0.0j
+    check_multiindex_walk(kind, f"joint moment of index {kind}")
     table = _cumulant_table(params, h, kind)
-    return finite_of(lambda: _index_factorial(kind) * partition_sum(
-        multiindex_partitions(kind), table, lambda l: 1), "joint moment")
+    return finite_of(lambda total: _index_factorial(kind) * total, "joint moment",
+                     partition_sum(multiindex_partitions(kind), table, lambda l: 1))
 
 
 @matrix_core.quiet
@@ -343,7 +348,8 @@ def joint_cumulant(params: WishartParams, h, i) -> complex:
     kind = _nonzero_kind(i, h, "joint cumulant")
     check_joint_weight(sum(kind))
     table = _cumulant_table(params, h, kind)
-    return finite_of(lambda: _index_factorial(kind) * complex(table[kind]), "joint cumulant")
+    return finite_of(lambda cell: _index_factorial(kind) * cell, "joint cumulant",
+                     complex(table[kind]))
 
 
 @matrix_core.quiet
@@ -384,8 +390,8 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     factorial = _index_factorial(kind)
     return _kept_randomized.value(
         key + (np.array(alpha_cumulants.values, dtype=complex).tobytes(),), kind, build,
-        lambda table: finite_of(lambda: factorial * complex(table[kind]),
-                                "randomized joint cumulant"),
+        lambda table: finite_of(lambda cell: factorial * cell, "randomized joint cumulant",
+                                complex(table[kind])),
         depth=alpha_cumulants.depth)
 
 

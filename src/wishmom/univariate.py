@@ -24,7 +24,10 @@ part keeps the bits of its own one-sum walk.  The lists come from
 `combinatorics.integer_partitions`, which enumerates each order up to the
 default moment budget (20) once per process and keeps it: the 230 lists
 that `normalized_cumulant_moments(params, 20)` reads through its per-order
-moments are 21 distinct ones, enumerated at most once.  An order above 20,
+moments are 21 distinct ones, enumerated at most once.  The kept table
+holds 2,714 partitions, each with its (part, multiplicity) record counted
+once when kept, about 0.7 MB in all, so a walk reads each record and
+counts nothing.  An order above 20,
 reachable only under `WISHMOM_MAX_BUDGET`, is enumerated on every read and
 never kept.  Every Sheffer route counts the partitions its passes will
 walk before the first one, by `budgets.check_partition_walk`, and raises
@@ -164,8 +167,8 @@ def central_cumulant(params: WishartParams, i: int) -> complex:
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
     cache = params.trace_cache(i)
-    return finite_of(lambda: params.n * math.factorial(i - 1) * cache.t_power(i),
-                     f"central cumulant of order {i}")
+    return finite_of(lambda n, t: n * math.factorial(i - 1) * t,
+                     f"central cumulant of order {i}", params.n, cache.t_power(i))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +184,9 @@ def noncentral_cumulant(params: WishartParams, i: int) -> complex:
     if i < 1:
         raise ValidationError(f"cumulant order must be >= 1: {i}")
     cache = params.trace_cache(i)
-    return finite_of(lambda: params.n * math.factorial(i - 1) * cache.t_power(i)
-                     + params.sign * math.factorial(i) * cache.s_power(i),
-                     f"cumulant of order {i}")
+    return finite_of(lambda n, t, sign, s: n * math.factorial(i - 1) * t
+                     + sign * math.factorial(i) * s, f"cumulant of order {i}",
+                     params.n, cache.t_power(i), params.sign, cache.s_power(i))
 
 
 @matrix_core.quiet
@@ -201,7 +204,8 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
     d = np.diagonal(q.conj().T @ params.m_matrix @ q)
     total = sum(params.n * theta[j] ** i + params.sign * i * d[j] * theta[j] ** (i - 1)
                 for j in range(params.p))
-    return finite_of(lambda: math.factorial(i - 1) * complex(total), f"cumulant of order {i}")
+    return finite_of(lambda total: math.factorial(i - 1) * total, f"cumulant of order {i}",
+                     complex(total))
 
 
 def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
@@ -229,7 +233,7 @@ def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
 def _sheffer_moment(a_part, r_part, i: int) -> complex:
     """i! sum_{j+k=i} A_j R_k, i >= 1, from the lists of `_sheffer_parts`."""
     total = complex_fsum(a_part[j] * r_part[i - j] for j in range(i + 1))
-    return finite_of(lambda: math.factorial(i) * total, f"moment of order {i}")
+    return finite_of(lambda total: math.factorial(i) * total, f"moment of order {i}", total)
 
 
 def _sheffer_moments(params: WishartParams, i_max: int) -> list[complex]:
@@ -412,7 +416,7 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
                          f"binomial convolution check to order {i_max}")
     sigma, conv = params.sigma, params.convention
     if m_split is None:
-        m1, m2 = params.m_matrix, np.zeros_like(params.m_matrix)
+        m1, m2 = params.m_matrix, None
     else:
         try:
             m1, m2 = m_split

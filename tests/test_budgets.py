@@ -203,6 +203,45 @@ def test_the_partition_walk_cap_is_fixed(monkeypatch, override):
             walk(orders, what)
 
 
+@pytest.mark.parametrize("override", [None, "200"])
+def test_the_multiindex_walk_cap_is_fixed(monkeypatch, override):
+    # counted from the index alone before any walk, only above the default
+    # joint weight, and the order budgets' variable does not raise it
+    import time
+
+    from wishmom import budgets, multiindex_partitions
+
+    monkeypatch.delenv("WISHMOM_MAX_BUDGET", raising=False)
+    if override:
+        monkeypatch.setenv("WISHMOM_MAX_BUDGET", override)
+    cap = budgets.MAX_MULTIINDEX_WALK
+    over = budgets._multiindex_partitions_over
+    # the count against the enumeration, on both sides of it
+    for t in itertools.chain.from_iterable(
+            itertools.product(range(4), repeat=m) for m in range(1, 4)):
+        count = len(multiindex_partitions(t))
+        assert over(t, count - 1) and not over(t, count), t
+    assert not over((1,) * 5, 52) and over((1,) * 5, 51)  # Bell(5)
+    # every index within the default joint weight fits: Bell(10) is the most
+    assert not over((1,) * 10, 115975) and over((1,) * 10, 115974)
+    assert cap >= 115975
+    walk = budgets.check_multiindex_walk
+    walk((1,) * 10, "Bell(10)")
+    walk((5, 5, 5), "(5, 5, 5)")  # 58,616
+    message = f"^{{}} walks more than {cap} multi-index partitions, over the multi-index walk cap$"
+    for t in ((6, 6, 6), (7, 7, 7), (1,) * 11, (30, 30), (10 ** 12,), (1,) * 10 ** 5):
+        what = f"index of weight {sum(t)}"
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match=message.format(re.escape(what))):
+            walk(t, what)
+        assert time.process_time() - start < 0.5
+    if override:
+        with pytest.raises(BudgetExceededError, match="multi-index walk cap"):
+            multiindex_partitions((7, 7, 7))
+        with pytest.raises(BudgetExceededError, match="multi-index walk cap"):
+            joint_moment(build(3, np.eye(2))[0], [np.eye(2)] * 3, (7, 7, 7))
+
+
 def test_the_budget_variable_is_a_plain_decimal(monkeypatch):
     from wishmom import budgets
 

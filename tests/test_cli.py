@@ -606,6 +606,32 @@ def test_budget_override_is_checked_without_numpy(value, options, code):
     assert "numpy" not in modules
 
 
+def test_joint_moments_past_the_multiindex_walk_cap_exit_4_without_numpy(monkeypatch, capsys):
+    # weight 21 is inside a raised joint-weight budget, but (7, 7, 7) has
+    # more multi-index partitions than the fixed cap: counted from the
+    # index before numpy loads, and rejected at once with nothing on stdout
+    doc = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}] * 3)).encode()
+    code, modules = _child_request(["joint-moments", "-", "--index", "7,7,7"], doc,
+                                   {"WISHMOM_MAX_BUDGET": "200"})
+    assert code == 4
+    assert "numpy" not in modules
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(doc)))
+    start = time.process_time()
+    code = main(["joint-moments", "-", "--index", "7,7,7"])
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("budget exceeded: joint moment of index (7, 7, 7) walks more than "
+                            "115975 multi-index partitions, over the multi-index walk cap\n")
+    assert elapsed < 0.1
+    # (5, 5, 5), 58,616 partitions, is within the cap and is computed
+    code, modules = _child_request(["joint-moments", "-", "--index", "5,5,5"], doc,
+                                   {"WISHMOM_MAX_BUDGET": "200"})
+    assert code == 0
+    assert "wishmom.multivariate" in modules
+
+
 def test_moments_loads_only_its_engines():
     code, modules = _child_request(["moments", "-", "--order", "3"], _DOC)
     assert code == 0

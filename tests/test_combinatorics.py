@@ -142,6 +142,37 @@ def test_orders_past_the_default_budget_are_never_kept(monkeypatch):
     assert combinatorics._kept_partitions.cache_info().currsize == MAX_UNIVARIATE_ORDER + 1
 
 
+def test_kept_partitions_carry_their_part_counts():
+    # a kept partition holds its (part, multiplicity) record as its own
+    # attribute; a fresh enumeration counts it on each read; the walk gives
+    # the same bits either way, for one sum and for two
+    rng = np.random.default_rng(30)
+    for j in range(MAX_UNIVARIATE_ORDER + 1):
+        kept, fresh = integer_partitions(j), combinatorics._enumerate_partitions(j)
+        assert all("counts" in vars(lam) for lam in kept)
+        assert not any("counts" in vars(lam) for lam in fresh)
+        assert [lam.counts for lam in kept] == [lam.counts for lam in fresh]
+        bases = [[0.0] + list(rng.normal(size=j) + 1j * rng.normal(size=j)) for _ in range(2)]
+        weights = (lambda l: (-1.0) ** l, lambda l: 2.5 ** l)
+        one = partition_sum(kept, bases[0], weights[0])
+        assert repr(one) == repr(partition_sum(fresh, bases[0], weights[0]))
+        two = partition_sum(kept, bases[0], weights[0], (bases[1], weights[1]))
+        assert repr(two) == repr(partition_sum(fresh, bases[0], weights[0],
+                                               (bases[1], weights[1])))
+
+
+def test_part_counts_is_a_fresh_list():
+    base = [0.0, 0.5 + 0.25j, -1.5, 0.75j, 2.0, 1.0 - 1.0j, 0.5]
+    before = repr(partition_sum(integer_partitions(6), base, lambda l: 3.0 ** l))
+    for lam in integer_partitions(6):
+        counts = lam.part_counts()
+        assert counts == list(lam.counts)
+        counts.clear()
+        counts.append((1, 6))
+    assert repr(partition_sum(integer_partitions(6), base, lambda l: 3.0 ** l)) == before
+    assert integer_partitions(6)[0].part_counts() == [(6, 1)]
+
+
 def test_partition_fields():
     lam = IntegerPartition((3, 2, 2, 1))
     assert lam.size == 8
@@ -222,6 +253,21 @@ JOINT_MOMENT_KINDS = [(4,), (9,), (3, 3), (2, 1, 1), (3, 2, 2), (2, 2, 1, 1),
 def test_enumerated_multiindex_partitions_equal_checked_ones(kind):
     for lam in multiindex_partitions(kind):
         assert_same_object(lam, MultiIndexPartition(lam.columns, lam.multiplicities))
+
+
+def test_multiindex_recursion_is_as_deep_as_the_columns_taken():
+    # (1, ..., 1) of weight 7 has 127 candidate columns: a recursion one
+    # call deep per candidate would need more frames than allowed here
+    import inspect
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        got = multiindex_partitions((1,) * 7)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(got) == 877  # Bell(7)
 
 
 def test_multiindex_partition_constructor_normalizes():

@@ -200,3 +200,54 @@ def test_noncentrality_racing_readers_share_one_value():
     assert all(o is omegas[0] for o in omegas)
     caches = [s for s in seen if not isinstance(s, np.ndarray)]
     assert all(c.depth >= 20 for c in caches)
+
+
+def test_central_params_share_one_read_only_zero():
+    import gc
+    import tracemalloc
+
+    from wishmom import RngStream, binomial_convolution_check, estimate_trace_cumulants
+    from wishmom.mc import sample_wishart
+
+    p = 8
+    sigma = random_psd(np.random.default_rng(30), p) + 0.1 * np.eye(p)
+    params, _ = build(3, sigma)
+    zero = params.m_matrix
+    assert zero.shape == (p, p) and not zero.flags.writeable
+    assert zero.tobytes() == np.zeros((p, p), dtype=complex).tobytes()
+    with pytest.raises(ValueError):
+        zero[0, 0] = 1.0
+    # an explicit +0 M and the other convention's copy hold the same zero,
+    # with the values of the one they copy
+    standard = params.with_convention("standard")
+    for other in (build(3, sigma, np.zeros((p, p)))[0], standard):
+        assert other.is_central and other.m_matrix is zero
+    assert cumulant_sequence(standard, 6) == cumulant_sequence(build(3, sigma, None, "standard")[0], 6)
+    # a -0 entry is not +0: that M keeps its own bytes
+    signed = build(3, sigma, -0.0 * np.eye(p))[0]
+    assert signed.is_central and signed.m_matrix is not zero
+    assert signed.m_matrix.tobytes() == np.array(-0.0 * np.eye(p), dtype=complex).tobytes()
+    # 1,000 central parameter sets hold no p x p zero each: a dense one is
+    # 1,024 bytes at p = 8, and a set held about 3,200 bytes with it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [build(3, sigma)[0] for _ in range(1000)]
+        gc.collect()
+        per_set = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_set < 2600, per_set
+    # the default split puts a central second block on the shared zero,
+    # with the bits of an explicit zero split
+    noncentral, _ = build(3, sigma, 0.3 * random_psd(np.random.default_rng(31), p))
+    split = (noncentral.m_matrix, np.zeros((p, p)))
+    assert (repr(binomial_convolution_check(noncentral, 1.5, 2.5, 8))
+            == repr(binomial_convolution_check(noncentral, 1.5, 2.5, 8, m_split=split)))
+    # the central samplers draw no mean rows: zero means give the same bits
+    draw = sample_wishart(params, rng=np.random.default_rng(5))
+    assert np.array_equal(draw, sample_wishart(params, np.zeros((3, p)), np.random.default_rng(5)))
+    estimates = estimate_trace_cumulants(params, 3, 2000, RngStream(7))
+    again = estimate_trace_cumulants(params.with_convention("paper"), 3, 2000, RngStream(7))
+    assert repr(estimates) == repr(again)

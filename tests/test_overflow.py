@@ -2,7 +2,9 @@
 estimate overflows on finite inputs raises NumericalError, and numpy
 prints no warning."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,31 +111,74 @@ def test_overflow_raises_numerical_error_without_a_warning(route):
 
 
 # orders past 170 under a raised budget: each needs k! for some k >= 171,
-# an int past the float range, and reads Python's OverflowError on it as an
-# overflow; no builtin error escapes
+# an int past the float range.  Python raises OverflowError on it, and the
+# overflow rule then computes the product exactly, so a route whose value
+# is in the float range returns it: within 1e-12 of an exact evaluation in
+# rationals of the same formula on Sigma = diag(1/100, 2/100),
+# M = diag(1/1000, 0), n = 2 (the paper sign), which differs from the
+# float inputs by about 1e-15 relative.  The two compositions still raise
+# before their last product (their inner tables need k! too), and stay
+# "a number or an overflow"; no builtin error escapes.
+A, B, M0 = Fraction(1, 100), Fraction(2, 100), Fraction(1, 1000)
+
+
+def _exact_cumulant(k):
+    # n (k-1)! T_k - k! S_k, T_k = a^k + b^k, S_k = m a^(k-1)
+    return 2 * math.factorial(k - 1) * (A ** k + B ** k) - math.factorial(k) * M0 * A ** (k - 1)
+
+
+def _exact_moment_bell(k):
+    y = [Fraction(1)]
+    kappa = [None] + [_exact_cumulant(j) for j in range(1, k + 1)]
+    for r in range(1, k + 1):
+        y.append(sum(math.comb(r - 1, j - 1) * kappa[j] * y[r - j] for j in range(1, r + 1)))
+    return y[k]
+
+
 PAST_170 = {
-    "noncentral_cumulant-171": lambda params: noncentral_cumulant(params, 171),
-    "cumulant_sequence-171": lambda params: cumulant_sequence(params, 171).values[-1],
-    "noncentral_moment_bell-171": lambda params: noncentral_moment_bell(params, 171),
-    "randomized_moment-171": lambda params: randomized_moment(
-        MomentSequence.from_moments([1.0] * 171), params, 171),
-    "central_cumulant-172": lambda params: central_cumulant(params, 172),
-    "noncentral_cumulant_eigen-172": lambda params: noncentral_cumulant_eigen(params, 172),
-    "central_moment-172": lambda params: central_moment(params, 172),
-    "joint_cumulant-171": lambda params: joint_cumulant(params, [I2], (171,)),
-    "joint_cumulant_randomized-171": lambda params: joint_cumulant_randomized(
+    "noncentral_cumulant-171": (lambda params: noncentral_cumulant(params, 171),
+                                lambda: _exact_cumulant(171)),
+    "cumulant_sequence-171": (lambda params: cumulant_sequence(params, 171).values[-1],
+                              lambda: _exact_cumulant(171)),
+    "noncentral_moment_bell-171": (lambda params: noncentral_moment_bell(params, 171),
+                                   lambda: _exact_moment_bell(171)),
+    "randomized_moment-171": (lambda params: randomized_moment(
+        MomentSequence.from_moments([1.0] * 171), params, 171), None),
+    # the central cumulant is n (k-1)! T_k, and the eigenvalue form adds
+    # k! sum_j d_j theta_j^(k-1), here m a^171 k!: below 1e-30
+    "central_cumulant-172": (lambda params: central_cumulant(params, 172),
+                             lambda: 2 * math.factorial(171) * (A ** 172 + B ** 172)),
+    "noncentral_cumulant_eigen-172": (lambda params: noncentral_cumulant_eigen(params, 172),
+                                      lambda: _exact_cumulant(172)),
+    "central_moment-172": (lambda params: central_moment(params, 172), None),
+    # with h = [I], kappa_k = k! (n T_k / k - S_k), the trace cumulant
+    "joint_cumulant-171": (lambda params: joint_cumulant(params, [I2], (171,)),
+                           lambda: _exact_cumulant(171)),
+    # every cumulant of the index 1: the central part is k! [z^k] exp R(z),
+    # R = sum_u T_u z^u / u, that is k! h_k(a, b) = k! (b^(k+1) - a^(k+1)) / (b - a)
+    "joint_cumulant_randomized-171": (lambda params: joint_cumulant_randomized(
         MomentSequence.from_cumulants([1.0] * 171), params, [I2], (171,)),
-    "permanent_master-171": lambda params: permanent_master(np.array([[0.5]]), (171,), 0.5),
+        lambda: math.factorial(171) * ((B ** 172 - A ** 172) / (B - A) - M0 * A ** 170)),
+    # per_d of the k x k matrix of halves: (1/2)^k d (d + 1) ... (d + k - 1)
+    "permanent_master-171": (lambda params: permanent_master(np.array([[0.5]]), (171,), 0.5),
+                             lambda: Fraction(1, 2) ** 171 * math.prod(
+                                 Fraction(2 * j + 1, 2) for j in range(171))),
 }
 
 
-@pytest.mark.parametrize("route", PAST_170.values(), ids=PAST_170.keys())
-def test_orders_past_170_are_a_number_or_an_overflow(monkeypatch, route):
+@pytest.mark.parametrize("case", PAST_170, ids=PAST_170)
+def test_orders_past_170_are_a_number_or_an_overflow(monkeypatch, case):
+    route, exact = PAST_170[case]
     monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
     params = _params(np.diag([0.01, 0.02]), np.diag([0.001, 0.0]), n=2)
-    try:
-        value = route(params)
-    except NumericalError as exc:
-        assert "overflows" in str(exc)
-    else:
-        assert np.isfinite(value)
+    if exact is None:
+        try:
+            value = route(params)
+        except NumericalError as exc:
+            assert "overflows" in str(exc)
+        else:
+            assert np.isfinite(value)
+        return
+    want = float(exact())
+    value = route(params)
+    assert abs(value - want) <= 1e-12 * abs(want), (value, want)
