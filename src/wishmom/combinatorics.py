@@ -856,21 +856,14 @@ def complete_bell(c) -> complex:
     The order i is len(c); an empty input gives Y_0 = 1.  Converts a
     cumulant sequence into the moment of the same order.  Evaluated by the
     recurrence Y_k = sum_{j=1..k} C(k-1, j-1) c_j Y_{k-j}, not by partition
-    enumeration: the last entry of `complete_bell_sequence`.
+    enumeration.
     """
-    return complete_bell_sequence(c)[-1]
-
-
-def complete_bell_sequence(c) -> list:
-    """[Y_0, Y_1(c_1), ..., Y_i(c_1, ..., c_i)] from one run of the Bell
-    recurrence, i = len(c).  Y_k reads only c_1..c_k, so each entry is the
-    value `complete_bell` gives on the first k entries of c, bit for bit."""
     c = list(c)
     y = [1]
     for k in range(1, len(c) + 1):
         y.append(sum(math.comb(k - 1, j - 1) * c[j - 1] * y[k - j]
                      for j in range(1, k + 1)))
-    return y
+    return y[-1]
 
 
 def cyclic_polynomial(a) -> complex:

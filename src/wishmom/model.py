@@ -35,6 +35,10 @@ from .errors import DimensionMismatchError
 
 DEFAULT_DEPTH = 12
 
+# the one lock behind every parameter set's cache extension and Omega
+# solve: both are rare, and neither takes the lock while holding it
+_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TraceCache:
@@ -117,12 +121,14 @@ class WishartParams:
     not as a dense p x p array of its own.
 
     The trace cache grows monotonically on demand and the non-centrality
-    matrix is computed at most once, both under a lock, so concurrent
-    readers are safe.
+    matrix is computed at most once, both under the one module-level lock
+    that every parameter set shares (`_LOCK`), so concurrent readers are
+    safe and a set holds no lock of its own.  An extension or a solve is
+    rare, and neither runs inside the other.
     """
 
     __slots__ = ("n", "sigma", "m_matrix", "convention", "p", "m_is_hermitian", "is_central",
-                 "_lock", "_cache", "_omega")
+                 "_cache", "_omega")
 
     def __init__(self, n, sigma, m_matrix=None, convention: str = "paper"):
         n = positive_real(n, "n")
@@ -147,7 +153,6 @@ class WishartParams:
         self.p = sigma.shape[0]
         self.m_is_hermitian = matrix_core.is_hermitian(m_matrix)
         self.is_central = not np.any(m_matrix)
-        self._lock = threading.Lock()
         self._cache = _compute_cache(sigma, m_matrix, DEFAULT_DEPTH)
         self._omega = None
 
@@ -168,7 +173,7 @@ class WishartParams:
         cache = self._cache
         if cache.depth >= min_depth:
             return cache
-        with self._lock:
+        with _LOCK:
             if self._cache.depth < min_depth:
                 self._cache = _compute_cache(self.sigma, self.m_matrix, min_depth)
             return self._cache
@@ -180,7 +185,7 @@ class WishartParams:
         univariate formulas (which only need the S_i) remain available.
         """
         if self._omega is None:
-            with self._lock:
+            with _LOCK:
                 if self._omega is None:
                     omega = matrix_core.solve(self.sigma, self.m_matrix)
                     omega.flags.writeable = False

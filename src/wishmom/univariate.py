@@ -10,30 +10,40 @@ sums (`combinatorics.partition_sum`, which adds its terms with a correctly
 rounded sum); the Bell route is a recurrence that enumerates no partitions.
 
 The compositions, sums over partitions of a_l d_lambda prod x_part, are
-one truncated power series each, the cell i of `combinatorics.compose_grid`
-on the 1-D grid: the central moment, the randomized moment, and both
-directions of the dimension-normalized moments.  They enumerate no
-partitions.  The moments stay on the partition sums for now, computed once per sequence:
-`moment_sequence` and `binomial_convolution_check` take A_0..A_K and
-R_0..R_K from one pass and convolve every order from them, where a single
-`noncentral_moment` of order K pays the same pass for its one order.  A_j
-and R_j sum over the same partitions of j, so a pass walks each order's
-partitions once: one `partition_sum` call with two sums gives both parts,
-reading each partition's part counts, length and prod r_j! once, and each
-part keeps the bits of its own one-sum walk.  The lists come from
-`combinatorics.integer_partitions`, which enumerates each order up to the
-default moment budget (20) once per process and keeps it: the 230 lists
-that `normalized_cumulant_moments(params, 20)` reads through its per-order
+one truncated power series each, the cell i of
+`combinatorics.compose_grid` on the 1-D grid: the central moment, the
+randomized moment, and both directions of the dimension-normalized
+moments.  They enumerate no partitions, and their tables form no factorial
+(the central moment's reads the cyclic polynomials over j! from a first
+grid on T_k / k, the randomized moment's holds T_k / k + sign S_k, and
+e_k / k! is exact past 170), so the final i! is the one factorial, taken
+exactly past 170 by the overflow rule.
+
+The moments stay on the partition sums for now, computed once per
+sequence: `moment_sequence` and `binomial_convolution_check` take A_0..A_K
+and R_0..R_K from one pass and convolve every order from them, where a
+single `noncentral_moment` of order K pays the same pass for its one
+order.  A_j and R_j sum over the same partitions of j, so a pass walks
+each order's partitions once: one `partition_sum` call with two sums gives
+both parts, reading each partition's part counts, length and prod r_j!
+once, and each part keeps the bits of its own one-sum walk.  A central law
+(M = 0) has every S_k = 0: its formal variable in the non-centrality
+traces is the umbral unit, A = (1, 0, 0, ...), which is the value that
+walk gives bit for bit, so its pass skips A's sums and walks each order
+for R alone.  The lists come from `combinatorics.integer_partitions`,
+which enumerates each order up to the default moment budget (20) once per
+process and keeps it: the 230 lists that
+`normalized_cumulant_moments(params, 20)` reads through its per-order
 moments are 21 distinct ones, enumerated at most once.  The kept table
 holds 2,714 partitions, each with its (part, multiplicity) record counted
 once when kept, about 0.7 MB in all, so a walk reads each record and
-counts nothing.  An order above 20,
-reachable only under `WISHMOM_MAX_BUDGET`, is enumerated on every read and
-never kept.  Every Sheffer route counts the partitions its passes will
-walk before the first one, by `budgets.check_partition_walk`, and raises
-BudgetExceededError past the fixed cap of 10^6 whatever the order budget:
-one pass reaches order 48.  The series form of A and R, exp of the
-cumulant series, waits for a benchmark change (ROADMAP.md).
+counts nothing.  An order above 20, reachable only under
+`WISHMOM_MAX_BUDGET`, is enumerated on every read and never kept.  Every
+Sheffer route counts the partitions its passes will walk before the first
+one, by `budgets.check_partition_walk`, and raises BudgetExceededError
+past the fixed cap of 10^6 whatever the order budget: one pass reaches
+order 48.  The series form of A and R, exp of the cumulant series, waits
+for a benchmark change (ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -50,7 +60,6 @@ from .budgets import (check_cumulant_order, check_moment_order, check_partition_
                       positive_real, sheffer_walk)
 from .combinatorics import (
     complete_bell,
-    complete_bell_sequence,
     complex_fsum,
     compose_grid,
     falling_factorial,
@@ -120,18 +129,33 @@ def _check_entry(v) -> None:
         raise ValidationError("non-finite entry in sequence")
 
 
-def _exponential_composition(x, i: int, weight, what: str) -> complex:
-    """The d_lambda-weighted partition sum over the partitions of i,
-    sum_lambda d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j} from
-    x[k-1] = x_k: i! times the cell at i of `compose_grid` on the table
-    [0, x_1 / 1!, ..., x_i / i!], through `errors.finite_of` labelled
-    `what`.  x may be a generator: its entries are then computed inside the
-    overflow rule too."""
-    def compose():
-        table = [0.0] + [v / math.factorial(k) for k, v in enumerate(x, 1)]
-        return math.factorial(i) * complex(compose_grid(table, (i,), weight)[i])
+def _over_factorial(v, k: int) -> complex:
+    """v / k!: Python's quotient while k! converts to a float (k <= 170),
+    and past that each part's exact quotient, rounded once, where Python
+    would raise OverflowError on k! itself."""
+    f = math.factorial(k)
+    try:
+        return v / f
+    except OverflowError:
+        v = complex(v)
+        parts = (x.as_integer_ratio() for x in (v.real, v.imag))
+        return complex(*(num / (den * f) for num, den in parts))
 
-    return finite_of(compose, what)
+
+def _exponential_table(x) -> list:
+    """The table [0, x_1 / 1!, ..., x_i / i!] of the sequence x, x[k-1] = x_k."""
+    return [0.0] + [_over_factorial(v, k) for k, v in enumerate(x, 1)]
+
+
+def _exponential_composition(table, i: int, weight, what: str) -> complex:
+    """The d_lambda-weighted partition sum over the partitions of i,
+    sum_lambda d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j}, from the
+    table [_, x_1 / 1!, ..., x_i / i!]: i! times the cell at i of
+    `compose_grid`, each step through `errors.finite_of` labelled `what`.
+    The final i! is the one factorial formed, and `finite_of` takes that
+    product exactly when i! is past the float range."""
+    cell = finite_of(lambda: complex(compose_grid(table, (i,), weight)[i]), what)
+    return finite_of(lambda cell: math.factorial(i) * cell, what, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +168,20 @@ def central_moment(params: WishartParams, i: int) -> complex:
     Partition sum with falling-factorial weights over products of cyclic
     polynomials of the power traces T_1..T_i, evaluated as the composition
     i! [z^i] sum_l (n)_l R(z)^l / l! with R(z) = sum_j C_j(T) z^j / j!.
-    The cyclic polynomials C_j(T) = Y_j(0! T_1, ..., (j-1)! T_j) of every
-    j <= i come from one run of the Bell recurrence, inside the overflow
-    rule.
+    The cyclic polynomials have the exponential generating function
+    exp(sum_k T_k z^k / k), so C_1 / 1!, ..., C_i / i! are the cells of
+    one `compose_grid` on the table T_k / k with weight 1, and that grid is
+    the table of the outer composition: no factorial is formed before the
+    final i!, so an order past 170 whose moment is in the float range
+    returns it.
     """
     i = check_moment_order(i)
     if i == 0:
         return 1.0 + 0.0j
     cache = params.trace_cache(i)
-
-    def cyclic():
-        c = [math.factorial(k - 1) * cache.t_power(k) for k in range(1, i + 1)]
-        yield from complete_bell_sequence(c)[1:]
-
-    return _exponential_composition(cyclic(), i, lambda l: falling_factorial(params.n, l),
+    logs = [0.0] + [cache.t_power(k) / k for k in range(1, i + 1)]
+    cyclic = compose_grid(logs, (i,), lambda l: 1)
+    return _exponential_composition(cyclic, i, lambda l: falling_factorial(params.n, l),
                                     f"central moment of order {i}")
 
 
@@ -214,13 +238,20 @@ def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
     n^l / prod r! over the partitions of j on T_m / m.  Both sum over the
     same partitions, so each order is one walk, `partition_sum` with two
     sums, that reads each partition once for both and gives each part the
-    bits of its own one-sum walk.  Every moment up to order i_max is one
-    convolution of the two lists (`_sheffer_moment`).  The caller has
-    checked the walk against the partition-walk cap."""
+    bits of its own one-sum walk.  A central law (M = 0) has every S_k = 0,
+    so its A is the umbral unit (1, 0, 0, ...), the value that walk gives
+    bit for bit, and each order walks its partitions for R alone.  Every
+    moment up to order i_max is one convolution of the two lists
+    (`_sheffer_moment`).  The caller has checked the walk against the
+    partition-walk cap."""
     cache = params.trace_cache(i_max)
-    s_base = [0.0] + [cache.s_power(k) for k in range(1, i_max + 1)]
     t_base = [0.0] + [cache.t_power(k) / k for k in range(1, i_max + 1)]
     sign, n = params.sign, params.n
+    if params.is_central:
+        r_part = [partition_sum(integer_partitions(j), t_base, lambda l: n ** l)
+                  for j in range(i_max + 1)]
+        return [1.0 + 0.0j] + [0j] * i_max, r_part
+    s_base = [0.0] + [cache.s_power(k) for k in range(1, i_max + 1)]
     a_part, r_part = [], []
     for j in range(i_max + 1):
         a, r = partition_sum(integer_partitions(j), s_base, lambda l: sign ** l,
@@ -250,8 +281,11 @@ def noncentral_moment(params: WishartParams, i: int) -> complex:
     T_m / m (`_sheffer_parts`).  Order i needs A and R up to i, so one
     order costs the partition sums of every lower one; a whole sequence
     shares them (`moment_sequence`).  Reduces to the central moment when
-    M = 0.  Raises BudgetExceededError, before any walk, when the pass
-    would walk more partitions than `budgets.MAX_PARTITION_WALK`.
+    M = 0: A is then (1, 0, 0, ...) without a walk, and the moment is
+    i! R_i from the walks for R alone, with the bits of the full pass.
+    Raises BudgetExceededError, before any walk, when the pass would walk
+    more partitions than `budgets.MAX_PARTITION_WALK`; a central pass walks
+    the same partitions, for one sum.
     """
     i = check_moment_order(i)
     check_partition_walk(sheffer_walk((i,)), f"moment of order {i}")
@@ -317,10 +351,10 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
         raise InsufficientOrdersError(
             f"alpha carries {alpha.depth} orders, need {i}")
     cache = params.trace_cache(i)
-    draw_cums = (math.factorial(k - 1) * cache.t_power(k)
-                 + params.sign * math.factorial(k) * cache.s_power(k)
-                 for k in range(1, i + 1))
-    return _exponential_composition(draw_cums, i, alpha.order, f"randomized moment of order {i}")
+    # each per-draw cumulant (k-1)! T_k + sign k! S_k over k!
+    table = [0.0] + [cache.t_power(k) / k + params.sign * cache.s_power(k)
+                     for k in range(1, i + 1)]
+    return _exponential_composition(table, i, alpha.order, f"randomized moment of order {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +397,8 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
         mom = noncentral_moment(params, i)
         # every term but the head p * e_i, which vanishes at e_i = 0
         what = f"normalized moment of order {i}"
-        rest = _exponential_composition(e[1:] + [0.0], i, lambda l: p ** l, what)
+        rest = _exponential_composition(_exponential_table(e[1:] + [0.0]), i,
+                                      lambda l: p ** l, what)
         e.append(finite((mom - rest) / p, what))
     return MomentSequence(tuple(e), MOMENTS)
 
@@ -383,8 +418,8 @@ def compose_normalized_moments(e: MomentSequence, p: int, i: int) -> complex:
         raise ValidationError(f"p is a matrix dimension, a positive integer: {p}")
     if i == 0:
         return 1.0 + 0.0j
-    return _exponential_composition([e.order(k) for k in range(1, i + 1)], i,
-                                    lambda l: p ** l, f"moment of order {i}")
+    table = _exponential_table(e.order(k) for k in range(1, i + 1))
+    return _exponential_composition(table, i, lambda l: p ** l, f"moment of order {i}")
 
 
 # ---------------------------------------------------------------------------

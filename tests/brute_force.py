@@ -4,7 +4,7 @@ integer by recursion, traces of explicitly multiplied matrix products, the
 power traces and the float series composition one step at a time, the
 string sums and base tables on tuple indices, the series' pair lists from
 `np.triu_indices`, and exact (Gaussian-rational) compositions, permanents
-and moments."""
+and moments, and the Touchard polynomials."""
 
 import itertools
 import math
@@ -385,6 +385,17 @@ def exact_moments_from_cumulants(kappa) -> list:
         m.append(sum((math.comb(k - 1, j - 1) * kappa[j - 1] * m[k - j]
                       for j in range(1, k + 1)), GaussianRational(0)))
     return m
+
+
+def touchard(i, x):
+    """The Touchard polynomial sum_k S(i, k) x^k, exact on an exact x,
+    with the Stirling numbers of the second kind S(i, k) from the
+    recurrence S(m, k) = S(m-1, k-1) + k S(m-1, k): i! [z^i] of
+    exp(x (e^z - 1)), the moment of order i of a Poisson law of mean x."""
+    row = [1]  # S(0, 0)
+    for m in range(1, i + 1):
+        row = [0] + [row[k - 1] + (k * row[k] if k < m else 0) for k in range(1, m + 1)]
+    return sum(s * x ** k for k, s in enumerate(row))
 
 
 def _exact_word_trace(heads, factors, word) -> GaussianRational:

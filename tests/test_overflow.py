@@ -18,6 +18,7 @@ from wishmom import (
     central_cumulant,
     central_moment,
     central_product_moment,
+    compose_normalized_moments,
     cumulant_sequence,
     distribution_identity_check,
     estimate_generalized_moment,
@@ -39,6 +40,8 @@ from wishmom import (
     rho_moment,
     rho_moment_strings,
 )
+
+from brute_force import touchard
 
 I2 = np.eye(2)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -116,20 +119,20 @@ def test_overflow_raises_numerical_error_without_a_warning(route):
 # is in the float range returns it: within 1e-12 of an exact evaluation in
 # rationals of the same formula on Sigma = diag(1/100, 2/100),
 # M = diag(1/1000, 0), n = 2 (the paper sign), which differs from the
-# float inputs by about 1e-15 relative.  The two compositions still raise
-# before their last product (their inner tables need k! too), and stay
-# "a number or an overflow"; no builtin error escapes.
+# float inputs by about 1e-15 relative.  The compositions form no k!
+# before their final i!: their tables hold T_k / k (and S_k), or divide
+# by k! exactly past 170.  No builtin error escapes.
 A, B, M0 = Fraction(1, 100), Fraction(2, 100), Fraction(1, 1000)
 
 
-def _exact_cumulant(k):
+def _exact_cumulant(k, n=2):
     # n (k-1)! T_k - k! S_k, T_k = a^k + b^k, S_k = m a^(k-1)
-    return 2 * math.factorial(k - 1) * (A ** k + B ** k) - math.factorial(k) * M0 * A ** (k - 1)
+    return n * math.factorial(k - 1) * (A ** k + B ** k) - math.factorial(k) * M0 * A ** (k - 1)
 
 
-def _exact_moment_bell(k):
+def _exact_moment_bell(k, n=2):
     y = [Fraction(1)]
-    kappa = [None] + [_exact_cumulant(j) for j in range(1, k + 1)]
+    kappa = [None] + [_exact_cumulant(j, n) for j in range(1, k + 1)]
     for r in range(1, k + 1):
         y.append(sum(math.comb(r - 1, j - 1) * kappa[j] * y[r - j] for j in range(1, r + 1)))
     return y[k]
@@ -142,15 +145,21 @@ PAST_170 = {
                               lambda: _exact_cumulant(171)),
     "noncentral_moment_bell-171": (lambda params: noncentral_moment_bell(params, 171),
                                    lambda: _exact_moment_bell(171)),
+    # N = 1 almost surely: the moment of one draw, n = 1
     "randomized_moment-171": (lambda params: randomized_moment(
-        MomentSequence.from_moments([1.0] * 171), params, 171), None),
+        MomentSequence.from_moments([1.0] * 171), params, 171),
+        lambda: _exact_moment_bell(171, n=1)),
     # the central cumulant is n (k-1)! T_k, and the eigenvalue form adds
     # k! sum_j d_j theta_j^(k-1), here m a^171 k!: below 1e-30
     "central_cumulant-172": (lambda params: central_cumulant(params, 172),
                              lambda: 2 * math.factorial(171) * (A ** 172 + B ** 172)),
     "noncentral_cumulant_eigen-172": (lambda params: noncentral_cumulant_eigen(params, 172),
                                       lambda: _exact_cumulant(172)),
-    "central_moment-172": (lambda params: central_moment(params, 172), None),
+    # Tr W = a G_1 + b G_2 with G_1, G_2 independent Gamma(2): the moment
+    # is 172! [z^172] (1 - a z)^-2 (1 - b z)^-2
+    "central_moment-172": (lambda params: central_moment(params, 172),
+                           lambda: math.factorial(172) * sum(
+                               (j + 1) * (173 - j) * A ** j * B ** (172 - j) for j in range(173))),
     # with h = [I], kappa_k = k! (n T_k / k - S_k), the trace cumulant
     "joint_cumulant-171": (lambda params: joint_cumulant(params, [I2], (171,)),
                            lambda: _exact_cumulant(171)),
@@ -159,6 +168,11 @@ PAST_170 = {
     "joint_cumulant_randomized-171": (lambda params: joint_cumulant_randomized(
         MomentSequence.from_cumulants([1.0] * 171), params, [I2], (171,)),
         lambda: math.factorial(171) * ((B ** 172 - A ** 172) / (B - A) - M0 * A ** 170)),
+    # e_k = c 2^-k, c = 0.01 as a float: p R(z) = 2 c (e^(z/2) - 1), so the
+    # moment is 2^-171 times the Touchard value T_171(2 c)
+    "compose_normalized_moments-171": (lambda params: compose_normalized_moments(
+        MomentSequence.from_moments([0.01 * 2.0 ** -k for k in range(1, 172)]), 2, 171),
+        lambda: Fraction(1, 2 ** 171) * touchard(171, 2 * Fraction(0.01))),
     # per_d of the k x k matrix of halves: (1/2)^k d (d + 1) ... (d + k - 1)
     "permanent_master-171": (lambda params: permanent_master(np.array([[0.5]]), (171,), 0.5),
                              lambda: Fraction(1, 2) ** 171 * math.prod(
@@ -171,14 +185,6 @@ def test_orders_past_170_are_a_number_or_an_overflow(monkeypatch, case):
     route, exact = PAST_170[case]
     monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
     params = _params(np.diag([0.01, 0.02]), np.diag([0.001, 0.0]), n=2)
-    if exact is None:
-        try:
-            value = route(params)
-        except NumericalError as exc:
-            assert "overflows" in str(exc)
-        else:
-            assert np.isfinite(value)
-        return
     want = float(exact())
     value = route(params)
     assert abs(value - want) <= 1e-12 * abs(want), (value, want)

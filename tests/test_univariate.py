@@ -30,8 +30,7 @@ from wishmom import (
     randomized_moment,
 )
 
-from wishmom.combinatorics import complete_bell_sequence
-
+from brute_force import touchard
 from conftest import PAPER_M, PAPER_N, PAPER_SIGMA, random_psd, rel_err
 
 
@@ -62,35 +61,42 @@ def test_central_moment_low_orders():
     assert rel_err(central_moment(params, 2), n ** 2 * t1 ** 2 + n * t2) < 1e-13
 
 
-def test_central_moment_reads_every_cyclic_polynomial_from_one_bell_pass():
-    # one run of the Bell recurrence on c_k = (k-1)! T_k gives C_1..C_20,
-    # each the value of a fresh per-order `cyclic_polynomial`, so every
-    # central moment keeps the bits of the per-order route
+def test_central_moment_reads_every_cyclic_polynomial_from_one_grid():
+    # one composition of T_k / k with weight 1 gives C_1 / 1!, ..., C_20 / 20!,
+    # each the value of a fresh per-order `cyclic_polynomial`, and every
+    # central moment is the value of composing the per-order C_j
     from wishmom import univariate
+    from wishmom.combinatorics import compose_grid
 
     for seed, p, convention in ((0, 1, "paper"), (1, 3, "standard"), (2, 6, "paper")):
         params = random_params(seed, p=p, n=p + 1.5, convention=convention, central=True)
         cache = params.trace_cache(20)
         t = [cache.t_power(k) for k in range(1, 21)]
         per_order = [cyclic_polynomial(t[:j]) for j in range(1, 21)]
-        one_pass = complete_bell_sequence([math.factorial(k) * v for k, v in enumerate(t)])
-        assert repr(one_pass[1:]) == repr(per_order)
+        grid = compose_grid([0.0] + [v / k for k, v in enumerate(t, 1)], (20,), lambda l: 1)
+        for j in range(1, 21):
+            assert rel_err(math.factorial(j) * grid[j], per_order[j - 1]) < 1e-13
         weight = lambda l: falling_factorial(params.n, l)
         for i in range(1, 21):
-            want = univariate._exponential_composition(per_order[:i], i, weight, "moment")
-            assert repr(central_moment(params, i)) == repr(want)
+            table = univariate._exponential_table(per_order[:i])
+            want = univariate._exponential_composition(table, i, weight, "moment")
+            assert rel_err(central_moment(params, i), want) < 1e-12
 
 
-def test_central_moment_past_170_overflows_before_any_bell_pass(monkeypatch):
-    # c_172 = 171! T_172 is past the float range: the one pass raises on it
-    # inside the overflow rule, with no per-order recurrence before it
+def test_central_moment_past_170_is_a_number_or_an_overflow_at_once(monkeypatch):
+    # no factorial is formed before the final 172!: a moment in the float
+    # range is that number, one past it an overflow, both from two grid
+    # compositions (CPU time, which a busy host does not inflate)
     monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
-    params, _ = build(2, np.diag([0.01, 0.02]), None, "paper")
-    params.trace_cache(172)
+    small, _ = build(2, np.diag([0.01, 0.02]), None, "paper")
+    large, _ = build(2, np.diag([1.0, 2.0]), None, "paper")
+    for params in (small, large):
+        params.trace_cache(172)
     start = time.process_time()
+    assert np.isfinite(central_moment(small, 172))
     with pytest.raises(NumericalError, match="central moment of order 172 overflows"):
-        central_moment(params, 172)
-    assert time.process_time() - start < 0.1
+        central_moment(large, 172)
+    assert time.process_time() - start < 0.5
 
 
 def test_unit_scalar_central_moments_are_factorials():
@@ -239,9 +245,13 @@ def test_order_budget(monkeypatch):
         compose_normalized_moments(e, 2, 6)
     monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
     assert np.isfinite(compose_normalized_moments(e, 2, 60))
-    # 171! is past the float range: an overflow, not a builtin error
+    # 171! is past the float range, yet only the final 171! multiplies a
+    # number: e_k = 1 at p = 2 composes to the Touchard value T_171(2)
+    want = float(touchard(171, 2))
+    assert abs(compose_normalized_moments(e, 2, 171) - want) <= 1e-12 * want
+    # a moment past the float range is an overflow, not a builtin error
     with pytest.raises(NumericalError, match="^moment of order 171 overflows"):
-        compose_normalized_moments(e, 2, 171)
+        compose_normalized_moments(MomentSequence.from_moments([100.0] * 171), 2, 171)
 
 
 @pytest.mark.parametrize("sequence, per_order", [("moment_sequence", "noncentral_moment"),
@@ -316,6 +326,30 @@ def test_one_walk_gives_both_sheffer_parts_bit_for_bit(convention, central):
         a = partition_sum(partitions, s_base, lambda l: params.sign ** l)
         r = partition_sum(partitions, t_base, lambda l: params.n ** l)
         assert (repr(a_part[j]), repr(r_part[j])) == (repr(a), repr(r))
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_a_central_pass_walks_for_r_alone(monkeypatch, convention):
+    # M = 0 makes every S_k zero, so A is the umbral unit (1, 0, 0, ...):
+    # a central pass to order K makes one one-sum walk per order, for R,
+    # while a non-central pass still takes both parts from one two-sum walk
+    from wishmom import univariate
+
+    calls = []
+    real = univariate.partition_sum
+    monkeypatch.setattr(univariate, "partition_sum",
+                        lambda *args: calls.append(len(args)) or real(*args))
+    for central, sums in ((True, 1), (False, 2)):
+        params = random_params(41, p=4, n=5.5, convention=convention, central=central)
+        for k_max in (1, 3, 20):
+            calls.clear()
+            a_part, r_part = univariate._sheffer_parts(params, k_max)
+            # the partitions, then base and weight of the first sum, then
+            # one (base, weight) pair for each further sum
+            assert calls == [sums + 2] * (k_max + 1)
+            assert len(a_part) == len(r_part) == k_max + 1
+            if central:
+                assert repr(a_part) == repr([1 + 0j] + [0j] * k_max)
 
 
 def test_orders_past_the_partition_walk_cap_are_rejected_before_any_walk(monkeypatch):
