@@ -16,8 +16,8 @@ extent, and enumerates no partitions.  It carries the univariate
 compositions (randomized, central and normalized moments), which read
 their one cell at i, and the master-theorem permanents and the randomized
 joint cumulants, whose routes keep their last grid for its content in a
-`KeptGrid`.  `partition_sum` walks the partitions and adds the terms with
-`complex_fsum`, a correctly rounded complex sum; it is the one loop over
+`KeptGrid`.  `partition_sum` walks the partitions and adds the terms
+correctly rounded, as `complex_fsum` does; it is the one loop over
 partitions, and one walk evaluates one sum or several over the same
 partitions.  It carries the trace moments (the two Sheffer parts of an
 order from one walk) and the joint moments (one sum over the joint
@@ -39,9 +39,10 @@ invariant.  Integer partitions come from the reverse-lexicographic
 successor rule (Knuth, TAOCP 7.2.1.4; Zoghbi and Stojmenovic 1998, ZS1),
 one step per partition, with no recursion copying a prefix.  Each order
 up to the default moment budget (20) is enumerated once per process and
-kept, each partition with its (part, multiplicity) record as `counts`,
-the read `partition_sum` makes on a `MultiIndexPartition` too; every caller
-gets a fresh list of the kept partitions.  A higher order is enumerated
+kept, each partition with the one record `partition_sum` reads,
+(counts, length, prod r_j!), which any other partition, a
+`MultiIndexPartition` too, computes on the read; every caller gets a fresh
+list of the kept partitions.  A higher order is enumerated
 only within the partition-walk cap (`budgets.check_partition_walk`), and a
 multi-index above the default joint weight only within the multi-index
 walk cap (`budgets.check_multiindex_walk`).
@@ -92,16 +93,26 @@ def _count_parts(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-class _CountedOnRead:
-    """`IntegerPartition.counts` where the partition carries no record of
-    its own: the record counted from its parts on each read.  It defines no
-    __set__, so an entry in the instance's own dict takes precedence and
+def _record_of(counts: tuple) -> tuple:
+    """The record `partition_sum` reads of a partition with these
+    (part, multiplicity) counts: (counts, length, prod r_j!)."""
+    length, den = 0, 1
+    for _, r in counts:
+        length += r
+        den *= math.factorial(r)
+    return counts, length, den
+
+
+class _RecordedOnRead:
+    """`IntegerPartition.record` where the partition carries no record of
+    its own: the record computed from its parts on each read.  It defines
+    no __set__, so an entry in the instance's own dict takes precedence and
     reads as a plain attribute."""
 
     def __get__(self, lam, owner=None):
         if lam is None:
             return self
-        return _count_parts(lam.parts)
+        return _record_of(_count_parts(lam.parts))
 
 
 @dataclass(frozen=True)
@@ -146,10 +157,17 @@ class IntegerPartition:
             out[p - 1] += 1
         return tuple(out)
 
-    # the (part, multiplicity) record `partition_sum` reads: a kept partition
-    # carries it as an attribute of its own, set once by `_kept_partitions`,
-    # and any other partition counts it from its parts on each read
-    counts = _CountedOnRead()
+    # the record `partition_sum` reads, (counts, length, prod r_j!): a kept
+    # partition carries it as an attribute of its own, set once by
+    # `_kept_partitions`, and any other partition computes it from its parts
+    # on each read
+    record = _RecordedOnRead()
+
+    @property
+    def counts(self) -> tuple[tuple[int, int], ...]:
+        """Distinct parts with multiplicities, largest part first: the
+        first field of `record`."""
+        return self.record[0]
 
     def part_counts(self) -> list[tuple[int, int]]:
         """Distinct parts with multiplicities, largest part first, as a new
@@ -164,16 +182,17 @@ def integer_partitions(i: int) -> list[IntegerPartition]:
     default moment budget, `budgets.MAX_UNIVARIATE_ORDER`, are enumerated
     once per process and kept as a tuple of frozen partitions
     (`_kept_partitions`, 2,714 objects for orders 0..20), each carrying
-    its (part, multiplicity) record as `counts`, counted once when it is
-    kept, with one tuple per distinct pair of an order: about 0.7 MB for
-    the whole table under tracemalloc, 0.22 MB of it the records.  Every
-    call copies the kept tuple into a fresh list, so a caller that mutates
-    its list changes nothing kept, and `part_counts` hands out a fresh
-    list of the record.  Higher orders, reachable only under a
-    raised budget, are enumerated on every call and never kept: p(60) alone
-    is 966,467 partitions.  Their count p(i) is checked against the fixed
-    partition-walk cap first (`budgets.check_partition_walk`), so i = 61
-    and above raise BudgetExceededError before any enumeration.
+    its `record`, (counts, length, prod r_j!), computed once when it is
+    kept, with one tuple per distinct (part, multiplicity) pair of an
+    order: about 0.92 MB for the whole table under tracemalloc, 0.43 MB
+    of it the records.  Every call copies the kept tuple into a fresh
+    list, so a caller that mutates its list changes nothing kept, and
+    `part_counts` hands out a fresh list of the counts.  Higher orders,
+    reachable only under a raised budget, are enumerated on every call and
+    never kept: p(60) alone is 966,467 partitions.  Their count p(i) is
+    checked against the fixed partition-walk cap first
+    (`budgets.check_partition_walk`), so i = 61 and above raise
+    BudgetExceededError before any enumeration.
     """
     i = integer(i, "i")
     if i <= MAX_UNIVARIATE_ORDER:
@@ -185,12 +204,14 @@ def integer_partitions(i: int) -> list[IntegerPartition]:
 @functools.lru_cache(maxsize=None)
 def _kept_partitions(i: int) -> tuple[IntegerPartition, ...]:
     """The partitions of i <= MAX_UNIVARIATE_ORDER, enumerated on first use,
-    each carrying its (part, multiplicity) record as its `counts`."""
+    each carrying its `record`, (counts, length, prod r_j!), as an
+    attribute of its own, so that `counts` reads the record's first field
+    and the partition holds one record."""
     kept = tuple(_enumerate_partitions(i))
     pairs = {}  # one tuple per distinct (part, multiplicity) of the order
     for lam in kept:
         counts = tuple(pairs.setdefault(pair, pair) for pair in _count_parts(lam.parts))
-        object.__setattr__(lam, "counts", counts)
+        object.__setattr__(lam, "record", _record_of(counts))
     return kept
 
 
@@ -313,9 +334,14 @@ class MultiIndexPartition:
 
     @property
     def counts(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The (column, multiplicity) record `partition_sum` reads, as
-        `IntegerPartition.counts` is."""
+        """The (column, multiplicity) pairs, as `IntegerPartition.counts`."""
         return tuple(zip(self.columns, self.multiplicities))
+
+    @property
+    def record(self) -> tuple:
+        """The record `partition_sum` reads, (counts, length, prod r_j!),
+        as `IntegerPartition.record` is, computed on each read."""
+        return _record_of(self.counts)
 
     def part_counts(self) -> list[tuple[tuple[int, ...], int]]:
         """Distinct columns with multiplicities, in increasing order, as a
@@ -409,11 +435,17 @@ def _fsum(xs) -> float:
         return sum(xs)
 
 
+def _complex_fsum(values: list) -> complex:
+    """`complex_fsum` of a list of complex or float values, read through
+    their .real and .imag with no complex() conversion: the terms of
+    `partition_sum`."""
+    return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
+
+
 def complex_fsum(values) -> complex:
     """Correctly rounded sum of complex values: math.fsum on the real and
-    on the imaginary parts."""
-    values = [complex(v) for v in values]
-    return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
+    on the imaginary parts, each value converted by complex() first."""
+    return _complex_fsum([complex(v) for v in values])
 
 
 def partition_sum(partitions, base, weight, *more):
@@ -428,39 +460,47 @@ def partition_sum(partitions, base, weight, *more):
 
     Each further (base, weight) pair in `more` is one more sum over the
     same partitions, and the call then returns the tuple of every sum, in
-    order.  One walk evaluates them all: it reads each partition's part
-    counts, length and prod r_j! once, and each sum keeps the term it has
-    alone (weight(l), then each base[part] ** r in part order, divided by
-    prod r_j!), its own correctly rounded sum and its own overflow rule, so
-    every sum has the bits of its one-sum call.  The part counts are the
-    partition's `counts`: the record a kept integer partition carries, or
-    counted on the read for any other.
+    order.  One walk evaluates them all: it reads each partition's
+    `record`, (counts, length, prod r_j!), once: the record a kept integer
+    partition carries, or computed on the read for any other.  Each sum
+    keeps the term it has alone (weight(l), then each base[part] ** r in
+    part order, divided by prod r_j!), its own correctly rounded sum and its
+    own overflow rule, so every sum has the bits of its one-sum call.  A
+    weight depends on the length alone, so each sum calls its weight once
+    per distinct length, at the first partition of that length, and keeps
+    the value for the walk; an OverflowError it raises surfaces there.  The
+    terms are complex or float, so the sums read their .real and .imag
+    without converting them by complex().
 
     Raises NumericalError when a term or a sum overflows.
     """
-    rest = [(b, w, []) for b, w in more]
+    rest = [(b, w, {}, []) for b, w in more]
 
     def walk():
-        terms = []
+        terms, weights = [], {}
         for lam in partitions:
-            counts, length = lam.counts, lam.length
-            term = weight(length)
-            den = 1
+            counts, length, den = lam.record
+            try:
+                term = weights[length]
+            except KeyError:
+                term = weights[length] = weight(length)
             for part, r in counts:
                 term = term * base[part] ** r
-                den *= math.factorial(r)
             terms.append(term / den)
-            for b, w, out in rest:
-                term = w(length)
+            for b, w, memo, out in rest:
+                try:
+                    term = memo[length]
+                except KeyError:
+                    term = memo[length] = w(length)
                 for part, r in counts:
                     term = term * b[part] ** r
                 out.append(term / den)
-        return complex_fsum(terms)
+        return _complex_fsum(terms)
 
     first = finite_of(walk, "partition sum")
     if not more:
         return first
-    return (first, *(finite(complex_fsum(out), "partition sum") for _, _, out in rest))
+    return (first, *(finite(_complex_fsum(out), "partition sum") for *_, out in rest))
 
 
 # ---------------------------------------------------------------------------

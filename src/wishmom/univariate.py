@@ -25,9 +25,10 @@ and R_0..R_K from one pass and convolve every order from them, where a
 single `noncentral_moment` of order K pays the same pass for its one
 order.  A_j and R_j sum over the same partitions of j, so a pass walks
 each order's partitions once: one `partition_sum` call with two sums gives
-both parts, reading each partition's part counts, length and prod r_j!
-once, and each part keeps the bits of its own one-sum walk.  A central law
-(M = 0) has every S_k = 0: its formal variable in the non-centrality
+both parts, reading each partition's record, (counts, length, prod r_j!),
+once and calling each part's weight once per distinct length, and each
+part keeps the bits of its own one-sum walk.  A central law (M = 0) has
+every S_k = 0: its formal variable in the non-centrality
 traces is the umbral unit, A = (1, 0, 0, ...), which is the value that
 walk gives bit for bit, so its pass skips A's sums and walks each order
 for R alone.  The lists come from `combinatorics.integer_partitions`,
@@ -35,10 +36,10 @@ which enumerates each order up to the default moment budget (20) once per
 process and keeps it: the 230 lists that
 `normalized_cumulant_moments(params, 20)` reads through its per-order
 moments are 21 distinct ones, enumerated at most once.  The kept table
-holds 2,714 partitions, each with its (part, multiplicity) record counted
-once when kept, about 0.7 MB in all, so a walk reads each record and
-counts nothing.  An order above 20, reachable only under
-`WISHMOM_MAX_BUDGET`, is enumerated on every read and never kept.  Every
+holds 2,714 partitions, each with its record computed once when kept,
+about 0.92 MB in all, so a walk reads each record and counts nothing.
+An order above 20, reachable only under `WISHMOM_MAX_BUDGET`, is
+enumerated on every read and never kept.  Every
 Sheffer route counts the partitions its passes will walk before the first
 one, by `budgets.check_partition_walk`, and raises BudgetExceededError
 past the fixed cap of 10^6 whatever the order budget: one pass reaches
@@ -237,10 +238,11 @@ def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
     sign^l / prod r! over the partitions of j on the S-traces, R_j sums
     n^l / prod r! over the partitions of j on T_m / m.  Both sum over the
     same partitions, so each order is one walk, `partition_sum` with two
-    sums, that reads each partition once for both and gives each part the
-    bits of its own one-sum walk.  A central law (M = 0) has every S_k = 0,
-    so its A is the umbral unit (1, 0, 0, ...), the value that walk gives
-    bit for bit, and each order walks its partitions for R alone.  Every
+    sums, that reads each partition's record once for both, calls each
+    weight once per length and gives each part the bits of its own one-sum
+    walk.  A central law (M = 0) has every S_k = 0, so its A is the
+    umbral unit (1, 0, 0, ...), the value that walk gives bit for bit, and
+    each order walks its partitions for R alone.  Every
     moment up to order i_max is one convolution of the two lists
     (`_sheffer_moment`).  The caller has checked the walk against the
     partition-walk cap."""

@@ -143,15 +143,22 @@ def test_orders_past_the_default_budget_are_never_kept(monkeypatch):
 
 
 def test_kept_partitions_carry_their_part_counts():
-    # a kept partition holds its (part, multiplicity) record as its own
-    # attribute; a fresh enumeration counts it on each read; the walk gives
-    # the same bits either way, for one sum and for two
+    # a kept partition holds one record, (counts, length, prod r_j!), as its
+    # own attribute, and its `counts` is the record's first field; a fresh
+    # enumeration computes the record on each read; the walk gives the same
+    # bits either way, for one sum and for two
     rng = np.random.default_rng(30)
     for j in range(MAX_UNIVARIATE_ORDER + 1):
         kept, fresh = integer_partitions(j), combinatorics._enumerate_partitions(j)
-        assert all("counts" in vars(lam) for lam in kept)
-        assert not any("counts" in vars(lam) for lam in fresh)
-        assert [lam.counts for lam in kept] == [lam.counts for lam in fresh]
+        assert all(set(vars(lam)) == {"parts", "record"} for lam in kept)
+        assert all(lam.counts is lam.record[0] for lam in kept)
+        assert all(set(vars(lam)) == {"parts"} for lam in fresh)
+        assert [lam.record for lam in kept] == [lam.record for lam in fresh]
+        for lam in fresh:
+            counts, length, den = lam.record
+            assert counts == lam.counts == tuple(lam.part_counts())
+            assert length == lam.length == sum(r for _, r in counts)
+            assert den == math.prod(math.factorial(r) for _, r in counts)
         bases = [[0.0] + list(rng.normal(size=j) + 1j * rng.normal(size=j)) for _ in range(2)]
         weights = (lambda l: (-1.0) ** l, lambda l: 2.5 ** l)
         one = partition_sum(kept, bases[0], weights[0])
@@ -159,6 +166,65 @@ def test_kept_partitions_carry_their_part_counts():
         two = partition_sum(kept, bases[0], weights[0], (bases[1], weights[1]))
         assert repr(two) == repr(partition_sum(fresh, bases[0], weights[0],
                                                (bases[1], weights[1])))
+    # an order past the kept table, a partition built by its public
+    # constructor and a multi-index partition compute the record on the read
+    for lam in (*integer_partitions(MAX_UNIVARIATE_ORDER + 1)[::97], IntegerPartition((3, 3, 1)),
+                *multiindex_partitions((2, 2, 1))):
+        assert "record" not in vars(lam)
+        counts, length, den = lam.record
+        assert counts == lam.counts and length == lam.length
+        assert den == math.prod(math.factorial(r) for _, r in counts)
+    assert IntegerPartition((3, 3, 1)).record == (((3, 2), (1, 1)), 3, 2)
+
+
+def test_partition_sum_calls_each_weight_once_per_length():
+    # the walk keeps each sum's weight(l) for the partitions of length l
+    def counting(scale):
+        calls = []
+        return (lambda l: calls.append(l) or scale ** l), calls
+
+    rng = np.random.default_rng(32)
+    table = rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2))
+    for partitions, base in ((integer_partitions(12), [0.0] + list(rng.normal(size=12))),
+                             (multiindex_partitions((2, 2, 1)), table)):
+        # the lengths in the order of their first partitions
+        lengths = list(dict.fromkeys(lam.length for lam in partitions))
+        weight, calls = counting(1.5)
+        one = partition_sum(partitions, base, weight)
+        assert calls == lengths
+        first, first_calls = counting(1.5)
+        second, second_calls = counting(-0.5)
+        two = partition_sum(partitions, base, first, (base, second))
+        assert first_calls == second_calls == lengths
+        assert repr(two) == repr((one, partition_sum(partitions, base, lambda l: (-0.5) ** l)))
+    # a weight that overflows at a length raises there, as an overflow of the sum
+    with pytest.raises(NumericalError, match="^partition sum overflows"):
+        partition_sum(integer_partitions(12), [0.0] + [1.0] * 12, lambda l: 10.0 ** (100 * l))
+    with pytest.raises(NumericalError, match="^partition sum overflows"):
+        partition_sum(integer_partitions(12), [0.0] + [1.0] * 12, lambda l: 1.0,
+                      ([0.0] + [1.0] * 12, lambda l: 10.0 ** (100 * l)))
+
+
+def test_kept_partition_table_footprint():
+    # orders 0..20 are kept for the life of the process, each partition with
+    # its record: 915,624 bytes under tracemalloc when measured, bounded here
+    # at about 15% above that
+    import gc
+    import tracemalloc
+
+    integer_partitions(MAX_UNIVARIATE_ORDER)
+    combinatorics._kept_partitions.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for j in range(MAX_UNIVARIATE_ORDER + 1):
+            integer_partitions(j)
+        gc.collect()
+        grown, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert combinatorics._kept_partitions.cache_info().currsize == MAX_UNIVARIATE_ORDER + 1
+    assert grown <= 1_050_000
 
 
 def test_part_counts_is_a_fresh_list():
@@ -808,6 +874,24 @@ def test_complex_fsum_is_correctly_rounded():
     # where math.fsum raises, the plain IEEE sum is returned
     assert complex_fsum([1e308, 1e308]) == complex(math.inf, 0)
     assert math.isnan(complex_fsum([math.inf, -math.inf]).real)
+    # every value is converted by complex() first: Python ints past 2**53,
+    # numpy scalars and mixed lists sum with the bits of their conversions
+    cases = ([2 ** 53 + 1, 1.0, -2 ** 53],
+             [2 ** 60 + 3, -(2 ** 60), 2 ** 70 + 1],
+             [np.complex128(1e16 + 1j), 1.0, np.complex128(-1e16 + 1e-16j)],
+             [np.float64(0.1), np.float64(0.2), np.float64(-0.3)],
+             [1, 0.5, 2 + 3j, np.float64(1e-17), np.complex128(-0.5 - 3j), 2 ** 53 + 1, -0.0])
+    for values in cases:
+        got = complex_fsum(values)
+        converted = [complex(v) for v in values]
+        want = complex(math.fsum(v.real for v in converted), math.fsum(v.imag for v in converted))
+        assert type(got) is complex
+        assert repr(got) == repr(want) == repr(complex_fsum(converted))
+        assert repr(complex_fsum(iter(values))) == repr(got)
+    # a string is read as complex() reads it
+    assert complex_fsum(["1+2j", 0.5]) == 1.5 + 2j
+    with pytest.raises(ValueError):
+        complex_fsum(["1+2j", "x"])
 
 
 def test_partition_sum_overflow_is_a_numerical_error():
