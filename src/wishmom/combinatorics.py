@@ -16,13 +16,13 @@ extent, and enumerates no partitions.  It carries the univariate
 compositions (randomized, central and normalized moments), which read
 their one cell at i, and the master-theorem permanents and the randomized
 joint cumulants, whose routes keep their last grid for its content in a
-`KeptGrid`.  `partition_sum` walks the partitions and adds the terms
-correctly rounded, as `complex_fsum` does; it is the one loop over
-partitions, and one walk evaluates one sum or several over the same
-partitions.  It carries the trace moments (the two Sheffer parts of an
-order from one walk) and the joint moments (one sum over the joint
-cumulant table), and is the tests' oracle for the series kernel.  The Bell and cyclic
-polynomials come from the Bell recurrence and enumerate nothing, so they
+`KeptGrid`; it also gives the trace moments' Sheffer part A, the
+exponential of the non-centrality series, in one pass.  `partition_sum`
+walks the partitions and adds the terms of one sum correctly rounded, as
+`complex_fsum` does; it is the one loop over partitions.  It carries the
+trace moments' Sheffer part R (one walk per order) and the joint moments
+(one sum over the joint cumulant table), and is the tests' oracle for the
+series kernel.  The Bell and cyclic polynomials come from the Bell recurrence and enumerate nothing, so they
 stay an independent check on both.  A sum over the symmetric group, the
 generalized moments' group action and the d- and alpha-permanents, is one
 walk over S_m, `permutation_sum`, which hands each permutation and its
@@ -65,8 +65,7 @@ from .budgets import (
     integer,
     integer_tuple,
 )
-from .errors import (BudgetExceededError, DimensionMismatchError, ValidationError, finite,
-                     finite_of)
+from .errors import BudgetExceededError, DimensionMismatchError, ValidationError, finite_of
 
 
 def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
@@ -448,7 +447,7 @@ def complex_fsum(values) -> complex:
     return _complex_fsum([complex(v) for v in values])
 
 
-def partition_sum(partitions, base, weight, *more):
+def partition_sum(partitions, base, weight):
     """sum over lambda of weight(l(lambda)) / prod_j r_j! * prod_j base[part_j]^{r_j},
     with (part_j, r_j) the distinct parts of lambda and their multiplicities.
 
@@ -458,24 +457,18 @@ def partition_sum(partitions, base, weight, *more):
     sum weighted by d_lambda = i! / prod (j!)^{r_j} r_j! is i! times this
     sum on base[k] = x_k / k!.
 
-    Each further (base, weight) pair in `more` is one more sum over the
-    same partitions, and the call then returns the tuple of every sum, in
-    order.  One walk evaluates them all: it reads each partition's
-    `record`, (counts, length, prod r_j!), once: the record a kept integer
-    partition carries, or computed on the read for any other.  Each sum
-    keeps the term it has alone (weight(l), then each base[part] ** r in
-    part order, divided by prod r_j!), its own correctly rounded sum and its
-    own overflow rule, so every sum has the bits of its one-sum call.  A
-    weight depends on the length alone, so each sum calls its weight once
-    per distinct length, at the first partition of that length, and keeps
-    the value for the walk; an OverflowError it raises surfaces there.  The
-    terms are complex or float, so the sums read their .real and .imag
-    without converting them by complex().
+    The walk reads each partition's `record`, (counts, length, prod r_j!),
+    once: the record a kept integer partition carries, or computed on the
+    read for any other.  Each term is weight(l), then each base[part] ** r
+    in part order, divided by prod r_j!.  A weight depends on the length
+    alone, so the walk calls it once per distinct length, at the first
+    partition of that length, and keeps the value; an OverflowError it
+    raises surfaces there.  The terms are complex or float, so the
+    correctly rounded sum reads their .real and .imag without converting
+    them by complex().
 
-    Raises NumericalError when a term or a sum overflows.
+    Raises NumericalError when a term or the sum overflows.
     """
-    rest = [(b, w, {}, []) for b, w in more]
-
     def walk():
         terms, weights = [], {}
         for lam in partitions:
@@ -487,20 +480,9 @@ def partition_sum(partitions, base, weight, *more):
             for part, r in counts:
                 term = term * base[part] ** r
             terms.append(term / den)
-            for b, w, memo, out in rest:
-                try:
-                    term = memo[length]
-                except KeyError:
-                    term = memo[length] = w(length)
-                for part, r in counts:
-                    term = term * b[part] ** r
-                out.append(term / den)
         return _complex_fsum(terms)
 
-    first = finite_of(walk, "partition sum")
-    if not more:
-        return first
-    return (first, *(finite(_complex_fsum(out), "partition sum") for *_, out in rest))
+    return finite_of(walk, "partition sum")
 
 
 # ---------------------------------------------------------------------------

@@ -351,18 +351,9 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     kind = integer_tuple(i, "index")
     if len(kind) != len(hs):
         raise DimensionMismatchError("index length must match len(h)")
-    _check_row_draws(params, n_samples, "estimate_joint_moment")
-    gen = _as_generator(rng)
-
-    def batches():
-        for x in _row_batches(params, None, gen, n_samples):
-            vals = np.ones(x.shape[0], dtype=complex)
-            for hk, ik in zip(hs, kind):
-                if ik:
-                    vals *= _row_direction_traces(x, hk) ** ik
-            yield vals
-
-    return _pooled(batches(), "joint moment estimate")
+    factors = [((hk,), ik) for hk, ik in zip(hs, kind) if ik]
+    return _row_estimate(params, factors, n_samples, rng, "estimate_joint_moment",
+                         "joint moment estimate")
 
 
 @matrix_core.quiet
@@ -383,24 +374,36 @@ def estimate_generalized_moment(params: WishartParams, h,
 
     hs = matrix_core.square_matrices(h, params.p)
     sigma_perm = CyclePermutation.checked(sigma_perm, len(hs))
-    cycles = [[hs[j - 1] for j in cyc] for cyc in sigma_perm.cycles]
-    _check_row_draws(params, n_samples, "estimate_generalized_moment")
+    factors = [([hs[j - 1] for j in cyc], 1) for cyc in sigma_perm.cycles]
+    return _row_estimate(params, factors, n_samples, rng, "estimate_generalized_moment",
+                         "generalized moment estimate")
+
+
+def _row_estimate(params: WishartParams, factors, n_samples: int, rng, name: str,
+                  what: str) -> Estimate:
+    """The pooled Estimate of prod over (word, power) in `factors` of
+    Tr(prod_{H in word} W H)^power over n_samples row draws, after the
+    Monte Carlo cap on those draws (labelled `name`).  A one-matrix word is
+    read from the rows; a longer one from W, formed at most once per chunk.
+    The caller holds `matrix_core.quiet`."""
+    _check_row_draws(params, n_samples, name)
     gen = _as_generator(rng)
 
     def batches():
         for x in _row_batches(params, None, gen, n_samples):
             vals = np.ones(x.shape[0], dtype=complex)
             w = None
-            for factors in cycles:
-                if len(factors) == 1:
-                    vals *= _row_direction_traces(x, factors[0])
-                    continue
-                if w is None:
-                    w = _gram(x)
-                vals *= _cycle_trace(w, factors)
+            for word, power in factors:
+                if len(word) == 1:
+                    trace = _row_direction_traces(x, word[0])
+                else:
+                    if w is None:
+                        w = _gram(x)
+                    trace = _cycle_trace(w, word)
+                vals *= trace ** power
             yield vals
 
-    return _pooled(batches(), "generalized moment estimate")
+    return _pooled(batches(), what)
 
 
 def _cycle_trace(w: np.ndarray, factors) -> np.ndarray:
@@ -535,12 +538,10 @@ def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
 
 def haar_compression(x, m: int, rng) -> PolykaySample:
     """Spectral sample of Y = H X H^dag for a Haar m x p frame H: the power
-    sums Tr Y^k, k = 1..4 (the one-draw case of `haar_power_sums`)."""
+    sums Tr Y^k, k = 1..4, row 0 of `haar_power_sums(x, m, 1, rng)`."""
     from .applications import PolykaySample
 
-    x, m = _compression_input(x, m)
-    sums = _compression_sums(x, m, _haar_unitaries(x.shape[0], 1, _as_generator(rng)))
-    return PolykaySample(m, tuple(float(s[0]) for s in sums))
+    return PolykaySample(m, tuple(map(float, haar_power_sums(x, m, 1, rng)[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 Wishart matrix.
 
 Two independent routes are shipped for each quantity and pinned together by
-the test suite: partition sums over the trace caches versus complete Bell
-polynomials of the cumulant sequence, and the trace-cache cumulant formula
-versus its eigenvalue form.  The non-central moments are the paper's
-Sheffer convolution m_i = i! sum_j A_j R_{i-j}, with A_j and R_k partition
-sums (`combinatorics.partition_sum`, which adds its terms with a correctly
-rounded sum); the Bell route is a recurrence that enumerates no partitions.
+the test suite: the Sheffer convolution versus complete Bell polynomials
+of the cumulant sequence, and the trace-cache cumulant formula versus its
+eigenvalue form.  The non-central moments are the paper's Sheffer
+convolution m_i = i! sum_j A_j R_{i-j}; the Bell route is a recurrence
+that enumerates no partitions.
 
 The compositions, sums over partitions of a_l d_lambda prod x_part, are
 one truncated power series each, the cell i of
@@ -19,32 +18,29 @@ grid on T_k / k, the randomized moment's holds T_k / k + sign S_k, and
 e_k / k! is exact past 170), so the final i! is the one factorial, taken
 exactly past 170 by the overflow rule.
 
-The moments stay on the partition sums for now, computed once per
-sequence: `moment_sequence` and `binomial_convolution_check` take A_0..A_K
-and R_0..R_K from one pass and convolve every order from them, where a
-single `noncentral_moment` of order K pays the same pass for its one
-order.  A_j and R_j sum over the same partitions of j, so a pass walks
-each order's partitions once: one `partition_sum` call with two sums gives
-both parts, reading each partition's record, (counts, length, prod r_j!),
-once and calling each part's weight once per distinct length, and each
-part keeps the bits of its own one-sum walk.  A central law (M = 0) has
-every S_k = 0: its formal variable in the non-centrality
-traces is the umbral unit, A = (1, 0, 0, ...), which is the value that
-walk gives bit for bit, so its pass skips A's sums and walks each order
-for R alone.  The lists come from `combinatorics.integer_partitions`,
+The Sheffer parts are computed once per sequence: `moment_sequence` and
+`binomial_convolution_check` take A_0..A_K and R_0..R_K from one pass and
+convolve every order from them, where a single `noncentral_moment` of
+order K pays the same pass for its one order.  A = exp(sign S(z)), the
+formal variable built from the non-centrality traces, is the cells of one
+`compose_grid` pass on the S-traces, for every law: a central law (M = 0)
+has every S_k = 0, which composes to exact +0 cells, so its A is the
+umbral unit (1, 0, 0, ...).  R_j is one partition sum per order
+(`combinatorics.partition_sum`, which adds its terms with a correctly
+rounded sum), over the list from `combinatorics.integer_partitions`,
 which enumerates each order up to the default moment budget (20) once per
 process and keeps it: the 230 lists that
 `normalized_cumulant_moments(params, 20)` reads through its per-order
 moments are 21 distinct ones, enumerated at most once.  The kept table
-holds 2,714 partitions, each with its record computed once when kept,
-about 0.92 MB in all, so a walk reads each record and counts nothing.
-An order above 20, reachable only under `WISHMOM_MAX_BUDGET`, is
-enumerated on every read and never kept.  Every
-Sheffer route counts the partitions its passes will walk before the first
-one, by `budgets.check_partition_walk`, and raises BudgetExceededError
-past the fixed cap of 10^6 whatever the order budget: one pass reaches
-order 48.  The series form of A and R, exp of the cumulant series, waits
-for a benchmark change (ROADMAP.md).
+holds 2,714 partitions, each with its record, (counts, length,
+prod r_j!), computed once when kept, about 0.92 MB in all, so a walk
+reads each record and counts nothing.  An order above 20, reachable only
+under `WISHMOM_MAX_BUDGET`, is enumerated on every read and never kept.
+Every Sheffer route counts the partitions its passes will walk before the
+first one, by `budgets.check_partition_walk`, and raises
+BudgetExceededError past the fixed cap of 10^6 whatever the order budget:
+one pass reaches order 48.  R's series form, exp(n T(z)), waits for a
+benchmark change (ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -234,32 +230,25 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
 
 
 def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
-    """The Sheffer parts A_0..A_{i_max} and R_0..R_{i_max}: A_j sums
-    sign^l / prod r! over the partitions of j on the S-traces, R_j sums
-    n^l / prod r! over the partitions of j on T_m / m.  Both sum over the
-    same partitions, so each order is one walk, `partition_sum` with two
-    sums, that reads each partition's record once for both, calls each
-    weight once per length and gives each part the bits of its own one-sum
-    walk.  A central law (M = 0) has every S_k = 0, so its A is the
-    umbral unit (1, 0, 0, ...), the value that walk gives bit for bit, and
-    each order walks its partitions for R alone.  Every
-    moment up to order i_max is one convolution of the two lists
-    (`_sheffer_moment`).  The caller has checked the walk against the
-    partition-walk cap."""
+    """The Sheffer parts A_0..A_{i_max} and R_0..R_{i_max}.  A_j sums
+    sign^l / prod r! over the partitions of j on the S-traces: A_0 = 1, and
+    A_1..A_{i_max} are the cells of one `compose_grid` pass on
+    [0, S_1, ..., S_{i_max}] with weight sign^l, each read through
+    `errors.finite`.  A central law's S-table is zero and composes to
+    exact +0 cells, so its A is the umbral unit (1, 0, 0, ...).  R_j sums
+    n^l / prod r! over the partitions of j on T_m / m, one `partition_sum`
+    walk per order.  Every moment up to order i_max is one convolution of
+    the two lists (`_sheffer_moment`).  The caller has checked R's walks
+    against the partition-walk cap."""
     cache = params.trace_cache(i_max)
-    t_base = [0.0] + [cache.t_power(k) / k for k in range(1, i_max + 1)]
     sign, n = params.sign, params.n
-    if params.is_central:
-        r_part = [partition_sum(integer_partitions(j), t_base, lambda l: n ** l)
-                  for j in range(i_max + 1)]
-        return [1.0 + 0.0j] + [0j] * i_max, r_part
-    s_base = [0.0] + [cache.s_power(k) for k in range(1, i_max + 1)]
-    a_part, r_part = [], []
-    for j in range(i_max + 1):
-        a, r = partition_sum(integer_partitions(j), s_base, lambda l: sign ** l,
-                             (t_base, lambda l: n ** l))
-        a_part.append(a)
-        r_part.append(r)
+    s_table = [0.0] + [cache.s_power(k) for k in range(1, i_max + 1)]
+    cells = compose_grid(s_table, (i_max,), lambda l: sign ** l).tolist()
+    a_part = [1.0 + 0.0j] + [finite(a, f"Sheffer part A_{j}")
+                             for j, a in enumerate(cells[1:], 1)]
+    t_base = [0.0] + [cache.t_power(k) / k for k in range(1, i_max + 1)]
+    r_part = [partition_sum(integer_partitions(j), t_base, lambda l: n ** l)
+              for j in range(i_max + 1)]
     return a_part, r_part
 
 
@@ -279,15 +268,14 @@ def noncentral_moment(params: WishartParams, i: int) -> complex:
     """E[(Tr W)^i] by the paper's Sheffer convolution.
 
     i! sum_{j+k=i} A_j R_k where A_j sums sign^l / prod r! over partitions
-    of j on the S-traces and R_k sums n^l / prod r! over partitions of k on
-    T_m / m (`_sheffer_parts`).  Order i needs A and R up to i, so one
-    order costs the partition sums of every lower one; a whole sequence
-    shares them (`moment_sequence`).  Reduces to the central moment when
-    M = 0: A is then (1, 0, 0, ...) without a walk, and the moment is
-    i! R_i from the walks for R alone, with the bits of the full pass.
+    of j on the S-traces, the cells of one series pass, and R_k sums
+    n^l / prod r! over partitions of k on T_m / m, one partition walk per
+    order (`_sheffer_parts`).  Order i needs A and R up to i, so one order
+    costs R's partition sums of every lower one; a whole sequence shares
+    them (`moment_sequence`).  Reduces to the central moment when M = 0:
+    A is then the umbral unit (1, 0, 0, ...), and the moment is i! R_i.
     Raises BudgetExceededError, before any walk, when the pass would walk
-    more partitions than `budgets.MAX_PARTITION_WALK`; a central pass walks
-    the same partitions, for one sum.
+    more partitions than `budgets.MAX_PARTITION_WALK`.
     """
     i = check_moment_order(i)
     check_partition_walk(sheffer_walk((i,)), f"moment of order {i}")

@@ -632,6 +632,19 @@ def test_batched_haar_matches_one_draw_calls():
     assert np.array_equal(batched, one_by_one)
 
 
+def test_one_draw_compression_is_checked_against_the_monte_carlo_cap(monkeypatch):
+    # a one-draw compression is row 0 of a batch of one, so it draws the
+    # 2 p^2 normals of one Haar frame under the batch's cap
+    from wishmom import BudgetExceededError, budgets
+
+    x = np.diag([1.0, 2.0, 3.0])
+    monkeypatch.setattr(budgets, "MAX_MC_VARIATES", 17)
+    with pytest.raises(BudgetExceededError, match="^haar_power_sums draws 18 random variates"):
+        haar_compression(x, 2, RngStream(0))
+    monkeypatch.setattr(budgets, "MAX_MC_VARIATES", 18)
+    assert haar_compression(x, 2, RngStream(0)).size == 2
+
+
 def test_polykay_inheritance_under_compression_quick():
     # every order is inherited: the mean polykay of Haar compressions is the
     # whole matrix's polykay.  k1-k3 on 4000 compressions of a 6 x 6 matrix

@@ -258,9 +258,9 @@ def test_order_budget(monkeypatch):
                                                  ("cumulant_sequence", "noncentral_cumulant")])
 def test_sequence_budget_is_checked_before_any_order(monkeypatch, sequence, per_order):
     # the cumulants are one per-order call each; the moments are one pass
-    # of the Sheffer parts A_0..A_K, R_0..R_K, one walk per order giving
-    # A_j and R_j together, so a sequence to order K makes the K + 1
-    # partition walks of its order-K moment alone, not one pass per order
+    # of the Sheffer parts A_0..A_K, R_0..R_K, one walk per order for R_j,
+    # so a sequence to order K makes the K + 1 partition walks of its
+    # order-K moment alone, not one pass per order
     from wishmom import univariate
 
     calls = []
@@ -284,7 +284,7 @@ def test_sequence_budget_is_checked_before_any_order(monkeypatch, sequence, per_
         calls.clear()
         assert univariate.moment_sequence(params, k_max).depth == k_max
         assert len(calls) == k_max + 1
-        assert all(len(args) == 4 for args in calls)  # (partitions, A's pair, R's pair)
+        assert all(len(args) == 3 for args in calls)  # (partitions, R's base, R's weight)
         calls.clear()
         getattr(univariate, per_order)(params, k_max)
         assert len(calls) == k_max + 1
@@ -292,9 +292,8 @@ def test_sequence_budget_is_checked_before_any_order(monkeypatch, sequence, per_
 
 @pytest.mark.parametrize("route", ["moment_sequence", "noncentral_moment"])
 def test_one_partition_list_per_order_feeds_both_sheffer_parts(monkeypatch, route):
-    # A_j and R_j sum over the same partitions of j: a pass to order K
-    # enumerates the partitions of 0..K once each, K + 1 lists, not one
-    # per part (2 K + 2)
+    # a pass to order K enumerates the partitions of 0..K once each, K + 1
+    # lists for R's walks, and none for A, which is one series pass
     from wishmom import univariate
 
     calls = []
@@ -310,46 +309,51 @@ def test_one_partition_list_per_order_feeds_both_sheffer_parts(monkeypatch, rout
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
 @pytest.mark.parametrize("central", [False, True])
-def test_one_walk_gives_both_sheffer_parts_bit_for_bit(convention, central):
-    # A_j and R_j from one walk over the partitions of j have the bits of
-    # two separate one-sum walks, for every j up to the default budget
+def test_series_pass_gives_sheffer_part_a(convention, central):
+    # A_0..A_20 from one series pass match the one-sum partition walk on
+    # the S-table with weights sign^l, within 1e-12 of the same sum over
+    # absolute values; a central law's A is the exact umbral unit
     from wishmom import univariate
     from wishmom.combinatorics import integer_partitions, partition_sum
 
     params = random_params(41, p=4, n=5.5, convention=convention, central=central)
-    a_part, r_part = univariate._sheffer_parts(params, 20)
+    a_part, _ = univariate._sheffer_parts(params, 20)
+    if central:
+        assert repr(a_part) == repr([1 + 0j] + [0j] * 20)
+        return
     cache = params.trace_cache(20)
     s_base = [0.0] + [cache.s_power(k) for k in range(1, 21)]
-    t_base = [0.0] + [cache.t_power(k) / k for k in range(1, 21)]
-    for j in range(21):
+    abs_base = [abs(s) for s in s_base]
+    assert repr(a_part[0]) == repr(1 + 0j)
+    for j in range(1, 21):
         partitions = integer_partitions(j)
-        a = partition_sum(partitions, s_base, lambda l: params.sign ** l)
-        r = partition_sum(partitions, t_base, lambda l: params.n ** l)
-        assert (repr(a_part[j]), repr(r_part[j])) == (repr(a), repr(r))
+        want = partition_sum(partitions, s_base, lambda l: params.sign ** l)
+        scale = partition_sum(partitions, abs_base, lambda l: 1.0).real
+        assert abs(a_part[j] - want) <= 1e-12 * scale, (j, a_part[j], want)
 
 
 @pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_a_central_pass_walks_for_r_alone(monkeypatch, convention):
-    # M = 0 makes every S_k zero, so A is the umbral unit (1, 0, 0, ...):
-    # a central pass to order K makes one one-sum walk per order, for R,
-    # while a non-central pass still takes both parts from one two-sum walk
+def test_a_sheffer_pass_makes_the_same_calls_whatever_m(monkeypatch, convention):
+    # a pass to order K is one series pass for A and one one-sum walk per
+    # order for R, on its own list, central or not: the public calls do
+    # not depend on a per-law draw of M
     from wishmom import univariate
 
     calls = []
-    real = univariate.partition_sum
-    monkeypatch.setattr(univariate, "partition_sum",
-                        lambda *args: calls.append(len(args)) or real(*args))
-    for central, sums in ((True, 1), (False, 2)):
+    for name in ("compose_grid", "integer_partitions", "partition_sum"):
+        real = getattr(univariate, name)
+        monkeypatch.setattr(univariate, name, lambda *args, name=name, real=real:
+                            calls.append((name, len(args))) or real(*args))
+    for central in (True, False):
         params = random_params(41, p=4, n=5.5, convention=convention, central=central)
         for k_max in (1, 3, 20):
             calls.clear()
             a_part, r_part = univariate._sheffer_parts(params, k_max)
-            # the partitions, then base and weight of the first sum, then
-            # one (base, weight) pair for each further sum
-            assert calls == [sums + 2] * (k_max + 1)
             assert len(a_part) == len(r_part) == k_max + 1
-            if central:
-                assert repr(a_part) == repr([1 + 0j] + [0j] * k_max)
+            assert calls.count(("compose_grid", 3)) == 1
+            assert calls.count(("integer_partitions", 1)) == k_max + 1
+            assert calls.count(("partition_sum", 3)) == k_max + 1
+            assert len(calls) == 2 * k_max + 3
 
 
 def test_orders_past_the_partition_walk_cap_are_rejected_before_any_walk(monkeypatch):
