@@ -69,7 +69,8 @@ _EXPORTS = {
         "haar_unitary",
         "sample_wishart",
     ),
-    "model": ("CONVENTIONS", "TraceCache", "WishartParams", "build", "noncentrality"),
+    "model": ("CONVENTIONS", "MomentSequence", "TraceCache", "WishartParams", "build",
+              "noncentrality"),
     "multivariate": (
         "GeneralizedMomentExpansion",
         "a_product_moment",
@@ -84,7 +85,6 @@ _EXPORTS = {
         "rho_moment_strings",
     ),
     "univariate": (
-        "MomentSequence",
         "binomial_convolution_check",
         "central_cumulant",
         "central_moment",

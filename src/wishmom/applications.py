@@ -27,7 +27,7 @@ from .errors import (DegenerateSampleSizeError, InsufficientOrdersError, Validat
                      finite_of)
 
 if TYPE_CHECKING:
-    from .univariate import MomentSequence
+    from .model import MomentSequence
 
 
 def _finite_d(d) -> complex:
@@ -68,7 +68,7 @@ def permanent_alpha(y, a: MomentSequence) -> complex:
 
     `a` must carry moments up to order p (cycle counts reach p).
     """
-    from .univariate import MOMENTS
+    from .model import MOMENTS
 
     y = matrix_core.as_matrix(y)
     p = y.shape[0]
@@ -112,7 +112,7 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     bit-identical whatever calls came before.
     Equals the brute-force d-permanent of the row/column-repeated T(i).
     """
-    from .univariate import MOMENTS, MomentSequence
+    from .model import MOMENTS, MomentSequence
 
     t = matrix_core.as_matrix(t)
     m = t.shape[0]

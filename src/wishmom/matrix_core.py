@@ -1,10 +1,10 @@
 """Dense complex matrix kernels.
 
-Traces are computed here; the solve and the Hermitian eigendecomposition
-are numpy.linalg (LAPACK) calls behind explicit checks, so that a singular
-or non-Hermitian input raises this package's errors instead of returning
-garbage.  Tolerances are module constants stated relative to mat_norm (max
-absolute entry times dimension).
+The solve and the Hermitian eigendecomposition are numpy.linalg (LAPACK)
+calls behind explicit checks, so that a singular or non-Hermitian input
+raises this package's errors instead of returning garbage.  Every matrix
+tolerance in the package is `tolerance`: a relative constant times
+dimension times max absolute entry, finite for every finite matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .errors import (
     NotHermitianError,
     SingularMatrixError,
     ValidationError,
+    finite,
 )
 
 PIVOT_RTOL = 1e-12
@@ -57,17 +58,14 @@ def square_matrices(items, p) -> list[np.ndarray]:
     return mats
 
 
-def mat_norm(a) -> float:
-    """Reference norm for tolerances: dimension times max absolute entry."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return a.shape[0] * float(np.abs(a).max())
-
-
-def trace(a) -> complex:
-    """Unnormalized trace."""
-    return complex(np.trace(as_matrix(a)))
+def tolerance(a, rtol: float, floor: float = 0.0) -> float:
+    """rtol * max(p * max|a|, floor) for a p x p matrix a, the one
+    tolerance rule.  It is formed as max(p * (rtol * max|a|), rtol * floor),
+    and an entry whose modulus passes the float range is read as twice the
+    modulus of its half, so the tolerance is finite for every finite a."""
+    big = float(np.abs(a).max())
+    scaled = rtol * big if big < np.inf else 2 * rtol * float(np.abs(a / 2).max())
+    return max(len(a) * scaled, rtol * floor)
 
 
 def is_hermitian(a) -> bool:
@@ -83,22 +81,23 @@ def hermitian_matrix(a, message: str) -> np.ndarray:
     return m
 
 
+@quiet  # a gap past the float range is inf, which no tolerance admits
 def _hermitian_within_tolerance(m: np.ndarray) -> bool:
-    return float(np.abs(m - m.conj().T).max()) <= HERMITIAN_RTOL * max(mat_norm(m), 1e-300)
+    return float(np.abs(m - m.conj().T).max()) <= tolerance(m, HERMITIAN_RTOL, 1e-300)
 
 
 def solve(a, b) -> np.ndarray:
     """Solve A X = B.
 
     Raises SingularMatrixError when the smallest singular value of A is at
-    most PIVOT_RTOL * mat_norm(A).
+    most tolerance(A, PIVOT_RTOL).
     """
     a = as_matrix(a)
     b = np.array(b, dtype=complex)
     n = a.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatchError(f"rhs rows {b.shape[0]} != matrix dim {n}")
-    tol = PIVOT_RTOL * mat_norm(a)
+    tol = tolerance(a, PIVOT_RTOL)
     smallest = np.linalg.svd(a, compute_uv=False)[-1]
     if smallest <= tol:
         raise SingularMatrixError(
@@ -111,8 +110,10 @@ def hermitian_eigen(a):
 
     Returns (eigenvalues, Q) with real eigenvalues in descending order and
     Q unitary, A Q = Q diag(eigenvalues).  Raises NotHermitianError when the
-    input fails the Hermitian check.
+    input fails the Hermitian check, and NumericalError when an eigenvalue
+    overflows.
     """
     a = hermitian_matrix(a, "matrix is not Hermitian within tolerance")
-    vals, q = np.linalg.eigh((a + a.conj().T) / 2)
+    vals, q = np.linalg.eigh(a / 2 + a.conj().T / 2)  # exact halves: no sum overflows
+    finite(float(np.abs(vals).max()), "an eigenvalue")
     return vals[::-1], q[:, ::-1]

@@ -182,12 +182,12 @@ def _integer_n(params: WishartParams) -> int:
 def _psd_eigen(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, int]:
     """(theta, Q, rank) from a = Q diag(theta) Q^H, eigenvalues descending,
     so the rank positive ones come first.  Eigenvalues within
-    tol = 1e-12 mat_norm(a) of zero are clipped to zero, so a's null space
+    tol = tolerance(a, 1e-12) of zero are clipped to zero, so a's null space
     gets exactly zero weight (the root of a rounding-level eigenvalue would
     leak ~1e-8 into it); one below -tol raises NotPSDError.
     """
     vals, vecs = matrix_core.hermitian_eigen(a)
-    tol = 1e-12 * matrix_core.mat_norm(a)
+    tol = matrix_core.tolerance(a, 1e-12)
     if vals[-1] < -tol:
         raise NotPSDError(f"{name} has negative eigenvalue {vals[-1]:.3e}")
     positive = vals > tol
@@ -566,8 +566,8 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
     if params1.p != params2.p:
         raise DimensionMismatchError(
             f"both parameter sets must share p: {params1.p} != {params2.p}")
-    if np.abs(params1.sigma - params2.sigma).max() > 1e-12 * max(
-            matrix_core.mat_norm(params1.sigma), 1e-300):
+    if np.abs(params1.sigma - params2.sigma).max() > matrix_core.tolerance(
+            params1.sigma, 1e-12, 1e-300):
         raise ValidationError("both parameter sets must share Sigma")
     if identity == "df-additivity" and not (params1.is_central and params2.is_central):
         raise ValidationError("df-additivity requires central parameters")

@@ -3,9 +3,10 @@
 A `WishartParams` holds (n, Sigma, M) plus the sign convention; `build`
 also returns the derived `TraceCache` with T_i = Tr(Sigma^i) and
 S_i = Tr(M Sigma^{i-1}), both read from one stacked array of powers and
-kept as the two rows of one (2, depth) complex array.  The
-S_i are computed without ever forming Sigma^{-1}: by trace cyclicity
-Tr(Omega Sigma^i) = Tr(M Sigma^{i-1}).
+kept as the two rows of one (2, depth) complex array.  The S_i are
+computed without ever forming Sigma^{-1}: by trace cyclicity
+Tr(Omega Sigma^i) = Tr(M Sigma^{i-1}).  `MomentSequence`, the moment or
+cumulant sequence that the engines return and read, is defined here too.
 
 Sign convention:
 
@@ -17,21 +18,22 @@ Sign convention:
 
 `WishartParams` reads its convention by `budgets.convention`, the rule the
 CLI reads a request's convention by, and this module exports that rule's
-`CONVENTIONS`.  The convention affects no value in this module; it is
-consumed by the moment/cumulant engines downstream.
+`CONVENTIONS`.  No value in this module depends on the convention.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import budgets, matrix_core
-from .budgets import CONVENTIONS, check_moment_order, positive_real
-from .errors import DimensionMismatchError
+from .budgets import CONVENTIONS, check_moment_order, integer, positive_real
+from .errors import DimensionMismatchError, InsufficientOrdersError, ValidationError
 
 DEFAULT_DEPTH = 12
 
@@ -217,3 +219,62 @@ def build(n, sigma, m_matrix=None,
 def noncentrality(params: WishartParams) -> np.ndarray:
     """Omega = Sigma^{-1} M (module-level alias of the cached accessor)."""
     return params.noncentrality()
+
+
+MOMENTS = "moments"
+CUMULANTS = "cumulants"
+
+
+@dataclass(frozen=True)
+class MomentSequence:
+    """A finite moment or cumulant sequence.
+
+    `values[k]` is the order-k entry; index 0 holds 1 for moments and 0 for
+    cumulants by convention.  Every entry must be a finite number, not a
+    bool or a string, else ValidationError.
+    """
+
+    values: tuple[complex, ...]
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in (MOMENTS, CUMULANTS):
+            raise ValidationError(f"kind must be {MOMENTS!r} or {CUMULANTS!r}")
+        if not self.values:
+            raise ValidationError("empty sequence")
+        for v in self.values:
+            _check_entry(v)
+        if self.kind == MOMENTS and self.values[0] != 1:
+            raise ValidationError("a moment sequence must start with 1")
+
+    @property
+    def depth(self) -> int:
+        """Highest order carried."""
+        return len(self.values) - 1
+
+    def order(self, k: int) -> complex:
+        k = integer(k, "order")
+        if k > self.depth:
+            raise InsufficientOrdersError(
+                f"order {k} not available (depth {self.depth})")
+        return complex(self.values[k])
+
+    @classmethod
+    def from_moments(cls, orders_1_up) -> "MomentSequence":
+        return cls((1,) + tuple(orders_1_up), MOMENTS)
+
+    @classmethod
+    def from_cumulants(cls, orders_1_up) -> "MomentSequence":
+        return cls((0,) + tuple(orders_1_up), CUMULANTS)
+
+
+def _check_entry(v) -> None:
+    """ValidationError unless the sequence entry `v` is a finite number."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Number):
+        raise ValidationError(f"sequence entries must be numbers: {v!r}")
+    try:
+        is_finite = cmath.isfinite(complex(v))
+    except (TypeError, ValueError, OverflowError):  # e.g. an int past the float range
+        is_finite = False
+    if not is_finite:
+        raise ValidationError("non-finite entry in sequence")

@@ -106,8 +106,7 @@ from .errors import (
     finite,
     finite_of,
 )
-from .model import WishartParams
-from .univariate import CUMULANTS, MomentSequence
+from .model import CUMULANTS, MomentSequence, WishartParams
 
 
 def _directions(params: WishartParams, h) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -45,10 +45,7 @@ benchmark change (ROADMAP.md).
 
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,65 +62,7 @@ from .combinatorics import (
 )
 from .errors import (DimensionMismatchError, InsufficientOrdersError, ValidationError, finite,
                      finite_of)
-from .model import WishartParams, build
-
-MOMENTS = "moments"
-CUMULANTS = "cumulants"
-
-
-@dataclass(frozen=True)
-class MomentSequence:
-    """A finite moment or cumulant sequence.
-
-    `values[k]` is the order-k entry; index 0 holds 1 for moments and 0 for
-    cumulants by convention.  Every entry must be a finite number, not a
-    bool or a string, else ValidationError.
-    """
-
-    values: tuple[complex, ...]
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (MOMENTS, CUMULANTS):
-            raise ValidationError(f"kind must be {MOMENTS!r} or {CUMULANTS!r}")
-        if not self.values:
-            raise ValidationError("empty sequence")
-        for v in self.values:
-            _check_entry(v)
-        if self.kind == MOMENTS and self.values[0] != 1:
-            raise ValidationError("a moment sequence must start with 1")
-
-    @property
-    def depth(self) -> int:
-        """Highest order carried."""
-        return len(self.values) - 1
-
-    def order(self, k: int) -> complex:
-        k = integer(k, "order")
-        if k > self.depth:
-            raise InsufficientOrdersError(
-                f"order {k} not available (depth {self.depth})")
-        return complex(self.values[k])
-
-    @classmethod
-    def from_moments(cls, orders_1_up) -> "MomentSequence":
-        return cls((1,) + tuple(orders_1_up), MOMENTS)
-
-    @classmethod
-    def from_cumulants(cls, orders_1_up) -> "MomentSequence":
-        return cls((0,) + tuple(orders_1_up), CUMULANTS)
-
-
-def _check_entry(v) -> None:
-    """ValidationError unless the sequence entry `v` is a finite number."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Number):
-        raise ValidationError(f"sequence entries must be numbers: {v!r}")
-    try:
-        is_finite = cmath.isfinite(complex(v))
-    except (TypeError, ValueError, OverflowError):  # e.g. an int past the float range
-        is_finite = False
-    if not is_finite:
-        raise ValidationError("non-finite entry in sequence")
+from .model import CUMULANTS, MOMENTS, MomentSequence, WishartParams, build
 
 
 def _over_factorial(v, k: int) -> complex:
@@ -452,8 +391,8 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
             if m.shape != sigma.shape:
                 raise DimensionMismatchError(
                     f"m_split {name} shape {m.shape} != sigma shape {sigma.shape}")
-        if np.abs((m1 + m2) - params.m_matrix).max() > 1e-12 * max(
-                matrix_core.mat_norm(params.m_matrix), 1.0):
+        if np.abs((m1 + m2) - params.m_matrix).max() > matrix_core.tolerance(
+                params.m_matrix, 1e-12, 1.0):
             raise ValidationError("m_split does not sum to params.m_matrix")
     whole, _ = build(n1 + n2, sigma, params.m_matrix, conv)
     left, _ = build(n1, sigma, m1, conv)

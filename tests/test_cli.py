@@ -222,6 +222,21 @@ def test_overflow_exits_3(tmp_path, capsys, args):
     # finite inputs whose results overflow: a numerical error, not a traceback
     doc = {"n": 3, "sigma": {"re": [[1e200, 0], [0, 1]]},
            "h": [matrix_doc(np.eye(2))], "index": [3]}
+    _assert_overflow_exits_3(tmp_path, capsys, args, doc)
+
+
+@pytest.mark.parametrize("args", [
+    ["polykay", "--order", "2"],
+    ["mc-verify", "--samples", "10"],
+])
+def test_overflow_near_the_float_range_exits_3(tmp_path, capsys, args):
+    # Sigma = 1e308 I is Hermitian, with finite eigenvalues and tolerances;
+    # its power sums and its draws overflow
+    _assert_overflow_exits_3(tmp_path, capsys, args,
+                             {"n": 3, "sigma": {"re": [[1e308, 0], [0, 1e308]]}})
+
+
+def _assert_overflow_exits_3(tmp_path, capsys, args, doc):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     with warnings.catch_warnings(record=True) as caught:
@@ -496,6 +511,8 @@ def test_mc_verify_command(tmp_path):
     (["moments"], {"n": [3]}, None),
     (["mc-verify", "--n2", "0"], {}, None),
     (["mc-verify", "--n2", "-2"], {}, None),
+    # a gap of 1e308 in Sigma, where dimension times max entry is past the float range
+    (["cumulants", "--order", "2"], {"sigma": {"re": [[1, 1e308], [0, 1]]}}, None),
 ])
 def test_malformed_requests_exit_2(tmp_path, monkeypatch, args, patch, env):
     doc = {"n": 3, "sigma": matrix_doc(np.eye(2)), "h": [matrix_doc(np.eye(2))],

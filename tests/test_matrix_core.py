@@ -1,20 +1,24 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from wishmom import (
     DimensionMismatchError,
     NotHermitianError,
+    NumericalError,
     SingularMatrixError,
     ValidationError,
+    WishartParams,
     build,
 )
 from wishmom.matrix_core import (
     as_matrix,
     hermitian_eigen,
     is_hermitian,
-    mat_norm,
     solve,
-    trace,
+    tolerance,
 )
 
 from brute_force import power_traces, product_trace
@@ -22,17 +26,17 @@ from conftest import PAPER_M, PAPER_SIGMA, random_complex, random_hermitian
 
 
 def test_trace_examples():
-    assert trace(np.eye(3)) == 3
-    assert abs(trace(PAPER_SIGMA) - 0.03243) < 1e-12
+    assert np.trace(np.eye(3)) == 3
+    assert abs(np.trace(PAPER_SIGMA) - 0.03243) < 1e-12
     rng = np.random.default_rng(0)
     a, b = random_complex(rng, 4), random_complex(rng, 4)
-    assert abs(trace(a @ b) - trace(b @ a)) <= 1e-12 * abs(trace(a @ b))
+    assert abs(np.trace(a @ b) - np.trace(b @ a)) <= 1e-12 * abs(np.trace(a @ b))
 
 
 def test_product_trace_single_and_cyclic():
     rng = np.random.default_rng(1)
     a = random_complex(rng, 4)
-    assert product_trace([a]) == trace(a)
+    assert product_trace([a]) == np.trace(a)
     for length in range(2, 7):
         factors = [random_complex(rng, 3) for _ in range(length)]
         base = product_trace(factors)
@@ -107,7 +111,7 @@ def test_solve_identity_and_residual():
     assert np.allclose(solve(np.eye(4), b), b)
     a = random_complex(rng, 4) + 4 * np.eye(4)
     x = solve(a, b)
-    assert np.abs(a @ x - b).max() <= 1e-10 * mat_norm(b)
+    assert np.abs(a @ x - b).max() <= tolerance(b, 1e-10)
     # against the library oracle
     assert np.abs(x - np.linalg.solve(a, b)).max() <= 1e-9 * np.abs(x).max()
 
@@ -124,7 +128,7 @@ def test_solve_vector_rhs():
 def test_solve_paper_noncentrality_corner():
     omega = solve(PAPER_SIGMA, PAPER_M)
     assert abs(omega[2, 2] - (269.96 - 174.11j)) < 2e-2
-    assert np.abs(PAPER_SIGMA @ omega - PAPER_M).max() <= 1e-10 * mat_norm(PAPER_M)
+    assert np.abs(PAPER_SIGMA @ omega - PAPER_M).max() <= tolerance(PAPER_M, 1e-10)
 
 
 def test_solve_singular():
@@ -144,13 +148,13 @@ def test_eigen_random_hermitian():
     for p in (2, 3, 5, 8):
         a = random_hermitian(rng, p)
         vals, q = hermitian_eigen(a)
-        scale = mat_norm(a)
+        scale = tolerance(a, 1.0)
         assert np.abs(a @ q - q @ np.diag(vals)).max() <= 1e-9 * scale
         assert np.abs(q.conj().T @ q - np.eye(p)).max() <= 1e-9
         assert np.all(np.diff(vals) <= 1e-12 * scale)
         # trace identities
-        assert abs(np.sum(vals) - trace(a).real) <= 1e-9 * scale
-        assert abs(np.sum(vals ** 2) - trace(a @ a).real) <= 1e-9 * scale ** 2
+        assert abs(np.sum(vals) - np.trace(a).real) <= 1e-9 * scale
+        assert abs(np.sum(vals ** 2) - np.trace(a @ a).real) <= 1e-9 * scale ** 2
         # against the library oracle
         assert np.abs(np.sort(vals) - np.linalg.eigvalsh(a)).max() <= 1e-9 * scale
 
@@ -165,5 +169,38 @@ def test_is_hermitian_tolerance():
     assert not is_hermitian(PAPER_M)
 
 
-def test_mat_norm():
-    assert mat_norm(np.array([[0.0, -2.0], [1.0, 0.0]])) == 4.0
+def test_tolerance():
+    # rtol * max(p * max|a|, floor), and finite for every finite matrix
+    a = np.array([[0.0, -2.0], [1.0, 0.0]])
+    assert tolerance(a, 0.5) == 2.0
+    assert tolerance(a, 0.5, 10.0) == 5.0
+    assert tolerance(np.zeros((2, 2)), 1e-10, 1e-300) == 1e-10 * 1e-300
+    assert tolerance(0.1 * np.eye(2), 1e-12, 1.0) == 1e-12
+    assert tolerance(np.full((3, 3), 1e308), 1e-10) == 3 * (1e-10 * 1e308)
+    # an entry whose modulus passes the float range
+    assert math.isfinite(tolerance(np.array([[1.5e308 + 1.5e308j]]), 1e-10))
+
+
+def test_hermitian_check_near_the_float_range():
+    # the gap 1e308 passes any tolerance whose p * max|a| is inf
+    assert not is_hermitian([[1, 1e308], [0, 1]])
+    assert is_hermitian([[1, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian([[1.5e308 + 1.5e308j, 0], [0, 1]])
+
+
+def test_eigen_near_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, q = hermitian_eigen(np.diag([1e308, 1e308]))
+        assert vals.tolist() == [1e308, 1e308]
+        assert np.abs(q.conj().T @ q - np.eye(2)).max() < 1e-12
+        # eigenvalue 2e308, past the float range
+        with pytest.raises(NumericalError, match="overflows"):
+            hermitian_eigen(np.full((2, 2), 1e308))
+
+
+def test_noncentrality_near_the_float_range():
+    omega = WishartParams(3, 1e308 * np.eye(3), np.eye(3)).noncentrality()
+    assert np.array_equal(omega, 1e-308 * np.eye(3))

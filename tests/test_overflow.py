@@ -85,6 +85,14 @@ CASES.update({
     "distribution_identity_check": lambda: distribution_identity_check(
         _params(HUGE, None, "standard"), _params(HUGE, None, "standard", n=2),
         "df-additivity", 100, RngStream(1)),
+    # Sigma = 1e308 I, whose factor and tolerances are finite: the draws overflow
+    "estimate_joint_moment-float-max": lambda: estimate_joint_moment(
+        _params(1e308 * I2, None, "standard"), [I2], (1,), 10, RngStream(1)),
+    "estimate_trace_cumulants-float-max": lambda: estimate_trace_cumulants(
+        _params(1e308 * I2, None, "standard"), 2, 10, RngStream(1)),
+    "distribution_identity_check-float-max": lambda: distribution_identity_check(
+        _params(1e308 * I2, None, "standard"), _params(1e308 * I2, None, "standard", n=2),
+        "df-additivity", 10, RngStream(1)),
     # finite draws whose Python float powers raise OverflowError: the square
     # of a 1e200 central moment, and of the gap between two chunks' means
     "estimate_trace_cumulants-python-power": lambda: estimate_trace_cumulants(

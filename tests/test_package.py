@@ -28,17 +28,18 @@ EXPORTED = {
     "mc": ("Estimate", "RngStream", "distribution_identity_check",
            "estimate_generalized_moment", "estimate_joint_moment", "estimate_trace_cumulants",
            "haar_compression", "haar_power_sums", "haar_unitary", "sample_wishart"),
-    "model": ("CONVENTIONS", "TraceCache", "WishartParams", "build", "noncentrality"),
+    "model": ("CONVENTIONS", "MomentSequence", "TraceCache", "WishartParams", "build",
+              "noncentrality"),
     "multivariate": ("GeneralizedMomentExpansion", "a_product_moment",
                      "central_product_moment", "eta_moment", "eta_moment_strings",
                      "generalized_moment_expansion", "joint_cumulant",
                      "joint_cumulant_randomized", "joint_moment", "rho_moment",
                      "rho_moment_strings"),
-    "univariate": ("MomentSequence", "binomial_convolution_check", "central_cumulant",
-                   "central_moment", "compose_normalized_moments", "cumulant_sequence",
-                   "moment_sequence", "noncentral_cumulant", "noncentral_cumulant_eigen",
-                   "noncentral_moment", "noncentral_moment_bell",
-                   "normalized_cumulant_moments", "randomized_moment"),
+    "univariate": ("binomial_convolution_check", "central_cumulant", "central_moment",
+                   "compose_normalized_moments", "cumulant_sequence", "moment_sequence",
+                   "noncentral_cumulant", "noncentral_cumulant_eigen", "noncentral_moment",
+                   "noncentral_moment_bell", "normalized_cumulant_moments",
+                   "randomized_moment"),
 }
 NAMES = sorted(name for names in EXPORTED.values() for name in names)
 
@@ -87,6 +88,7 @@ def test_bare_import_loads_nothing_until_asked():
 @pytest.mark.parametrize("module, unloaded", [
     ("mc", ("applications", "combinatorics", "multivariate", "univariate")),
     ("applications", ("multivariate", "univariate")),
+    ("multivariate", ("applications", "mc", "univariate")),
 ])
 def test_engine_import_loads_only_what_it_computes_with(module, unloaded):
     # a module imports the names it needs for one route where that route
