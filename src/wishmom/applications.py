@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import matrix_core
-from .budgets import (POLYKAY_ORDERS, check_joint_weight, check_permanent_dimension, integer,
-                      integer_tuple)
+from .budgets import (check_joint_weight, check_permanent_dimension, check_polykay_order, integer,
+                      multi_index)
 from .combinatorics import KeptGrid, compose_grid, permutation_sum
 from .errors import (DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite,
                      finite_of)
@@ -83,9 +83,7 @@ def permanent_alpha(y, a: MomentSequence) -> complex:
 def repeated_matrix(t, i) -> np.ndarray:
     """T(i): row/column j of T repeated i_j times (the master-theorem target)."""
     t = matrix_core.as_matrix(t)
-    i = integer_tuple(i, "index")
-    if len(i) != t.shape[0]:
-        raise ValidationError("index length must match matrix dimension")
+    i = multi_index(i, t.shape[0])
     idx = [j for j, c in enumerate(i) for _ in range(c)]
     return t[np.ix_(idx, idx)]
 
@@ -116,9 +114,7 @@ def permanent_master(t, i, d_or_alpha) -> complex:
 
     t = matrix_core.as_matrix(t)
     m = t.shape[0]
-    kind = integer_tuple(i, "index")
-    if len(kind) != m:
-        raise ValidationError("index length must match matrix dimension")
+    kind = multi_index(i, m)
     weight = check_joint_weight(sum(kind))
     if weight == 0:
         return 1.0 + 0.0j
@@ -202,9 +198,7 @@ def polykay(sample: PolykaySample, order: int) -> float:
     order DegenerateSampleSizeError, and a value that overflows
     NumericalError.
     """
-    order = integer(order, "order")
-    if order not in POLYKAY_ORDERS:
-        raise ValidationError(f"order must be 1..4: {order}")
+    order = check_polykay_order(order)
     return finite_of(lambda: _polykay(sample.size, *sample.power_sums, order),
                      f"the polykay of order {order}")
 
@@ -221,7 +215,7 @@ def _polykay(m: int, s1: float, s2: float, s3: float, s4: float, order: int) -> 
             raise DegenerateSampleSizeError("order 3 needs a sample of size >= 3")
         return 2 * (2 * s1 ** 3 - 3 * m * s1 * s2 + m ** 2 * s3) / (
             m * (m ** 2 - 1) * (m ** 2 - 4))
-    # order 4, the last of POLYKAY_ORDERS
+    # order 4, the last of budgets.POLYKAY_ORDERS
     if m < 4:
         raise DegenerateSampleSizeError("order 4 needs a sample of size >= 4")
     return 6 * (-5 * s1 ** 4 + 10 * m * s1 ** 2 * s2 + (3 - 2 * m ** 2) * s2 ** 2

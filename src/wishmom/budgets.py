@@ -1,22 +1,24 @@
-"""The one reading of every request field, and the enumeration budgets.
+"""The one reading of every request field, and the one pricing of every
+request.
 
-This module imports neither numpy nor an engine, so the CLI reads a whole
-request with it before it loads either, and the engines read their
-arguments by the same rules.
+This module imports neither numpy nor an engine, so the CLI reads and
+prices a whole request with it before it loads either, and each engine
+reads and prices its arguments by the same rules.
 
 Every integer of a request (an order, an index or kind entry, a count, a
 size, a seed) is read by one rule, `integer`: an int, a numpy integer or
 an integral real is that non-negative int, so 2.0 counts as 2; True, 2.5,
 -1, "2", None and anything else that is not a non-negative integral
 number raise ValidationError naming the argument.  `integer_tuple` reads
-each entry of a sequence by it and rejects a bare string.  Degrees of
+each entry of a sequence by it and rejects a bare string, and
+`multi_index` reads a multi-index against its m directions.  Degrees of
 freedom are read by `positive_real`: an int, a float or a numpy real is
 that positive finite float; True, "3", 3+0j, None, 0, -1, inf and nan
 raise ValidationError naming the argument.  A sign convention is read by
 `convention`: one of `CONVENTIONS`, else ValidationError.  The other
 fixed sets of names and orders live here too: `IDENTITIES`, the
 distributional identities `mc` checks, and `POLYKAY_ORDERS`, the orders
-`applications.polykay` computes.
+`check_polykay_order` admits.
 
 Every combinatorially explosive operation caps one quantity of its request
 with a rule below.  A rule reads its value by `integer`, checks its least
@@ -29,15 +31,15 @@ weight, necklace weight, permutation degree, permanent dimension, product
 factors and expansion positions), and a rejection then names that
 variable; any other value raises ValidationError naming it.
 
-Three caps bound a cost, not an order, so the variable does not replace
-them and a larger order budget must not raise them; they are fixed, and
-no variable or argument changes them.  The Monte Carlo cap,
-`check_mc_variates`, bounds the random variates one call draws.  The
-partition-walk cap, `check_partition_walk`, bounds the integer partitions
-one call walks, counted from p(j) by Euler's pentagonal recurrence before
-the first walk.  The multi-index walk cap, `check_multiindex_walk`,
-bounds the multi-index partitions one walk visits, counted from the index
-alone before the walk.
+Three fixed caps bound a cost, not an order, so no variable or argument
+raises them; each is counted from the request before the first draw or
+walk.  The Monte Carlo cap, `check_mc_variates`, bounds the random
+variates one call draws (`check_identity_draws` for an identity check).
+The partition-walk cap bounds the integer partitions one call walks,
+counted from p(j) by Euler's pentagonal recurrence: `check_partition_walk`
+for `integer_partitions`, `check_sheffer_passes` for the Sheffer moments.
+The multi-index walk cap, `check_multiindex_walk`, bounds the partitions
+of a multi-index (`check_joint_moment` for a joint moment).
 """
 
 import itertools
@@ -45,7 +47,7 @@ import math
 import numbers
 import os
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 
 MAX_UNIVARIATE_ORDER = 20   # trace moment/cumulant order i
 MAX_JOINT_WEIGHT = 10       # |i| for joint moments/cumulants, necklaces and permanent_master
@@ -186,6 +188,29 @@ def check_mc_variates(variates: int, what: str) -> int:
     return variates
 
 
+def check_identity_draws(p: int, n_samples: int, what: str) -> int:
+    """The Monte Carlo cap on an identity check of `n_samples` samples of a p x p
+    law: three exact trace samples (the whole and both blocks), p variates a draw."""
+    return check_mc_variates(3 * p * n_samples, what)
+
+
+def check_polykay_order(order) -> int:
+    """A polykay order read by `integer`: one of POLYKAY_ORDERS, else ValidationError."""
+    order = integer(order, "order")
+    if order not in POLYKAY_ORDERS:
+        raise ValidationError(f"order must be 1..4: {order}")
+    return order
+
+
+def multi_index(values, m: int) -> tuple[int, ...]:
+    """`values` read by `integer_tuple` as the multi-index of m directions:
+    DimensionMismatchError unless it has m entries."""
+    index = integer_tuple(values, "index")
+    if len(index) != m:
+        raise DimensionMismatchError(f"index has {len(index)} components, expected {m}")
+    return index
+
+
 def _partition_numbers(cap: int) -> tuple[int, ...]:
     """p(0), p(1), ..., p(k), k the least order with p(k) > cap, by Euler's
     pentagonal recurrence p(j) = sum_{g >= 1} (-1)^(g+1) (p(j - g(3g-1)/2)
@@ -204,42 +229,41 @@ def _partition_numbers(cap: int) -> tuple[int, ...]:
 
 
 _PARTITION_NUMBERS = _partition_numbers(MAX_PARTITION_WALK)  # p(0..61)
+_SHEFFER_WALKS = tuple(itertools.accumulate(_PARTITION_NUMBERS))  # p(0) + ... + p(K)
 
 
-def sheffer_walk(orders):
-    """The order of every partition list that Sheffer passes to each order
-    in `orders` walk, for `check_partition_walk`: a pass to order K walks
-    the partitions of every order 0..K once."""
-    return (j for k in orders for j in range(k + 1))
-
-
-def check_partition_walk(orders, what: str) -> None:
+def check_partition_walk(orders, what: str, table=_PARTITION_NUMBERS) -> None:
     """The partition-walk cap: BudgetExceededError when `what` would walk
-    more than MAX_PARTITION_WALK integer partitions.
+    more than MAX_PARTITION_WALK integer partitions, one walk per entry j
+    of `orders`, of table[j] partitions (past the table, its last entry,
+    which is over the cap): p(j) by default, so `integer_partitions` of 60
+    (966,467) fits and of 61 does not.  The count stops past the cap."""
+    walked = itertools.accumulate(table[min(j, len(table) - 1)] for j in orders)
+    if any(total > MAX_PARTITION_WALK for total in walked):
+        raise BudgetExceededError(
+            f"{what} walks more than {MAX_PARTITION_WALK} integer partitions, "
+            f"over the partition-walk cap")
 
-    `orders` holds the order of every partition list the call walks, once
-    per walk (`sheffer_walk` for the Sheffer passes), and the cost is the
-    sum of p(j) over them, counted from the numbers of
-    `_partition_numbers` before the first walk.  The count stops once it
-    passes the cap, so a raised order budget costs the rule no more than
-    the cap's own orders.  The cap is fixed: `WISHMOM_MAX_BUDGET` does not
-    replace it.  It allows one Sheffer pass to order 48 (918,220
-    partitions; order 49 walks 1,091,745), `normalized_cumulant_moments`
-    to order 39, `binomial_convolution_check` to order 42 and
-    `integer_partitions` of 60.  Measured near the cap on one core of a
-    shared 2-core host (Python 3.11, numpy 2.4, p = 4), `moment_sequence`
-    to order 48 took 5.1 s and `normalized_cumulant_moments` to order 39
-    took 4.3 s; the default moment budget (20) walks at most 2,714
-    partitions a pass.
+
+def check_sheffer_passes(order, what: str, passes=lambda k: (k,)) -> int:
+    """The Sheffer-pass rule: `order` read by `check_moment_order`, then
+    the partition-walk cap on the passes to each order of `passes(order)`
+    (one pass to `order` by default), a pass to order K walking the
+    p(0) + ... + p(K) partitions of orders 0..K.  A raised order budget
+    costs the count no more than the cap's own orders.  A rejection names
+    "<what> order <order>".
+
+    The cap allows one pass to order 48 (918,220 partitions; order 49
+    walks 1,091,745), `normalized_cumulant_moments`, a pass to each order
+    1..K, to order 39, and `binomial_convolution_check`, three passes, to
+    order 42.  Measured near the cap on one core of a shared 2-core host
+    (Python 3.11, numpy 2.4, p = 4), `moment_sequence` to order 48 took
+    5.1 s and `normalized_cumulant_moments` to order 39 took 4.3 s; the
+    default moment budget (20) walks at most 2,714 partitions a pass.
     """
-    walked, numbers = 0, _PARTITION_NUMBERS
-    for j in orders:
-        # past the table p(j) exceeds its last entry, which is over the cap
-        walked += numbers[j] if j < len(numbers) else numbers[-1]
-        if walked > MAX_PARTITION_WALK:
-            raise BudgetExceededError(
-                f"{what} walks more than {MAX_PARTITION_WALK} integer partitions, "
-                f"over the partition-walk cap")
+    order = check_moment_order(order)
+    check_partition_walk(passes(order), f"{what} order {order}", _SHEFFER_WALKS)
+    return order
 
 
 def _multiindex_partitions_over(t, cap: int) -> bool:
@@ -284,10 +308,10 @@ def _multiindex_partitions_over(t, cap: int) -> bool:
     return False
 
 
-def check_multiindex_walk(t, what: str) -> None:
-    """The multi-index walk cap: BudgetExceededError when `what` would walk
-    more than MAX_MULTIINDEX_WALK partitions of the multi-index t, a tuple
-    of non-negative ints (as `integer_tuple` reads it).
+def check_multiindex_walk(t) -> None:
+    """The multi-index walk cap: BudgetExceededError when the multi-index
+    t, non-negative ints, has more than MAX_MULTIINDEX_WALK partitions,
+    the walk of `combinatorics.multiindex_partitions`.
 
     Only a t of weight above the default joint-weight budget is counted
     (`_multiindex_partitions_over`): within it no index has more
@@ -307,5 +331,14 @@ def check_multiindex_walk(t, what: str) -> None:
     """
     if sum(t) > MAX_JOINT_WEIGHT and _multiindex_partitions_over(t, MAX_MULTIINDEX_WALK):
         raise BudgetExceededError(
-            f"{what} walks more than {MAX_MULTIINDEX_WALK} multi-index partitions, "
+            f"index {t} has more than {MAX_MULTIINDEX_WALK} multi-index partitions, "
             f"over the multi-index walk cap")
+
+
+def check_joint_moment(index) -> int:
+    """The joint-moment rule: the weight of the multi-index, then its
+    partitions (`check_multiindex_walk`); returns the weight.  `joint_moment`
+    takes the second step inside `multiindex_partitions`: one count."""
+    weight = check_joint_weight(sum(index))
+    check_multiindex_walk(index)
+    return weight

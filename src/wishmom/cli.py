@@ -20,11 +20,13 @@ A request loads only what its subcommand uses, and is checked in three
 steps.  First its shape: argument parsing, reading the JSON input, the
 convention, and the checks on --kind, --order, --seed, --d, on the index
 (or permutation) and on the 'h' list's presence and length (exit 2).
-Then its budget, by the rule in `budgets` for the quantity the subcommand
-enumerates (exit 4).  Both steps run before numpy is imported; each
+Then its budget (exit 4).  Both steps run before numpy is imported; each
 subcommand imports its engine after them, then reads the matrices and
 computes (exit 2 or 3).  So `necklaces`, and a request rejected by its
-shape or its budget, never load numpy.
+shape or its budget, never load numpy.  Every check its engine makes too
+is the engine's own rule in `budgets` (the multi-index, the polykay order,
+the Sheffer pass, the joint moment, the identity draws), so the two reject
+a request with one message; this module prices nothing itself.
 
 Input schema:
     {"n": number,
@@ -48,7 +50,6 @@ from typing import TYPE_CHECKING
 from . import __version__, budgets
 from .errors import (
     BudgetExceededError,
-    DimensionMismatchError,
     NumericalError,
     ValidationError,
     WishmomError,
@@ -255,10 +256,7 @@ def _cmd_sequence(doc, args, convention, sequence: str, check_order):
 
 
 def _cmd_joint(doc, args, convention, of_index: str, check_index):
-    index = _index_from(doc, args)
-    m = _h_count(doc)
-    if len(index) != m:
-        raise DimensionMismatchError(f"index has {len(index)} components, expected {m}")
+    index = budgets.multi_index(_index_from(doc, args), _h_count(doc))
     check_index(index)
     h = _h_list(doc)
     params = _params_from(doc, convention)
@@ -273,8 +271,7 @@ def _cmd_generalized(doc, args, convention):
 
     images = _index_from(doc, args)  # one-line permutation images
     perm = combinatorics.CyclePermutation.from_images(images)
-    if perm.size != _h_count(doc):
-        raise DimensionMismatchError("permutation size must match len(h)")
+    combinatorics.CyclePermutation.checked(perm, _h_count(doc))
     budgets.check_expansion_positions(perm.size)
     h = _h_list(doc)
     params = _params_from(doc, convention)
@@ -330,8 +327,7 @@ def _cmd_polykay(doc, args, convention):
     if "sigma" not in doc:
         raise ValidationError("polykay needs a Hermitian matrix in 'sigma'")
     orders = _orders(args)
-    if args.order not in budgets.POLYKAY_ORDERS:
-        raise ValidationError(f"--order must be 1..4 for polykay: {args.order}")
+    budgets.check_polykay_order(args.order)
     x = _matrix_from(doc["sigma"], "sigma")
     from . import applications, matrix_core
 
@@ -368,9 +364,8 @@ def _cmd_mc_verify(doc, args, convention):
     if args.n2 is not None and budgets.integer(args.n2, "--n2") < 1:
         raise ValidationError(f"--n2 must be >= 1: {args.n2}")
     sigma = doc.get("sigma")
-    if args.samples > 0 and isinstance(sigma, dict) and isinstance(sigma.get("re"), list):
-        # three exact trace samples of --samples draws, p variates a draw
-        budgets.check_mc_variates(3 * len(sigma["re"]) * args.samples, "mc-verify")
+    if isinstance(sigma, dict) and isinstance(sigma.get("re"), list):
+        budgets.check_identity_draws(len(sigma["re"]), args.samples, "mc-verify")
     params = _params_from(doc, convention)
     from . import mc, model
 
@@ -388,28 +383,14 @@ def _cmd_mc_verify(doc, args, convention):
     return mc.distribution_identity_check(p1, p2, args.identity, args.samples, stream)
 
 
-def _check_moment_sequence(order):
-    """The budget of `univariate.moment_sequence`: its order, then the
-    partitions its one Sheffer pass walks."""
-    budgets.check_moment_order(order)
-    budgets.check_partition_walk(budgets.sheffer_walk((order,)),
-                                 f"moment sequence to order {order}")
-
-
-def _check_joint_moment(index):
-    """The budget of `multivariate.joint_moment`: its weight, then the
-    multi-index partitions its walk visits."""
-    budgets.check_joint_weight(sum(index))
-    budgets.check_multiindex_walk(index, f"joint moment of index {index}")
-
-
 _COMMANDS = {
     "moments": (lambda doc, args, convention: _cmd_sequence(
-        doc, args, convention, "moment_sequence", _check_moment_sequence), True),
+        doc, args, convention, "moment_sequence",
+        lambda order: budgets.check_sheffer_passes(order, "moment sequence to")), True),
     "cumulants": (lambda doc, args, convention: _cmd_sequence(
         doc, args, convention, "cumulant_sequence", budgets.check_cumulant_order), True),
     "joint-moments": (lambda doc, args, convention: _cmd_joint(
-        doc, args, convention, "joint_moment", _check_joint_moment), True),
+        doc, args, convention, "joint_moment", budgets.check_joint_moment), True),
     "joint-cumulants": (lambda doc, args, convention: _cmd_joint(
         doc, args, convention, "joint_cumulant",
         lambda index: budgets.check_joint_weight(sum(index))), True),

@@ -392,7 +392,7 @@ def multiindex_partitions(t) -> list[MultiIndexPartition]:
     (`budgets.check_multiindex_walk`).
     """
     t = integer_tuple(t, "multi-index")
-    check_multiindex_walk(t, f"multiindex_partitions({t})")
+    check_multiindex_walk(t)
     if all(v == 0 for v in t):
         return [MultiIndexPartition._of((), ())]
 

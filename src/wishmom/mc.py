@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import matrix_core
-from .budgets import IDENTITIES, check_mc_variates, integer, integer_tuple
+from .budgets import IDENTITIES, check_identity_draws, check_mc_variates, integer, multi_index
 from .errors import (
     DimensionMismatchError,
     NonIntegerNError,
@@ -320,6 +320,7 @@ def _row_direction_traces(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.vecdot(x.reshape(b, -1), xh.reshape(b, -1))
 
 
+@matrix_core.quiet
 def sample_wishart(params: WishartParams, means=None, rng=None) -> np.ndarray:
     """One draw of the p x p Wishart matrix.
 
@@ -327,9 +328,12 @@ def sample_wishart(params: WishartParams, means=None, rng=None) -> np.ndarray:
     factor F of Sigma (F^H F = Sigma), shifted by its mean row.  When
     `means` is given (an (n, p) array) it overrides params.m_matrix for this
     draw; otherwise mean rows are derived from M, which must then be
-    Hermitian PSD of rank <= n.
+    Hermitian PSD of rank <= n.  A draw with an entry that overflows
+    raises NumericalError.
     """
-    return _gram(next(_row_batches(params, means, _as_generator(rng), 1)))[0]
+    w = _gram(next(_row_batches(params, means, _as_generator(rng), 1)))[0]
+    finite(w.flat[np.argmin(np.isfinite(w))], "a Wishart draw")  # its first non-finite entry
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +352,7 @@ def estimate_joint_moment(params: WishartParams, h, i, n_samples, rng) -> Estima
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     hs = matrix_core.square_matrices(h, params.p)
-    kind = integer_tuple(i, "index")
-    if len(kind) != len(hs):
-        raise DimensionMismatchError("index length must match len(h)")
+    kind = multi_index(i, len(hs))
     factors = [((hk,), ik) for hk, ik in zip(hs, kind) if ik]
     return _row_estimate(params, factors, n_samples, rng, "estimate_joint_moment",
                          "joint moment estimate")
@@ -516,10 +518,12 @@ def _compression_sums(x: np.ndarray, m: int, frames: np.ndarray) -> tuple:
             np.vecdot(flat2, flat).real, np.vecdot(flat2, flat2).real)
 
 
+@matrix_core.quiet
 def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
     """Power sums Tr Y^k, k = 1..4, of `count` independent compressions
     Y = H X H^dag by Haar m x p frames H: a (count, 4) array, one row per
-    draw.  The draws run in chunks, one stacked QR each.
+    draw.  The draws run in chunks, one stacked QR each.  A power sum that
+    overflows raises NumericalError.
 
     Row s equals the power sums of the s-th of `count` successive
     `haar_compression(x, m, gen)` calls on the same generator, bit for bit.
@@ -533,6 +537,7 @@ def haar_power_sums(x, m: int, count: int, rng) -> np.ndarray:
         c = min(_HAAR_CHUNK, count - lo)
         sums = _compression_sums(x, m, _haar_unitaries(x.shape[0], c, gen))
         out[lo:lo + c] = np.column_stack(sums)
+        finite(float(np.abs(out[lo:lo + c]).max()), "a Haar power sum")
     return out
 
 
@@ -580,8 +585,7 @@ def distribution_identity_check(params1: WishartParams, params2: WishartParams,
         raise ValidationError("n_samples must be >= 1")
 
     n1, n2 = _integer_n(params1), _integer_n(params2)
-    # three trace samples of n_samples draws each: the whole and both blocks
-    check_mc_variates(3 * params1.p * n_samples, "distribution_identity_check")
+    check_identity_draws(params1.p, n_samples, "distribution_identity_check")
     whole, _ = build(n1 + n2, params1.sigma,
                      params1.m_matrix + params2.m_matrix, "standard")
     gen_l, gen_a, gen_b = rng.substreams(3)

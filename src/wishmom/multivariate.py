@@ -83,9 +83,8 @@ from . import matrix_core
 from .budgets import (
     check_expansion_positions,
     check_joint_weight,
-    check_multiindex_walk,
     check_product_factors,
-    integer_tuple,
+    multi_index,
 )
 from .combinatorics import (
     CyclePermutation,
@@ -100,7 +99,6 @@ from .combinatorics import (
     permutation_sum,
 )
 from .errors import (
-    DimensionMismatchError,
     InsufficientOrdersError,
     ValidationError,
     finite,
@@ -115,27 +113,23 @@ def _directions(params: WishartParams, h) -> tuple[list[np.ndarray], list[np.nda
     return hs, [params.sigma @ hk for hk in hs]
 
 
-def _heads(params: WishartParams, hs) -> list[np.ndarray]:
-    """[L H_1, ..., L H_m], the first factors of the non-centrality words.
-
-    The one place the sign convention orders a word: L = M under
-    "standard", and L = Omega Sigma = Sigma^-1 M Sigma under "paper", whose
-    solve needs a nonsingular Sigma.  L = M = 0 when M = 0, with no solve.
-    """
+def _head(params: WishartParams) -> np.ndarray:
+    """L, the first factor of the non-centrality words, and the one place
+    the sign convention orders a word: L = M under "standard", and
+    L = Omega Sigma = Sigma^-1 M Sigma under "paper", whose solve needs a
+    nonsingular Sigma.  L = M = 0 when M = 0, with no solve."""
     paper = params.convention == "paper" and not params.is_central
-    head = params.noncentrality() @ params.sigma if paper else params.m_matrix
+    return params.noncentrality() @ params.sigma if paper else params.m_matrix
+
+
+def _heads(params: WishartParams, hs) -> list[np.ndarray]:
+    """[L H_1, ..., L H_m] (`_head`)."""
+    head = _head(params)
     return [head @ hk for hk in hs]
 
 
-def _as_kind(i, m: int) -> tuple[int, ...]:
-    kind = integer_tuple(i, "index")
-    if len(kind) != m:
-        raise DimensionMismatchError(f"index has {len(kind)} components, expected {m}")
-    return kind
-
-
 def _nonzero_kind(i, h, what: str) -> tuple[int, ...]:
-    kind = _as_kind(i, len(h))
+    kind = multi_index(i, len(h))
     if sum(kind) < 1:
         raise ValidationError(f"{what} needs |i| >= 1")
     return kind
@@ -206,15 +200,12 @@ def rho_table(factors, kind) -> np.ndarray:
     (Sigma H_1, ..., Sigma H_m): an array of shape kind + 1, with
     rho[v] = Tr S[v] / |v| and 0 at the origin.
 
-    `kind` is read by `integer_tuple` and capped by `check_joint_weight`;
-    one factor per component of `kind`, the factors read by
+    `kind` is read by `budgets.multi_index` against one factor per
+    component and capped by `check_joint_weight`, the factors read by
     `matrix_core.square_matrices` (square matrices of numbers, of one
     size), or ValidationError / DimensionMismatchError."""
-    kind = integer_tuple(kind, "kind")
+    kind = multi_index(kind, len(factors))
     check_joint_weight(sum(kind))
-    if len(factors) != len(kind):
-        raise DimensionMismatchError(
-            f"{len(factors)} factors for a kind of {len(kind)} components")
     return _tables(matrix_core.square_matrices(factors, None), (), kind)[0]
 
 
@@ -233,18 +224,19 @@ _kept_tables = KeptGrid()
 _kept_randomized = KeptGrid()
 
 
-def _base_tables(params: WishartParams, h, kind) -> tuple[np.ndarray, np.ndarray]:
+def _base_tables(params: WishartParams, h, kind, content=None) -> tuple[np.ndarray, np.ndarray]:
     """(rho, eta) of every sub-index v <= kind on the directions h, with
     the heads of the sign convention, read-only; a central model has
     eta = 0 and forms no heads.
 
-    h is validated on every call.  The tables come from `_kept_tables`:
-    a slice of the kept grid when it holds the same content and covers
-    kind, else built on a grown grid or on kind alone, and kept.  `_tables`
-    makes a slice equal a cold call bit for bit, so no value depends on
-    which calls came before.
+    h is validated on every call, by `_content` unless the caller passes
+    its `content`.  The tables come from `_kept_tables`: a slice of the
+    kept grid when it holds the same content and covers kind, else built
+    on a grown grid or on kind alone, and kept.  `_tables` makes a slice
+    equal a cold call bit for bit, so no value depends on which calls came
+    before.
     """
-    hs, key = _content(params, h)
+    hs, key = content or _content(params, h)
 
     def build(grid):
         sh = [params.sigma @ hk for hk in hs]
@@ -309,10 +301,10 @@ def _index_factorial(kind) -> int:
     return math.prod(math.factorial(v) for v in kind)
 
 
-def _cumulant_table(params: WishartParams, h, kind) -> np.ndarray:
+def _cumulant_table(params: WishartParams, h, kind, content=None) -> np.ndarray:
     """K[u] = kappa[u] / u! = n rho[u] + sign eta[u] of every u <= kind, an
     array of shape kind + 1, 0 at the origin."""
-    rho, eta = _base_tables(params, h, kind)
+    rho, eta = _base_tables(params, h, kind, content)
     return params.n * rho + params.sign * eta
 
 
@@ -324,18 +316,19 @@ def joint_moment(params: WishartParams, h, i) -> complex:
     i! times the partition sum of prod K[col]^r / prod r! over the
     multi-index partitions of i.  Under "paper" eta needs Omega, hence a
     nonsingular Sigma, unless M = 0; under "standard" any Sigma will do.
-    Above the default joint-weight budget the partitions are counted
-    before the tables are built, and more than the fixed multi-index walk
-    cap raise BudgetExceededError (`budgets.check_multiindex_walk`).
+    Priced by `budgets.check_joint_moment`'s two steps, the weight and then
+    the partitions, counted once in `multiindex_partitions` after h and the
+    head are read, before any table: BudgetExceededError past the cap.
     """
-    kind = _as_kind(i, len(h))
-    weight = check_joint_weight(sum(kind))
-    if weight == 0:
+    kind = multi_index(i, len(h))
+    if check_joint_weight(sum(kind)) == 0:
         return 1.0 + 0.0j
-    check_multiindex_walk(kind, f"joint moment of index {kind}")
-    table = _cumulant_table(params, h, kind)
+    content = _content(params, h)
+    _head(params)  # a singular Sigma is rejected before the walk, as h is
+    partitions = multiindex_partitions(kind)
     return finite_of(lambda total: _index_factorial(kind) * total, "joint moment",
-                     partition_sum(multiindex_partitions(kind), table, lambda l: 1))
+                     partition_sum(partitions, _cumulant_table(params, h, kind, content),
+                                   lambda l: 1))
 
 
 @matrix_core.quiet

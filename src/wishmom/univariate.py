@@ -36,11 +36,10 @@ holds 2,714 partitions, each with its record, (counts, length,
 prod r_j!), computed once when kept, about 0.92 MB in all, so a walk
 reads each record and counts nothing.  An order above 20, reachable only
 under `WISHMOM_MAX_BUDGET`, is enumerated on every read and never kept.
-Every Sheffer route counts the partitions its passes will walk before the
-first one, by `budgets.check_partition_walk`, and raises
-BudgetExceededError past the fixed cap of 10^6 whatever the order budget:
-one pass reaches order 48.  R's series form, exp(n T(z)), waits for a
-benchmark change (ROADMAP.md).
+Every Sheffer route prices its passes by one rule before the first walk,
+`budgets.check_sheffer_passes`: BudgetExceededError past the fixed cap of
+10^6 partitions whatever the order budget (one pass reaches order 48).
+R's series form, exp(n T(z)), waits for a benchmark change (ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ import math
 import numpy as np
 
 from . import matrix_core
-from .budgets import (check_cumulant_order, check_moment_order, check_partition_walk, integer,
-                      positive_real, sheffer_walk)
+from .budgets import (check_cumulant_order, check_moment_order, check_sheffer_passes, integer,
+                      positive_real)
 from .combinatorics import (
     complete_bell,
     complex_fsum,
@@ -216,8 +215,7 @@ def noncentral_moment(params: WishartParams, i: int) -> complex:
     Raises BudgetExceededError, before any walk, when the pass would walk
     more partitions than `budgets.MAX_PARTITION_WALK`.
     """
-    i = check_moment_order(i)
-    check_partition_walk(sheffer_walk((i,)), f"moment of order {i}")
+    i = check_sheffer_passes(i, "moment of")
     if i == 0:
         return 1.0 + 0.0j
     return _sheffer_moment(*_sheffer_parts(params, i), i)
@@ -251,8 +249,7 @@ def moment_sequence(params: WishartParams, i_max: int) -> MomentSequence:
     up to i_max, and every order is one convolution of them.  Raises
     NumericalError when an order overflows, and BudgetExceededError when
     the pass would walk more partitions than the partition-walk cap."""
-    i_max = check_moment_order(i_max)
-    check_partition_walk(sheffer_walk((i_max,)), f"moment sequence to order {i_max}")
+    i_max = check_sheffer_passes(i_max, "moment sequence to")
     return MomentSequence.from_moments(_sheffer_moments(params, i_max)[1:])
 
 
@@ -314,11 +311,9 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     of every order are checked together against the partition-walk cap
     before the first: order 39 fits, order 40 raises BudgetExceededError.
     """
-    i_max = check_moment_order(i_max)
+    i_max = check_sheffer_passes(i_max, "normalized moments to", lambda k: range(1, k + 1))
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
-    check_partition_walk(sheffer_walk(range(1, i_max + 1)),
-                         f"normalized moments to order {i_max}")
     params.trace_cache(i_max)  # one extension to i_max, not one per order
     p = params.p
     e = [1.0 + 0.0j]
@@ -355,6 +350,7 @@ def compose_normalized_moments(e: MomentSequence, p: int, i: int) -> complex:
 # convolution identities
 # ---------------------------------------------------------------------------
 
+@matrix_core.quiet  # a split whose sum overflows fails the M-split test
 def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
                                i_max: int, m_split=None) -> dict[int, float]:
     """Verify the binomial convolution of trace moment sequences.
@@ -373,11 +369,9 @@ def binomial_convolution_check(params: WishartParams, n1: float, n2: float,
     parameters are built.
     """
     n1, n2 = positive_real(n1, "n1"), positive_real(n2, "n2")
-    i_max = check_moment_order(i_max)
+    i_max = check_sheffer_passes(i_max, "binomial convolution check to", lambda k: (k,) * 3)
     if i_max < 1:
         raise ValidationError(f"i_max must be >= 1: {i_max}")
-    check_partition_walk(sheffer_walk((i_max,) * 3),
-                         f"binomial convolution check to order {i_max}")
     sigma, conv = params.sigma, params.convention
     if m_split is None:
         m1, m2 = params.m_matrix, None

@@ -12,12 +12,14 @@ import pytest
 from wishmom import (
     BudgetExceededError,
     CyclePermutation,
+    DimensionMismatchError,
     IntegerPartition,
     MomentSequence,
     MultiIndexPartition,
     Necklace,
     PolykaySample,
     RngStream,
+    SingularMatrixError,
     ValidationError,
     WishartParams,
     binomial_convolution_check,
@@ -27,12 +29,14 @@ from wishmom import (
     complete_homogeneous,
     compose_normalized_moments,
     cumulant_sequence,
+    estimate_joint_moment,
     estimate_trace_cumulants,
     falling_factorial,
     haar_compression,
     haar_power_sums,
     haar_unitary,
     integer_partitions,
+    joint_cumulant,
     joint_moment,
     moment_sequence,
     noncentral_cumulant,
@@ -41,6 +45,7 @@ from wishmom import (
     noncentral_moment_bell,
     normalized_cumulant_moments,
     partition_coefficients,
+    permanent_master,
     permutations_by_cycles,
     polykay,
     randomized_moment,
@@ -174,8 +179,8 @@ def test_the_monte_carlo_cap_is_fixed(monkeypatch, override):
 
 @pytest.mark.parametrize("override", [None, "1000000000000"])
 def test_the_partition_walk_cap_is_fixed(monkeypatch, override):
-    # a cost, like the Monte Carlo cap: counted from p(j) before any walk,
-    # and the order budgets' variable does not raise it
+    # a cost, like the Monte Carlo cap: counted from p(i) before the
+    # enumeration, and the order budgets' variable does not raise it
     from wishmom import budgets
 
     monkeypatch.delenv("WISHMOM_MAX_BUDGET", raising=False)
@@ -187,20 +192,41 @@ def test_the_partition_walk_cap_is_fixed(monkeypatch, override):
     numbers = budgets._PARTITION_NUMBERS
     assert list(numbers[:31]) == [len(integer_partitions(j)) for j in range(31)]
     assert numbers[60:] == (966467, 1121505)
-    assert sum(numbers[:21]) == 2714  # one pass at the default moment budget
     walk = budgets.check_partition_walk
     walk((60,), "p(60)")  # 966,467
-    walk(budgets.sheffer_walk((48,)), "a pass to order 48")  # 918,220
-    walk(budgets.sheffer_walk(range(1, 40)), "passes to orders 1..39")  # 963,319
-    walk(budgets.sheffer_walk((42,) * 3), "three passes to order 42")  # 939,195
     message = f"^{{}} walks more than {cap} integer partitions, over the partition-walk cap$"
-    for orders, what in (((61,), "p(61)"), (budgets.sheffer_walk((49,)), "order 49"),
-                         (budgets.sheffer_walk(range(1, 41)), "orders 1..40"),
-                         (budgets.sheffer_walk((43,) * 3), "three of order 43"),
-                         (itertools.repeat(0), "endless empty partitions"),
-                         (budgets.sheffer_walk((10 ** 12,)), "order 10^12")):
+    for orders, what in (((61,), "p(61)"), (itertools.repeat(0), "endless empty partitions"),
+                         ((10 ** 12,), "p(10^12)")):
         with pytest.raises(BudgetExceededError, match=message.format(re.escape(what))):
             walk(orders, what)
+
+
+@pytest.mark.parametrize("override", ["200", "1000000000000"])
+def test_the_sheffer_pass_rule_is_fixed(monkeypatch, override):
+    # the order, read by the moment budget, then the partition-walk cap on
+    # the passes, each to order K walking p(0) + ... + p(K) partitions:
+    # the variable raises the order, not the cap
+    from wishmom import budgets
+
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", override)
+    cap, top = budgets.MAX_PARTITION_WALK, int(override)
+    walks = budgets._SHEFFER_WALKS
+    assert list(walks) == [sum(budgets._PARTITION_NUMBERS[:k + 1]) for k in range(len(walks))]
+    assert walks[20] == 2714  # one pass at the default moment budget
+    rule = budgets.check_sheffer_passes
+    every, three = (lambda k: range(1, k + 1)), (lambda k: (k,) * 3)
+    assert rule(48, "a pass to") == 48  # 918,220
+    assert rule(39, "passes to", every) == 39  # 963,319
+    assert rule(42, "three passes to", three) == 42  # 939,195
+    message = f"^{{}} walks more than {cap} integer partitions, over the partition-walk cap$"
+    for order, what, passes in ((49, "a pass to", None), (40, "passes to", every),
+                                (43, "three passes to", three), (top, "a pass to", None),
+                                (0, "endless passes to", itertools.repeat)):
+        named = re.escape(f"{what} order {order}")
+        with pytest.raises(BudgetExceededError, match=message.format(named)):
+            rule(order, what) if passes is None else rule(order, what, passes)
+    with pytest.raises(BudgetExceededError, match=f"^moment order={top + 1} exceeds budget"):
+        rule(top + 1, "a pass to")
 
 
 @pytest.mark.parametrize("override", [None, "200"])
@@ -226,20 +252,78 @@ def test_the_multiindex_walk_cap_is_fixed(monkeypatch, override):
     assert not over((1,) * 10, 115975) and over((1,) * 10, 115974)
     assert cap >= 115975
     walk = budgets.check_multiindex_walk
-    walk((1,) * 10, "Bell(10)")
-    walk((5, 5, 5), "(5, 5, 5)")  # 58,616
-    message = f"^{{}} walks more than {cap} multi-index partitions, over the multi-index walk cap$"
+    walk((1,) * 10)  # Bell(10)
+    walk((5, 5, 5))  # 58,616
+    message = (f"^index {{}} has more than {cap} multi-index partitions, "
+               "over the multi-index walk cap$")
     for t in ((6, 6, 6), (7, 7, 7), (1,) * 11, (30, 30), (10 ** 12,), (1,) * 10 ** 5):
-        what = f"index of weight {sum(t)}"
         start = time.process_time()
-        with pytest.raises(BudgetExceededError, match=message.format(re.escape(what))):
-            walk(t, what)
+        with pytest.raises(BudgetExceededError) as raised:
+            walk(t)
         assert time.process_time() - start < 0.5
+        assert re.match(message.format(re.escape(str(t))), str(raised.value))
     if override:
-        with pytest.raises(BudgetExceededError, match="multi-index walk cap"):
-            multiindex_partitions((7, 7, 7))
-        with pytest.raises(BudgetExceededError, match="multi-index walk cap"):
-            joint_moment(build(3, np.eye(2))[0], [np.eye(2)] * 3, (7, 7, 7))
+        # the enumerator, the joint moment and the joint-moment rule give
+        # one rejection, worded for the index alone
+        want = "index (7, 7, 7) has more than 115975 multi-index partitions"
+        for call in (lambda: multiindex_partitions((7, 7, 7)),
+                     lambda: joint_moment(build(3, np.eye(2))[0], [np.eye(2)] * 3, (7, 7, 7)),
+                     lambda: budgets.check_joint_moment((7, 7, 7))):
+            with pytest.raises(BudgetExceededError, match=re.escape(want)):
+                call()
+
+
+def test_joint_moment_counts_its_partitions_once(monkeypatch):
+    # the count inside `multiindex_partitions` is the call's one count, an
+    # index over the cap is rejected before any table is built, and a
+    # wrong direction or a singular Sigma under "paper" before the walk
+    from wishmom import budgets, multivariate
+
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    counted = []
+    count = budgets._multiindex_partitions_over
+    monkeypatch.setattr(budgets, "_multiindex_partitions_over",
+                        lambda t, cap: counted.append(t) or count(t, cap))
+    params, h = build(3, np.eye(2))[0], [np.eye(2)] * 3
+    joint_moment(params, h, (4, 4, 3))
+    assert counted == [(4, 4, 3)]
+
+    def refuse(*args):
+        raise AssertionError("work on a rejected request")
+
+    monkeypatch.setattr(multivariate, "_tables", refuse)
+    with pytest.raises(BudgetExceededError, match="multi-index walk cap"):
+        joint_moment(params, h, (6, 6, 6))
+    monkeypatch.setattr(multivariate, "multiindex_partitions", refuse)
+    with pytest.raises(DimensionMismatchError, match="must match params dimension"):
+        joint_moment(params, [np.eye(3)] * 3, (4, 4, 3))
+    singular = build(3, np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), "paper")[0]
+    with pytest.raises(SingularMatrixError):
+        joint_moment(singular, h, (4, 4, 3))
+
+
+def test_a_wrong_length_index_is_one_dimension_mismatch(tmp_path):
+    # three entries against two directions (or a 2 x 2 matrix): one reader,
+    # `budgets.multi_index`, for every route and the CLI
+    import json
+
+    from wishmom.cli import run
+
+    message = "index has 3 components, expected 2"
+    h, t = [np.eye(2), np.eye(2)], np.eye(2)
+    for call in (lambda: joint_moment(_PARAMS, h, (1, 1, 1)),
+                 lambda: joint_cumulant(_PARAMS, h, (1, 1, 1)),
+                 lambda: permanent_master(t, (1, 1, 1), 1.0),
+                 lambda: repeated_matrix(t, (1, 1, 1)),
+                 lambda: estimate_joint_moment(_PARAMS, h, (1, 1, 1), 10, RngStream(1))):
+        with pytest.raises(DimensionMismatchError) as raised:
+            call()
+        assert str(raised.value) == message
+    path = tmp_path / "joint.json"
+    eye = {"re": np.eye(2).tolist()}
+    path.write_text(json.dumps({"n": 3, "sigma": eye, "h": [eye, eye]}))
+    assert run(["joint-moments", str(path), "--index", "1,1,1"]) == (
+        2, f"validation error: {message}\n")
 
 
 def test_the_budget_variable_is_a_plain_decimal(monkeypatch):

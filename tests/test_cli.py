@@ -185,13 +185,13 @@ def test_polykay_command(tmp_path):
 
 @pytest.mark.parametrize("order", ["5", "9"])
 def test_polykay_order_past_four_names_the_option(tmp_path, order):
-    # rejected from the request's shape, before the matrix is read: a 2 x 2
-    # input would otherwise report that order 3 needs a larger sample
+    # rejected from the request's shape, before the matrix is read, by the
+    # library's order rule: a 2 x 2 input would otherwise report that
+    # order 3 needs a larger sample
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"n": 1, "sigma": matrix_doc(np.eye(2))}))
     code, out = run(["polykay", str(path), "--order", order])
-    assert code == 2
-    assert out.startswith("validation error") and "--order" in out
+    assert (code, out) == (2, f"validation error: order must be 1..4: {order}\n")
 
 
 def test_exit_code_numerical(tmp_path):
@@ -322,6 +322,56 @@ def test_moments_past_the_partition_walk_cap_exit_4_at_once(tmp_path, capsys, mo
     assert captured.err == ("budget exceeded: moment sequence to order 171 walks more than "
                             "1000000 integer partitions, over the partition-walk cap\n")
     assert elapsed < 0.1
+
+
+def _identity_check(n_samples):
+    from wishmom import RngStream, build, distribution_identity_check
+
+    params = build(3, np.eye(2), None, "standard")[0]
+    return distribution_identity_check(params, params, "sheffer", n_samples, RngStream(0))
+
+
+# (request, the library's call on it, the rule on it as the CLI and as
+# the library name the call): the CLI prices a request by its engine's rule
+_ONE_RULE = {
+    "moments": (["moments", "--order", "171"],
+                lambda params, h: wishmom.moment_sequence(params, 171),
+                lambda what: wishmom.budgets.check_sheffer_passes(171, "moment sequence to")),
+    "joint-moments": (["joint-moments", "--index", "7,7,7"],
+                      lambda params, h: wishmom.joint_moment(params, h, (7, 7, 7)),
+                      lambda what: wishmom.budgets.check_joint_moment((7, 7, 7))),
+    "mc-verify": (["mc-verify", "--samples", "1000000000000"],
+                  lambda params, h: _identity_check(10 ** 12),
+                  lambda what: wishmom.budgets.check_identity_draws(2, 10 ** 12, what)),
+    "polykay": (["polykay", "--order", "5"],
+                lambda params, h: wishmom.polykay(wishmom.PolykaySample(2, (1.0,) * 4), 5),
+                lambda what: wishmom.budgets.check_polykay_order(5)),
+}
+
+
+@pytest.mark.parametrize("case", _ONE_RULE)
+def test_the_cli_and_the_library_reject_by_one_rule(tmp_path, capsys, monkeypatch, case):
+    # under a raised order budget, which lifts none of these rejections
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "200")
+    args, library, rule = _ONE_RULE[case]
+    eye = matrix_doc(np.eye(2))
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({"n": 3, "sigma": eye, "h": [eye] * 3}))
+    params = wishmom.build(3, np.eye(2))[0]
+    errors = []
+    for call in (lambda: library(params, [np.eye(2)] * 3), lambda: rule("mc-verify"),
+                 lambda: rule("distribution_identity_check")):
+        with pytest.raises(wishmom.WishmomError) as raised:
+            call()
+        errors.append(raised.value)
+    library_error, cli_rule, library_rule = errors
+    assert type(library_error) is type(library_rule)
+    assert str(library_error) == str(library_rule)
+    code = main([args[0], str(path), *args[1:]])
+    captured = capsys.readouterr()
+    budget = isinstance(cli_rule, wishmom.BudgetExceededError)
+    assert code == (4 if budget else 2) and captured.out == ""
+    assert captured.err == f"{'budget exceeded' if budget else 'validation error'}: {cli_rule}\n"
 
 
 def test_exit_code_budget(paper_file):
@@ -639,7 +689,7 @@ def test_joint_moments_past_the_multiindex_walk_cap_exit_4_without_numpy(monkeyp
     elapsed = time.process_time() - start
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
-    assert captured.err == ("budget exceeded: joint moment of index (7, 7, 7) walks more than "
+    assert captured.err == ("budget exceeded: index (7, 7, 7) has more than "
                             "115975 multi-index partitions, over the multi-index walk cap\n")
     assert elapsed < 0.1
     # (5, 5, 5), 58,616 partitions, is within the cap and is computed

@@ -26,6 +26,8 @@ from wishmom import (
     estimate_trace_cumulants,
     eta_moment_strings,
     generalized_moment_expansion,
+    haar_compression,
+    haar_power_sums,
     joint_cumulant,
     joint_cumulant_randomized,
     noncentral_cumulant,
@@ -39,6 +41,7 @@ from wishmom import (
     repeated_matrix,
     rho_moment,
     rho_moment_strings,
+    sample_wishart,
 )
 
 from brute_force import touchard
@@ -93,12 +96,20 @@ CASES.update({
     "distribution_identity_check-float-max": lambda: distribution_identity_check(
         _params(1e308 * I2, None, "standard"), _params(1e308 * I2, None, "standard", n=2),
         "df-additivity", 10, RngStream(1)),
+    "sample_wishart-float-max": lambda: sample_wishart(
+        _params(1e308 * I2, None, "standard"), rng=RngStream(1)),
     # finite draws whose Python float powers raise OverflowError: the square
     # of a 1e200 central moment, and of the gap between two chunks' means
     "estimate_trace_cumulants-python-power": lambda: estimate_trace_cumulants(
         _params(np.diag([1e100, 1.0]), None, "standard"), 2, 100, RngStream(1)),
     "estimate_joint_moment-merge": lambda: estimate_joint_moment(
         _params(np.diag([1e40, 1.0]), None, "standard"), [I2], (4,), 40_000, RngStream(1)),
+})
+# a Haar compression of diag(1e200, 1, 2, 3): Tr Y ~ 1e200, so Tr Y^2 and
+# every higher power overflow
+CASES.update({
+    "haar_power_sums": lambda: haar_power_sums(np.diag([1e200, 1, 2, 3]), 2, 2, RngStream(1)),
+    "haar_compression": lambda: haar_compression(np.diag([1e200, 1, 2, 3]), 2, RngStream(1)),
 })
 CASES.update({
     f"{route.__name__}-{conv}":

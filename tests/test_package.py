@@ -67,7 +67,7 @@ def test_unknown_name_raises_attribute_error():
 def test_engines_share_the_cli_choices():
     assert wishmom.model.CONVENTIONS is wishmom.budgets.CONVENTIONS
     assert wishmom.mc.IDENTITIES is wishmom.budgets.IDENTITIES
-    assert wishmom.applications.POLYKAY_ORDERS is wishmom.budgets.POLYKAY_ORDERS
+    assert wishmom.applications.check_polykay_order is wishmom.budgets.check_polykay_order
     assert not hasattr(wishmom, "choices")
 
 

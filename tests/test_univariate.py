@@ -565,6 +565,19 @@ def test_binomial_convolution_validation():
                                    m_split=(params.m_matrix, params.m_matrix))
 
 
+def test_binomial_convolution_m_split_past_the_float_range():
+    # M1 + M2 overflows to inf, which fails the M-split test: its
+    # ValidationError, and numpy prints no warning
+    import warnings
+
+    params = random_params(20)  # p = 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^m_split does not sum to params.m_matrix$"):
+            binomial_convolution_check(params, 1.0, 2.0, 3,
+                                       m_split=(1e308 * np.eye(3), 1e308 * np.eye(3)))
+
+
 def test_binomial_convolution_m_split_shape(monkeypatch):
     # a split that is not a pair of p x p matrices is rejected before any
     # parameters are built, not by numpy's broadcast or an IndexError
