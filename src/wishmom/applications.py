@@ -1,11 +1,12 @@
 """d-permanents, the master-theorem evaluation route, and spectral polykays.
 
 `permanent_master` evaluates the master theorem as one truncated power-
-series composition on the grid of sub-indices of the index,
-`combinatorics.compose_grid`, whose cells are per_d[T(v)] / v! for every
-v <= i at once; it enumerates no partitions.  The last grid composed is
-kept for its (T, weights) content, so a session that tabulates the
-permanents of one T reads most of them as slices of one grid.  The
+series composition on the grid of sub-indices of the index: the levels
+R^l / l! of `combinatorics.compose_levels`, weighed at the one cell v by
+d^l or alpha_l (`combinatorics.weigh_levels`), give per_d[T(v)] / v!; it
+enumerates no partitions.  The last levels composed are kept for the
+content of T alone, so a session that tabulates the permanents of one T,
+under any d or alpha, reads most of them as slices of one grid.  The
 brute-force permanents are one `combinatorics.permutation_sum` over all p!
 permutations and are its independent check.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from . import matrix_core
 from .budgets import (check_joint_weight, check_permanent_dimension, check_polykay_order, integer,
                       multi_index)
-from .combinatorics import KeptGrid, compose_grid, permutation_sum
+from .combinatorics import KeptGrid, compose_levels, permutation_sum, weigh_levels
 from .errors import (DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite,
                      finite_of)
 
@@ -88,7 +89,7 @@ def repeated_matrix(t, i) -> np.ndarray:
     return t[np.ix_(idx, idx)]
 
 
-# the last master-theorem grid composed, kept for its (T, weights) content
+# the last master-theorem levels composed, kept for the content of T
 _kept_permanents = KeptGrid()
 
 
@@ -100,14 +101,15 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     of T's columns:
         i! [z^i] sum_l a_l R(z)^l / l!,  R(z) = sum_{u != 0} rho[u] z^u,
     with a_k = d^k, or the moments of `d_or_alpha` when it is a sequence.
-    The master theorem gives per_d[T(v)] for every v <= i at once, as the
-    cells of one composition on the grid of sub-indices
-    (`combinatorics.compose_grid`).  That grid is kept for the content of
-    T and the weights (the bytes of d, or the moments of alpha) in one
-    slot (`combinatorics.KeptGrid`), so a later request inside it is a
-    slice, and alpha's depth bounds its growth.  Each cell is computed by
-    the same operations whatever the grid's extent, so a value is
-    bit-identical whatever calls came before.
+    The levels R^l / l! on the grid of sub-indices
+    (`combinatorics.compose_levels`) hold per_d[T(v)] / v! for every
+    v <= i and every weight at once, and the read weighs only the cell at
+    i (`combinatorics.weigh_levels`), so alpha need carry only |i|
+    orders.  The levels are kept for the content of T alone in one slot
+    (`combinatorics.KeptGrid`), so a later request inside the grid, under
+    any d or alpha, is a slice.  Each level and each weighed cell is
+    computed by the same operations whatever the grid's extent, so a
+    value is bit-identical whatever calls came before.
     Equals the brute-force d-permanent of the row/column-repeated T(i).
     """
     from .model import MOMENTS, MomentSequence
@@ -125,12 +127,10 @@ def permanent_master(t, i, d_or_alpha) -> complex:
         if d_or_alpha.depth < weight:
             raise InsufficientOrdersError(
                 f"alpha carries {d_or_alpha.depth} orders, need {weight}")
-        a_of, depth = d_or_alpha.order, d_or_alpha.depth
-        weights = ("alpha", np.array(d_or_alpha.values, dtype=complex).tobytes())
+        a_of = d_or_alpha.order
     else:
         d = _finite_d(d_or_alpha)
-        a_of, depth = (lambda k: d ** k), None
-        weights = ("d", np.complex128(d).tobytes())
+        a_of = lambda k: d ** k
 
     def build(grid):
         from .multivariate import rho_table
@@ -141,13 +141,13 @@ def permanent_master(t, i, d_or_alpha) -> complex:
             e = np.zeros_like(t)
             e[:, k] = t[:, k]
             sh.append(e)
-        return (compose_grid(rho_table(sh, grid), grid, a_of),)
+        return (compose_levels(rho_table(sh, grid), grid),)
 
     factorial = math.prod(math.factorial(v) for v in kind)
     return _kept_permanents.value(
-        (t.shape, t.tobytes(), *weights), kind, build,
-        lambda table: finite_of(lambda cell: factorial * cell, "permanent", complex(table[kind])),
-        depth=depth)
+        (t.shape, t.tobytes()), kind, build,
+        lambda levels: finite_of(lambda cell: factorial * cell, "permanent",
+                                 weigh_levels(levels, a_of, kind)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,24 @@ columns consumed first), necklace representatives in lexicographic order.
 The closed forms are sums of two kinds, with one kernel each.  A weighted
 sum over partitions, sum_lambda a_l / prod r! prod x_part^r, is the
 coefficient [z^i] of sum_l a_l R(z)^l / l!, a truncated power series on
-the grid of sub-indices u <= i.  The series kernel, `compose_grid`, gives
-every coefficient u <= i at once, each bit-identical whatever the grid's
-extent, and enumerates no partitions.  It carries the univariate
-compositions (randomized, central and normalized moments), which read
-their one cell at i, and the master-theorem permanents and the randomized
-joint cumulants, whose routes keep their last grid for its content in a
-`KeptGrid`; it also gives the trace moments' Sheffer part A, the
-exponential of the non-centrality series, in one pass.  `partition_sum`
-walks the partitions and adds the terms of one sum correctly rounded, as
-`complex_fsum` does; it is the one loop over partitions.  It carries the
-trace moments' Sheffer part R (one walk per order) and the joint moments
-(one sum over the joint cumulant table), and is the tests' oracle for the
-series kernel.  The Bell and cyclic polynomials come from the Bell recurrence and enumerate nothing, so they
+the grid of sub-indices u <= i.  The series kernel, `compose_levels`,
+gives the levels R^l / l! at every u <= i at once, each bit-identical
+whatever the grid's extent; it takes no weight and enumerates no
+partitions, and a zero table has zero levels and runs no pass.  A
+composition weighs the levels where it reads them, one cell or the whole
+grid (`weigh_levels`; `compose_grid` is the whole-grid weighting).  The
+univariate compositions (randomized, central and normalized moments) read
+their one cell at i, and the trace moments' Sheffer part A, the
+exponential of the non-centrality series, is one whole grid.  The
+master-theorem permanents and the randomized joint cumulants keep their
+last levels in a `KeptGrid` keyed by the content of the tables alone, so
+a session reads them under any weights, d or the moments or cumulants of
+alpha.  `partition_sum` walks the partitions and adds the terms of one sum
+correctly rounded, as `complex_fsum` does; it is the one loop over
+partitions.  It carries the trace moments' Sheffer part R (one walk per
+order) and the joint moments (one sum over the joint cumulant table), and
+is the tests' oracle for the series kernel.  The Bell and cyclic
+polynomials come from the Bell recurrence and enumerate nothing, so they
 stay an independent check on both.  A sum over the symmetric group, the
 generalized moments' group action and the d- and alpha-permanents, is one
 walk over S_m, `permutation_sum`, which hands each permutation and its
@@ -511,29 +516,29 @@ def _shift_pairs(shape):
     return dst, src
 
 
-def compose_grid(table, kind, weight):
-    """C[u] = [z^u] of sum_{l >= 1} weight(l) R(z)^l / l! for every
-    sub-index u <= kind, where R(z) = sum_{u != 0} table[u] z^u: the array
-    of shape kind + 1, 0 at the origin.  This is the one series kernel.
+def compose_levels(table, kind):
+    """The powers R(z)^l / l!, l = 1, ..., |kind|, of
+    R(z) = sum_{u != 0} table[u] z^u on the grid of sub-indices u <= kind:
+    a read-only array of shape (|kind|,) + (kind + 1), whose row l - 1
+    holds [z^u] R^l / l! at every cell u.  This is the one series kernel,
+    and it takes no weight: a composition sum_l a_l R^l / l! weighs its
+    levels when it reads them (`weigh_levels`).
 
     `table` is an array of shape kind + 1 on the grid of sub-indices, its
     entry at the origin ignored, or ValidationError; a one-dimensional kind
-    (i,) takes the sequence [_, x_1, ..., x_i].  Cell u is the partition
-    sum of `partition_sum` over the partitions of u (the origin gives 0,
-    not weight(0)): R^l / l! collects prod table[part]^r / prod r! over
-    the partitions of length l.  It enumerates none of them.
+    (i,) takes the sequence [_, x_1, ..., x_i].  Level l at u collects
+    prod table[part]^r / prod r! over the partitions of u of length l, and
+    is 0 for l > |u|.  It enumerates none of them.
 
-    Each power R^l / l! is one row of the terms array: a scatter-add
-    (`np.add.at`) of table[u] times the row before at d - u into each
-    destination d >= u, over the pairs of `_shift_pairs` kept for the
-    nonzero entries u, then a division by l.  The pairs run in C order of
-    u, so each destination adds its terms in that order, and which terms
-    they are does not depend on the grid's extent.  Cell u then adds
-    weight(l) R^l[u] / l!, l = 1, ..., |u|, in order of l, correctly
-    rounded as `complex_fsum` adds them.  So the grid of a larger kind,
-    sliced to `kind`, is this one bit for bit.  A weight that overflows
-    makes inf every cell that needs it; a cell that overflows holds inf or
-    nan, and its reader sends it through `errors.finite`.
+    Row 0 is the table itself, 0 at the origin, its signed zeros kept.
+    Each later power R^l / l! is a scatter-add (`np.add.at`) of table[u]
+    times the row before at d - u into each destination d >= u, over the
+    pairs of `_shift_pairs` kept for the nonzero entries u, then a division
+    by l.  The pairs run in C order of u, so each destination adds its
+    terms in that order, and which terms they are does not depend on the
+    grid's extent: the levels of a larger kind, sliced to `kind`, are these
+    bit for bit.  A table with no nonzero entry has zero levels, +0 past
+    row 0, and runs no scatter.  A power that overflows holds inf or nan.
     """
     # numpy loads on first use: `necklaces` and the CLI's request checks
     # import this module and stay numpy-free
@@ -550,79 +555,116 @@ def compose_grid(table, kind, weight):
     flat = flat.reshape(-1)
     flat[0] = 0
     top = sum(kind)
-    terms = np.zeros((top, flat.size), dtype=complex)  # terms[l - 1] = weight(l) R^l / l!
-    with np.errstate(over="ignore", invalid="ignore"):
-        if top:
-            terms[0] = flat
-        if top > 1:
-            dst, src = _shift_pairs(shape)
-            x = flat[dst - src]
-            if not x.all():
-                keep = np.flatnonzero(x)
-                dst, src, x = dst[keep], src[keep], x[keep]
-            products = np.empty_like(x)
-            for l, (power, row) in enumerate(itertools.pairwise(terms), 2):
+    levels = np.zeros((top, flat.size), dtype=complex)  # levels[l - 1] = R^l / l!
+    if top:
+        levels[0] = flat
+    if top > 1 and flat.any():
+        dst, src = _shift_pairs(shape)
+        x = flat[dst - src]
+        if not x.all():
+            keep = np.flatnonzero(x)
+            dst, src, x = dst[keep], src[keep], x[keep]
+        products = np.empty_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l, (power, row) in enumerate(itertools.pairwise(levels), 2):
                 power.take(src, out=products)
                 # entry times power, in this order: numpy's complex multiply
                 # rounds x * y and y * x differently
                 np.multiply(x, products, out=products)
                 np.add.at(row, dst, products)
                 row /= l
-        weights, finite_weights = np.empty((top, 1), dtype=complex), top
-        for l in range(1, top + 1):
-            try:
-                weights[l - 1] = weight(l)
-            except OverflowError:  # a Python power in `weight` raises where numpy gives inf
-                finite_weights = l - 1
-                break
-        # weight times power, in this order, each row by its own weight
-        np.multiply(weights[:finite_weights], terms[:finite_weights],
+    levels = levels.reshape((top,) + shape)
+    levels.flags.writeable = False
+    return levels
+
+
+def weigh_levels(levels, weight, cell=None):
+    """sum_{l=1}^{|u|} weight(l) R^l[u] / l! from the levels of
+    `compose_levels`: at the one sub-index `cell` of their grid, a complex,
+    or, when `cell` is None, at every cell u, an array of the grid's shape.
+
+    weight(l) is called for l = 1, ..., |cell| (the grid's largest |u|),
+    and level l is multiplied by it, weight times power, in this order; a
+    weight that raises OverflowError (a Python power, where numpy gives
+    inf) makes its level and every later one inf.  A cell's terms at
+    l > |u| are set to +0 (a weight times a zero power may be nan or -0),
+    and its terms are added in order of l, correctly rounded as
+    `complex_fsum` adds them.  So a cell has the same bits read alone or
+    with its grid, whatever the grid's extent.  A cell that overflows
+    holds inf or nan, for its reader's `errors.finite`.
+    """
+    import numpy as np
+
+    shape = levels.shape[1:]
+    if cell is None:
+        top = sum(shape) - len(shape)
+        powers = levels[:top].reshape(top, math.prod(shape))
+    else:
+        top = sum(cell)
+        powers = levels[(slice(top), *cell)].reshape(top, 1)
+    weights, finite_weights = np.empty((top, 1), dtype=complex), top
+    for l in range(1, top + 1):
+        try:
+            weights[l - 1] = weight(l)
+        except OverflowError:  # a Python power in `weight` raises where numpy gives inf
+            finite_weights = l - 1
+            break
+    terms = np.empty(powers.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(weights[:finite_weights], powers[:finite_weights],
                     out=terms[:finite_weights])
-        terms[finite_weights:] = math.inf
-    # cell u adds only its terms l <= |u|: R^l[u] is 0 for l > |u|, but
-    # weight(l) times it may be nan or -0, so those terms are set to +0,
-    # which changes no correctly rounded sum
-    levels = np.indices(shape).sum(axis=0).ravel()
-    terms[np.arange(1, top + 1)[:, None] > levels] = 0
-    out = np.empty(flat.size, dtype=complex)
-    out.real = list(map(_fsum, terms.real.T.tolist()))
-    out.imag = list(map(_fsum, terms.imag.T.tolist()))
-    return out.reshape(shape)
+    terms[finite_weights:] = math.inf
+    if cell is None:
+        terms[np.arange(1, top + 1)[:, None] > np.indices(shape).sum(axis=0).ravel()] = 0
+    sums = np.empty(terms.shape[1], dtype=complex)
+    sums.real = list(map(_fsum, terms.real.T.tolist()))
+    sums.imag = list(map(_fsum, terms.imag.T.tolist()))
+    return sums.reshape(shape) if cell is None else complex(sums[0])
+
+
+def compose_grid(table, kind, weight):
+    """C[u] = [z^u] sum_{l >= 1} weight(l) R(z)^l / l! at every sub-index
+    u <= kind, 0 at the origin: the `weigh_levels` of every cell of
+    `compose_levels(table, kind)`, the partition sums of `partition_sum`
+    over the partitions of each u, with none of them enumerated."""
+    return weigh_levels(compose_levels(table, kind), weight)
 
 
 class KeptGrid:
     """One slot that keeps the read-only arrays a route last computed on a
-    grid of sub-indices, with the content key they were computed from.
+    grid of sub-indices, with the content key they were computed from: the
+    exact bytes of the tables, never a weight, which the reader applies.
 
     `value(key, kind, build, read)` answers a request for `kind`:
     - when the slot holds `key` and its grid covers kind, it reads slices
       of the kept arrays;
     - otherwise `build(grid)` computes the arrays on the componentwise max
       of kind and the kept grid when that grid has at most twice the cells
-      of the two apart, is within the joint-weight budget and has weight
-      at most `depth`; else on kind alone.  They replace the slot.
-    `read` gets the arrays cut to kind, and its result is the answer.  A
-    call in which `build` or `read` raises leaves the slot as it was.  The
-    slot is one tuple, replaced whole by one assignment, so concurrent
-    callers each read one consistent entry without a lock.  A session's
-    nested requests grow one grid, while requests on disjoint axes, whose
-    joint grid has the product of their cell counts, keep apart unless
-    both are tiny.  `build` must compute each cell by the same operations
-    whatever the grid's extent, so that no answer depends on which calls
-    came before.
+      of the two apart and is within the joint-weight budget; else on kind
+      alone.  They replace the slot.
+    `read` gets the arrays cut to kind on their trailing axes, the grid's
+    (a level array of `compose_levels` keeps its leading axis of levels),
+    and its result is the answer.  A call in which `build` or `read`
+    raises leaves the slot as it was.  The slot is one tuple, replaced
+    whole by one assignment, so concurrent callers each read one
+    consistent entry without a lock.  A session's nested requests grow one
+    grid, while requests on disjoint axes, whose joint grid has the
+    product of their cell counts, keep apart unless both are tiny.
+    `build` must compute each cell by the same operations whatever the
+    grid's extent, so that no answer depends on which calls came before.
     """
 
     def __init__(self):
         self.entry = (None, (), ())  # (content key, grid, arrays)
 
-    def value(self, key, kind, build, read, depth=None):
+    def value(self, key, kind, build, read):
         last_key, kept, arrays = self.entry
         grid = kind
         if last_key == key:
             if all(c <= k for c, k in zip(kind, kept)):
                 return read(*_cut(arrays, kind))
             union = tuple(map(max, kind, kept))
-            if _cells(union) <= 2 * (_cells(kind) + _cells(kept)) and _fits(union, depth):
+            if _cells(union) <= 2 * (_cells(kind) + _cells(kept)) and _fits(union):
                 grid = union
         arrays = build(grid)
         for a in arrays:
@@ -636,16 +678,16 @@ def _cells(grid) -> int:
     return math.prod(c + 1 for c in grid)
 
 
-def _fits(grid, depth) -> bool:
+def _fits(grid) -> bool:
     try:
         check_joint_weight(sum(grid))
     except BudgetExceededError:
         return False
-    return depth is None or sum(grid) <= depth
+    return True
 
 
 def _cut(arrays, kind) -> tuple:
-    cut = tuple(slice(c + 1) for c in kind)
+    cut = (Ellipsis, *(slice(c + 1) for c in kind))
     return tuple(a[cut] for a in arrays)
 
 

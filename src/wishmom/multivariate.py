@@ -35,27 +35,29 @@ recursion; no other route enumerates necklaces or rotations.
 
 The tables and the compositions are shared across calls, each in one
 slot (`combinatorics.KeptGrid`) that keeps the read-only arrays of the
-last content it computed, keyed by its exact bytes.  `_base_tables`, the
-one table source of `joint_moment`, `joint_cumulant`,
+last content it computed, keyed by the exact bytes of the tables' content.
+`_base_tables`, the one table source of `joint_moment`, `joint_cumulant`,
 `joint_cumulant_randomized` and `eta_moment_strings`, keeps rho and eta
 of the last (convention, Sigma, M, H_1, ..., H_m); n is not in the key,
 since rho and eta do not depend on it.  `joint_cumulant_randomized` keeps
-its composed grid of that content and the index's cumulants, so a
-session's later requests read it without composing again.  A request
-inside a kept grid is a slice of it; any other grows the grid to the
-componentwise max of the two when that has at most twice the cells of the
-two grids apart and stays within the joint-weight budget (and the
-cumulants' depth), and is computed alone otherwise.  Every cell of a grid
-is computed by the same operations whatever the grid's extent, so a value
-is bit-identical whatever calls came before.
+the composed levels R^l / l! of rho under the same key, and sign eta; the
+index's cumulants are weights, which enter at the read, so a session's
+later requests read the levels under any cumulants without composing
+again.  A request inside a kept grid is a slice of it; any other grows the
+grid to the componentwise max of the two when that has at most twice the
+cells of the two grids apart and stays within the joint-weight budget, and
+is computed alone otherwise.  Every cell of a grid is computed by the same
+operations whatever the grid's extent, so a value is bit-identical
+whatever calls came before.
 
 Joint cumulants are kappa[u] = u! K[u], K[u] = n rho[u] + sign eta[u], and
 a joint moment is the moment-cumulant formula on that one table (McCullagh,
 Tensor Methods in Statistics, 1987): i! sum over the multi-index partitions
 of i of prod K[col]^r / prod r!, through `combinatorics.partition_sum`.
 The randomized joint cumulant is a composition, one truncated power series
-on the grid of sub-indices made for every cell at once
-(`combinatorics.compose_grid`), enumerating no partitions.  Joint moments
+on the grid of sub-indices whose levels are made for every cell at once
+(`combinatorics.compose_levels`) and weighed at the one cell read
+(`combinatorics.weigh_levels`), enumerating no partitions.  Joint moments
 stay on the partition sum although the same whole-grid series, exp of the
 cumulant series, would give every joint moment of a session at once: the
 benchmark keeps every job's answer, so a faster moment route would read as
@@ -90,13 +92,14 @@ from .combinatorics import (
     CyclePermutation,
     KeptGrid,
     complex_fsum,
-    compose_grid,
+    compose_levels,
     cycles_of_images,
     multiindex_partitions,
     necklace_rotations,
     necklaces_of_kind,
     partition_sum,
     permutation_sum,
+    weigh_levels,
 )
 from .errors import (
     InsufficientOrdersError,
@@ -354,11 +357,13 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
     sum with c_{l(lambda)} weights:
         i! ( sum_{lambda |= i} c_l / m! prod rho[col]^r + sign eta[i] ),
     evaluated as the series composition i! ([z^i] sum_l c_l R(z)^l / l!
-    + sign eta[i]) with R(z) = sum_{u != 0} rho[u] z^u.  The composition
-    is made for every sub-index at once (`combinatorics.compose_grid`),
-    and the grid of (convention, Sigma, M, H, c) content is kept
-    (`_kept_randomized`) under `_base_tables`' rule, so a session's later
-    requests inside it are slices; c's depth also bounds its growth.
+    + sign eta[i]) with R(z) = sum_{u != 0} rho[u] z^u.  The levels
+    R^l / l! are made for every sub-index at once
+    (`combinatorics.compose_levels`) and kept with sign eta for the
+    (convention, Sigma, M, H) content alone (`_kept_randomized`) under
+    `_base_tables`' rule; a read weighs the cell at i by c_l
+    (`combinatorics.weigh_levels`) and adds sign eta[i], so a session's
+    later requests inside the grid, under any cumulants, are slices.
 
     Only the central part is randomized: the eta term enters once,
     unweighted, so conditionally on the index being k the object is
@@ -377,14 +382,15 @@ def joint_cumulant_randomized(alpha_cumulants: MomentSequence,
 
     def build(grid):
         rho, eta = _base_tables(params, hs, grid)
-        return (compose_grid(rho, grid, alpha_cumulants.order) + params.sign * eta,)
+        return compose_levels(rho, grid), params.sign * eta
+
+    def read(levels, signed_eta):
+        cell = weigh_levels(levels, alpha_cumulants.order, kind) + signed_eta[kind]
+        return finite_of(lambda cell: factorial * cell, "randomized joint cumulant",
+                         complex(cell))
 
     factorial = _index_factorial(kind)
-    return _kept_randomized.value(
-        key + (np.array(alpha_cumulants.values, dtype=complex).tobytes(),), kind, build,
-        lambda table: finite_of(lambda cell: factorial * cell, "randomized joint cumulant",
-                                complex(table[kind])),
-        depth=alpha_cumulants.depth)
+    return _kept_randomized.value(key, kind, build, read)
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,25 @@ convolution m_i = i! sum_j A_j R_{i-j}; the Bell route is a recurrence
 that enumerates no partitions.
 
 The compositions, sums over partitions of a_l d_lambda prod x_part, are
-one truncated power series each, the cell i of
-`combinatorics.compose_grid` on the 1-D grid: the central moment, the
-randomized moment, and both directions of the dimension-normalized
-moments.  They enumerate no partitions, and their tables form no factorial
-(the central moment's reads the cyclic polynomials over j! from a first
-grid on T_k / k, the randomized moment's holds T_k / k + sign S_k, and
-e_k / k! is exact past 170), so the final i! is the one factorial, taken
-exactly past 170 by the overflow rule.
+one truncated power series each, the levels of
+`combinatorics.compose_levels` on the 1-D grid weighed at the one cell i
+(`combinatorics.weigh_levels`): the central moment, the randomized moment,
+and both directions of the dimension-normalized moments.  They enumerate
+no partitions, and their tables form no factorial (the central moment's
+reads the cyclic polynomials over j! from a first grid on T_k / k, the
+randomized moment's holds T_k / k + sign S_k, and e_k / k! is exact past
+170), so the final i! is the one factorial, taken exactly past 170 by the
+overflow rule.
 
 The Sheffer parts are computed once per sequence: `moment_sequence` and
 `binomial_convolution_check` take A_0..A_K and R_0..R_K from one pass and
 convolve every order from them, where a single `noncentral_moment` of
 order K pays the same pass for its one order.  A = exp(sign S(z)), the
 formal variable built from the non-centrality traces, is the cells of one
-`compose_grid` pass on the S-traces, for every law: a central law (M = 0)
-has every S_k = 0, which composes to exact +0 cells, so its A is the
-umbral unit (1, 0, 0, ...).  R_j is one partition sum per order
+`compose_grid` call on the S-traces, for every law: a central law (M = 0)
+has every S_k = 0, a zero table, whose levels are zero with no
+composition pass and weigh to exact +0 cells, so its A is the umbral unit
+(1, 0, 0, ...).  R_j is one partition sum per order
 (`combinatorics.partition_sum`, which adds its terms with a correctly
 rounded sum), over the list from `combinatorics.integer_partitions`,
 which enumerates each order up to the default moment budget (20) once per
@@ -55,9 +57,11 @@ from .combinatorics import (
     complete_bell,
     complex_fsum,
     compose_grid,
+    compose_levels,
     falling_factorial,
     integer_partitions,
     partition_sum,
+    weigh_levels,
 )
 from .errors import (DimensionMismatchError, InsufficientOrdersError, ValidationError, finite,
                      finite_of)
@@ -85,11 +89,12 @@ def _exponential_table(x) -> list:
 def _exponential_composition(table, i: int, weight, what: str) -> complex:
     """The d_lambda-weighted partition sum over the partitions of i,
     sum_lambda d_lambda weight(l(lambda)) prod_j x_{part_j}^{r_j}, from the
-    table [_, x_1 / 1!, ..., x_i / i!]: i! times the cell at i of
-    `compose_grid`, each step through `errors.finite_of` labelled `what`.
+    table [_, x_1 / 1!, ..., x_i / i!]: i! times the cell at i of the
+    composition, the levels of `compose_levels` weighed at that one cell
+    (`weigh_levels`), each step through `errors.finite_of` labelled `what`.
     The final i! is the one factorial formed, and `finite_of` takes that
     product exactly when i! is past the float range."""
-    cell = finite_of(lambda: complex(compose_grid(table, (i,), weight)[i]), what)
+    cell = finite_of(lambda: weigh_levels(compose_levels(table, (i,)), weight, (i,)), what)
     return finite_of(lambda cell: math.factorial(i) * cell, what, cell)
 
 
@@ -170,9 +175,10 @@ def noncentral_cumulant_eigen(params: WishartParams, i: int) -> complex:
 def _sheffer_parts(params: WishartParams, i_max: int) -> tuple[list, list]:
     """The Sheffer parts A_0..A_{i_max} and R_0..R_{i_max}.  A_j sums
     sign^l / prod r! over the partitions of j on the S-traces: A_0 = 1, and
-    A_1..A_{i_max} are the cells of one `compose_grid` pass on
+    A_1..A_{i_max} are the cells of one `compose_grid` call on
     [0, S_1, ..., S_{i_max}] with weight sign^l, each read through
-    `errors.finite`.  A central law's S-table is zero and composes to
+    `errors.finite`.  A central law's S-table is zero: its levels are zero
+    with no composition pass (`combinatorics.compose_levels`) and weigh to
     exact +0 cells, so its A is the umbral unit (1, 0, 0, ...).  R_j sums
     n^l / prod r! over the partitions of j on T_m / m, one `partition_sum`
     walk per order.  Every moment up to order i_max is one convolution of
@@ -264,7 +270,8 @@ def randomized_moment(alpha: MomentSequence, params: WishartParams, i: int) -> c
     (Sigma, M); params.n is ignored.  The random-sum composition gives
     sum over partitions of alpha_{l(lambda)} d_lambda times products of the
     per-draw trace *cumulants*, i.e. the moment sequence of N composed with
-    the single-draw log-transform, evaluated by `compose_grid`.  For N
+    the single-draw log-transform, read at its one cell i
+    (`_exponential_composition`).  For N
     fixed at an integer n this equals the n-draw moment with non-centrality
     n * M.
     """
@@ -293,8 +300,8 @@ def normalized_cumulant_moments(params: WishartParams, i_max: int) -> MomentSequ
     Defined by the triangular system
         E[(Tr W)^i] = sum over partitions of p^{l} d_lambda prod e_{part}^r
     and solved for the e_i by forward substitution, each step one
-    composition (`compose_grid`) of the e_k found so far; reinserting the
-    solved sequence reproduces the trace moments exactly.
+    composition (`_exponential_composition`) of the e_k found so far;
+    reinserting the solved sequence reproduces the trace moments exactly.
 
     The system has a closed-form solution: exp(p R(z)) with
     R(z) = sum_k e_k z^k / k! is the moment series, so p R is the cumulant

@@ -1,6 +1,8 @@
-"""The truncated power-series composition kernel, `compose_grid`, and the
-routes built on it: permanents, randomized moments and cumulants, central
-moments and normalized moments.
+"""The truncated power-series composition kernel, `compose_levels`, whose
+levels R^l / l! a composition weighs at the read (`weigh_levels`, and
+`compose_grid`, the weighting of every cell), and the routes built on it:
+permanents, randomized moments and cumulants, central moments and
+normalized moments.
 
 The tests named `compose_series` check the composition read at its one
 cell, kind, through `errors.finite` (`series_cell`), as the univariate
@@ -40,7 +42,9 @@ from wishmom import (
     randomized_moment,
     repeated_matrix,
 )
-from wishmom.combinatorics import _shift_pairs, compose_grid, partition_sum
+from wishmom import combinatorics, univariate
+from wishmom.combinatorics import (_shift_pairs, compose_grid, compose_levels, falling_factorial,
+                                    partition_sum, weigh_levels)
 from wishmom.errors import finite
 
 from brute_force import (
@@ -179,6 +183,70 @@ def test_compose_series_matches_partition_sum(data):
     scale = partition_sum(partitions, {u: abs(x) for u, x in table.items()},
                           lambda l: abs(values[l]))
     assert abs(got - want) <= 1e-12 * scale.real
+
+
+LEVEL_WEIGHTS = {
+    "one": lambda l: 1,
+    "alternating": lambda l: (-1) ** l,
+    "power": lambda l: 2.5 ** l,
+    "complex power": lambda l: complex(0.8, -0.3) ** l,
+    "falling": lambda l: falling_factorial(3, l),  # an int, 0 from l = 4 on
+    "alpha": MomentSequence.from_moments([(1 + 2 ** l + 3 ** l) / 3 for l in range(1, 21)]).order,
+    "overflowing": lambda l: 1e30 ** l,  # a Python power: OverflowError from l = 11 on
+}
+
+
+def signed_zero_table(rng, shape) -> np.ndarray:
+    """A random table with about a third of its real and of its imaginary
+    parts -0.0."""
+    re, im = rng.normal(size=shape), rng.normal(size=shape)
+    re[rng.random(shape) < 0.3] = -0.0
+    im[rng.random(shape) < 0.3] = -0.0
+    return re + 1j * im
+
+
+def zero_table(shape) -> np.ndarray:
+    """A table of zeros, every other entry -0.0 - 0.0j."""
+    table = np.zeros(math.prod(shape), dtype=complex)
+    table[::2] = complex(-0.0, -0.0)
+    return table.reshape(shape)
+
+
+@pytest.mark.parametrize("kind", [(i,) for i in range(1, 21)] + [(2, 2), (3, 3, 3), (1,) * 5],
+                         ids=str)
+def test_compose_grid_is_the_weighting_of_compose_levels(kind, monkeypatch):
+    # compose_grid against the levels weighed whole and weighed one cell
+    # at a time, by repr; a zero table runs no scatter
+    shape = tuple(c + 1 for c in kind)
+    cells = list(itertools.product(*(range(c) for c in shape)))
+    rng = np.random.default_rng(sum(kind) + 100 * len(kind))
+    for table in (signed_zero_table(rng, shape), zero_table(shape)):
+        with monkeypatch.context() as patch:
+            if not table.any():
+                patch.setattr(combinatorics, "_shift_pairs", lambda shape: 1 / 0)
+            levels = compose_levels(table, kind)
+            grids = {name: compose_grid(table, kind, w) for name, w in LEVEL_WEIGHTS.items()}
+        assert levels.shape == (sum(kind),) + shape and not levels.flags.writeable
+        first = table.ravel().copy()
+        first[0] = 0
+        assert same_bits(levels[0].ravel(), first)  # the table, its signed zeros kept
+        if not table.any():
+            assert same_bits(levels[1:], np.zeros_like(levels[1:]))
+        for name, w in LEVEL_WEIGHTS.items():
+            got = grids[name]
+            assert repr(got.tolist()) == repr(weigh_levels(levels, w).tolist()), name
+            for u in cells:
+                assert repr(complex(got[u])) == repr(weigh_levels(levels, w, u)), (name, u)
+
+
+def test_a_central_sheffer_pass_runs_no_scatter(monkeypatch):
+    # the central law's S-table is zero, so its A is the umbral unit with
+    # no composition pass
+    monkeypatch.setattr(combinatorics, "_shift_pairs", lambda shape: 1 / 0)
+    for convention in ("paper", "standard"):
+        params, _ = build(3.5, INTEGER_CASES["p3"][0], None, convention)
+        a_part, _ = univariate._sheffer_parts(params, 20)
+        assert repr(a_part) == repr([1 + 0j] + [0j] * 20)
 
 
 # the compositions of the benchmark's joint sessions, a scalar order, and

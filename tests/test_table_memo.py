@@ -1,9 +1,10 @@
 """The tables and compositions shared across calls: one-slot memos
-(`combinatorics.KeptGrid`) keyed by content, whose values do not depend on
-which calls came before.  The joint base tables are keyed by (convention,
-Sigma, M, H); the randomized joint cumulants' composed grid by that and the
-cumulants of the index; the master-theorem permanents' composed grid by T
-and the weights (d, or the moments of alpha)."""
+(`combinatorics.KeptGrid`) keyed by the content of their tables, whose
+values do not depend on which calls came before.  The joint base tables
+are keyed by (convention, Sigma, M, H); the randomized joint cumulants'
+composed levels by the same; the master-theorem permanents' composed
+levels by T alone.  The weights (d, or the moments or cumulants of alpha)
+enter at the read, so they are in no key."""
 
 import itertools
 import sys
@@ -72,10 +73,20 @@ def _compositions(monkeypatch, name):
     makes from now on."""
     built = []
     module = multivariate if name == "randomized" else applications
-    compose = module.compose_grid
-    monkeypatch.setattr(module, "compose_grid", lambda table, grid, weight: (
-        built.append(tuple(grid)) or compose(table, grid, weight)))
+    compose = module.compose_levels
+    monkeypatch.setattr(module, "compose_levels", lambda table, grid: (
+        built.append(tuple(grid)) or compose(table, grid)))
     return built
+
+
+def _refuse_table_work(monkeypatch):
+    """Make every table build and composition raise AssertionError."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("table work")
+
+    for module in (multivariate, applications):
+        monkeypatch.setattr(module, "compose_levels", refuse)
+    monkeypatch.setattr(multivariate, "_tables", refuse)
 
 
 def _clear():
@@ -319,33 +330,47 @@ def test_the_key_is_the_content():
 
 
 def test_the_composed_keys_are_the_content(monkeypatch):
+    # the composed slots keep the levels of T, or of (Sigma, H), alone: the
+    # same content under new weights composes nothing, a content nudged by
+    # one ulp composes again, and every value is its cold call's
     rng = np.random.default_rng(10)
     t = random_complex(rng, 2)
     nudged_t = t * (1 + 2.0 ** -52)
     nudged_alpha = MomentSequence.from_moments(ALPHA_MOMENTS.values[1:-1] + (270.5,))
     d_powers = MomentSequence.from_moments([D ** k for k in range(1, 11)])
-    # the same T under other weights, and T nudged: each a new content
-    requests = [(t, D), (t, 0.0), (t, -0.0), (t, D * (1 + 2.0 ** -52)), (nudged_t, D),
-                (t, ALPHA_MOMENTS), (t, nudged_alpha), (t, d_powers), (t, D)]
+    # (T, weights, whether the request composes)
+    requests = [(t, D, True), (t, 0.0, False), (t, -0.0, False),
+                (t, D * (1 + 2.0 ** -52), False), (t, ALPHA_MOMENTS, False),
+                (t, nudged_alpha, False), (t, d_powers, False), (nudged_t, D, True),
+                (t, D, True)]
     cold = []
-    for args in requests:
+    for t_k, weights, _ in requests:
         _clear()
-        cold.append(permanent_master(args[0], (2, 1), args[1]))
+        cold.append(permanent_master(t_k, (2, 1), weights))
     _clear()
     built = _compositions(monkeypatch, "permanent d")
-    for k, ((t_k, weights), want) in enumerate(zip(requests, cold), 1):
+    for (t_k, weights, composes), want in zip(requests, cold):
+        before = len(built)
         assert _same_bits(permanent_master(t_k, (2, 1), weights), want)
-        assert len(built) == k
+        assert len(built) == before + composes
     # a copy of the last content is a hit
     permanent_master(t.copy(), (1, 1), complex(D))
-    assert len(built) == len(requests)
-    # the randomized grid is keyed by the cumulants of the index too
+    assert len(built) == 3
+    # the randomized levels are keyed by (convention, Sigma, M, H) alone
     params, h = _instance(rng, 2, 3, "paper", False)
-    built = _compositions(monkeypatch, "randomized")
+    nudged_h = [h[0] * (1 + 2.0 ** -52), h[1]]
     other = MomentSequence.from_cumulants(ALPHA.values[1:-1] + (-0.0,))
-    for k, alpha in enumerate((ALPHA, other, ALPHA), 1):
-        joint_cumulant_randomized(alpha, params, h, (2, 1))
-        assert len(built) == k
+    requests = [(ALPHA, h, True), (other, h, False), (ALPHA, h, False), (other, nudged_h, True)]
+    cold = []
+    for alpha, h_k, _ in requests:
+        _clear()
+        cold.append(joint_cumulant_randomized(alpha, params, h_k, (2, 1)))
+    _clear()
+    built = _compositions(monkeypatch, "randomized")
+    for (alpha, h_k, composes), want in zip(requests, cold):
+        before = len(built)
+        assert _same_bits(joint_cumulant_randomized(alpha, params, h_k, (2, 1)), want)
+        assert len(built) == before + composes
 
 
 def test_a_raising_composition_leaves_the_slot_as_it_was():
@@ -370,11 +395,14 @@ def test_a_raising_composition_leaves_the_slot_as_it_was():
 
 
 @pytest.mark.parametrize("name", COMPOSED[1:])
-def test_growth_stays_within_alpha_depth(name):
+def test_growth_does_not_depend_on_alpha_depth(name, monkeypatch):
+    # the levels take no weight, so a grid grows to the componentwise max
+    # within the joint-weight budget whatever alpha's depth, and a read past
+    # alpha's depth is refused before any table work
     rng = np.random.default_rng(12)
     t = random_complex(rng, 2)
     params, h = _instance(rng, 2, 3, "standard", False)
-    for depth, grid in ((4, (3, 1)), (5, (3, 2))):
+    for depth in (4, 5):
         if name == "randomized":
             alpha = MomentSequence.from_cumulants(ALPHA.values[1:depth + 1])
             call = lambda v: joint_cumulant_randomized(alpha, params, h, v)
@@ -384,9 +412,56 @@ def test_growth_stays_within_alpha_depth(name):
         want = call((3, 1))
         _clear()
         call((2, 2))
-        # (3, 2) has weight 5: past an alpha of depth 4, so (3, 1) alone
+        # (3, 2) has weight 5, past an alpha of depth 4, and it is kept
         assert _same_bits(call((3, 1)), want)
-        assert _slot(name).entry[1] == grid
+        assert _slot(name).entry[1] == (3, 2)
+    entry = _slot(name).entry
+    with monkeypatch.context() as patch:
+        _refuse_table_work(patch)
+        shallow = MomentSequence.from_moments(ALPHA_MOMENTS.values[1:5])
+        if name == "randomized":
+            shallow = MomentSequence.from_cumulants(ALPHA.values[1:5])
+        for v in ((3, 2), (4, 2)):  # inside the kept grid, and past it
+            with pytest.raises(InsufficientOrdersError):
+                if name == "randomized":
+                    joint_cumulant_randomized(shallow, params, h, v)
+                else:
+                    permanent_master(t, v, shallow)
+    assert _slot(name).entry is entry
+
+
+def test_a_permanent_session_over_three_d_composes_once(monkeypatch):
+    t = random_complex(np.random.default_rng(13), 3)
+    kind = (2, 2, 1)
+    calls = [(kind, d) for d in (D, -1.0, 2.5)]
+    calls += [(v, d) for _, d in calls
+              for v in itertools.product(*(range(c + 1) for c in kind)) if any(v)]
+    cold = []
+    for v, d in calls:
+        _clear()
+        cold.append(permanent_master(t, v, d))
+    _clear()
+    built = _compositions(monkeypatch, "permanent d")
+    for (v, d), want in zip(calls, cold):
+        assert _same_bits(permanent_master(t, v, d), want), (v, d)
+    assert built == [kind]
+
+
+def test_randomized_cumulants_over_two_alphas_compose_once(monkeypatch):
+    params, h = _instance(np.random.default_rng(14), 2, 3, "paper", False)
+    other = MomentSequence.from_cumulants([2.0, -0.5, 0.75, 0.0, 1.25, 0.5])
+    kind = (3, 2)
+    calls = [(alpha, v) for alpha in (ALPHA, other)
+             for v in [kind] + [v for v in itertools.product(range(4), range(3)) if any(v)]]
+    cold = []
+    for alpha, v in calls:
+        _clear()
+        cold.append(joint_cumulant_randomized(alpha, params, h, v))
+    _clear()
+    built = _compositions(monkeypatch, "randomized")
+    for (alpha, v), want in zip(calls, cold):
+        assert _same_bits(joint_cumulant_randomized(alpha, params, h, v), want), v
+    assert built == [kind]
 
 
 def test_the_memo_keeps_only_the_last_content(monkeypatch):
@@ -454,7 +529,9 @@ def test_concurrent_calls_get_the_cold_values():
                  applications._kept_permanents):
         key, grid, arrays = slot.entry
         for a in arrays:
-            assert a.shape == tuple(c + 1 for c in grid) and not a.flags.writeable
+            # a level array has a leading axis of levels before the grid's
+            assert a.shape[a.ndim - len(grid):] == tuple(c + 1 for c in grid)
+            assert not a.flags.writeable
 
 
 def test_the_memo_has_no_knob():
