@@ -1,14 +1,21 @@
-"""d-permanents, the master-theorem evaluation route, and spectral polykays.
+"""d-permanents through the master theorem, their brute-force reference,
+and spectral polykays.
 
-`permanent_master` evaluates the master theorem as one truncated power-
-series composition on the grid of sub-indices of the index: the levels
-R^l / l! of `combinatorics.compose_levels`, weighed at the one cell v by
-d^l or alpha_l (`combinatorics.weigh_levels`), give per_d[T(v)] / v!; it
-enumerates no partitions.  The last levels composed are kept for the
-content of T alone, so a session that tabulates the permanents of one T,
-under any d or alpha, reads most of them as slices of one grid.  The
-brute-force permanents are one `combinatorics.permutation_sum` over all p!
-permutations and are its independent check.
+`permanent_master` is the one production route for permanents: it
+evaluates the master theorem as one truncated power-series composition on
+the grid of sub-indices of the index: the levels R^l / l! of
+`combinatorics.compose_levels`, weighed at the one cell v by d^l or
+alpha_l (`combinatorics.weigh_levels`), give per_d[T(v)] / v!; it
+enumerates no partitions.  The alpha-permanent is its index (1, ..., 1).
+The last levels composed are kept for the content of T alone, so a
+session that tabulates the permanents of one T, under any d or alpha,
+reads most of them as slices of one grid.  `permanent_d` is the
+brute-force reference, one `combinatorics.permutation_sum` over all p!
+permutations, and is its independent check.  A weight d^l past the float
+range is held exactly (`errors.power`) on both routes, so a permanent in
+the float range is that number; the master route raises NumericalError
+where the levels may have lost products of the entries below the float
+range.
 """
 
 from __future__ import annotations
@@ -21,11 +28,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import matrix_core
-from .budgets import (check_joint_weight, check_permanent_dimension, check_polykay_order, integer,
+from .budgets import (check_joint_weight, check_permutation_degree, check_polykay_order, integer,
                       multi_index)
 from .combinatorics import KeptGrid, compose_levels, permutation_sum, weigh_levels
-from .errors import (DegenerateSampleSizeError, InsufficientOrdersError, ValidationError, finite,
-                     finite_of)
+from .errors import (DegenerateSampleSizeError, InsufficientOrdersError, NumericalError,
+                     ValidationError, finite, finite_of, power)
 
 if TYPE_CHECKING:
     from .model import MomentSequence
@@ -38,47 +45,35 @@ def _finite_d(d) -> complex:
     return d
 
 
-def _cycle_weighted_permanent(y: np.ndarray, a_of) -> complex:
-    """sum over permutations s of a_of(#cycles(s)) prod_j y[j, s(j)]: one
-    `permutation_sum`, whose term is this product in row order."""
-    rows = y.tolist()
+def permanent_d(y, d) -> complex:
+    """d-permanent: sum over permutations s of d^{#cycles(s)} prod_j y[j, s(j)].
+
+    d = 1 is the classical permanent; d = -1 equals (-1)^p det(Y).  The
+    brute-force reference for `permanent_master`: one `permutation_sum`
+    over all p! permutations, priced by the S_p walk rule
+    (`budgets.check_permutation_degree`), whose term is d^{#cycles} times
+    the row-order product.
+    """
+    d = _finite_d(d)
+    rows = matrix_core.as_matrix(y).tolist()
 
     def term(perm, cycles):
-        prod = a_of(len(cycles))
+        prod = power(d, len(cycles))
         for j, col in enumerate(perm):
             prod *= rows[j][col]
         return prod
 
-    return permutation_sum(len(rows), term, "permanent")
-
-
-def permanent_d(y, d) -> complex:
-    """d-permanent: sum over permutations of d^{#cycles} prod_j y[j, s(j)].
-
-    d = 1 is the classical permanent; d = -1 equals (-1)^p det(Y).
-    Brute force over all p! permutations.
-    """
-    d = _finite_d(d)
-    y = matrix_core.as_matrix(y)
-    check_permanent_dimension(y.shape[0])
-    return _cycle_weighted_permanent(y, lambda k: d ** k)
+    return permutation_sum(check_permutation_degree(len(rows)), term, "permanent")
 
 
 def permanent_alpha(y, a: MomentSequence) -> complex:
-    """alpha-permanent: the cycle-count weight d^k becomes a_k.
+    """alpha-permanent: the cycle-count weight d^k becomes a_k, so
+    `permanent_master` of y on the index (1, ..., 1).
 
     `a` must carry moments up to order p (cycle counts reach p).
     """
-    from .model import MOMENTS
-
     y = matrix_core.as_matrix(y)
-    p = y.shape[0]
-    check_permanent_dimension(p)
-    if a.kind != MOMENTS:
-        raise ValidationError("a must be a moment sequence")
-    if a.depth < p:
-        raise InsufficientOrdersError(f"a carries {a.depth} orders, need {p}")
-    return _cycle_weighted_permanent(y, a.order)
+    return permanent_master(y, (1,) * len(y), a)
 
 
 def repeated_matrix(t, i) -> np.ndarray:
@@ -87,6 +82,15 @@ def repeated_matrix(t, i) -> np.ndarray:
     i = multi_index(i, t.shape[0])
     idx = [j for j, c in enumerate(i) for _ in range(c)]
     return t[np.ix_(idx, idx)]
+
+
+def _products_underflow(t: np.ndarray, weight: int) -> bool:
+    """Whether a product of `weight` nonzero entries of t, over weight!,
+    may pass below the float range, so that a master-theorem level built
+    on such products may have lost them: an exact weight past the float
+    range would then read what is left."""
+    smallest = np.abs(t[t != 0]).min(initial=math.inf)
+    return weight * math.log2(smallest) - math.log2(math.factorial(weight)) < -1022
 
 
 # the last master-theorem levels composed, kept for the content of T
@@ -109,8 +113,12 @@ def permanent_master(t, i, d_or_alpha) -> complex:
     (`combinatorics.KeptGrid`), so a later request inside the grid, under
     any d or alpha, is a slice.  Each level and each weighed cell is
     computed by the same operations whatever the grid's extent, so a
-    value is bit-identical whatever calls came before.
-    Equals the brute-force d-permanent of the row/column-repeated T(i).
+    value is bit-identical whatever calls came before.  A weight d^l past
+    the float range is held exactly (`errors.power`); where a product of
+    |i| nonzero entries of T may pass below the float range
+    (`_products_underflow`), that read raises NumericalError, since the
+    levels may have lost the product.
+    Equals the brute-force `permanent_d` of the row/column-repeated T(i).
     """
     from .model import MOMENTS, MomentSequence
 
@@ -130,7 +138,10 @@ def permanent_master(t, i, d_or_alpha) -> complex:
         a_of = d_or_alpha.order
     else:
         d = _finite_d(d_or_alpha)
-        a_of = lambda k: d ** k
+        a_of = lambda k: power(d, k)
+        if not isinstance(a_of(weight), complex) and _products_underflow(t, weight):
+            raise NumericalError(f"permanent overflows: d^{weight} is past the float range, "
+                                 f"and a product of {weight} entries below it")
 
     def build(grid):
         from .multivariate import rho_table

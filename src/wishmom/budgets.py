@@ -26,10 +26,13 @@ value and budget, and returns the int (``i = check_moment_order(i)``); it
 needs no numpy, so the engines and the CLI call the same rule before any
 numeric work.  Setting the environment variable ``WISHMOM_MAX_BUDGET`` to
 a plain non-negative decimal (ASCII digits, nothing else) replaces the
-defaults of all eight rules at once (moment order, cumulant order, joint
-weight, necklace weight, permutation degree, permanent dimension, product
-factors and expansion positions), and a rejection then names that
-variable; any other value raises ValidationError naming it.
+defaults of all seven rules at once (moment order, cumulant order, joint
+weight, necklace weight, permutation degree, product factors and
+expansion positions), and a rejection then names that variable; any other
+value raises ValidationError naming it.  A permanent is priced by the
+joint weight of its index on the master-theorem route, the plain
+permanent's index (1, ..., 1) weighing its dimension, and the brute-force
+`permanent_d` by the permutation degree of its S_p walk.
 
 Three fixed caps bound a cost, not an order, so no variable or argument
 raises them; each is counted from the request before the first draw or
@@ -51,8 +54,7 @@ from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 
 MAX_UNIVARIATE_ORDER = 20   # trace moment/cumulant order i
 MAX_JOINT_WEIGHT = 10       # |i| for joint moments/cumulants, necklaces and permanent_master
-MAX_PERMUTATION_SIZE = 10   # k for full S_k enumeration
-MAX_PERMANENT_DIM = 10      # p for brute-force permanents
+MAX_PERMUTATION_SIZE = 10   # k for full S_k enumeration, permanent_d's too
 MAX_PRODUCT_FACTORS = 8     # m for the group-action product-moment sums
 MAX_EXPANSION_CYCLES = 6    # k for the 2^k central/formal assignment expansion
 MAX_MC_VARIATES = 10 ** 9   # random variates one Monte Carlo call draws (fixed)
@@ -160,7 +162,6 @@ check_cumulant_order = _rule("cumulant order", MAX_UNIVARIATE_ORDER)
 check_joint_weight = _rule("joint weight", MAX_JOINT_WEIGHT)
 check_necklace_weight = _rule("necklace weight", MAX_JOINT_WEIGHT, least=1)
 check_permutation_degree = _rule("permutation degree", MAX_PERMUTATION_SIZE, least=1)
-check_permanent_dimension = _rule("permanent dimension", MAX_PERMANENT_DIM)
 check_product_factors = _rule("product factors", MAX_PRODUCT_FACTORS)
 check_expansion_positions = _rule("expansion positions", MAX_EXPANSION_CYCLES)
 

@@ -304,23 +304,17 @@ def _cmd_permanent(doc, args, convention):
         d = complex(args.d) if args.d is not None else 1 + 0j
     except ValueError as exc:
         raise ValidationError(f"--d must be a complex number: {args.d!r}") from exc
-    master = args.index is not None or "index" in doc
-    if master:
+    if args.index is not None or "index" in doc:
         index = _index_from(doc, args)
-        budgets.check_joint_weight(sum(index))
-    elif isinstance(doc["sigma"], dict) and isinstance(doc["sigma"].get("re"), list):
-        budgets.check_permanent_dimension(len(doc["sigma"]["re"]))
+    else:  # the plain permanent: every row once
+        rows = doc["sigma"].get("re") if isinstance(doc["sigma"], dict) else None
+        index = (1,) * len(rows) if isinstance(rows, list) else ()
+    budgets.check_joint_weight(sum(index))
     y = _matrix_from(doc["sigma"], "sigma")
     from . import applications
 
-    if master:
-        value = applications.permanent_master(y, index, d)
-        result = {"route": "master", "index": list(index), "value": _cnum(value)}
-    else:
-        value = applications.permanent_d(y, d)
-        result = {"route": "brute-force", "value": _cnum(value)}
-    result["d"] = _cnum(d)
-    return result
+    value = applications.permanent_master(y, index, d)
+    return {"route": "master", "index": list(index), "value": _cnum(value), "d": _cnum(d)}
 
 
 def _cmd_polykay(doc, args, convention):

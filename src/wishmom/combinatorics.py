@@ -29,9 +29,10 @@ order) and the joint moments (one sum over the joint cumulant table), and
 is the tests' oracle for the series kernel.  The Bell and cyclic
 polynomials come from the Bell recurrence and enumerate nothing, so they
 stay an independent check on both.  A sum over the symmetric group, the
-generalized moments' group action and the d- and alpha-permanents, is one
-walk over S_m, `permutation_sum`, which hands each permutation and its
-cycles to the caller's term and adds the terms with `complex_fsum`.
+generalized moments' group action and the brute-force reference
+d-permanent, is one walk over S_m, `permutation_sum`, which hands each
+permutation and its cycles to the caller's term and adds the terms with
+`complex_fsum`.
 
 The public constructors of `IntegerPartition`, `MultiIndexPartition`,
 `Necklace` and `CyclePermutation` validate: they read every integer by
@@ -586,12 +587,14 @@ def weigh_levels(levels, weight, cell=None):
     weight(l) is called for l = 1, ..., |cell| (the grid's largest |u|),
     and level l is multiplied by it, weight times power, in this order; a
     weight that raises OverflowError (a Python power, where numpy gives
-    inf) makes its level and every later one inf.  A cell's terms at
-    l > |u| are set to +0 (a weight times a zero power may be nan or -0),
-    and its terms are added in order of l, correctly rounded as
-    `complex_fsum` adds them.  So a cell has the same bits read alone or
-    with its grid, whatever the grid's extent.  A cell that overflows
-    holds inf or nan, for its reader's `errors.finite`.
+    inf) makes its level and every later one inf.  A weight past the float
+    range held exactly (`errors.power`) multiplies each power of its level
+    exactly, and each product is rounded once, inf only past the float
+    range.  A cell's terms at l > |u| are set to +0 (a weight times a zero
+    power may be nan or -0), and its terms are added in order of l,
+    correctly rounded as `complex_fsum` adds them.  So a cell has the same
+    bits read alone or with its grid, whatever the grid's extent.  A cell
+    that overflows holds inf or nan, for its reader's `errors.finite`.
     """
     import numpy as np
 
@@ -602,17 +605,23 @@ def weigh_levels(levels, weight, cell=None):
     else:
         top = sum(cell)
         powers = levels[(slice(top), *cell)].reshape(top, 1)
-    weights, finite_weights = np.empty((top, 1), dtype=complex), top
+    weights, finite_weights, exact = np.empty((top, 1), dtype=complex), top, {}
     for l in range(1, top + 1):
         try:
-            weights[l - 1] = weight(l)
+            w = weight(l)
         except OverflowError:  # a Python power in `weight` raises where numpy gives inf
             finite_weights = l - 1
             break
+        try:
+            weights[l - 1] = w
+        except OverflowError:  # complex() of an exact weight past the float range
+            weights[l - 1], exact[l - 1] = 0, w
     terms = np.empty(powers.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(weights[:finite_weights], powers[:finite_weights],
                     out=terms[:finite_weights])
+    for l, w in exact.items():
+        terms[l] = [_exact_product(w, power) for power in powers[l].tolist()]
     terms[finite_weights:] = math.inf
     if cell is None:
         terms[np.arange(1, top + 1)[:, None] > np.indices(shape).sum(axis=0).ravel()] = 0
@@ -620,6 +629,15 @@ def weigh_levels(levels, weight, cell=None):
     sums.real = list(map(_fsum, terms.real.T.tolist()))
     sums.imag = list(map(_fsum, terms.imag.T.tolist()))
     return sums.reshape(shape) if cell is None else complex(sums[0])
+
+
+def _exact_product(w, x) -> complex:
+    """The exact weight w times x, rounded once: inf past the float range,
+    or where x is not finite."""
+    try:
+        return complex(w * x)
+    except (OverflowError, ValueError):  # past the float range, or an inf or nan x
+        return complex(math.inf)
 
 
 def compose_grid(table, kind, weight):

@@ -13,8 +13,10 @@ giving inf (an int past the float range, such as k! for k >= 171, or a
 float power), the computation runs inside `finite_of`, which reads that
 error as the overflow it is.  A computation that takes its numbers as
 arguments is first run again on them held exactly, so a count past the
-float range times a tiny trace is the finite number it is.  No other code
-reports an overflow.
+float range times a tiny trace is the finite number it is.  A weight d^l
+past the float range is held exactly by `power` in the same way, so d^l
+times a tiny number is the finite number it is.  No other code reports an
+overflow.
 """
 
 import cmath
@@ -98,10 +100,26 @@ def finite_of(compute, what: str, *numbers):
     return finite(value, what)
 
 
+def power(x, k: int):
+    """x ** k for a finite x, or, where that power passes the float range
+    (Python raises OverflowError, or a complex power comes out inf or nan
+    without raising), the power held exactly (`_Exact`): a product with it
+    stays exact, and complex() rounds that product once, raising
+    OverflowError only when the product itself is past the float range."""
+    try:
+        value = x ** k
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    return _Exact.of(x) ** k
+
+
 class _Exact:
     """A complex number held as two Fractions, for the exact run of
-    `finite_of`: an int, a float or a complex number enters exactly, and
-    + and * stay exact.  complex() rounds each part once, and raises
+    `finite_of` and the exact powers of `power`: an int, a float or a
+    complex number enters exactly, and +, * and a power to a non-negative
+    int stay exact.  complex() rounds each part once, and raises
     OverflowError past the float range."""
 
     __slots__ = ("re", "im")
@@ -130,6 +148,12 @@ class _Exact:
         other = _Exact.of(other)
         return _Exact(self.re * other.re - self.im * other.im,
                       self.re * other.im + self.im * other.re)
+
+    def __pow__(self, k: int):
+        result = _Exact.of(1)
+        for _ in range(k):
+            result = result * self
+        return result
 
     __radd__ = __add__
     __rmul__ = __mul__

@@ -22,6 +22,7 @@ from wishmom import (
     repeated_matrix,
 )
 
+from brute_force import exact_permanent
 from conftest import random_complex, rel_err
 
 
@@ -59,8 +60,12 @@ def test_permanent_row_multilinearity():
 
 
 def test_permanent_budget():
-    with pytest.raises(BudgetExceededError):
+    # the brute force is priced by its S_p walk, the master route by its
+    # index's weight
+    with pytest.raises(BudgetExceededError, match="permutation degree"):
         permanent_d(np.eye(11), 1.0)
+    with pytest.raises(BudgetExceededError, match="joint weight"):
+        permanent_alpha(np.eye(11), MomentSequence.from_moments([1.0] * 11))
 
 
 def test_permanent_alpha_specializations():
@@ -71,6 +76,49 @@ def test_permanent_alpha_specializations():
     assert rel_err(permanent_alpha(y, powers), permanent_d(y, d)) < 1e-13
     ones = MomentSequence.from_moments([1.0] * 3)
     assert rel_err(permanent_alpha(y, ones), permanent_d(y, 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_permanent_alpha_is_the_exact_alpha_permanent(p):
+    # the master route on (1, ..., 1) against the exact sum over all p!
+    # permutations in rationals
+    rng = np.random.default_rng(30 + p)
+    y = random_complex(rng, p)
+    alpha = MomentSequence.from_moments(
+        [complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)) for _ in range(p)])
+    assert rel_err(permanent_alpha(y, alpha), complex(exact_permanent(y, alpha.order))) < 1e-13
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_permanent_alpha_of_powers_is_the_brute_force_d_permanent(p):
+    rng = np.random.default_rng(40 + p)
+    y = random_complex(rng, p)
+    d = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5))
+    powers = MomentSequence.from_moments([d ** k for k in range(1, p + 1)])
+    assert rel_err(permanent_alpha(y, powers), permanent_d(y, d)) < 1e-13
+
+
+def ryser(a) -> complex:
+    """The permanent by Ryser's inclusion-exclusion formula, O(2^p p^2)
+    (H. J. Ryser, Combinatorial Mathematics, 1963):
+    per A = sum over column sets S of (-1)^(p - |S|) prod_i sum_{j in S} a_ij."""
+    p = len(a)
+    sets = np.array(list(itertools.product((0, 1), repeat=p)))
+    signs = (-1.0) ** (p - sets.sum(axis=1))
+    return complex(np.sum(signs * np.prod(sets @ a.T, axis=1)))
+
+
+@pytest.mark.parametrize("p", [10, 11, 12])
+def test_master_route_past_the_permutation_walk(monkeypatch, p):
+    # past the reach of the p! walk: d = 1 against Ryser's formula and
+    # d = -1 against (-1)^p det, to 1e-13 of the permanent of |y|
+    monkeypatch.setenv("WISHMOM_MAX_BUDGET", "12")
+    rng = np.random.default_rng(50 + p)
+    y = random_complex(rng, p)
+    ones = (1,) * p
+    scale = ryser(np.abs(y)).real
+    assert abs(permanent_master(y, ones, 1.0) - ryser(y)) <= 1e-13 * scale
+    assert abs(permanent_master(y, ones, -1.0) - (-1) ** p * np.linalg.det(y)) <= 1e-13 * scale
 
 
 def test_permanent_alpha_two_by_two_expansion():

@@ -173,6 +173,23 @@ def test_permanent_command(tmp_path):
     assert doc["results"]["value"]["re"] == pytest.approx(1 * 4 - 2 * 3)
 
 
+def test_plain_permanent_is_the_master_route_on_every_row_once(tmp_path):
+    # without an index, a 10 x 10 permanent (the default budget) is the
+    # master theorem on (1, ..., 1): at once in CPU time, where the p!
+    # walk took seconds, and the very document of the --index request
+    y = np.random.default_rng(16).normal(size=(10, 10)) + 0.5j
+    path = tmp_path / "perm10.json"
+    path.write_text(json.dumps({"sigma": matrix_doc(y)}))
+    start = time.process_time()
+    code, out = run(["permanent", str(path), "--d", "0.5-0.25j"])
+    elapsed = time.process_time() - start
+    assert code == 0 and elapsed < 2.0, elapsed
+    assert run(["permanent", str(path), "--d", "0.5-0.25j", "--index", ",".join(["1"] * 10)]) \
+        == (0, out)
+    results = json.loads(out)["results"]
+    assert (results["route"], results["index"]) == ("master", [1] * 10)
+
+
 def test_polykay_command(tmp_path):
     x = np.diag([1.0, 2.0, 3.0])
     path = tmp_path / "poly.json"
@@ -602,7 +619,8 @@ _DOC = json.dumps(_PARAMS).encode()
 _DOC_WITH_H = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}])).encode()
 _DOC_WITH_H2 = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}] * 2)).encode()
 _DOC_WITH_H7 = json.dumps(dict(_PARAMS, h=[{"re": [[1.0, 0.0], [0.0, 1.0]]}] * 7)).encode()
-# an 11 x 11 matrix, one row over the brute-force permanent's budget
+# an 11 x 11 matrix, whose plain permanent's index (1, ..., 1) is one over
+# the joint-weight budget
 _DOC_11X11 = json.dumps({"sigma": {"re": np.eye(11).tolist()}}).encode()
 _DOC_SIDEWAYS = json.dumps(dict(_PARAMS, convention="sideways")).encode()
 

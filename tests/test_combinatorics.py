@@ -616,10 +616,12 @@ def test_permutation_sum_overflow_is_a_numerical_error():
 
 def test_permutation_routes_walk_s_m_through_the_kernel(monkeypatch):
     # every route that sums over S_m calls the one kernel with its label,
-    # and every walk over the permutations is the kernel's
+    # and every walk over the permutations is the kernel's; the production
+    # permanents take the master theorem and walk none
     import wishmom
     from wishmom import (MomentSequence, a_product_moment, build, central_product_moment,
-                         generalized_moment_expansion, permanent_alpha, permanent_d)
+                         generalized_moment_expansion, permanent_alpha, permanent_d,
+                         permanent_master)
 
     calls, walks = [], []
     walk = itertools.permutations
@@ -641,7 +643,6 @@ def test_permutation_routes_walk_s_m_through_the_kernel(monkeypatch):
         "a_product_moment": lambda: a_product_moment(params, h, perm),
         "generalized_moment_expansion": lambda: generalized_moment_expansion(params, h, perm),
         "permanent_d": lambda: permanent_d(y, 0.5),
-        "permanent_alpha": lambda: permanent_alpha(y, MomentSequence.from_moments([1, 2, 5])),
     }
     for name, route in routes.items():
         calls.clear()
@@ -650,6 +651,11 @@ def test_permutation_routes_walk_s_m_through_the_kernel(monkeypatch):
         label = "permanent" if name.startswith("permanent") else "generalized moment"
         assert calls and all(what == label for _, what in calls), name
         assert walks == [(range(m),) for m, _ in calls], name
+    calls.clear()
+    walks.clear()
+    permanent_alpha(y, MomentSequence.from_moments([1, 2, 5]))
+    permanent_master(y, (2, 1, 1), 0.5)
+    assert calls == [] and walks == []
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,40 @@ def test_overflow_raises_numerical_error_without_a_warning(route):
             route()
 
 
+# a weight d^l past the float range times a tiny number: both permanent
+# routes hold the power exactly and round the product once, so a
+# permanent in the float range is that number, here per_d of diag(t, t)
+# = d^2 t^2 = 1e100, and of a zero matrix 0
+TINY = np.diag([1e-150, 1e-150])
+PAST_THE_WEIGHT = {
+    "permanent_master": (lambda: permanent_master(TINY, (1, 1), 1e200), 1e100),
+    "permanent_d": (lambda: permanent_d(TINY, 1e200), 1e100),
+    "permanent_master-zero": (lambda: permanent_master(np.zeros((2, 2)), (1, 1), 1e200), 0.0),
+    "permanent_d-zero": (lambda: permanent_d(np.zeros((2, 2)), 1e200), 0.0),
+    # Python's complex power gives (1e200+0j) ** 4 as nan + nan j, raising nothing
+    "permanent_d-nan-power": (lambda: permanent_d(np.diag([1e-200] * 4), 1e200), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_WEIGHT, ids=PAST_THE_WEIGHT)
+def test_a_weight_past_the_float_range_is_held_exactly(case):
+    route, want = PAST_THE_WEIGHT[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = route()
+    assert abs(value - want) <= 1e-15 * want, value
+
+
+def test_a_weight_past_the_float_range_over_underflowed_levels_raises():
+    # products of the entries below the float range have left the
+    # master-theorem levels, so the exact weight would read what is left
+    # (0): it raises instead, while the p! walk, exact in each term, gives 1
+    y = np.full((7, 7), 1e-100)
+    assert abs(permanent_d(y, 1e100) - 1) <= 1e-15
+    with pytest.raises(NumericalError, match="a product of 7 entries below it"):
+        permanent_master(y, (1,) * 7, 1e100)
+
+
 # orders past 170 under a raised budget: each needs k! for some k >= 171,
 # an int past the float range.  Python raises OverflowError on it, and the
 # overflow rule then computes the product exactly, so a route whose value

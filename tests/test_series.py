@@ -45,7 +45,7 @@ from wishmom import (
 from wishmom import combinatorics, univariate
 from wishmom.combinatorics import (_shift_pairs, compose_grid, compose_levels, falling_factorial,
                                     partition_sum, weigh_levels)
-from wishmom.errors import finite
+from wishmom.errors import finite, power
 
 from brute_force import (
     ERROR_BOUND,
@@ -193,6 +193,7 @@ LEVEL_WEIGHTS = {
     "falling": lambda l: falling_factorial(3, l),  # an int, 0 from l = 4 on
     "alpha": MomentSequence.from_moments([(1 + 2 ** l + 3 ** l) / 3 for l in range(1, 21)]).order,
     "overflowing": lambda l: 1e30 ** l,  # a Python power: OverflowError from l = 11 on
+    "exact": lambda l: power(1e30, l),  # held exactly from l = 11 on
 }
 
 
